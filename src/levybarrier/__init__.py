@@ -52,12 +52,10 @@ from .oracles import (
 from .path_engine import (
     NEVER,
     PathBatch,
-    ReflectedPath,
     SimConfig,
     discounted_integral,
     discounted_stieltjes,
     horizon_for,
-    reflect,
     sample_sup_at_exp_time,
     simulate_batch,
 )

@@ -26,11 +26,11 @@ import numpy as np
 
 from .cost_model import ProblemSpec
 from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
-from .estimators import EstimateWithError, _finish
+from .estimators import EstimateWithError, _finish, _rho_columns, _value_pass
 from .levy_model import LevyTriplet, classify
 from .path_engine import (
     SimConfig,
-    discount_factors,
+    _antithetic_active,
     integral_weights,
     map_reduce_paths,
     reflect_arrays,
@@ -122,8 +122,7 @@ def _solver_chunk(values, ctx: _SolverCtx):
         "pp_udisc": u @ ctx.w,
     }
     if ctx.probes:
-        cols = [np.asarray(ctx.f_prime(u + b), dtype=float) @ ctx.w for b in ctx.probes]
-        out["pp_probe"] = np.stack(cols, axis=1)
+        out["pp_probe"] = _rho_columns(u, ctx.f_prime, ctx.w, ctx.probes)
     return out
 
 
@@ -216,15 +215,13 @@ def solve_barrier(
     if bisect_tol is not None and bisect_tol <= 0:
         raise ValueError("bisect_tol must be positive")
     cfg.validate_for(problem.q)
-    anti = cfg.antithetic and not (
-        triplet.jumps.rate > 0 and not triplet.jumps.is_symmetric
-    )
+    anti = _antithetic_active(triplet, cfg)
     tol_floor = bisect_tol if bisect_tol is not None else 1e-3
     bin_width = min(1e-3, tol_floor) / 4.0
 
     # pilot: locate the root and its statistical scale on a small sub-batch
     n_pilot = min(cfg.n_paths, max(400, cfg.n_paths // 64))
-    if cfg.antithetic and n_pilot % 2:
+    if anti and n_pilot % 2:
         n_pilot += 1
     pilot_cfg = replace(cfg, n_paths=n_pilot)
     rho_p, _ = _run_solver_pass(triplet, problem, pilot_cfg, bin_width, (), n_workers)
@@ -326,25 +323,6 @@ def solve_barrier_perturbed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _SweepCtx:
-    b_values: tuple
-    f: Callable
-    C: float
-    w: np.ndarray
-    disc: np.ndarray
-
-
-def _sweep_chunk(values, ctx: _SweepCtx):
-    v = np.empty((values.shape[0], len(ctx.b_values)))
-    for k, b in enumerate(ctx.b_values):
-        u, r, _ = reflect_arrays(values, b)
-        running = np.asarray(ctx.f(u), dtype=float) @ ctx.w
-        control = np.diff(r, axis=-1, prepend=0.0) @ ctx.disc
-        v[:, k] = running + ctx.C * control
-    return {"pp_v": v}
-
-
 def barrier_sweep(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -364,21 +342,13 @@ def barrier_sweep(
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
         raise ValueError("b_grid must be sorted strictly increasing")
     cfg.validate_for(problem.q)
-    anti = cfg.antithetic and not (
-        triplet.jumps.rate > 0 and not triplet.jumps.is_symmetric
-    )
-    ctx = _SweepCtx(
-        b_values=tuple(b_grid),
-        f=problem.cost.f,
-        C=problem.C,
-        w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
-        disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
-    )
-    out = map_reduce_paths(triplet, x, cfg, _sweep_chunk, ctx, n_workers=n_workers)
+    anti = _antithetic_active(triplet, cfg)
+    v, _ = _value_pass(triplet, problem, cfg, x, (0.0,), b_grid, n_workers=n_workers)
+    v = v[:, 0, :]
     curve = [
-        (b, _finish("sweep_value", out["pp_v"][:, k], anti, triplet, problem, cfg, b=b, x=x))
+        (b, _finish("sweep_value", v[:, k], anti, triplet, problem, cfg, b=b, x=x))
         for k, b in enumerate(b_grid)
     ]
     if return_samples:
-        return curve, out["pp_v"]
+        return curve, v
     return curve

@@ -27,11 +27,13 @@ from .levy_model import LevyTriplet
 from .path_engine import (
     PathBatch,
     SimConfig,
-    discount_factors,
+    ValueCtx,
+    _antithetic_active,
     integral_weights,
     map_reduce_paths,
     reflect_arrays,
     sample_sup_at_exp_time,
+    value_chunk,
 )
 
 __all__ = [
@@ -129,28 +131,30 @@ class _RhoCtx:
     w: np.ndarray
 
 
+def _rho_columns(u, f_prime, w, b_values):
+    """Per-path rho-hat samples f'_+(U^0 + b) @ w, one column per barrier."""
+    return np.stack([np.asarray(f_prime(u + b), dtype=float) @ w for b in b_values], axis=1)
+
+
 def _rho_chunk(values, ctx: _RhoCtx):
     u, _, _ = reflect_arrays(values, 0.0)
-    cols = [np.asarray(ctx.f_prime(u + b), dtype=float) @ ctx.w for b in ctx.b_values]
-    return {"pp_y": np.stack(cols, axis=1)}
+    return {"pp_y": _rho_columns(u, ctx.f_prime, ctx.w, ctx.b_values)}
 
 
-@dataclass(frozen=True, eq=False)
-class _ValueCtx:
-    b_values: tuple
-    f: Callable
-    w: np.ndarray
-    disc: np.ndarray
-
-
-def _value_chunk(values, ctx: _ValueCtx):
-    y1 = np.empty((values.shape[0], len(ctx.b_values)))
-    y2 = np.empty_like(y1)
-    for k, b in enumerate(ctx.b_values):
-        u, r, _ = reflect_arrays(values, b)
-        y1[:, k] = np.asarray(ctx.f(u), dtype=float) @ ctx.w
-        y2[:, k] = np.diff(r, axis=-1, prepend=0.0) @ ctx.disc
-    return {"pp_y1": y1, "pp_y2": y2}
+def _value_pass(triplet, problem, cfg, x_start, offsets, barriers, n_workers=1,
+                passage=None, f_prime=None):
+    """One streamed ``value_chunk`` pass; returns (running + C * control, partials)."""
+    ctx = ValueCtx(
+        offsets=tuple(float(o) for o in offsets),
+        barriers=tuple(float(b) for b in barriers),
+        f=problem.cost.f,
+        q=problem.q,
+        dt=cfg.dt,
+        passage=passage,
+        f_prime=f_prime,
+    )
+    out = map_reduce_paths(triplet, x_start, cfg, value_chunk, ctx, n_workers=n_workers)
+    return out["pp_running"] + problem.C * out["pp_control"], out
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +176,13 @@ def estimate_rho(
     ``exp_clock`` averages q^{-1} f'_+(sup_{s<=e_q} X_s + b).  No
     admissibility is required to evaluate rho.
     """
-    cfg.validate_for(problem.q)
-    anti = cfg.antithetic and not (
-        triplet.jumps.rate > 0 and not triplet.jumps.is_symmetric
-    )
     if method == "time_integral":
-        ctx = _RhoCtx(
-            b_values=(float(b),),
-            f_prime=problem.cost.f_prime_plus,
-            w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
-        )
-        out = map_reduce_paths(triplet, 0.0, cfg, _rho_chunk, ctx, n_workers=n_workers)
-        return _finish("rho_time_integral", out["pp_y"][:, 0], anti, triplet, problem, cfg, b=b)
+        return estimate_rho_curve(triplet, problem, [b], cfg, n_workers=n_workers)[0][1]
     if method == "exp_clock":
+        cfg.validate_for(problem.q)
         sups, rejection = sample_sup_at_exp_time(triplet, cfg, problem.q)
         y = np.asarray(problem.cost.f_prime_plus(sups + b), dtype=float) / problem.q
+        anti = _antithetic_active(triplet, cfg)
         return _finish(
             "rho_exp_clock", y, anti, triplet, problem, cfg, rejection_rate=rejection, b=b
         )
@@ -210,23 +206,18 @@ def estimate_value(
     to start at x (spatial homogeneity), enabling common random numbers.
     """
     cfg.validate_for(problem.q)
-    ctx = _ValueCtx(
-        b_values=(float(b),),
-        f=problem.cost.f,
-        w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
-        disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
-    )
     if crn_batch is not None:
-        values = crn_batch.values + (x - crn_batch.x_start)
-        out = _value_chunk(values, ctx)
+        ctx = ValueCtx(
+            offsets=(x - crn_batch.x_start,), barriers=(float(b),), f=problem.cost.f,
+            q=problem.q, dt=cfg.dt,
+        )
+        out = value_chunk(crn_batch.values, ctx)
         anti = crn_batch.antithetic
     else:
-        out = map_reduce_paths(triplet, x, cfg, _value_chunk, ctx, n_workers=n_workers)
-        anti = cfg.antithetic and not (
-            triplet.jumps.rate > 0 and not triplet.jumps.is_symmetric
-        )
-    y1 = out["pp_y1"][:, 0]
-    y2 = out["pp_y2"][:, 0]
+        _, out = _value_pass(triplet, problem, cfg, x, (0.0,), (b,), n_workers=n_workers)
+        anti = _antithetic_active(triplet, cfg)
+    y1 = out["pp_running"][:, 0, 0]
+    y2 = out["pp_control"][:, 0, 0]
     v1 = _finish("value_running", y1, anti, triplet, problem, cfg, b=b, x=x)
     v2 = _finish("value_control", y2, anti, triplet, problem, cfg, b=b, x=x)
     v = _finish("value_total", y1 + problem.C * y2, anti, triplet, problem, cfg, b=b, x=x)
@@ -250,9 +241,7 @@ def estimate_rho_curve(
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
         raise ValueError("b_grid must be sorted strictly increasing")
     cfg.validate_for(problem.q)
-    anti = cfg.antithetic and not (
-        triplet.jumps.rate > 0 and not triplet.jumps.is_symmetric
-    )
+    anti = _antithetic_active(triplet, cfg)
     ctx = _RhoCtx(
         b_values=tuple(b_grid),
         f_prime=problem.cost.f_prime_plus,

@@ -11,7 +11,9 @@ supremum sampler draws its exponential clock before everything else.
 Large runs never materialize the full (paths x grid) matrix: estimators
 stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
 whose merge order is fixed by chunk index so results do not depend on the
-worker count.
+worker count.  Every reflected functional of a chunk (value at any start
+offset and barrier, first passage) is read off one running minimum per
+chunk, since the minimum of a shifted path is the shifted minimum.
 """
 from __future__ import annotations
 
@@ -28,11 +30,13 @@ from .levy_model import LevyTriplet
 __all__ = [
     "SimConfig",
     "PathBatch",
-    "ReflectedPath",
     "NEVER",
     "simulate_batch",
-    "reflect",
     "reflect_arrays",
+    "ValueCtx",
+    "value_chunk",
+    "first_passage_index",
+    "stopped_integral",
     "discounted_integral",
     "discounted_stieltjes",
     "sample_sup_at_exp_time",
@@ -130,20 +134,6 @@ class PathBatch:
                     fh.write(f"{p},{t!r},{x!r}\n")
 
 
-@dataclass
-class ReflectedPath:
-    """Reflected process, control, and first-passage indices for a batch.
-
-    Row p holds path p: u_values = X + R with
-    R_t = -min(0, min_{s<=t}(X_s - b)), and tau_minus_index the first grid
-    index with X strictly below b (NEVER if no such index).
-    """
-
-    u_values: np.ndarray
-    r_values: np.ndarray
-    tau_minus_index: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # per-path generation
 # ---------------------------------------------------------------------------
@@ -154,14 +144,20 @@ def _path_rng(master_seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
-def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig) -> bool:
+def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False) -> bool:
+    """Whether the second half of the paths mirrors the first.
+
+    Asked-for pairing is skipped for an asymmetric jump law (with a warning
+    when ``warn``, as the simulators do); it needs an even n_paths.
+    """
     if not cfg.antithetic:
         return False
     if triplet.jumps.rate > 0 and not triplet.jumps.is_symmetric:
-        warnings.warn(
-            "antithetic ignored: jump law is not symmetric, mirroring would bias it",
-            stacklevel=3,
-        )
+        if warn:
+            warnings.warn(
+                "antithetic ignored: jump law is not symmetric, mirroring would bias it",
+                stacklevel=3,
+            )
         return False
     if cfg.n_paths % 2 != 0:
         raise ValueError("antithetic sampling needs an even n_paths")
@@ -197,7 +193,7 @@ def _simulate_chunk(triplet, x_start, cfg, lo, hi, collect_marks=False):
     """Values (hi-lo, n_steps+1) for paths lo..hi-1, plus jump marks if asked."""
     n_steps = cfg.n_steps
     n = hi - lo
-    anti = _antithetic_active(triplet, cfg)
+    anti = _antithetic_active(triplet, cfg, warn=True)
     half = cfg.n_paths // 2
     values = np.empty((n, n_steps + 1))
     values[:, 0] = x_start
@@ -235,7 +231,7 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
         x_start=x_start,
         jump_marks=marks,
         seeds=seeds,
-        antithetic=_antithetic_active(triplet, cfg),
+        antithetic=_antithetic_active(triplet, cfg, warn=True),
     )
 
 
@@ -253,15 +249,8 @@ def reflect_arrays(values: np.ndarray, b: float):
     running_min = np.minimum.accumulate(values, axis=-1)
     r = np.maximum(b - running_min, 0.0)
     u = values + r
-    below = values < b
-    any_below = below.any(axis=-1)
-    tau = np.where(any_below, below.argmax(axis=-1), NEVER)
-    return u, r, tau
-
-
-def reflect(batch: PathBatch, b: float) -> ReflectedPath:
-    u, r, tau = reflect_arrays(batch.values, b)
-    return ReflectedPath(u_values=u, r_values=r, tau_minus_index=tau)
+    tau = first_passage_index(running_min, b)
+    return u, r, np.where(tau < values.shape[-1], tau, NEVER)
 
 
 def integral_weights(q: float, dt: float, n_grid: int) -> np.ndarray:
@@ -293,13 +282,76 @@ def discounted_stieltjes(r_values: np.ndarray, q: float, dt: float) -> np.ndarra
     return increments @ disc
 
 
+def first_passage_index(running_min: np.ndarray, level: float) -> np.ndarray:
+    """First grid index with the path strictly below ``level``; n_grid if never.
+
+    ``running_min`` is the path's running minimum: being nonincreasing, it
+    stays >= level exactly on the indices before the first passage.
+    """
+    return (running_min >= level).sum(axis=-1)
+
+
+def stopped_integral(g: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Left-rule integrals sum_{i < idx[p, k]} g[p, i] w[i]; ``idx`` has shape (n, k)."""
+    cum = np.cumsum(g * w, axis=-1)
+    return np.where(idx > 0, np.take_along_axis(cum, np.maximum(idx - 1, 0), axis=-1), 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class ValueCtx:
+    """The value functionals ``value_chunk`` evaluates on every chunk."""
+
+    offsets: tuple                   # start offsets added to the simulated paths
+    barriers: tuple                  # reflection barriers
+    f: Callable                      # running cost
+    q: float
+    dt: float
+    passage: float | None = None     # level of e^{-q tau} for the offsets[0] path
+    f_prime: Callable | None = None  # also integrate f'_+ along that path up to tau
+
+
+def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
+    """Running and control parts of the value at every (offset, barrier).
+
+    ``pp_running`` and ``pp_control`` have shape (n, offsets, barriers) and
+    hold f(U) @ w and diff(R, prepend=0) @ disc for the path values + o
+    reflected at b.  Rounding is monotone, so min(values + o) equals m + o
+    exactly for the running minimum m of the chunk: R = max(b - (m + o), 0)
+    and U = (values + o) + R match ``reflect_arrays(values + o, b)`` bit for
+    bit, and are written into two buffers reused across all pairs.  With
+    ``passage`` set, ``pp_tau_disc`` is e^{-q tau} (0 if the offsets[0] path
+    never passes below it) and, with ``f_prime``, ``pp_fprime_to_tau`` the
+    left-rule integral of f'_+ along that unreflected path up to tau.
+    """
+    m = np.minimum.accumulate(values, axis=-1)
+    shape = (values.shape[0], len(ctx.offsets), len(ctx.barriers))
+    running, control = np.empty(shape), np.empty(shape)
+    r, u = np.empty_like(values), np.empty_like(values)
+    for i, o in enumerate(ctx.offsets):
+        for k, b in enumerate(ctx.barriers):
+            np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
+            np.add(np.add(values, o, out=u), r, out=u)
+            running[:, i, k] = discounted_integral(ctx.f(u), ctx.q, ctx.dt)
+            control[:, i, k] = discounted_stieltjes(r, ctx.q, ctx.dt)
+    out = {"pp_running": running, "pp_control": control}
+    if ctx.passage is not None:
+        o, n_grid = ctx.offsets[0], values.shape[-1]
+        tau = first_passage_index(m + o, ctx.passage)
+        out["pp_tau_disc"] = np.append(discount_factors(ctx.q, ctx.dt, n_grid), 0.0)[tau]
+        if ctx.f_prime is not None:
+            g = np.asarray(ctx.f_prime(values + o), dtype=float)
+            w = integral_weights(ctx.q, ctx.dt, n_grid)
+            out["pp_fprime_to_tau"] = stopped_integral(g, w, tau[:, None])[:, 0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # supremum at an independent exponential clock
 # ---------------------------------------------------------------------------
 
 
 def _sup_range(triplet, cfg, q, x_start, lo, hi):
-    anti = _antithetic_active(triplet, cfg)
+    anti = _antithetic_active(triplet, cfg, warn=True)
     half = cfg.n_paths // 2
     sups = np.empty(hi - lo)
     rejected = 0

@@ -24,14 +24,15 @@ import numpy as np
 from .barrier_solver import solve_barrier
 from .cost_model import ProblemSpec
 from .errors import NonFiniteSample
-from .estimators import estimate_rho
+from .estimators import _value_pass, estimate_rho
 from .levy_model import LevyTriplet
 from .path_engine import (
     SimConfig,
     discount_factors,
+    first_passage_index,
     integral_weights,
     map_reduce_paths,
-    reflect_arrays,
+    stopped_integral,
 )
 
 __all__ = [
@@ -87,71 +88,6 @@ def _drift_scale(triplet: LevyTriplet) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _BarrierBundleCtx:
-    barriers: tuple          # barrier levels for the value functional
-    tau_barrier: float       # barrier for the first-passage factor
-    f: Callable
-    C: float
-    w: np.ndarray
-    disc: np.ndarray
-
-
-def _barrier_bundle_chunk(values, ctx: _BarrierBundleCtx):
-    """Per-path value at several barriers plus e^{-q tau} at one barrier."""
-    v = np.empty((values.shape[0], len(ctx.barriers)))
-    for k, b in enumerate(ctx.barriers):
-        u, r, _ = reflect_arrays(values, b)
-        v[:, k] = np.asarray(ctx.f(u), dtype=float) @ ctx.w + ctx.C * (
-            np.diff(r, axis=-1, prepend=0.0) @ ctx.disc
-        )
-    below = values < ctx.tau_barrier
-    any_below = below.any(axis=-1)
-    tau_idx = below.argmax(axis=-1)
-    tau_disc = np.where(any_below, ctx.disc[np.minimum(tau_idx, len(ctx.disc) - 1)], 0.0)
-    return {"pp_v": v, "pp_tau_disc": tau_disc}
-
-
-@dataclass(frozen=True, eq=False)
-class _OffsetBundleCtx:
-    offsets: tuple           # start offsets added to the simulated paths
-    b: float                 # reflection barrier
-    f: Callable
-    f_prime: Callable
-    C: float
-    w: np.ndarray
-    disc: np.ndarray
-    with_passage: bool       # also return tau factors of the offset-0 path
-
-
-def _offset_bundle_chunk(values, ctx: _OffsetBundleCtx):
-    """Per-path value from several CRN-coupled starting points."""
-    v = np.empty((values.shape[0], len(ctx.offsets)))
-    for k, off in enumerate(ctx.offsets):
-        shifted = values + off
-        u, r, _ = reflect_arrays(shifted, ctx.b)
-        v[:, k] = np.asarray(ctx.f(u), dtype=float) @ ctx.w + ctx.C * (
-            np.diff(r, axis=-1, prepend=0.0) @ ctx.disc
-        )
-    out = {"pp_v": v}
-    if ctx.with_passage:
-        # passage functionals belong to the path started at offsets[0]
-        base = values + ctx.offsets[0]
-        below = base < ctx.b
-        any_below = below.any(axis=-1)
-        tau_idx = np.where(any_below, below.argmax(axis=-1), base.shape[1])
-        # left-rule integral of f'_+ along the raw path, stopped before tau
-        wf = np.asarray(ctx.f_prime(base), dtype=float) * ctx.w
-        cum = np.concatenate([np.zeros((base.shape[0], 1)), np.cumsum(wf, axis=1)], axis=1)
-        out["pp_fprime_to_tau"] = np.take_along_axis(
-            cum, np.minimum(tau_idx, base.shape[1])[:, None], axis=1
-        )[:, 0]
-        out["pp_tau_disc"] = np.where(
-            any_below, ctx.disc[np.minimum(tau_idx, len(ctx.disc) - 1)], 0.0
-        )
-    return out
-
-
 def _interp_eval(y, nodes, means, C):
     """Piecewise-linear value interpolant with structural extensions.
 
@@ -183,34 +119,20 @@ class _MartingaleCtx:
 
 
 def _martingale_chunk(values, ctx: _MartingaleCtx):
-    n, m = values.shape
-    below = values < ctx.b_star
-    any_below = below.any(axis=-1)
-    tau_idx = np.where(any_below, below.argmax(axis=-1), m)
-    wf = np.asarray(ctx.f(values), dtype=float) * ctx.w
-    cum = np.concatenate([np.zeros((n, 1)), np.cumsum(wf, axis=1)], axis=1)
-    out = np.empty((n, len(ctx.t_indices)))
-    for k, t_idx in enumerate(ctx.t_indices):
-        j = np.minimum(tau_idx, t_idx)
-        x_j = np.take_along_axis(values, j[:, None], axis=1)[:, 0]
-        out[:, k] = ctx.disc[j] * _interp_eval(x_j, ctx.nodes, ctx.node_means, ctx.C) + (
-            np.take_along_axis(cum, j[:, None], axis=1)[:, 0]
-        )
+    tau = first_passage_index(np.minimum.accumulate(values, axis=-1), ctx.b_star)
+    # stop each path at tau and t: j = min(tau, t_k) per (path, t_k)
+    j = np.minimum(tau[:, None], np.asarray(ctx.t_indices)[None, :])
+    x_j = np.take_along_axis(values, j, axis=1)
+    out = ctx.disc[j] * _interp_eval(x_j, ctx.nodes, ctx.node_means, ctx.C) + stopped_integral(
+        np.asarray(ctx.f(values), dtype=float), ctx.w, j
+    )
     return {"pp_m": out}
 
 
-def _run_offsets(triplet, problem, cfg, offsets, b, with_passage=False, n_workers=1):
-    ctx = _OffsetBundleCtx(
-        offsets=tuple(float(o) for o in offsets),
-        b=float(b),
-        f=problem.cost.f,
-        f_prime=problem.cost.f_prime_plus,
-        C=problem.C,
-        w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
-        disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
-        with_passage=with_passage,
-    )
-    return map_reduce_paths(triplet, 0.0, cfg, _offset_bundle_chunk, ctx, n_workers=n_workers)
+def _run_offsets(triplet, problem, cfg, offsets, b, n_workers=1):
+    """Per-path values (n, offsets) of the paths started at each offset, reflected at b."""
+    v, _ = _value_pass(triplet, problem, cfg, 0.0, offsets, (b,), n_workers=n_workers)
+    return v[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +158,10 @@ def check_barrier_derivative(
     if x == b:
         raise ValueError("the derivative identity needs x != b")
     cfg.validate_for(problem.q)
-    ctx = _BarrierBundleCtx(
-        barriers=(b - h, b, b + h),
-        tau_barrier=b,
-        f=problem.cost.f,
-        C=problem.C,
-        w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
-        disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
+    v, out = _value_pass(
+        triplet, problem, cfg, x, (0.0,), (b - h, b, b + h), n_workers=n_workers, passage=b
     )
-    out = map_reduce_paths(triplet, x, cfg, _barrier_bundle_chunk, ctx, n_workers=n_workers)
-    v = out["pp_v"]
+    v = v[:, 0, :]
     if not np.all(np.isfinite(v)):
         raise NonFiniteSample("barrier derivative bundle produced non-finite values")
     fwd = (v[:, 2] - v[:, 1]) / h
@@ -293,11 +209,11 @@ def check_slope_identity(
     points and the passage functionals).
     """
     cfg.validate_for(problem.q)
-    out = _run_offsets(
-        triplet, problem, cfg, offsets=(x, x + h, x + 2 * h), b=b, with_passage=True,
-        n_workers=n_workers,
+    v, out = _value_pass(
+        triplet, problem, cfg, 0.0, (x, x + h, x + 2 * h), (b,), n_workers=n_workers,
+        passage=b, f_prime=problem.cost.f_prime_plus,
     )
-    v = out["pp_v"]
+    v = v[:, :, 0]
     if not np.all(np.isfinite(v)):
         raise NonFiniteSample("slope identity bundle produced non-finite values")
     rhs_p = out["pp_fprime_to_tau"] - problem.C * out["pp_tau_disc"]
@@ -344,8 +260,7 @@ def check_convexity(
         raise ValueError("x_grid must be uniformly spaced increasing")
     if b_star is None:
         b_star = solve_barrier(triplet, problem, cfg, n_workers=n_workers).b_star
-    out = _run_offsets(triplet, problem, cfg, offsets=tuple(x_grid), b=b_star, n_workers=n_workers)
-    v = out["pp_v"]
+    v = _run_offsets(triplet, problem, cfg, offsets=tuple(x_grid), b=b_star, n_workers=n_workers)
     details = []
     worst = -math.inf
     for j in range(1, x_grid.size - 1):
@@ -394,10 +309,9 @@ def check_martingale(
         node_grid = np.linspace(b_star - 2.0, x + span, 41)
     node_grid = np.asarray(node_grid, dtype=float)
     node_cfg = replace(cfg, master_seed=cfg.master_seed + 1)
-    nodes_out = _run_offsets(
+    node_v = _run_offsets(
         triplet, problem, node_cfg, offsets=tuple(node_grid), b=b_star, n_workers=n_workers
     )
-    node_v = nodes_out["pp_v"]
     node_means = node_v.mean(axis=0)
     node_se = np.array([_se(node_v[:, j]) for j in range(node_grid.size)])
     interp_allow = 3.0 * float(node_se.max()) + float(
@@ -541,8 +455,7 @@ def check_hjb(
         pad_step = max(fd_h, (hi_pad - lo_pad) / 96.0)
         nodes = np.concatenate([nodes, np.arange(lo_pad, hi_pad + pad_step, pad_step)])
     nodes = np.unique(np.round(nodes, 9))
-    out = _run_offsets(triplet, problem, cfg, offsets=tuple(nodes), b=b_star, n_workers=n_workers)
-    Y = out["pp_v"]
+    Y = _run_offsets(triplet, problem, cfg, offsets=tuple(nodes), b=b_star, n_workers=n_workers)
     if not np.all(np.isfinite(Y)):
         raise NonFiniteSample("value bundle produced non-finite samples")
     means = Y.mean(axis=0)

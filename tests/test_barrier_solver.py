@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,22 @@ def test_sweep_below_grid_linear_identity():
     for (b, est) in curve:
         _, _, v_b = estimate_value(KOU, prob, b, b, cfg, crn_batch=batch)
         assert est.mean == pytest.approx(prob.C * (b - x) + v_b.mean, abs=1e-9 * (1 + abs(v_b.mean)))
+
+
+def _rho_sweep_solve(triplet, prob, cfg):
+    rho = estimate_rho(triplet, prob, -0.5, cfg)
+    sweep = barrier_sweep(triplet, prob, 0.0, [-1.0, -0.5], cfg)
+    res = solve_barrier(triplet, prob, cfg)
+    ests = [rho] + [est for _, est in sweep] + [res.rho_at_b_star]
+    return [(e.mean, e.stderr, e.n) for e in ests], (res.b_star, res.ci_halfwidth)
+
+
+def test_antithetic_ignored_for_asymmetric_jumps_matches_unpaired_run():
+    # mirroring would bias an asymmetric jump law, so no pairing happens and
+    # every estimate (the solver's pilot size included) equals the unpaired one
+    skew = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.7, 2.0, 3.0))
+    prob = quad_problem(0.5, 0.5)
+    plain = make_cfg(0.5, dt=0.05, n=301)
+    with pytest.warns(UserWarning, match="antithetic ignored"):
+        paired = _rho_sweep_solve(skew, prob, replace(plain, antithetic=True))
+    assert paired == _rho_sweep_solve(skew, prob, plain)

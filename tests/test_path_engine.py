@@ -7,15 +7,20 @@ import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, SimConfig
 from levybarrier.path_engine import (
     NEVER,
+    ValueCtx,
     _simulate_chunk,
+    discount_factors,
     discounted_integral,
     discounted_stieltjes,
+    first_passage_index,
     horizon_for,
+    integral_weights,
     map_reduce_paths,
-    reflect,
     reflect_arrays,
     sample_sup_at_exp_time,
     simulate_batch,
+    stopped_integral,
+    value_chunk,
 )
 
 BM = LevyTriplet(gamma=0.0, sigma=1.0)
@@ -87,13 +92,62 @@ def test_reflect_barrier_monotonicity():
     cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=50, master_seed=7, tail_tol=0.999)
     batch = simulate_batch(BM, 0.0, cfg)
     b1, b2 = -0.5, 0.25
-    ref1 = reflect(batch, b1)
-    ref2 = reflect(batch, b2)
-    du = ref2.u_values - ref1.u_values
-    dr = ref2.r_values - ref1.r_values
+    u1, r1, _ = reflect_arrays(batch.values, b1)
+    u2, r2, _ = reflect_arrays(batch.values, b2)
+    du = u2 - u1
+    dr = r2 - r1
     gap = b2 - b1
     assert np.all(du >= -1e-12) and np.all(du <= gap + 1e-12)
     assert np.all(dr >= -1e-12) and np.all(dr <= gap + 1e-12)
+
+
+_path_rows = st.lists(
+    st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=2, max_size=12
+)
+_levels = st.floats(min_value=-3, max_value=3, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_path_rows, min_size=1, max_size=4),
+    st.lists(_levels, min_size=1, max_size=3),
+    st.lists(_levels, min_size=1, max_size=3),
+)
+def test_value_kernel_matches_reflection_per_pair(rows, offsets, barriers):
+    # rows cut to one length, plus a path that never crosses and one starting below
+    width = min(len(r) for r in rows)
+    values = np.asarray([r[:width] for r in rows] + [[10.0] * width, [-10.0] * width])
+    q, dt = 0.7, 0.1
+    f = lambda u: u**2 + np.sin(u)
+    f_prime = lambda u: 2 * u + np.cos(u)
+    for level in barriers:
+        ctx = ValueCtx(offsets=tuple(offsets), barriers=tuple(barriers), f=f, q=q, dt=dt,
+                       passage=level, f_prime=f_prime)
+        out = value_chunk(values, ctx)
+        w, disc = integral_weights(q, dt, width), discount_factors(q, dt, width)
+        for i, o in enumerate(offsets):
+            for k, b in enumerate(barriers):
+                u, r, _ = reflect_arrays(values + o, b)
+                assert np.array_equal(out["pp_running"][:, i, k], f(u) @ w)
+                assert np.array_equal(out["pp_control"][:, i, k], np.diff(r, prepend=0.0) @ disc)
+        # first passage of the offsets[0] path, NEVER mapped to n_grid
+        base = values + offsets[0]
+        tau = first_passage_index(np.minimum.accumulate(base, axis=-1), level)
+        _, _, tau_ref = reflect_arrays(base, level)
+        assert np.array_equal(tau, np.where(tau_ref == NEVER, width, tau_ref))
+        tau_disc = np.where(tau < width, disc[np.minimum(tau, width - 1)], 0.0)
+        assert np.array_equal(out["pp_tau_disc"], tau_disc)
+        stopped = [float(np.sum(f_prime(base[p, :t]) * w[:t])) for p, t in enumerate(tau)]
+        assert np.allclose(out["pp_fprime_to_tau"], stopped, rtol=1e-12, atol=1e-12)
+
+
+def test_stopped_integral_is_a_prefix_sum():
+    g = np.arange(12.0).reshape(2, 6)
+    w = np.full(6, 0.5)
+    idx = np.array([[0, 1, 6], [3, 3, 2]])
+    got = stopped_integral(g, w, idx)
+    want = [[0.0, 0.0, 7.5], [0.5 * (6 + 7 + 8)] * 2 + [0.5 * (6 + 7)]]
+    assert np.array_equal(got, want)
 
 
 def test_jump_marks_match_path_increments():
