@@ -1,15 +1,17 @@
 """Optimal barrier computation by sample-average bisection on rho(b) + C.
 
-The solver fixes ONE common-random-number batch of paths reflected at 0 and
-compresses its discounted occupation of U^0 into a fine histogram: since
-rho-hat(b) only reads the batch through f'_+(U + b) integrated against
-fixed weights, binning U to width h shifts the fitted root by at most h/2
-(the nondecreasing rho-hat curves for the binned and unbinned batches
-sandwich each other within a horizontal h/2 shift).  The bin width is kept
-at a quarter of the bisection tolerance, so the bisection runs on a
-deterministic, exactly nondecreasing g(b) = rho-hat(b) + C at negligible
-cost per evaluation, and statistical error enters only through the reported
-confidence half-width.
+The solver fixes ONE common-random-number batch of paths reflected at 0 and,
+in one streamed pass, compresses its discounted occupation of U^0 into a
+fine histogram per fixed path batch: since rho-hat(b) only reads the batch
+through f'_+(U + b) integrated against fixed weights, binning U to width h
+shifts the fitted root by at most h/2 (the nondecreasing rho-hat curves for
+the binned and unbinned batches sandwich each other within a horizontal h/2
+shift).  The bin width is kept at a quarter of the bisection tolerance, so
+the bisection runs on the pooled histogram, a deterministic, exactly
+nondecreasing g(b) = rho-hat(b) + C at negligible cost per evaluation.
+Statistical error enters only through the confidence half-width, from the
+batch-means stderr of rho-hat(b*): the sample standard deviation of the
+per-batch rho-hat(b*) over sqrt(B), B = 64 batches (63 degrees of freedom).
 
 Driftless compound Poisson models are handled by re-solving under the
 drift-perturbed processes X_t - eps*t for a decreasing grid of eps and
@@ -26,7 +28,7 @@ import numpy as np
 
 from .cost_model import ProblemSpec
 from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
-from .estimators import EstimateWithError, _finish, _rho_columns, _value_pass
+from .estimators import EstimateWithError, _finish, _value_pass
 from .levy_model import LevyTriplet, classify
 from .path_engine import (
     SimConfig,
@@ -53,8 +55,8 @@ class BarrierResult:
     """Root of rho-hat(b) + C = 0 on a fixed CRN batch, with certificates.
 
     bracket holds the final (lo, hi) with rho-hat(lo)+C < 0 <= rho-hat(hi)+C
-    on the same batch; ci_halfwidth is the stderr of rho near the root
-    divided by a local slope estimate (inf and flagged when the slope is
+    on the same batch; ci_halfwidth is the batch-means stderr of rho at the
+    root divided by a local slope estimate (inf and flagged when the slope is
     numerically flat, e.g. at a kink plateau of f').
     """
 
@@ -109,37 +111,44 @@ class PerturbedBarrierResult:
 class _SolverCtx:
     bin_width: float
     w: np.ndarray
-    f_prime: Callable
-    probes: tuple
 
 
 def _solver_chunk(values, ctx: _SolverCtx):
     u, _, _ = reflect_arrays(values, 0.0)
     bins = np.rint(u / ctx.bin_width).astype(np.int64)
     weights = np.broadcast_to(ctx.w, u.shape).ravel()
-    out = {
+    return {
         "acc_hist": np.bincount(bins.ravel(), weights=weights),
+        "acc_paths": np.array([float(values.shape[0])]),
         "pp_udisc": u @ ctx.w,
     }
-    if ctx.probes:
-        out["pp_probe"] = _rho_columns(u, ctx.f_prime, ctx.w, ctx.probes)
-    return out
 
 
 class _HistogramRho:
-    """rho-hat(b) evaluated from the binned occupation of the CRN batch."""
+    """rho-hat(b) from the binned occupation of the CRN batch (``__call__``,
+    rows pooled in batch order) and of each path batch (``batch_means``)."""
 
-    def __init__(self, hist: np.ndarray, bin_width: float, n_paths: int, f_prime):
-        self.centers = np.arange(hist.shape[0]) * bin_width
+    def __init__(self, hist: np.ndarray, batch_paths: np.ndarray, bin_width: float, f_prime):
+        self.centers = np.arange(hist.shape[-1]) * bin_width
         self.hist = hist
-        self.n_paths = n_paths
+        self.pooled = np.sum(hist, axis=0)
+        self.batch_paths = batch_paths
+        self.n_paths = float(batch_paths.sum())
         self.f_prime = f_prime
 
-    def __call__(self, b: float) -> float:
+    def _f_prime_at(self, b: float) -> np.ndarray:
         vals = np.asarray(self.f_prime(self.centers + b), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteSample("f'_+ evaluated non-finite on the occupation support")
-        return float(vals @ self.hist) / self.n_paths
+        return vals
+
+    def __call__(self, b: float) -> float:
+        return float(self._f_prime_at(b) @ self.pooled) / self.n_paths
+
+    def batch_means(self, b: float) -> np.ndarray:
+        # row sums (unlike a matvec) give equal rows equal means
+        vals = self._f_prime_at(b)
+        return np.array([(row * vals).sum() for row in self.hist]) / self.batch_paths
 
 
 def _expand_bracket(g: Callable, limit: float = BRACKET_LIMIT):
@@ -179,18 +188,6 @@ def _bisect(g: Callable, lo: float, hi: float, bisect_tol: float | None):
         iterations += 1
 
 
-def _run_solver_pass(triplet, problem, cfg, bin_width, probes, n_workers):
-    ctx = _SolverCtx(
-        bin_width=bin_width,
-        w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
-        f_prime=problem.cost.f_prime_plus,
-        probes=tuple(probes),
-    )
-    out = map_reduce_paths(triplet, 0.0, cfg, _solver_chunk, ctx, n_workers=n_workers)
-    rho = _HistogramRho(out["acc_hist"], bin_width, cfg.n_paths, problem.cost.f_prime_plus)
-    return rho, out
-
-
 def solve_barrier(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -202,9 +199,10 @@ def solve_barrier(
 
     Requires the admissibility condition f'_+(-inf) < -C q < f'_+(inf) and a
     model that is not driftless compound Poisson (those go through
-    ``solve_barrier_perturbed``).  A small pilot batch locates the root so
-    that per-path samples for the stderr can be collected at probe barriers
-    during the single main pass; if ``bisect_tol`` is omitted the bisection
+    ``solve_barrier_perturbed``).  One streamed pass bins the occupation of
+    U^0 per fixed path batch; the bisection runs on the pooled histogram,
+    and the stderr of rho-hat(b*) is the batch-means one (up to 64 batches,
+    so 63 degrees of freedom).  If ``bisect_tol`` is omitted the bisection
     stops at a relative width 1e-3 * (1 + |b|).
     """
     problem.require_admissible()
@@ -219,42 +217,19 @@ def solve_barrier(
     tol_floor = bisect_tol if bisect_tol is not None else 1e-3
     bin_width = min(1e-3, tol_floor) / 4.0
 
-    # pilot: locate the root and its statistical scale on a small sub-batch
-    n_pilot = min(cfg.n_paths, max(400, cfg.n_paths // 64))
-    if anti and n_pilot % 2:
-        n_pilot += 1
-    pilot_cfg = replace(cfg, n_paths=n_pilot)
-    rho_p, _ = _run_solver_pass(triplet, problem, pilot_cfg, bin_width, (), n_workers)
-    g_p = lambda b: rho_p(b) + problem.C
-    root0, _, _, _ = _bisect(g_p, *_expand_bracket(g_p), bisect_tol=bisect_tol)
-    _, pilot_out = _run_solver_pass(
-        triplet, problem, pilot_cfg, bin_width, (root0,), n_workers
+    ctx = _SolverCtx(bin_width=bin_width, w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
+    out = map_reduce_paths(triplet, 0.0, cfg, _solver_chunk, ctx, n_workers=n_workers)
+    rho_hat = _HistogramRho(
+        out["acc_hist"], out["acc_paths"][:, 0], bin_width, problem.cost.f_prime_plus
     )
-    pilot_samples = pilot_out["pp_probe"][:, 0]
-    pilot_sd = float(np.std(pilot_samples))
-    delta = 10.0 * tol_floor * (1.0 + abs(root0))
-    slope0 = max((rho_p(root0 + delta) - rho_p(root0 - delta)) / (2 * delta), FLAT_SLOPE_EPS)
-    ci0 = pilot_sd / math.sqrt(max(n_pilot, 2)) / slope0
-    span = max(8.0 * ci0, 20.0 * tol_floor * (1.0 + abs(root0)), 4.0 * bin_width)
-    probes = (root0 - span, root0, root0 + span)
-
-    # main pass: histogram + per-path probes on the full batch
-    rho_hat, out = _run_solver_pass(triplet, problem, cfg, bin_width, probes, n_workers)
     g = lambda b: rho_hat(b) + problem.C
     lo0, hi0 = _expand_bracket(g)
     b_star, lo, hi, iterations = _bisect(g, lo0, hi0, bisect_tol=bisect_tol)
 
-    probe_y = out["pp_probe"]
-    if abs(b_star - root0) <= span:
-        nearest = int(np.argmin(np.abs(np.asarray(probes) - b_star)))
-        samples = probe_y[:, nearest]
-    else:
-        # pilot missed badly; collect honest samples at the fitted root
-        _, extra = _run_solver_pass(triplet, problem, cfg, bin_width, (b_star,), n_workers)
-        samples = extra["pp_probe"][:, 0]
-
+    # batches hold whole antithetic pairs, so their means are not paired again
     rho_est = _finish(
-        "rho_at_b_star", samples, anti, triplet, problem, cfg, b=b_star, solver="histogram"
+        "rho_at_b_star", rho_hat.batch_means(b_star), False, triplet, problem, cfg,
+        b=b_star, solver="histogram",
     )
     # statistical half-width: stderr of rho near the root over a local slope
     tol_eff = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(b_star))
@@ -268,9 +243,8 @@ def solve_barrier(
             stacklevel=2,
         )
     ci = math.inf if flat else rho_est.stderr / slope
-    # rho mean at the root as the bisection saw it (binned batch mean)
-    rho_mean_hist = rho_hat(b_star)
-    rho_est = replace(rho_est, mean=rho_mean_hist)
+    # rho mean at the root as the bisection saw it (pooled binned batch mean)
+    rho_est = replace(rho_est, mean=rho_hat(b_star), n=cfg.n_paths)
     u0_est = _finish("discounted_u0", out["pp_udisc"], anti, triplet, problem, cfg)
     return BarrierResult(
         b_star=b_star,

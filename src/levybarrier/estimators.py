@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -95,6 +97,17 @@ def _moments(samples: np.ndarray, antithetic: bool):
     return mean, stderr, kurt
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """Our caller's warning ``stacklevel`` naming the first frame outside the package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _finish(kind, samples, antithetic, triplet, problem, cfg, rejection_rate=None, **extra):
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
@@ -106,7 +119,7 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, rejection_rate=Non
         warnings.warn(
             f"{kind}: sample kurtosis {kurt:.1f} exceeds {KURTOSIS_RELIABLE_MAX:.0f}; "
             "the reported stderr may be unreliable",
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
     return EstimateWithError(
         mean=mean,
@@ -131,14 +144,14 @@ class _RhoCtx:
     w: np.ndarray
 
 
-def _rho_columns(u, f_prime, w, b_values):
-    """Per-path rho-hat samples f'_+(U^0 + b) @ w, one column per barrier."""
-    return np.stack([np.asarray(f_prime(u + b), dtype=float) @ w for b in b_values], axis=1)
-
-
 def _rho_chunk(values, ctx: _RhoCtx):
+    """Per-path rho-hat samples f'_+(U^0 + b) @ w, one column per barrier.
+
+    Row sums, unlike a matvec, add in an order set by the row length alone,
+    so a path's sample does not depend on its chunk's size."""
     u, _, _ = reflect_arrays(values, 0.0)
-    return {"pp_y": _rho_columns(u, ctx.f_prime, ctx.w, ctx.b_values)}
+    y = [(np.asarray(ctx.f_prime(u + b), dtype=float) * ctx.w).sum(axis=-1) for b in ctx.b_values]
+    return {"pp_y": np.stack(y, axis=1)}
 
 
 def _value_pass(triplet, problem, cfg, x_start, offsets, barriers, n_workers=1,

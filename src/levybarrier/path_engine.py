@@ -11,9 +11,11 @@ supremum sampler draws its exponential clock before everything else.
 Large runs never materialize the full (paths x grid) matrix: estimators
 stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
 whose merge order is fixed by chunk index so results do not depend on the
-worker count.  Every reflected functional of a chunk (value at any start
-offset and barrier, first passage) is read off one running minimum per
-chunk, since the minimum of a shifted path is the shifted minimum.
+worker count; accumulators are summed per fixed batch of consecutive
+streams (``BATCHES``, mirrored pairs together), giving batch-means errors.
+Every reflected functional of a chunk (value at any start offset and
+barrier, first passage) is read off one running minimum per chunk, since
+the minimum of a shifted path is the shifted minimum.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ __all__ = [
 NEVER = -1  # sentinel tau index: the path never went strictly below the barrier
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
+BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams
 
 
 def horizon_for(q: float, tail_tol: float = 1e-4, dt: float | None = None) -> float:
@@ -189,11 +192,11 @@ def _path_increments(triplet, cfg, rng, mirror, collect_marks=False):
     return incr, marks
 
 
-def _simulate_chunk(triplet, x_start, cfg, lo, hi, collect_marks=False):
-    """Values (hi-lo, n_steps+1) for paths lo..hi-1, plus jump marks if asked."""
+def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti, collect_marks=False):
+    """Values (hi-lo, n_steps+1) for paths lo..hi-1, plus jump marks if asked;
+    ``anti`` (mirror the second half) is decided once per pass by the caller."""
     n_steps = cfg.n_steps
     n = hi - lo
-    anti = _antithetic_active(triplet, cfg, warn=True)
     half = cfg.n_paths // 2
     values = np.empty((n, n_steps + 1))
     values[:, 0] = x_start
@@ -223,7 +226,8 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
             "batch of %d paths x %d grid points is too large to materialize; "
             "use the streaming estimators" % (cfg.n_paths, n_grid)
         )
-    values, marks = _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, collect_marks=True)
+    anti = _antithetic_active(triplet, cfg, warn=True)
+    values, marks = _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti, collect_marks=True)
     seeds = tuple((cfg.master_seed, p) for p in range(cfg.n_paths))
     return PathBatch(
         grid=cfg.times(),
@@ -231,7 +235,7 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
         x_start=x_start,
         jump_marks=marks,
         seeds=seeds,
-        antithetic=_antithetic_active(triplet, cfg, warn=True),
+        antithetic=anti,
     )
 
 
@@ -350,8 +354,7 @@ def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sup_range(triplet, cfg, q, x_start, lo, hi):
-    anti = _antithetic_active(triplet, cfg, warn=True)
+def _sup_range(triplet, cfg, q, x_start, lo, hi, anti):
     half = cfg.n_paths // 2
     sups = np.empty(hi - lo)
     rejected = 0
@@ -385,7 +388,8 @@ def sample_sup_at_exp_time(triplet: LevyTriplet, cfg: SimConfig, q: float, x_sta
     (sups, rejection_rate).  The supremum is taken over grid points <= e_q.
     """
     cfg.validate_for(q)
-    sups, rejected = _sup_range(triplet, cfg, q, x_start, 0, cfg.n_paths)
+    anti = _antithetic_active(triplet, cfg, warn=True)
+    sups, rejected = _sup_range(triplet, cfg, q, x_start, 0, cfg.n_paths, anti)
     return sups, rejected / (cfg.n_paths + rejected)
 
 
@@ -394,35 +398,43 @@ def sample_sup_at_exp_time(triplet: LevyTriplet, cfg: SimConfig, q: float, x_sta
 # ---------------------------------------------------------------------------
 
 
-def _chunk_plan(n_paths: int, n_grid: int, target: int) -> list[tuple[int, int]]:
-    size = max(1, min(n_paths, target // max(1, n_grid)))
-    return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+def _chunk_plan(n_paths: int, n_grid: int, antithetic: bool, target: int) -> list[tuple]:
+    """(lo, hi, batch) path ranges covering 0..n_paths-1 in order.
+
+    Streams (paths, or pairs when ``antithetic``) form min(BATCHES, n_streams)
+    contiguous batches whose sizes differ by at most one; chunks of at most
+    target // n_grid paths never straddle a batch."""
+    n_streams = n_paths // 2 if antithetic else n_paths
+    n_batches = min(BATCHES, n_streams)
+    bounds = [g * n_streams // n_batches for g in range(n_batches + 1)]
+    size = max(1, target // max(1, n_grid))
+    return [
+        (shift + lo, shift + min(lo + size, hi), g)
+        for shift in ((0, n_streams) if antithetic else (0,))
+        for g, (start, hi) in enumerate(zip(bounds, bounds[1:]))
+        for lo in range(start, hi, size)
+    ]
 
 
-def _process_chunk(triplet, x_start, cfg, lo, hi, chunk_fn, ctx):
-    values, _ = _simulate_chunk(triplet, x_start, cfg, lo, hi)
+def _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx):
+    values, _ = _simulate_chunk(triplet, x_start, cfg, lo, hi, anti)
     return chunk_fn(values, ctx)
 
 
-def _merge(partials: list[dict]) -> dict:
-    """Merge chunk partials in chunk order (fixed float summation order)."""
+def _merge(plan: list, partials) -> dict:
+    """Merge chunk partials as they arrive, in chunk order (fixed float summation order)."""
     out: dict = {}
-    for part in partials:
+    for (_, _, g), part in zip(plan, partials):
         for key, val in part.items():
             if key.startswith("pp_"):
                 out.setdefault(key, []).append(val)
             elif key.startswith("acc_"):
-                if key not in out:
-                    out[key] = np.array(val, dtype=float, copy=True)
-                else:
-                    a, b = out[key], np.asarray(val, dtype=float)
-                    if b.shape[-1] > a.shape[-1]:
-                        a = np.pad(a, (0, b.shape[-1] - a.shape[-1]))
-                    elif a.shape[-1] > b.shape[-1]:
-                        b = np.pad(b, (0, a.shape[-1] - b.shape[-1]))
-                    out[key] = a + b
-            elif key.startswith("sum_"):
-                out[key] = out.get(key, 0.0) + val
+                val = np.asarray(val, dtype=float)
+                rows = out.setdefault(key, np.zeros((plan[-1][2] + 1,) + val.shape[:-1] + (0,)))
+                if val.shape[-1] > rows.shape[-1]:
+                    pad = [(0, 0)] * (rows.ndim - 1) + [(0, val.shape[-1] - rows.shape[-1])]
+                    rows = out[key] = np.pad(rows, pad)
+                rows[g, ..., : val.shape[-1]] += val
             else:
                 raise KeyError(f"chunk partial key {key!r} has no merge rule")
     for key, val in out.items():
@@ -444,39 +456,38 @@ def map_reduce_paths(
 
     ``chunk_fn(values, ctx)`` receives the (chunk_paths, n_grid) value matrix
     and returns a dict whose keys select the merge rule: ``pp_*`` per-path
-    rows (concatenated in path order), ``acc_*`` accumulator arrays (summed,
-    right-padded to the longest), ``sum_*`` scalars.  The chunk plan depends
-    only on (n_paths, n_grid), so results are identical for any worker count.
+    rows (concatenated in path order) and ``acc_*`` accumulator arrays
+    (summed per path batch in chunk order, right-padded along the last axis
+    to the longest, and stacked into one leading row per batch).  The chunk
+    plan depends only on (n_paths, n_grid, antithetic pairing), so results
+    are identical for any worker count.
 
     Pure-drift models collapse to a single representative path whose partials
-    are expanded law-exactly (identical rows, accumulators scaled by the path
-    count); stderr over paths is exactly zero there, as it should be.
+    are expanded law-exactly (identical rows, accumulators scaled by each
+    batch's path count); stderr over paths is exactly zero there, as it
+    should be, and over batches zero to rounding.
     """
+    anti = _antithetic_active(triplet, cfg, warn=True)
     if triplet.is_deterministic:
-        values, _ = _simulate_chunk(triplet, x_start, cfg, 0, 1)
-        part = chunk_fn(values, ctx)
-        out = {}
-        for key, val in part.items():
-            if key.startswith("pp_"):
-                out[key] = np.repeat(np.asarray(val), cfg.n_paths, axis=0)
-            elif key.startswith("acc_"):
-                out[key] = np.asarray(val, dtype=float) * cfg.n_paths
-            elif key.startswith("sum_"):
-                out[key] = val * cfg.n_paths
-            else:
-                raise KeyError(f"chunk partial key {key!r} has no merge rule")
-        return out
+        plan = _chunk_plan(cfg.n_paths, 1, anti, cfg.n_paths)  # whole batches (halves if paired)
+        part = chunk_fn(_simulate_chunk(triplet, x_start, cfg, 0, 1, anti)[0], ctx)
+        partials = (
+            {k: np.repeat(v, hi - lo, axis=0) if k.startswith("pp_") else np.multiply(v, hi - lo)
+             for k, v in part.items()}
+            for lo, hi, _ in plan
+        )
+        return _merge(plan, partials)
 
-    plan = _chunk_plan(cfg.n_paths, cfg.n_steps + 1, chunk_target)
+    plan = _chunk_plan(cfg.n_paths, cfg.n_steps + 1, anti, chunk_target)
     if n_workers <= 1 or len(plan) == 1:
-        partials = [
-            _process_chunk(triplet, x_start, cfg, lo, hi, chunk_fn, ctx) for lo, hi in plan
+        partials = (
+            _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx)
+            for lo, hi, _ in plan
+        )
+        return _merge(plan, partials)
+    with ProcessPoolExecutor(max_workers=n_workers) as ex:
+        futures = [
+            ex.submit(_process_chunk, triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx)
+            for lo, hi, _ in plan
         ]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as ex:
-            futures = [
-                ex.submit(_process_chunk, triplet, x_start, cfg, lo, hi, chunk_fn, ctx)
-                for lo, hi in plan
-            ]
-            partials = [f.result() for f in futures]
-    return _merge(partials)
+        return _merge(plan, (f.result() for f in futures))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost
+from levybarrier import JumpSpec, LevyTriplet, SimConfig, barrier_solver, builtin_cost
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated, NoSignChange
 from levybarrier.estimators import estimate_rho, estimate_value
 from levybarrier.barrier_solver import barrier_sweep, solve_barrier, solve_barrier_perturbed
-from levybarrier.path_engine import horizon_for
+from levybarrier.path_engine import horizon_for, integral_weights
 
 DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
 BM = LevyTriplet(gamma=0.0, sigma=1.0)
@@ -27,11 +27,51 @@ def quad_problem(C, q):
 def test_pure_drift_zero_cost_root():
     # C = 0: rho(b) = 2(mu/q^2 + b/q) has root b* = -mu/q
     q = 0.1
-    res = solve_barrier(DRIFT_UP, quad_problem(0.0, q), make_cfg(q, n=20, tail=1e-6), bisect_tol=2e-3)
-    assert abs(res.b_star + 10.0) <= max(1e-2, 3 * res.ci_halfwidth)
-    assert res.ci_halfwidth == 0.0  # deterministic paths
-    lo, hi = res.bracket
-    assert lo <= res.b_star <= hi and hi - lo <= 2e-3
+    for n in (20, 100):  # 100 paths: batches of one and of two paths
+        cfg = make_cfg(q, n=n, tail=1e-6)
+        res = solve_barrier(DRIFT_UP, quad_problem(0.0, q), cfg, bisect_tol=2e-3)
+        assert abs(res.b_star + 10.0) <= max(1e-2, 3 * res.ci_halfwidth)
+        assert res.ci_halfwidth == 0.0  # deterministic paths
+        assert res.rho_at_b_star.n == n
+        lo, hi = res.bracket
+        assert lo <= res.b_star <= hi and hi - lo <= 2e-3
+
+
+def test_solve_is_one_pass(monkeypatch):
+    passes = []
+    real = barrier_solver.map_reduce_paths
+
+    def counted(triplet, x_start, cfg, *args, **kwargs):
+        passes.append(cfg.n_paths)
+        return real(triplet, x_start, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(barrier_solver, "map_reduce_paths", counted)
+    solve_barrier(KOU, quad_problem(0.5, 0.5), make_cfg(0.5, dt=0.05, n=500))
+    assert passes == [500]
+
+
+def test_solve_same_record_for_any_worker_count():
+    # 130 paths: 64 batches, so 64 chunks, spread over two processes
+    cfg = make_cfg(0.5, dt=0.05, n=130, seed=21)
+    prob = quad_problem(0.5, 0.5)
+    one = solve_barrier(KOU, prob, cfg, n_workers=1)
+    two = solve_barrier(KOU, prob, cfg, n_workers=2)
+    assert one.to_record() == two.to_record()
+
+
+@pytest.mark.parametrize("triplet, antithetic, n", [(KOU, False, 48), (BM, True, 64)])
+def test_one_path_per_batch_stderr_matches_per_path_estimate(triplet, antithetic, n):
+    # with at most one stream per batch the batch means are the per-path (or
+    # per-pair) rho-hat samples, up to the binning of U^0
+    q = 0.5
+    prob = quad_problem(0.5, q)
+    cfg = replace(make_cfg(q, dt=0.01, n=n, seed=17), antithetic=antithetic)
+    res = solve_barrier(triplet, prob, cfg)
+    direct = estimate_rho(triplet, prob, res.b_star, cfg)
+    bin_width = 1e-3 / 4.0  # default bisection tolerance
+    w_sum = integral_weights(q, cfg.dt, cfg.n_steps + 1).sum()
+    assert res.rho_at_b_star.stderr > 0.0
+    assert abs(res.rho_at_b_star.stderr - direct.stderr) <= bin_width * w_sum * 2  # f'' = 2
 
 
 def test_bracket_certificate_and_rho_at_root():
@@ -200,7 +240,8 @@ def _rho_sweep_solve(triplet, prob, cfg):
 
 def test_antithetic_ignored_for_asymmetric_jumps_matches_unpaired_run():
     # mirroring would bias an asymmetric jump law, so no pairing happens and
-    # every estimate (the solver's pilot size included) equals the unpaired one
+    # every estimate (the solver's batches of paths included) equals the
+    # unpaired one
     skew = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.7, 2.0, 3.0))
     prob = quad_problem(0.5, 0.5)
     plain = make_cfg(0.5, dt=0.05, n=301)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,23 @@ def test_kurtosis_flag():
         est = _finish("unit", samples, False, BM, prob, make_cfg(0.5, n=10))
     assert not est.stderr_reliable
     assert est.kurtosis > 100
+
+
+def test_kurtosis_warning_points_at_the_caller():
+    # rare up-jumps lift a few reflected paths far above the rest, so the
+    # rho sample is heavy-tailed; the warning must name this file, not the
+    # package's internals, for both public entry points
+    rare = LevyTriplet(gamma=-1.0, sigma=0.0, jumps=JumpSpec.atom_sizes(1e-3, (5.0,), (1.0,)))
+    prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.0, q=0.5)
+    cfg = make_cfg(0.5, dt=0.05, n=2000, seed=3)
+    calls = (lambda: estimate_rho_curve(rare, prob, [0.0], cfg), lambda: estimate_rho(rare, prob, 0.0, cfg))
+    for call in calls:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            call()
+        kurt = [r for r in rec if "kurtosis" in str(r.message)]
+        assert len(kurt) == 1
+        assert kurt[0].filename == __file__
 
 
 def test_antithetic_pairing_runs():

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,10 @@ from hypothesis import strategies as st
 import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, SimConfig
 from levybarrier.path_engine import (
+    BATCHES,
     NEVER,
     ValueCtx,
+    _chunk_plan,
     _simulate_chunk,
     discount_factors,
     discounted_integral,
@@ -261,7 +266,7 @@ def test_path_reproducible_independent_of_batch():
     cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=8, master_seed=11, tail_tol=0.999)
     kou = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
     full = simulate_batch(kou, 0.0, cfg)
-    row5, _ = _simulate_chunk(kou, 0.0, cfg, 5, 6)
+    row5, _ = _simulate_chunk(kou, 0.0, cfg, 5, 6, False)
     assert np.array_equal(full.values[5], row5[0])
 
 
@@ -279,6 +284,66 @@ def test_map_reduce_worker_and_chunk_invariance():
     # per-path outputs do not depend on the chunk plan either
     small = map_reduce_paths(kou, 0.0, cfg, _sum_chunk, None, chunk_target=512)
     assert np.array_equal(base["pp_sum"], small["pp_sum"])
+
+
+def _width_chunk(values, ctx):
+    # a 2-D accumulator whose last axis grows with the chunk's path count
+    return {"acc_grid": np.ones((2, values.shape[0]))}
+
+
+def test_accumulators_are_summed_per_batch():
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=200, master_seed=13, tail_tol=0.999)
+    kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
+    # 3- and 4-path batches cut into 2-path chunks: rows are right-padded
+    # along the last axis only, then summed within the batch
+    out = map_reduce_paths(kou, 0.0, cfg, _width_chunk, None, chunk_target=2 * 101)
+    sizes = np.diff([g * 200 // BATCHES for g in range(BATCHES + 1)])
+    want = np.stack([np.full((2, 2), [2.0, n - 2.0]) for n in sizes])
+    assert out["acc_grid"].shape == (BATCHES, 2, 2)
+    assert np.array_equal(out["acc_grid"], want)
+    # pure drift: each batch row is the representative path's scaled by its size
+    drift = map_reduce_paths(DRIFT_UP, 0.0, cfg, _sum_chunk, None)
+    one = map_reduce_paths(DRIFT_UP, 0.0, replace(cfg, n_paths=1), _sum_chunk, None)
+    assert np.array_equal(drift["acc_total"][:, 0], one["acc_total"][0, 0] * sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 40), st.booleans(), st.integers(1, 3000))
+def test_chunk_plan_batches(n_paths, n_grid, antithetic, target):
+    n_paths += antithetic and n_paths % 2
+    plan = _chunk_plan(n_paths, n_grid, antithetic, target)
+    los, his, _ = (list(col) for col in zip(*plan))
+    assert los == [0] + his[:-1] and his[-1] == n_paths  # 0..n-1 in order
+    assert all(1 <= hi - lo <= max(1, target // n_grid) for lo, hi in zip(los, his))
+    batch = np.empty(n_paths, dtype=int)
+    for lo, hi, g in plan:
+        batch[lo:hi] = g
+    n_streams = n_paths // 2 if antithetic else n_paths
+    if antithetic:  # both members of a mirrored pair share the batch
+        assert np.array_equal(batch[:n_streams], batch[n_streams:])
+    # batches are contiguous stream ranges, sized within one stream, and do
+    # not depend on how chunks cut them
+    per_stream = batch[:n_streams]
+    assert np.all(np.diff(per_stream) >= 0)
+    sizes = np.bincount(per_stream)
+    assert sizes.size == min(BATCHES, n_streams) and sizes.max() - sizes.min() <= 1
+    whole = _chunk_plan(n_paths, n_grid, antithetic, 10**9)
+    assert [g for lo, hi, g in whole for _ in range(lo, hi)] == batch.tolist()
+
+
+def test_antithetic_ignored_warns_once_per_call():
+    skew = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.7, 2.0, 3.0))
+    cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=10, master_seed=9, antithetic=True, tail_tol=0.999)
+    calls = (
+        lambda: simulate_batch(skew, 0.0, cfg),
+        lambda: map_reduce_paths(skew, 0.0, cfg, _sum_chunk, None, chunk_target=21),  # 10 chunks
+        lambda: sample_sup_at_exp_time(skew, cfg, 0.5),
+    )
+    for call in calls:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            call()
+        assert len(rec) == 1 and "antithetic ignored" in str(rec[0].message)
 
 
 def test_antithetic_mirrors_gaussian_increments():
