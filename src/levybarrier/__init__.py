@@ -56,7 +56,6 @@ from .path_engine import (
     discounted_integral,
     discounted_stieltjes,
     horizon_for,
-    sample_sup_at_exp_time,
     simulate_batch,
 )
 

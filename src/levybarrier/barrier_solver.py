@@ -29,10 +29,11 @@ import numpy as np
 from .cost_model import ProblemSpec
 from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
 from .estimators import EstimateWithError, _finish, _value_pass
-from .levy_model import LevyTriplet, classify
+from .levy_model import LevyTriplet, classify, exp_moment_check
 from .path_engine import (
     SimConfig,
     _antithetic_active,
+    _grid_sum,
     integral_weights,
     map_reduce_paths,
     reflect_arrays,
@@ -120,7 +121,7 @@ def _solver_chunk(values, ctx: _SolverCtx):
     return {
         "acc_hist": np.bincount(bins.ravel(), weights=weights),
         "acc_paths": np.array([float(values.shape[0])]),
-        "pp_udisc": u @ ctx.w,
+        "pp_udisc": _grid_sum(u, ctx.w),
     }
 
 
@@ -197,9 +198,10 @@ def solve_barrier(
 ) -> BarrierResult:
     """Compute b* = inf{b : rho(b) + C >= 0} by bracketing and bisection.
 
-    Requires the admissibility condition f'_+(-inf) < -C q < f'_+(inf) and a
+    Requires the admissibility condition f'_+(-inf) < -C q < f'_+(inf), a
     model that is not driftless compound Poisson (those go through
-    ``solve_barrier_perturbed``).  One streamed pass bins the occupation of
+    ``solve_barrier_perturbed``) and a finite E[exp(theta_bar |J|)]
+    (``exp_moment_check``).  One streamed pass bins the occupation of
     U^0 per fixed path batch; the bisection runs on the pooled histogram,
     and the stderr of rho-hat(b*) is the batch-means one (up to 64 batches,
     so 63 degrees of freedom).  If ``bisect_tol`` is omitted the bisection
@@ -209,6 +211,12 @@ def solve_barrier(
     if triplet.is_driftless_cp():
         raise AssumptionViolated(
             "driftless compound Poisson model: use solve_barrier_perturbed"
+        )
+    if not exp_moment_check(triplet):
+        raise AssumptionViolated(
+            f"theta_bar = {triplet.exp_moment_theta:g} is not below the jump law's "
+            f"exponential tail rate {triplet.jumps.exp_tail_rate():g}, so "
+            "E[exp(theta_bar |J|)] is infinite"
         )
     if bisect_tol is not None and bisect_tol <= 0:
         raise ValueError("bisect_tol must be positive")

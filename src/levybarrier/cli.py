@@ -52,7 +52,7 @@ from .errors import (
     NonFiniteSample,
     NotSpectrallyNegative,
 )
-from .estimators import estimate_record, estimate_rho, estimate_rho_curve, estimate_value
+from .estimators import estimate_record, estimate_rho_curve, estimate_value
 from .levy_model import JumpSpec, LevyTriplet
 from .path_engine import SimConfig, horizon_for
 from .verification import (
@@ -244,10 +244,7 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         section = cfg.get("rho", {})
         b_grid = _need(cfg, "rho.b_grid")
         method = section.get("method", "time_integral")
-        if method == "time_integral":
-            curve = estimate_rho_curve(model, problem, b_grid, sim, n_workers=n_workers)
-        else:
-            curve = [(float(b), estimate_rho(model, problem, b, sim, method=method)) for b in b_grid]
+        curve = estimate_rho_curve(model, problem, b_grid, sim, method=method, n_workers=n_workers)
         _write_csv(
             out_dir / "rho.csv",
             ["b", "rho_mean", "rho_stderr"],

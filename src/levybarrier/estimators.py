@@ -9,7 +9,11 @@ estimates are pathwise differences.
 rho(b) is estimated from paths started at 0 and reflected at 0 with the
 argument shift rho(b) = E[ int_0^inf e^{-qt} f'_+(U^0_t + b) dt ]; the
 ``exp_clock`` variant replaces the time integral by q^{-1} f'_+ of the
-running supremum at an independent Exponential(q) time.
+running supremum S at an independent Exponential(q) time e_q.  The clock is
+integrated out on the same grid paths (conditional Monte Carlo, so the
+variance is never higher than drawing it): with e_q conditioned on the
+horizon N dt and d_n = e^{-q n dt}, the sample is sum_n w_n f'_+(S_n + b)
+with w_n = (d_n - d_{n+1}) / (q (1 - d_N)) for n < N and w_N = 0.
 """
 from __future__ import annotations
 
@@ -31,10 +35,11 @@ from .path_engine import (
     SimConfig,
     ValueCtx,
     _antithetic_active,
+    _grid_sum,
+    discount_factors,
     integral_weights,
     map_reduce_paths,
     reflect_arrays,
-    sample_sup_at_exp_time,
     value_chunk,
 )
 
@@ -60,7 +65,6 @@ class EstimateWithError:
     fingerprint: str
     kurtosis: float | None = None
     stderr_reliable: bool = True
-    rejection_rate: float | None = None
 
 
 def fingerprint(kind: str, triplet: LevyTriplet, problem: ProblemSpec, cfg: SimConfig, **extra) -> str:
@@ -108,7 +112,7 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _finish(kind, samples, antithetic, triplet, problem, cfg, rejection_rate=None, **extra):
+def _finish(kind, samples, antithetic, triplet, problem, cfg, **extra):
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteSample(f"{kind}: non-finite pathwise sample encountered")
@@ -128,7 +132,6 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, rejection_rate=Non
         fingerprint=fingerprint(kind, triplet, problem, cfg, **extra),
         kurtosis=kurt,
         stderr_reliable=reliable,
-        rejection_rate=rejection_rate,
     )
 
 
@@ -142,15 +145,19 @@ class _RhoCtx:
     b_values: tuple
     f_prime: Callable
     w: np.ndarray
+    exp_clock: bool  # weigh the running maximum, not U^0
 
 
 def _rho_chunk(values, ctx: _RhoCtx):
-    """Per-path rho-hat samples f'_+(U^0 + b) @ w, one column per barrier.
+    """Per-path rho-hat samples sum_i w_i f'_+(Z_i + b), one column per barrier.
 
-    Row sums, unlike a matvec, add in an order set by the row length alone,
-    so a path's sample does not depend on its chunk's size."""
-    u, _, _ = reflect_arrays(values, 0.0)
-    y = [(np.asarray(ctx.f_prime(u + b), dtype=float) * ctx.w).sum(axis=-1) for b in ctx.b_values]
+    Z is U^0, the path reflected at 0, for the time integral and the running
+    maximum of the path (>= 0, as it starts at 0) for the exp clock."""
+    if ctx.exp_clock:
+        z = np.maximum.accumulate(values, axis=-1)
+    else:
+        z, _, _ = reflect_arrays(values, 0.0)
+    y = [_grid_sum(ctx.f_prime(z + b), ctx.w) for b in ctx.b_values]
     return {"pp_y": np.stack(y, axis=1)}
 
 
@@ -186,20 +193,12 @@ def estimate_rho(
     """Estimate rho(b), the discounted integral of f'_+ along U^b from b.
 
     ``time_integral`` reflects paths at 0 and integrates f'_+(U^0 + b);
-    ``exp_clock`` averages q^{-1} f'_+(sup_{s<=e_q} X_s + b).  No
-    admissibility is required to evaluate rho.
+    ``exp_clock`` averages q^{-1} f'_+(sup_{s<=e_q} X_s + b) with the clock
+    integrated out.  Both are ``estimate_rho_curve`` at the single barrier b.
+    No admissibility is required to evaluate rho.
     """
-    if method == "time_integral":
-        return estimate_rho_curve(triplet, problem, [b], cfg, n_workers=n_workers)[0][1]
-    if method == "exp_clock":
-        cfg.validate_for(problem.q)
-        sups, rejection = sample_sup_at_exp_time(triplet, cfg, problem.q)
-        y = np.asarray(problem.cost.f_prime_plus(sups + b), dtype=float) / problem.q
-        anti = _antithetic_active(triplet, cfg)
-        return _finish(
-            "rho_exp_clock", y, anti, triplet, problem, cfg, rejection_rate=rejection, b=b
-        )
-    raise ValueError(f"unknown rho method {method!r}")
+    curve = estimate_rho_curve(triplet, problem, [b], cfg, method=method, n_workers=n_workers)
+    return curve[0][1]
 
 
 def estimate_value(
@@ -242,27 +241,38 @@ def estimate_rho_curve(
     problem: ProblemSpec,
     b_grid,
     cfg: SimConfig,
+    method: str = "time_integral",
     n_workers: int = 1,
 ) -> list[tuple[float, EstimateWithError]]:
-    """rho-hat on a sorted barrier grid from ONE shared batch of U^0 paths.
+    """rho-hat on a sorted barrier grid from ONE shared batch of paths.
 
-    Because f'_+ is nondecreasing and every barrier sees identical paths and
-    identical summation order, the returned means are nondecreasing in b
-    exactly, not just statistically.
+    ``method`` is as for ``estimate_rho``; either way it is one streamed
+    pass.  Because f'_+ is nondecreasing and every barrier sees identical
+    paths, weights and summation order, the returned means are
+    nondecreasing in b exactly, not just statistically.
     """
     b_grid = [float(b) for b in b_grid]
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
         raise ValueError("b_grid must be sorted strictly increasing")
-    cfg.validate_for(problem.q)
+    q, n_grid = problem.q, cfg.n_steps + 1
+    if method == "time_integral":
+        w = integral_weights(q, cfg.dt, n_grid)
+    elif method == "exp_clock":  # the clock's law given e_q <= N dt (module docstring)
+        d = discount_factors(q, cfg.dt, n_grid)
+        w = np.append(d[:-1] - d[1:], 0.0) / (q * (1.0 - d[-1]))
+    else:
+        raise ValueError(f"unknown rho method {method!r}")
+    cfg.validate_for(q)
     anti = _antithetic_active(triplet, cfg)
     ctx = _RhoCtx(
         b_values=tuple(b_grid),
         f_prime=problem.cost.f_prime_plus,
-        w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
+        w=w,
+        exp_clock=method == "exp_clock",
     )
     out = map_reduce_paths(triplet, 0.0, cfg, _rho_chunk, ctx, n_workers=n_workers)
     return [
-        (b, _finish("rho_time_integral", out["pp_y"][:, k], anti, triplet, problem, cfg, b=b))
+        (b, _finish(f"rho_{method}", out["pp_y"][:, k], anti, triplet, problem, cfg, b=b))
         for k, b in enumerate(b_grid)
     ]
 

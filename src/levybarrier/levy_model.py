@@ -218,16 +218,16 @@ class JumpSpec:
             )
         return float(np.sum(np.asarray(self.probs) * np.exp(lam * np.asarray(self.values))))
 
-    def exp_abs_moment_finite(self, theta: float) -> bool:
-        """Whether E[exp(theta*|J|)] is finite for the given theta > 0."""
+    def exp_tail_rate(self) -> float:
+        """Supremum of the theta > 0 with E[exp(theta*|J|)] finite (inf for light tails)."""
         if self.kind in ("none", "gaussian", "uniform", "atoms"):
-            return True
+            return math.inf
         bounds = []
         if self.p_up > 0:
             bounds.append(self.eta_up)
         if self.p_up < 1:
             bounds.append(self.eta_down)
-        return theta < min(bounds) if bounds else True
+        return min(bounds)
 
     def pdf(self, z):
         """Jump-size density (None for atoms)."""
@@ -343,7 +343,8 @@ class LevyTriplet:
     truncation convention 1_{|z|<1}; the effective linear drift actually
     simulated is ``d = gamma - rate * E[J 1_{|J|<1}]``.  ``exp_moment_theta``
     is the theta declared by the model builder for the exponential-moment
-    condition on the jump law; it is validated, never inferred.
+    condition on the jump law; ``solve_barrier`` enforces it
+    (``exp_moment_check``), it is never inferred.
     """
 
     gamma: float
@@ -440,4 +441,4 @@ def classify(triplet: LevyTriplet) -> PathClass:
 
 def exp_moment_check(triplet: LevyTriplet) -> bool:
     """True iff E[exp(theta_bar * |J|)] is finite for the declared theta_bar."""
-    return triplet.jumps.exp_abs_moment_finite(triplet.exp_moment_theta)
+    return triplet.exp_moment_theta < triplet.jumps.exp_tail_rate()

@@ -5,8 +5,7 @@ owns an independent random stream derived from (master_seed, path index)
 through ``numpy.random.SeedSequence`` spawn keys, so re-simulating any path
 reproduces it bit-for-bit regardless of batch size, chunking, or worker
 count.  Per path the draw order is fixed: Gaussian increments first (when
-sigma > 0), then Poisson jump counts per cell, then jump sizes; the
-supremum sampler draws its exponential clock before everything else.
+sigma > 0), then Poisson jump counts per cell, then jump sizes.
 
 Large runs never materialize the full (paths x grid) matrix: estimators
 stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
@@ -15,14 +14,17 @@ worker count; accumulators are summed per fixed batch of consecutive
 streams (``BATCHES``, mirrored pairs together), giving batch-means errors.
 Every reflected functional of a chunk (value at any start offset and
 barrier, first passage) is read off one running minimum per chunk, since
-the minimum of a shifted path is the shifted minimum.
+the minimum of a shifted path is the shifted minimum.  Sums along the grid
+take one dot product per path, so a path's sums do not depend on its chunk.
+This is the package's only path simulator: the exp-clock supremum is read
+off the same paths by the estimators.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +43,6 @@ __all__ = [
     "stopped_integral",
     "discounted_integral",
     "discounted_stieltjes",
-    "sample_sup_at_exp_time",
     "map_reduce_paths",
     "horizon_for",
     "integral_weights",
@@ -91,9 +92,6 @@ class SimConfig:
     def effective_horizon(self) -> float:
         return self.n_steps * self.dt
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
     def validate_for(self, q: float) -> None:
         """The discounted tail beyond the horizon must be below tail_tol."""
         tail = math.exp(-q * self.effective_horizon)
@@ -115,26 +113,15 @@ class SimConfig:
 
 @dataclass
 class PathBatch:
-    """Materialized sample paths with per-path stream provenance."""
+    """Materialized sample paths started at ``x_start``."""
 
-    grid: np.ndarray
     values: np.ndarray
     x_start: float
-    jump_marks: list
-    seeds: tuple
     antithetic: bool = False
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
-
-    def dump_csv(self, path) -> None:
-        """Columnar debug dump with header ``path,t,x``."""
-        with open(path, "w") as fh:
-            fh.write("path,t,x\n")
-            for p in range(self.n_paths):
-                for t, x in zip(self.grid, self.values[p]):
-                    fh.write(f"{p},{t!r},{x!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +154,7 @@ def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False)
     return True
 
 
-def _path_increments(triplet, cfg, rng, mirror, collect_marks=False):
+def _path_increments(triplet, cfg, rng, mirror):
     n_steps = cfg.n_steps
     incr = np.full(n_steps, triplet.effective_drift * cfg.dt)
     if triplet.sigma > 0:
@@ -175,7 +162,6 @@ def _path_increments(triplet, cfg, rng, mirror, collect_marks=False):
         if mirror:
             np.negative(z, out=z)
         incr += (triplet.sigma * math.sqrt(cfg.dt)) * z
-    marks = [] if collect_marks else None
     rate = triplet.jumps.rate
     if rate > 0:
         counts = rng.poisson(rate * cfg.dt, n_steps)
@@ -184,33 +170,25 @@ def _path_increments(triplet, cfg, rng, mirror, collect_marks=False):
             sizes = triplet.jumps.sample(rng, total)
             if mirror:
                 np.negative(sizes, out=sizes)
-            cells = np.repeat(np.arange(n_steps), counts)
-            np.add.at(incr, cells, sizes)
-            if collect_marks:
-                # jumps are booked at the right endpoint of their grid cell
-                marks = list(zip((cells + 1).tolist(), sizes.tolist()))
-    return incr, marks
+            # jumps are booked at the right endpoint of their grid cell
+            np.add.at(incr, np.repeat(np.arange(n_steps), counts), sizes)
+    return incr
 
 
-def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti, collect_marks=False):
-    """Values (hi-lo, n_steps+1) for paths lo..hi-1, plus jump marks if asked;
-    ``anti`` (mirror the second half) is decided once per pass by the caller."""
+def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti):
+    """Values (hi-lo, n_steps+1) for paths lo..hi-1; ``anti`` (mirror the
+    second half) is decided once per pass by the caller."""
     n_steps = cfg.n_steps
-    n = hi - lo
     half = cfg.n_paths // 2
-    values = np.empty((n, n_steps + 1))
+    values = np.empty((hi - lo, n_steps + 1))
     values[:, 0] = x_start
-    marks_all = [] if collect_marks else None
     for j, p in enumerate(range(lo, hi)):
         mirror = anti and p >= half
         stream = p - half if mirror else p
         rng = _path_rng(cfg.master_seed, stream)
-        incr, marks = _path_increments(triplet, cfg, rng, mirror, collect_marks)
-        np.cumsum(incr, out=values[j, 1:])
+        np.cumsum(_path_increments(triplet, cfg, rng, mirror), out=values[j, 1:])
         values[j, 1:] += x_start
-        if collect_marks:
-            marks_all.append(marks)
-    return values, marks_all
+    return values
 
 
 def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> PathBatch:
@@ -227,16 +205,8 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
             "use the streaming estimators" % (cfg.n_paths, n_grid)
         )
     anti = _antithetic_active(triplet, cfg, warn=True)
-    values, marks = _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti, collect_marks=True)
-    seeds = tuple((cfg.master_seed, p) for p in range(cfg.n_paths))
-    return PathBatch(
-        grid=cfg.times(),
-        values=values,
-        x_start=x_start,
-        jump_marks=marks,
-        seeds=seeds,
-        antithetic=anti,
-    )
+    values = _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti)
+    return PathBatch(values=values, x_start=x_start, antithetic=anti)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +238,23 @@ def discount_factors(q: float, dt: float, n_grid: int) -> np.ndarray:
     return np.exp(-q * dt * np.arange(n_grid))
 
 
+def _grid_sum(g: np.ndarray, w: np.ndarray) -> np.ndarray | float:
+    """sum_i g[..., i] w[i], one dot product per row.
+
+    A dot per row adds in an order set by the row length alone, so a path's
+    sum does not depend on its chunk's row count; a BLAS matvec blocks rows,
+    and ``einsum`` buffers across rows beyond 8,192 grid points."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim == 1:
+        return g @ w
+    rows = g.reshape(-1, g.shape[-1])
+    return np.array([row @ w for row in rows]).reshape(g.shape[:-1])
+
+
 def discounted_integral(values: np.ndarray, q: float, dt: float) -> np.ndarray | float:
     """Left-endpoint rule for int_0^T e^{-qt} g(t) dt along the last axis."""
     values = np.asarray(values, dtype=float)
-    w = integral_weights(q, dt, values.shape[-1])
-    return values @ w
+    return _grid_sum(values, integral_weights(q, dt, values.shape[-1]))
 
 
 def discounted_stieltjes(r_values: np.ndarray, q: float, dt: float) -> np.ndarray | float:
@@ -282,8 +264,7 @@ def discounted_stieltjes(r_values: np.ndarray, q: float, dt: float) -> np.ndarra
     """
     r_values = np.asarray(r_values, dtype=float)
     disc = discount_factors(q, dt, r_values.shape[-1])
-    increments = np.diff(r_values, axis=-1, prepend=0.0)
-    return increments @ disc
+    return _grid_sum(np.diff(r_values, axis=-1, prepend=0.0), disc)
 
 
 def first_passage_index(running_min: np.ndarray, level: float) -> np.ndarray:
@@ -318,11 +299,12 @@ def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
     """Running and control parts of the value at every (offset, barrier).
 
     ``pp_running`` and ``pp_control`` have shape (n, offsets, barriers) and
-    hold f(U) @ w and diff(R, prepend=0) @ disc for the path values + o
-    reflected at b.  Rounding is monotone, so min(values + o) equals m + o
-    exactly for the running minimum m of the chunk: R = max(b - (m + o), 0)
-    and U = (values + o) + R match ``reflect_arrays(values + o, b)`` bit for
-    bit, and are written into two buffers reused across all pairs.  With
+    hold ``discounted_integral(f(U))`` and ``discounted_stieltjes(R)`` for the
+    path values + o reflected at b.  Rounding is monotone, so min(values + o)
+    equals m + o exactly for the running minimum m of the chunk:
+    R = max(b - (m + o), 0) and U = (values + o) + R match
+    ``reflect_arrays(values + o, b)`` bit for bit, and are written into two
+    buffers reused across all pairs.  With
     ``passage`` set, ``pp_tau_disc`` is e^{-q tau} (0 if the offsets[0] path
     never passes below it) and, with ``f_prime``, ``pp_fprime_to_tau`` the
     left-rule integral of f'_+ along that unreflected path up to tau.
@@ -350,50 +332,6 @@ def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# supremum at an independent exponential clock
-# ---------------------------------------------------------------------------
-
-
-def _sup_range(triplet, cfg, q, x_start, lo, hi, anti):
-    half = cfg.n_paths // 2
-    sups = np.empty(hi - lo)
-    rejected = 0
-    for j, p in enumerate(range(lo, hi)):
-        mirror = anti and p >= half
-        stream = p - half if mirror else p
-        rng = _path_rng(cfg.master_seed, stream)
-        e = rng.exponential(1.0 / q)
-        tries = 0
-        while e > cfg.effective_horizon:
-            # censoring would bias the supremum down, so reject and redraw
-            e = rng.exponential(1.0 / q)
-            rejected += 1
-            tries += 1
-            if tries > 100000:
-                raise RuntimeError("exponential clock rejection did not terminate")
-        n_i = int(e / cfg.dt)
-        if n_i == 0:
-            sups[j] = x_start
-            continue
-        sub = replace(cfg, horizon_T=n_i * cfg.dt)
-        incr, _ = _path_increments(triplet, sub, rng, mirror)
-        sups[j] = x_start + max(0.0, float(np.max(np.cumsum(incr))))
-    return sups, rejected
-
-
-def sample_sup_at_exp_time(triplet: LevyTriplet, cfg: SimConfig, q: float, x_start: float = 0.0):
-    """Running supremum of X over [0, e_q] per path, e_q ~ Exponential(q).
-
-    Clock draws above the horizon are rejected and redrawn; returns
-    (sups, rejection_rate).  The supremum is taken over grid points <= e_q.
-    """
-    cfg.validate_for(q)
-    anti = _antithetic_active(triplet, cfg, warn=True)
-    sups, rejected = _sup_range(triplet, cfg, q, x_start, 0, cfg.n_paths, anti)
-    return sups, rejected / (cfg.n_paths + rejected)
-
-
-# ---------------------------------------------------------------------------
 # streaming map/reduce over path chunks
 # ---------------------------------------------------------------------------
 
@@ -417,8 +355,7 @@ def _chunk_plan(n_paths: int, n_grid: int, antithetic: bool, target: int) -> lis
 
 
 def _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx):
-    values, _ = _simulate_chunk(triplet, x_start, cfg, lo, hi, anti)
-    return chunk_fn(values, ctx)
+    return chunk_fn(_simulate_chunk(triplet, x_start, cfg, lo, hi, anti), ctx)
 
 
 def _merge(plan: list, partials) -> dict:
@@ -470,7 +407,7 @@ def map_reduce_paths(
     anti = _antithetic_active(triplet, cfg, warn=True)
     if triplet.is_deterministic:
         plan = _chunk_plan(cfg.n_paths, 1, anti, cfg.n_paths)  # whole batches (halves if paired)
-        part = chunk_fn(_simulate_chunk(triplet, x_start, cfg, 0, 1, anti)[0], ctx)
+        part = chunk_fn(_simulate_chunk(triplet, x_start, cfg, 0, 1, anti), ctx)
         partials = (
             {k: np.repeat(v, hi - lo, axis=0) if k.startswith("pp_") else np.multiply(v, hi - lo)
              for k, v in part.items()}

@@ -37,6 +37,23 @@ def test_pure_drift_zero_cost_root():
         assert lo <= res.b_star <= hi and hi - lo <= 2e-3
 
 
+def test_theta_bar_enforced_by_solver():
+    # up-jump tail rate 0.8 < theta_bar = 1: E[exp(theta_bar |J|)] is infinite
+    heavy = JumpSpec.kou_mixture(1.0, 0.5, 0.8, 3.0)
+    cfg = make_cfg(0.5, dt=0.05, n=20)
+    calls = (
+        lambda: solve_barrier(LevyTriplet(0.0, 0.5, jumps=heavy), quad_problem(0.5, 0.5), cfg),
+        lambda: solve_barrier_perturbed(lb.driftless_compound_poisson(heavy), quad_problem(0.5, 0.5), cfg),
+    )
+    for call in calls:
+        with pytest.raises(AssumptionViolated, match=r"theta_bar = 1 .* rate 0\.8"):
+            call()
+    # declaring a theta_bar below the tail rate lifts it
+    ok = LevyTriplet(0.0, 0.5, jumps=heavy, exp_moment_theta=0.5)
+    assert lb.exp_moment_check(ok)
+    solve_barrier(ok, quad_problem(0.5, 0.5), cfg)
+
+
 def test_solve_is_one_pass(monkeypatch):
     passes = []
     real = barrier_solver.map_reduce_paths

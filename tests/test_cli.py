@@ -81,6 +81,22 @@ def test_assumption_violation_exit_3(tmp_path):
     assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 3
 
 
+def test_theta_bar_above_kou_tail_rate_exit_3(tmp_path, capsys):
+    # E[exp(|J|)] is infinite for up-jumps with rate 0.8 < theta_bar = 1 (default)
+    cfg = write_config(
+        tmp_path,
+        model={"gamma": 0.0, "sigma": 0.5,
+               "jumps": {"rate": 1.0, "dist": {"kind": "kou", "p_up": 0.5, "eta_up": 0.8,
+                                               "eta_down": 3.0}}},
+        problem={"cost": {"kind": "quadratic"}, "C": 0.5, "q": 0.5},
+        sim={"dt": 1e-2, "n_paths": 20, "master_seed": 3},
+    )
+    for command in ("solve", "verify"):
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 3
+        err = capsys.readouterr().err
+        assert "theta_bar = 1" in err and "rate 0.8" in err
+
+
 def test_driftless_cp_needs_perturb_exit_3(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -123,6 +139,20 @@ def test_rho_csv_monotone(tmp_path):
     assert lines[0] == "b,rho_mean,rho_stderr"
     means = [float(line.split(",")[1]) for line in lines[1:]]
     assert means == sorted(means)
+
+
+def test_exp_clock_rho_byte_identical_across_workers(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        model={"gamma": 0.0, "sigma": 1.0, "jumps": {"rate": 0.0}},
+        problem={"cost": {"kind": "quadratic"}, "C": 0.5, "q": 0.5},
+        sim={"dt": 1e-2, "n_paths": 130, "master_seed": 5},
+        rho={"b_grid": [-2.0, -1.0, 0.0, 1.0], "method": "exp_clock"},
+    )
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run(["rho", "--config", cfg, "--out", one, "--workers", "1"]) == 0
+    assert run(["rho", "--config", cfg, "--out", two, "--workers", "2"]) == 0
+    assert (one / "result.json").read_bytes() == (two / "result.json").read_bytes()
 
 
 def test_value_and_sweep_commands(tmp_path):

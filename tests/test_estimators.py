@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost
+from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost, estimators
 from levybarrier.cost_model import CostSpec, ProblemSpec
 from levybarrier.errors import NonFiniteSample
 from levybarrier.estimators import _finish, estimate_rho, estimate_rho_curve, estimate_value
@@ -91,6 +92,87 @@ def test_rho_nonfinite_guard():
     cfg = make_cfg(0.1, dt=1e-2, n=4, tail=1e-4)  # drift reaches ~92 > 50
     with pytest.raises(NonFiniteSample):
         estimate_rho(DRIFT_UP, prob, 0.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# exp-clock rho: the supremum at an Exponential(q) clock, clock integrated out
+# ---------------------------------------------------------------------------
+
+
+def _clock_sup_mean(triplet, cfg, q):
+    """q rho-hat_ec(0) / 2 and its stderr: E[S at e_q], since f'_+(x) = 2x."""
+    prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.0, q=q)
+    est = estimate_rho(triplet, prob, 0.0, cfg, method="exp_clock")
+    return q * est.mean / 2, q * est.stderr / 2
+
+
+def _conditioned_clock_mean(q, horizon):
+    """E[e_q | e_q <= T]: the clock law the exp-clock weights integrate."""
+    tail = math.exp(-q * horizon)
+    return 1.0 / q - horizon * tail / (1.0 - tail)
+
+
+def test_exp_clock_pure_drift_mean():
+    # S at e_q is the grid time below e_q: E[e_q | e_q <= T] less about dt / 2
+    # (1 / q itself is 1.8e-3 further off, from the 1e-4 tail beyond T)
+    q = 0.5
+    cfg = SimConfig(dt=1e-3, horizon_T=horizon_for(q, 1e-4, 1e-3), n_paths=4000, master_seed=3)
+    mean, se = _clock_sup_mean(DRIFT_UP, cfg, q)
+    assert abs(mean - _conditioned_clock_mean(q, cfg.effective_horizon)) <= 2 * cfg.dt
+    assert se == 0.0
+
+
+def test_exp_clock_conditions_on_the_horizon():
+    # a clock beyond T = 2 has probability e^{-1}: dropping the 1 / (1 - d_N)
+    # factor would read 0.53 instead of E[e_q | e_q <= T] = 0.836
+    q = 0.5
+    cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=400, master_seed=5, tail_tol=0.5)
+    mean, se = _clock_sup_mean(DRIFT_UP, cfg, q)
+    assert abs(mean - _conditioned_clock_mean(q, 2.0)) <= cfg.dt
+    assert se == 0.0
+
+
+def test_exp_clock_negative_of_subordinator_is_f_prime_over_q():
+    # nonincreasing paths: the running maximum is 0, so rho(b) = f'_+(b) / q exactly
+    q = 0.5
+    neg = LevyTriplet(gamma=-0.5, sigma=0.0, jumps=JumpSpec.kou_mixture(1.0, 0.0, 1.0, 2.0))
+    prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.0, q=q)
+    cfg = SimConfig(dt=1e-2, horizon_T=horizon_for(q, 1e-4, 1e-2), n_paths=500, master_seed=4)
+    for b, est in estimate_rho_curve(neg, prob, [-1.5, 0.0, 0.7], cfg, method="exp_clock"):
+        assert est.mean == pytest.approx(2.0 * b / q, rel=1e-12, abs=0.0)
+        assert est.stderr == 0.0
+
+
+def test_exp_clock_bm_mean_matches_phi():
+    # spectrally negative: sup at e_q ~ Exponential(Phi(q)); BM: Phi(0.5) = 1
+    q = 0.5
+    cfg = SimConfig(dt=5e-4, horizon_T=horizon_for(q, 1e-4, 5e-4), n_paths=4000, master_seed=8)
+    mean, se = _clock_sup_mean(BM, cfg, q)
+    phi = lb.phi_root(BM, q)
+    assert phi == pytest.approx(1.0, abs=1e-10)
+    # discrete grid misses excursions: allow the sqrt(dt) deficit as well
+    assert abs(mean - 1.0 / phi) <= 3 * se + 0.6 * np.sqrt(cfg.dt)
+
+
+def test_exp_clock_curve_is_one_pass(monkeypatch):
+    passes = []
+    real = estimators.map_reduce_paths
+
+    def counted(triplet, x_start, cfg, *args, **kwargs):
+        passes.append(cfg.n_paths)
+        return real(triplet, x_start, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "map_reduce_paths", counted)
+    prob = ProblemSpec(cost=builtin_cost("abs"), C=0.0, q=0.5)
+    cfg = make_cfg(0.5, dt=5e-3, n=300, seed=21)
+    grid = np.linspace(-1.0, 1.0, 9)
+    curve = estimate_rho_curve(KOU, prob, grid, cfg, method="exp_clock")
+    assert passes == [300]
+    means = np.array([est.mean for _, est in curve])
+    assert np.all(np.diff(means) >= 0.0)  # exact, not statistical
+    assert means[0] < means[-1]
+    for b, est in curve:
+        assert estimate_rho(KOU, prob, b, cfg, method="exp_clock") == est
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,13 @@ def test_pure_drift_value_formula():
         pure_drift_value(prob, d=1.0, b=1.0, x=0.0)  # would reflect
 
 
-def test_sup_law_mean_matches_phi():
+def test_exp_clock_rho_matches_phi():
+    # q rho_ec(0) / 2 for the quadratic cost is E[S at e_q] = 1 / Phi(q)
     q = 0.5
     oracle = SpectrallyNegativeOracle.for_model(BM, q)
     cfg = lb.SimConfig(dt=2e-4, horizon_T=lb.horizon_for(q, 1e-4, 2e-4),
                        n_paths=3000, master_seed=15)
-    sups, _ = lb.sample_sup_at_exp_time(BM, cfg, q)
-    se = sups.std(ddof=1) / np.sqrt(len(sups))
-    assert abs(sups.mean() - oracle.mean_sup_at_exp_time()) <= 3 * se + 0.6 * np.sqrt(cfg.dt)
+    prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.0, q=q)
+    est = lb.estimate_rho(BM, prob, 0.0, cfg, method="exp_clock")
+    mean, se = q * est.mean / 2, q * est.stderr / 2
+    assert abs(mean - oracle.mean_sup_at_exp_time()) <= 3 * se + 0.6 * np.sqrt(cfg.dt)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, SimConfig
+from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost
+from levybarrier.cost_model import ProblemSpec
+from levybarrier.estimators import estimate_rho
 from levybarrier.path_engine import (
     BATCHES,
     NEVER,
@@ -22,7 +23,6 @@ from levybarrier.path_engine import (
     integral_weights,
     map_reduce_paths,
     reflect_arrays,
-    sample_sup_at_exp_time,
     simulate_batch,
     stopped_integral,
     value_chunk,
@@ -36,7 +36,6 @@ def test_pure_drift_paths_exact():
     cfg = SimConfig(dt=0.5, horizon_T=1.0, n_paths=4, master_seed=1, tail_tol=0.999)
     batch = simulate_batch(DRIFT_UP, 0.0, cfg)
     assert np.allclose(batch.values, [[0.0, 0.5, 1.0]] * 4)
-    assert batch.jump_marks == [[]] * 4
 
 
 def test_variance_of_unit_bm():
@@ -133,8 +132,8 @@ def test_value_kernel_matches_reflection_per_pair(rows, offsets, barriers):
         for i, o in enumerate(offsets):
             for k, b in enumerate(barriers):
                 u, r, _ = reflect_arrays(values + o, b)
-                assert np.array_equal(out["pp_running"][:, i, k], f(u) @ w)
-                assert np.array_equal(out["pp_control"][:, i, k], np.diff(r, prepend=0.0) @ disc)
+                assert np.array_equal(out["pp_running"][:, i, k], discounted_integral(f(u), q, dt))
+                assert np.array_equal(out["pp_control"][:, i, k], discounted_stieltjes(r, q, dt))
         # first passage of the offsets[0] path, NEVER mapped to n_grid
         base = values + offsets[0]
         tau = first_passage_index(np.minimum.accumulate(base, axis=-1), level)
@@ -155,18 +154,16 @@ def test_stopped_integral_is_a_prefix_sum():
     assert np.array_equal(got, want)
 
 
-def test_jump_marks_match_path_increments():
-    # pure compound Poisson: every grid increment is exactly the booked jumps
+def test_atom_increments_are_jump_multiples():
+    # pure compound Poisson with atoms -1 and 0.5: every grid increment is
+    # the drift step plus a whole number of half units of booked jumps
     cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(2.0, (-1.0, 0.5), (0.5, 0.5)))
     cfg = SimConfig(dt=0.1, horizon_T=2.0, n_paths=5, master_seed=17, tail_tol=0.999)
     batch = simulate_batch(cp, 0.0, cfg)
-    d = cp.effective_drift
-    for p, marks in enumerate(batch.jump_marks):
-        rebuilt = np.full(cfg.n_steps, d * cfg.dt)
-        for idx, size in marks:
-            assert 1 <= idx <= cfg.n_steps  # right endpoint of the jump's cell
-            rebuilt[idx - 1] += size
-        assert np.allclose(np.diff(batch.values[p]), rebuilt, atol=1e-12)
+    jumps = np.diff(batch.values, axis=-1) - cp.effective_drift * cfg.dt
+    halves = np.rint(jumps / 0.5)
+    assert np.allclose(jumps, 0.5 * halves, rtol=0.0, atol=1e-12)
+    assert np.any(halves != 0)  # some cells did book jumps
 
 
 def test_translation_covariance():
@@ -210,46 +207,6 @@ def test_discounted_stieltjes_cases():
 
 
 # ---------------------------------------------------------------------------
-# supremum at an exponential clock
-# ---------------------------------------------------------------------------
-
-
-def test_sup_pure_drift_mean():
-    q = 0.5
-    cfg = SimConfig(dt=1e-3, horizon_T=horizon_for(q, 1e-4, 1e-3), n_paths=4000, master_seed=3)
-    sups, rej = sample_sup_at_exp_time(DRIFT_UP, cfg, q)
-    se = sups.std(ddof=1) / np.sqrt(len(sups))
-    assert abs(sups.mean() - 1.0 / q) <= 3 * se + 2 * cfg.dt
-    assert rej < 0.01
-
-
-def test_sup_negative_of_subordinator_is_zero():
-    neg = LevyTriplet(gamma=-0.5, sigma=0.0, jumps=JumpSpec.kou_mixture(1.0, 0.0, 1.0, 2.0))
-    cfg = SimConfig(dt=1e-2, horizon_T=horizon_for(0.5, 1e-4, 1e-2), n_paths=500, master_seed=4)
-    sups, _ = sample_sup_at_exp_time(neg, cfg, 0.5)
-    assert np.all(sups == 0.0)
-
-
-def test_sup_bm_exponential_law_mean():
-    # spectrally negative: sup at e_q ~ Exponential(Phi(q)); BM: Phi(0.5) = 1
-    q = 0.5
-    cfg = SimConfig(dt=5e-4, horizon_T=horizon_for(q, 1e-4, 5e-4), n_paths=4000, master_seed=8)
-    sups, _ = sample_sup_at_exp_time(BM, cfg, q)
-    se = sups.std(ddof=1) / np.sqrt(len(sups))
-    phi = lb.phi_root(BM, q)
-    assert phi == pytest.approx(1.0, abs=1e-10)
-    # discrete grid misses excursions: allow the sqrt(dt) deficit as well
-    assert abs(sups.mean() - 1.0 / phi) <= 3 * se + 0.6 * np.sqrt(cfg.dt)
-
-
-def test_sup_rejection_rate_reported():
-    q = 0.5
-    cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=400, master_seed=5, tail_tol=0.5)
-    _, rej = sample_sup_at_exp_time(BM, cfg, q)
-    assert rej > 0.2  # exp(-q*T) ~ 0.37 of draws land beyond the horizon
-
-
-# ---------------------------------------------------------------------------
 # determinism and streaming
 # ---------------------------------------------------------------------------
 
@@ -266,7 +223,7 @@ def test_path_reproducible_independent_of_batch():
     cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=8, master_seed=11, tail_tol=0.999)
     kou = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
     full = simulate_batch(kou, 0.0, cfg)
-    row5, _ = _simulate_chunk(kou, 0.0, cfg, 5, 6, False)
+    row5 = _simulate_chunk(kou, 0.0, cfg, 5, 6, False)
     assert np.array_equal(full.values[5], row5[0])
 
 
@@ -284,6 +241,21 @@ def test_map_reduce_worker_and_chunk_invariance():
     # per-path outputs do not depend on the chunk plan either
     small = map_reduce_paths(kou, 0.0, cfg, _sum_chunk, None, chunk_target=512)
     assert np.array_equal(base["pp_sum"], small["pp_sum"])
+
+
+def test_value_sums_independent_of_chunk_rows():
+    # 192 paths make 3-path batches; a path's discounted sums over more than
+    # 8,192 grid points must not change with its chunk's row count
+    cfg = SimConfig(dt=2e-3, horizon_T=horizon_for(0.5, 1e-4, 2e-3), n_paths=192,
+                    master_seed=13)
+    kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
+    ctx = ValueCtx(offsets=(0.0, 0.3), barriers=(-0.5, 0.1), f=np.square, q=0.5, dt=cfg.dt)
+    n_grid = cfg.n_steps + 1
+    assert n_grid > 8192
+    three = map_reduce_paths(kou, 0.0, cfg, value_chunk, ctx)
+    one = map_reduce_paths(kou, 0.0, cfg, value_chunk, ctx, chunk_target=n_grid)
+    for key in ("pp_running", "pp_control"):
+        assert np.array_equal(three[key], one[key])
 
 
 def _width_chunk(values, ctx):
@@ -337,7 +309,8 @@ def test_antithetic_ignored_warns_once_per_call():
     calls = (
         lambda: simulate_batch(skew, 0.0, cfg),
         lambda: map_reduce_paths(skew, 0.0, cfg, _sum_chunk, None, chunk_target=21),  # 10 chunks
-        lambda: sample_sup_at_exp_time(skew, cfg, 0.5),
+        lambda: estimate_rho(skew, ProblemSpec(builtin_cost("quadratic"), 0.0, 0.5), 0.0, cfg,
+                             method="exp_clock"),
     )
     for call in calls:
         with warnings.catch_warnings(record=True) as rec:
@@ -366,16 +339,6 @@ def test_horizon_validation():
         cfg.validate_for(0.5)  # exp(-2.5) >> 1e-4
     cfg2 = SimConfig(dt=0.1, horizon_T=horizon_for(0.5, 1e-4, 0.1), n_paths=2, master_seed=0)
     cfg2.validate_for(0.5)
-
-
-def test_csv_dump_header(tmp_path):
-    cfg = SimConfig(dt=0.5, horizon_T=1.0, n_paths=2, master_seed=1, tail_tol=0.999)
-    batch = simulate_batch(DRIFT_UP, 0.0, cfg)
-    out = tmp_path / "paths.csv"
-    batch.dump_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path,t,x"
-    assert len(lines) == 1 + 2 * 3
 
 
 def test_materialize_guard():
