@@ -154,24 +154,16 @@ class _HistogramRho:
 
 def _expand_bracket(g: Callable, limit: float = BRACKET_LIMIT):
     """Geometric expansion from 0 with steps 1, 2, 4, ... to a sign change."""
-    g0 = g(0.0)
-    if g0 >= 0.0:
-        hi, step = 0.0, 1.0
-        while True:
-            lo = -step
-            if g(lo) < 0.0:
-                return lo, hi
-            hi, step = lo, step * 2.0
-            if step > limit:
-                raise NoSignChange(f"no sign change of rho+C down to b = -{limit:g}")
-    lo, step = 0.0, 1.0
+    down = g(0.0) >= 0.0  # then the root lies below 0
+    near, step = 0.0, 1.0
     while True:
-        hi = step
-        if g(hi) >= 0.0:
-            return lo, hi
-        lo, step = hi, step * 2.0
+        far = -step if down else step
+        if (g(far) < 0.0) == down:
+            return (far, near) if down else (near, far)
+        near, step = far, step * 2.0
         if step > limit:
-            raise NoSignChange(f"no sign change of rho+C up to b = {limit:g}")
+            side = "down to b = -" if down else "up to b = "
+            raise NoSignChange(f"no sign change of rho+C {side}{limit:g}")
 
 
 def _bisect(g: Callable, lo: float, hi: float, bisect_tol: float | None):
@@ -234,11 +226,12 @@ def solve_barrier(
     lo0, hi0 = _expand_bracket(g)
     b_star, lo, hi, iterations = _bisect(g, lo0, hi0, bisect_tol=bisect_tol)
 
-    # batches hold whole antithetic pairs, so their means are not paired again
-    rho_est = _finish(
-        "rho_at_b_star", rho_hat.batch_means(b_star), False, triplet, problem, cfg,
-        b=b_star, solver="histogram",
-    )
+    # batches hold whole antithetic pairs, so their means are not paired again;
+    # a deterministic model's batches copy one path, so their means are equal
+    # (its rows are scaled by unequal batch sizes, which a division rounds)
+    means = (np.full(len(rho_hat.batch_paths), rho_hat(b_star)) if triplet.is_deterministic
+             else rho_hat.batch_means(b_star))
+    rho_est = _finish("rho_at_b_star", means, False, triplet, problem, cfg, b=b_star, solver="histogram")
     # statistical half-width: stderr of rho near the root over a local slope
     tol_eff = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(b_star))
     delta = 10.0 * tol_eff
@@ -325,8 +318,7 @@ def barrier_sweep(
         raise ValueError("b_grid must be sorted strictly increasing")
     cfg.validate_for(problem.q)
     anti = _antithetic_active(triplet, cfg)
-    v, _ = _value_pass(triplet, problem, cfg, x, (0.0,), b_grid, n_workers=n_workers)
-    v = v[:, 0, :]
+    v, _ = _value_pass(triplet, problem, cfg, x, [(0.0, b) for b in b_grid], n_workers=n_workers)
     curve = [
         (b, _finish("sweep_value", v[:, k], anti, triplet, problem, cfg, b=b, x=x))
         for k, b in enumerate(b_grid)

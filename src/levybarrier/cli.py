@@ -6,7 +6,8 @@ solve    optimal barrier via bisection on rho-hat + C
 value    (v1, v2, v) at a given barrier and start
 rho      rho-hat over a barrier grid (CSV: b,rho_mean,rho_stderr)
 sweep    v-hat_b(x) over a barrier grid (CSV: b,v_mean,v_stderr)
-verify   structural checks (CSV per check: x,residual,tolerance,passed)
+verify   structural checks, all read off one shared pass after the solve
+         (CSV per check: x,residual,tolerance,passed)
 perturb  driftless compound Poisson barrier via vanishing drifts
 
 Config schema (defaults in brackets):
@@ -55,13 +56,7 @@ from .errors import (
 from .estimators import estimate_record, estimate_rho_curve, estimate_value
 from .levy_model import JumpSpec, LevyTriplet
 from .path_engine import SimConfig, horizon_for
-from .verification import (
-    check_barrier_derivative,
-    check_convexity,
-    check_hjb,
-    check_martingale,
-    check_slope_identity,
-)
+from .verification import run_checks
 
 COMMANDS = ("solve", "value", "rho", "sweep", "verify", "perturb")
 
@@ -277,21 +272,18 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         fd_h = float(section.get("fd_h", 0.25))
         x_grid = section.get("x_grid") or [b + (i - 7) * fd_h * 2 for i in range(15)]
         t_grid = section.get("t_grid") or [0.5 * k for k in range(1, 6)]
-        reports = []
+        check_args = {
+            "barrier_derivative": {"x": x, "b": b, "h": h},
+            "slope_identity": {"x": x, "b": b, "h": h},
+            "convexity": {"x_grid": x_grid, "b_star": res.b_star},
+            "martingale": {"x": x, "t_grid": t_grid, "b_star": res.b_star},
+            "hjb": {"x_grid": x_grid, "fd_h": fd_h, "b_star": res.b_star},
+        }
         for name in names:
-            if name == "barrier_derivative":
-                rep = check_barrier_derivative(model, problem, x, b, sim, h, n_workers=n_workers)
-            elif name == "slope_identity":
-                rep = check_slope_identity(model, problem, x, b, sim, h, n_workers=n_workers)
-            elif name == "convexity":
-                rep = check_convexity(model, problem, sim, x_grid, b_star=res.b_star, n_workers=n_workers)
-            elif name == "martingale":
-                rep = check_martingale(model, problem, sim, x, t_grid, b_star=res.b_star, n_workers=n_workers)
-            elif name == "hjb":
-                rep = check_hjb(model, problem, sim, x_grid, fd_h, b_star=res.b_star, n_workers=n_workers)
-            else:
+            if name not in check_args:
                 raise ConfigError(f"config.verify.checks: unknown check {name!r}")
-            reports.append(rep)
+        reports = run_checks(model, problem, sim, [(n, check_args[n]) for n in names], n_workers=n_workers)
+        for name, rep in zip(names, reports):
             _check_to_csv(out_dir, name, rep)
         print("verify: " + " ".join(f"{r.name}={'PASS' if r.passed else 'FAIL'}" for r in reports))
         return {"verify": [r.to_record() for r in reports], "b_star": res.b_star}

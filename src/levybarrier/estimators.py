@@ -31,7 +31,6 @@ from .cost_model import ProblemSpec
 from .errors import NonFiniteSample
 from .levy_model import LevyTriplet
 from .path_engine import (
-    PathBatch,
     SimConfig,
     ValueCtx,
     _antithetic_active,
@@ -161,20 +160,39 @@ def _rho_chunk(values, ctx: _RhoCtx):
     return {"pp_y": np.stack(y, axis=1)}
 
 
-def _value_pass(triplet, problem, cfg, x_start, offsets, barriers, n_workers=1,
-                passage=None, f_prime=None):
-    """One streamed ``value_chunk`` pass; returns (running + C * control, partials)."""
-    ctx = ValueCtx(
-        offsets=tuple(float(o) for o in offsets),
-        barriers=tuple(float(b) for b in barriers),
-        f=problem.cost.f,
-        q=problem.q,
-        dt=cfg.dt,
-        passage=passage,
-        f_prime=f_prime,
-    )
+def _value_pass(triplet, problem, cfg, x_start, pairs, n_workers=1):
+    """One streamed ``value_chunk`` pass over (offset, barrier) ``pairs``;
+    returns (running + C * control, partials)."""
+    ctx = ValueCtx(pairs=tuple((float(o), float(b)) for o, b in pairs), f=problem.cost.f,
+                   q=problem.q, dt=cfg.dt)
     out = map_reduce_paths(triplet, x_start, cfg, value_chunk, ctx, n_workers=n_workers)
     return out["pp_running"] + problem.C * out["pp_control"], out
+
+
+def _rho_ctx(problem, cfg, b_grid, method="time_integral") -> _RhoCtx:
+    """The ``_rho_chunk`` context of rho-hat on a sorted barrier grid."""
+    b_grid = tuple(float(b) for b in b_grid)
+    if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
+        raise ValueError("b_grid must be sorted strictly increasing")
+    q, n_grid = problem.q, cfg.n_steps + 1
+    if method == "time_integral":
+        w = integral_weights(q, cfg.dt, n_grid)
+    elif method == "exp_clock":  # the clock's law given e_q <= N dt (module docstring)
+        d = discount_factors(q, cfg.dt, n_grid)
+        w = np.append(d[:-1] - d[1:], 0.0) / (q * (1.0 - d[-1]))
+    else:
+        raise ValueError(f"unknown rho method {method!r}")
+    cfg.validate_for(q)
+    return _RhoCtx(b_values=b_grid, f_prime=problem.cost.f_prime_plus, w=w,
+                   exp_clock=method == "exp_clock")
+
+
+def _rho_curve(y, ctx: _RhoCtx, triplet, problem, cfg) -> list[tuple[float, EstimateWithError]]:
+    """(b, rho-hat(b)) from the merged ``pp_y`` of a ``_rho_chunk`` pass."""
+    kind = "rho_exp_clock" if ctx.exp_clock else "rho_time_integral"
+    anti = _antithetic_active(triplet, cfg)
+    return [(b, _finish(kind, y[:, k], anti, triplet, problem, cfg, b=b))
+            for k, b in enumerate(ctx.b_values)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +225,20 @@ def estimate_value(
     b: float,
     x: float,
     cfg: SimConfig,
-    crn_batch: PathBatch | None = None,
     n_workers: int = 1,
 ):
     """Estimate (v1, v2, v) of the barrier strategy at barrier b from x.
 
     v1 is the discounted running cost of f(U^b), v2 the discounted control
     Stieltjes integral, and v = v1 + C v2 with the variance taken on the
-    pathwise sum.  When ``crn_batch`` is given its paths are reused shifted
-    to start at x (spatial homogeneity), enabling common random numbers.
+    pathwise sum.  Calls with the same config share their paths (common
+    random numbers), whatever their b and x.
     """
     cfg.validate_for(problem.q)
-    if crn_batch is not None:
-        ctx = ValueCtx(
-            offsets=(x - crn_batch.x_start,), barriers=(float(b),), f=problem.cost.f,
-            q=problem.q, dt=cfg.dt,
-        )
-        out = value_chunk(crn_batch.values, ctx)
-        anti = crn_batch.antithetic
-    else:
-        _, out = _value_pass(triplet, problem, cfg, x, (0.0,), (b,), n_workers=n_workers)
-        anti = _antithetic_active(triplet, cfg)
-    y1 = out["pp_running"][:, 0, 0]
-    y2 = out["pp_control"][:, 0, 0]
+    _, out = _value_pass(triplet, problem, cfg, x, [(0.0, b)], n_workers=n_workers)
+    anti = _antithetic_active(triplet, cfg)
+    y1 = out["pp_running"][:, 0]
+    y2 = out["pp_control"][:, 0]
     v1 = _finish("value_running", y1, anti, triplet, problem, cfg, b=b, x=x)
     v2 = _finish("value_control", y2, anti, triplet, problem, cfg, b=b, x=x)
     v = _finish("value_total", y1 + problem.C * y2, anti, triplet, problem, cfg, b=b, x=x)
@@ -251,30 +260,9 @@ def estimate_rho_curve(
     paths, weights and summation order, the returned means are
     nondecreasing in b exactly, not just statistically.
     """
-    b_grid = [float(b) for b in b_grid]
-    if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
-        raise ValueError("b_grid must be sorted strictly increasing")
-    q, n_grid = problem.q, cfg.n_steps + 1
-    if method == "time_integral":
-        w = integral_weights(q, cfg.dt, n_grid)
-    elif method == "exp_clock":  # the clock's law given e_q <= N dt (module docstring)
-        d = discount_factors(q, cfg.dt, n_grid)
-        w = np.append(d[:-1] - d[1:], 0.0) / (q * (1.0 - d[-1]))
-    else:
-        raise ValueError(f"unknown rho method {method!r}")
-    cfg.validate_for(q)
-    anti = _antithetic_active(triplet, cfg)
-    ctx = _RhoCtx(
-        b_values=tuple(b_grid),
-        f_prime=problem.cost.f_prime_plus,
-        w=w,
-        exp_clock=method == "exp_clock",
-    )
+    ctx = _rho_ctx(problem, cfg, b_grid, method)
     out = map_reduce_paths(triplet, 0.0, cfg, _rho_chunk, ctx, n_workers=n_workers)
-    return [
-        (b, _finish(f"rho_{method}", out["pp_y"][:, k], anti, triplet, problem, cfg, b=b))
-        for k, b in enumerate(b_grid)
-    ]
+    return _rho_curve(out["pp_y"], ctx, triplet, problem, cfg)
 
 
 def estimate_record(kind: str, est: EstimateWithError, b=None, x=None) -> dict:

@@ -162,17 +162,6 @@ class JumpSpec:
         p = np.asarray(self.probs)
         return float(np.sum(p * v * (np.abs(v) < 1.0)))
 
-    def mean_size(self) -> float:
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "kou":
-            return self.p_up / self.eta_up - (1.0 - self.p_up) / self.eta_down
-        if self.kind == "gaussian":
-            return self.mean
-        if self.kind == "uniform":
-            return 0.5 * (self.lo + self.hi)
-        return float(np.sum(np.asarray(self.probs) * np.asarray(self.values)))
-
     def mean_abs_size(self) -> float:
         if self.kind == "none":
             return 0.0

@@ -12,10 +12,13 @@ stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
 whose merge order is fixed by chunk index so results do not depend on the
 worker count; accumulators are summed per fixed batch of consecutive
 streams (``BATCHES``, mirrored pairs together), giving batch-means errors.
-Every reflected functional of a chunk (value at any start offset and
-barrier, first passage) is read off one running minimum per chunk, since
-the minimum of a shifted path is the shifted minimum.  Sums along the grid
-take one dot product per path, so a path's sums do not depend on its chunk.
+Every reflected functional of a chunk (value at any (start offset,
+barrier) pair, first passage) is read off one running minimum per chunk,
+since the minimum of a shifted path is the shifted minimum; a path started
+at x is the path from 0 plus x bit for bit, so starts are offsets, and
+``map_reduce_several`` lets several reducers share one simulation.  Sums
+along the grid take one dot product per path, so a path's sums do not
+depend on its chunk.
 This is the package's only path simulator: the exp-clock supremum is read
 off the same paths by the estimators.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,6 +47,7 @@ __all__ = [
     "discounted_integral",
     "discounted_stieltjes",
     "map_reduce_paths",
+    "map_reduce_several",
     "horizon_for",
     "integral_weights",
     "discount_factors",
@@ -101,27 +105,14 @@ class SimConfig:
             )
 
     def describe(self) -> dict:
-        return {
-            "dt": self.dt,
-            "horizon_T": self.horizon_T,
-            "n_paths": self.n_paths,
-            "master_seed": self.master_seed,
-            "antithetic": self.antithetic,
-            "tail_tol": self.tail_tol,
-        }
+        return asdict(self)
 
 
 @dataclass
 class PathBatch:
-    """Materialized sample paths started at ``x_start``."""
+    """Materialized sample paths, one row per path."""
 
     values: np.ndarray
-    x_start: float
-    antithetic: bool = False
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +196,7 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
             "use the streaming estimators" % (cfg.n_paths, n_grid)
         )
     anti = _antithetic_active(triplet, cfg, warn=True)
-    values = _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti)
-    return PathBatch(values=values, x_start=x_start, antithetic=anti)
+    return PathBatch(values=_simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti))
 
 
 # ---------------------------------------------------------------------------
@@ -286,48 +276,47 @@ def stopped_integral(g: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarra
 class ValueCtx:
     """The value functionals ``value_chunk`` evaluates on every chunk."""
 
-    offsets: tuple                   # start offsets added to the simulated paths
-    barriers: tuple                  # reflection barriers
+    pairs: tuple                     # (start offset, reflection barrier) pairs
     f: Callable                      # running cost
     q: float
     dt: float
-    passage: float | None = None     # level of e^{-q tau} for the offsets[0] path
-    f_prime: Callable | None = None  # also integrate f'_+ along that path up to tau
+    passages: tuple = ()             # (start offset, level) pairs of e^{-q tau}
+    f_prime: Callable | None = None  # also integrate f'_+ up to each passage
 
 
 def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
-    """Running and control parts of the value at every (offset, barrier).
+    """Running and control parts of the value at every (offset, barrier) pair.
 
-    ``pp_running`` and ``pp_control`` have shape (n, offsets, barriers) and
-    hold ``discounted_integral(f(U))`` and ``discounted_stieltjes(R)`` for the
+    ``pp_running`` and ``pp_control`` have shape (n, pairs) and hold
+    ``discounted_integral(f(U))`` and ``discounted_stieltjes(R)`` for the
     path values + o reflected at b.  Rounding is monotone, so min(values + o)
     equals m + o exactly for the running minimum m of the chunk:
     R = max(b - (m + o), 0) and U = (values + o) + R match
     ``reflect_arrays(values + o, b)`` bit for bit, and are written into two
-    buffers reused across all pairs.  With
-    ``passage`` set, ``pp_tau_disc`` is e^{-q tau} (0 if the offsets[0] path
-    never passes below it) and, with ``f_prime``, ``pp_fprime_to_tau`` the
-    left-rule integral of f'_+ along that unreflected path up to tau.
+    buffers reused across all pairs.  Per (offset, level) of ``passages``,
+    ``pp_tau_disc`` is e^{-q tau} (0 if the path values + o never pass below
+    the level) and, with ``f_prime``, ``pp_fprime_to_tau`` the left-rule
+    integral of f'_+ along that unreflected path up to tau.
     """
     m = np.minimum.accumulate(values, axis=-1)
-    shape = (values.shape[0], len(ctx.offsets), len(ctx.barriers))
-    running, control = np.empty(shape), np.empty(shape)
+    running, control = np.empty((2, values.shape[0], len(ctx.pairs)))
     r, u = np.empty_like(values), np.empty_like(values)
-    for i, o in enumerate(ctx.offsets):
-        for k, b in enumerate(ctx.barriers):
-            np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
-            np.add(np.add(values, o, out=u), r, out=u)
-            running[:, i, k] = discounted_integral(ctx.f(u), ctx.q, ctx.dt)
-            control[:, i, k] = discounted_stieltjes(r, ctx.q, ctx.dt)
+    for k, (o, b) in enumerate(ctx.pairs):
+        np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
+        np.add(np.add(values, o, out=u), r, out=u)
+        running[:, k] = discounted_integral(ctx.f(u), ctx.q, ctx.dt)
+        control[:, k] = discounted_stieltjes(r, ctx.q, ctx.dt)
     out = {"pp_running": running, "pp_control": control}
-    if ctx.passage is not None:
-        o, n_grid = ctx.offsets[0], values.shape[-1]
-        tau = first_passage_index(m + o, ctx.passage)
+    if ctx.passages:
+        n_grid = values.shape[-1]
+        tau = np.stack([first_passage_index(m + o, level) for o, level in ctx.passages], axis=1)
         out["pp_tau_disc"] = np.append(discount_factors(ctx.q, ctx.dt, n_grid), 0.0)[tau]
         if ctx.f_prime is not None:
-            g = np.asarray(ctx.f_prime(values + o), dtype=float)
             w = integral_weights(ctx.q, ctx.dt, n_grid)
-            out["pp_fprime_to_tau"] = stopped_integral(g, w, tau[:, None])[:, 0]
+            out["pp_fprime_to_tau"] = np.stack([
+                stopped_integral(np.asarray(ctx.f_prime(values + o), dtype=float), w, tau[:, [k]])[:, 0]
+                for k, (o, _) in enumerate(ctx.passages)
+            ], axis=1)
     return out
 
 
@@ -402,7 +391,8 @@ def map_reduce_paths(
     Pure-drift models collapse to a single representative path whose partials
     are expanded law-exactly (identical rows, accumulators scaled by each
     batch's path count); stderr over paths is exactly zero there, as it
-    should be, and over batches zero to rounding.
+    should be.  Scaling and then dividing by a batch size rounds, so a
+    caller wanting per-batch means of such a model takes them equal.
     """
     anti = _antithetic_active(triplet, cfg, warn=True)
     if triplet.is_deterministic:
@@ -428,3 +418,17 @@ def map_reduce_paths(
             for lo, hi, _ in plan
         ]
         return _merge(plan, (f.result() for f in futures))
+
+
+def _each_reducer(values, reducers):
+    return {f"{key}@{i}": val for i, (fn, ctx) in enumerate(reducers) for key, val in fn(values, ctx).items()}
+
+
+def map_reduce_several(triplet: LevyTriplet, x_start: float, cfg: SimConfig, reducers,
+                       n_workers: int = 1) -> list[dict]:
+    """One ``map_reduce_paths`` pass feeding every chunk to each ``(chunk_fn, ctx)``
+    of ``reducers``: the paths are simulated once, and each reducer gets the
+    merged dict it would get alone."""
+    out = map_reduce_paths(triplet, x_start, cfg, _each_reducer, tuple(reducers), n_workers=n_workers)
+    return [{key.rpartition("@")[0]: val for key, val in out.items() if key.endswith(f"@{i}")}
+            for i in range(len(reducers))]

@@ -11,10 +11,21 @@ values, (c) quadrature and interpolation bounds for the jump integral, and
 (d) explicit time-step and horizon-truncation allowances so that
 zero-variance (deterministic-path) models are budgeted honestly too.
 
+``run_checks`` reads several checks off ONE streamed pass of the paths
+from 0: a path started at x is the path from 0 plus x bit for bit, so each
+start is an offset.  A check validates its arguments, yields an ``_Ask`` of
+what it reads off the pass, is sent the ``_Pass`` (what several checks ask
+is computed once) and yields its report; each public ``check_*`` is
+``run_checks`` with that one check.  Only a solve (b_star omitted) and the
+martingale check's node values (an independent seed) run passes of their
+own.
+
 Checks are advisory: they return reports, they do not raise on failure.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -24,19 +35,22 @@ import numpy as np
 from .barrier_solver import solve_barrier
 from .cost_model import ProblemSpec
 from .errors import NonFiniteSample
-from .estimators import _value_pass, estimate_rho
+from .estimators import _rho_chunk, _rho_ctx, _rho_curve, _value_pass
 from .levy_model import LevyTriplet
 from .path_engine import (
     SimConfig,
+    ValueCtx,
     discount_factors,
     first_passage_index,
     integral_weights,
-    map_reduce_paths,
+    map_reduce_several,
     stopped_integral,
+    value_chunk,
 )
 
 __all__ = [
     "CheckReport",
+    "run_checks",
     "check_barrier_derivative",
     "check_slope_identity",
     "check_convexity",
@@ -84,7 +98,7 @@ def _drift_scale(triplet: LevyTriplet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# chunk reducers
+# the shared pass
 # ---------------------------------------------------------------------------
 
 
@@ -108,6 +122,7 @@ def _interp_eval(y, nodes, means, C):
 
 @dataclass(frozen=True, eq=False)
 class _MartingaleCtx:
+    x: float
     b_star: float
     t_indices: tuple
     nodes: np.ndarray
@@ -119,6 +134,7 @@ class _MartingaleCtx:
 
 
 def _martingale_chunk(values, ctx: _MartingaleCtx):
+    values = values + ctx.x  # the paths started at x, bit for bit
     tau = first_passage_index(np.minimum.accumulate(values, axis=-1), ctx.b_star)
     # stop each path at tau and t: j = min(tau, t_k) per (path, t_k)
     j = np.minimum(tau[:, None], np.asarray(ctx.t_indices)[None, :])
@@ -129,10 +145,84 @@ def _martingale_chunk(values, ctx: _MartingaleCtx):
     return {"pp_m": out}
 
 
-def _run_offsets(triplet, problem, cfg, offsets, b, n_workers=1):
-    """Per-path values (n, offsets) of the paths started at each offset, reflected at b."""
-    v, _ = _value_pass(triplet, problem, cfg, 0.0, offsets, (b,), n_workers=n_workers)
-    return v[:, :, 0]
+@dataclass(frozen=True)
+class _Ask:
+    """What one check reads off the shared pass of the paths from 0."""
+
+    pairs: tuple = ()       # (start offset, barrier) value samples
+    passages: tuple = ()    # (start offset, level) first passages
+    f_prime: bool = False   # with the integrals of f'_+ up to them
+    rho: tuple = ()         # barriers of time-integral rho-hat
+    martingale: _MartingaleCtx | None = None
+
+
+class _Pass:
+    """The one streamed pass from 0 answering every ``_Ask``."""
+
+    def __init__(self, triplet, problem, cfg, asks, n_workers):
+        self.pairs = list(dict.fromkeys(p for a in asks for p in a.pairs))
+        self.passages = list(dict.fromkeys(p for a in asks for p in a.passages))
+        self.walks = [a.martingale for a in asks if a.martingale is not None]
+        rho_b = sorted({b for a in asks for b in a.rho})
+        f_prime = problem.cost.f_prime_plus if any(a.f_prime for a in asks) else None
+        reducers = [(value_chunk, ValueCtx(pairs=tuple(self.pairs), f=problem.cost.f, q=problem.q,
+                                           dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime))]
+        if rho_b:
+            rho_ctx = _rho_ctx(problem, cfg, rho_b)
+            reducers.append((_rho_chunk, rho_ctx))
+        reducers += [(_martingale_chunk, ctx) for ctx in self.walks]
+        value, *rest = map_reduce_several(triplet, 0.0, cfg, reducers, n_workers=n_workers)
+        self.v = value["pp_running"] + problem.C * value["pp_control"]
+        self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
+        if rho_b:
+            self.rho = dict(_rho_curve(rest.pop(0)["pp_y"], rho_ctx, triplet, problem, cfg))
+        self.m = [out["pp_m"] for out in rest]
+
+    def values(self, pairs) -> np.ndarray:
+        """Per-path values (n, pairs) of the paths started at each offset, reflected
+        at its barrier; C-ordered, which fixes how a matvec (``check_hjb``) sums."""
+        return np.take(self.v, [self.pairs.index(p) for p in pairs], axis=1)
+
+    def passage(self, o, level, f_prime=False) -> np.ndarray:
+        """e^{-q tau} per path, or with ``f_prime`` the integral of f'_+ up to tau."""
+        return (self.fprime_to_tau if f_prime else self.tau_disc)[:, self.passages.index((o, level))]
+
+
+_PLANS: dict = {}
+
+
+def _check(plan):
+    """Register a check's plan (module docstring) and return its one-check call."""
+    _PLANS[plan.__name__.removeprefix("check_")] = plan
+    sig = inspect.signature(plan)
+
+    @functools.wraps(plan)
+    def check(*args, **kwargs) -> CheckReport:
+        a = sig.bind(*args, **kwargs)
+        a.apply_defaults()
+        common = (a.arguments[k] for k in ("triplet", "problem", "cfg", "n_workers"))
+        return _run([plan(*args, **kwargs)], *common)[0]
+
+    return check
+
+
+def _run(plans, triplet, problem, cfg, n_workers) -> list[CheckReport]:
+    if not plans:
+        return []
+    shared = _Pass(triplet, problem, cfg, [next(plan) for plan in plans], n_workers)
+    return [plan.send(shared) for plan in plans]
+
+
+def run_checks(triplet: LevyTriplet, problem: ProblemSpec, cfg: SimConfig, checks,
+               n_workers: int = 1) -> list[CheckReport]:
+    """Reports of several checks, in order, all read off ONE shared pass.
+
+    ``checks`` lists (name, keyword arguments) pairs: the name of a
+    ``check_*`` function without its prefix, and that function's arguments
+    other than the model, problem, config and worker count.
+    """
+    plans = [_PLANS[name](triplet, problem, cfg=cfg, n_workers=n_workers, **kw) for name, kw in checks]
+    return _run(plans, triplet, problem, cfg, n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +230,18 @@ def _run_offsets(triplet, problem, cfg, offsets, b, n_workers=1):
 # ---------------------------------------------------------------------------
 
 
-def check_barrier_derivative(
-    triplet: LevyTriplet,
-    problem: ProblemSpec,
-    x: float,
-    b: float,
-    cfg: SimConfig,
-    h: float = 0.05,
-    n_workers: int = 1,
-) -> CheckReport:
+def _bundle(p: _Pass, bundle, h, what):
+    """Values of a three-point CRN bundle and its curvature allowance: a
+    forward difference is biased by h/2 * v'' + O(h^2); budget a full h * v''."""
+    v = p.values(bundle)
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteSample(f"{what} bundle produced non-finite values")
+    return v, h * (abs(float((v[:, 2] - 2 * v[:, 1] + v[:, 0]).mean())) / h**2)
+
+
+@_check
+def check_barrier_derivative(triplet: LevyTriplet, problem: ProblemSpec, x: float, b: float,
+                             cfg: SimConfig, h: float = 0.05, n_workers: int = 1):
     """Finite difference of b -> v_b(x) against E_x[e^{-q tau_b}] (rho(b)+C).
 
     The finite difference runs on CRN paths across the three barriers
@@ -158,23 +251,17 @@ def check_barrier_derivative(
     if x == b:
         raise ValueError("the derivative identity needs x != b")
     cfg.validate_for(problem.q)
-    v, out = _value_pass(
-        triplet, problem, cfg, x, (0.0,), (b - h, b, b + h), n_workers=n_workers, passage=b
-    )
-    v = v[:, 0, :]
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteSample("barrier derivative bundle produced non-finite values")
+    bundle = [(x, b - h), (x, b), (x, b + h)]
+    p = yield _Ask(pairs=bundle, passages=[(x, b)], rho=[b])
+    v, allowance = _bundle(p, bundle, h, "barrier derivative")
     fwd = (v[:, 2] - v[:, 1]) / h
     lhs, se_lhs = float(fwd.mean()), _se(fwd)
-    tau_disc = out["pp_tau_disc"]
+    tau_disc = p.passage(x, b)
     tau_mean, se_tau = float(tau_disc.mean()), _se(tau_disc)
-    rho = estimate_rho(triplet, problem, b, cfg, method="time_integral", n_workers=n_workers)
+    rho = p.rho[b]
     rho_c = rho.mean + problem.C
     rhs = tau_mean * rho_c
     se_rhs = math.hypot(rho_c * se_tau, tau_mean * rho.stderr) + se_tau * rho.stderr
-    # forward-difference bias is h/2 * v'' + O(h^2); budget a full h * v''
-    curvature = abs(float((v[:, 2] - 2 * v[:, 1] + v[:, 0]).mean())) / h**2
-    allowance = h * curvature
     floor = 1e-9 * (1.0 + abs(lhs) + abs(rhs)) + cfg.tail_tol * (1.0 + abs(rho_c))
     statistic = lhs - rhs
     tolerance = 3.0 * (se_lhs + se_rhs) + allowance + floor
@@ -183,24 +270,12 @@ def check_barrier_derivative(
         "curvature_allowance": allowance, "residual": statistic, "tolerance": tolerance,
         "passed": bool(abs(statistic) <= tolerance),
     }
-    return CheckReport(
-        name="barrier_derivative",
-        statistic=statistic,
-        tolerance=tolerance,
-        passed=abs(statistic) <= tolerance,
-        details=[detail],
-    )
+    yield CheckReport("barrier_derivative", statistic, tolerance, abs(statistic) <= tolerance, [detail])
 
 
-def check_slope_identity(
-    triplet: LevyTriplet,
-    problem: ProblemSpec,
-    x: float,
-    b: float,
-    cfg: SimConfig,
-    h: float = 0.05,
-    n_workers: int = 1,
-) -> CheckReport:
+@_check
+def check_slope_identity(triplet: LevyTriplet, problem: ProblemSpec, x: float, b: float,
+                         cfg: SimConfig, h: float = 0.05, n_workers: int = 1):
     """Finite difference of x -> v_b(x) against the first-passage expression
 
         E_x[ int_0^{tau_b} e^{-qt} f'_+(X_t) dt ] - C E_x[ e^{-q tau_b} ],
@@ -209,20 +284,13 @@ def check_slope_identity(
     points and the passage functionals).
     """
     cfg.validate_for(problem.q)
-    v, out = _value_pass(
-        triplet, problem, cfg, 0.0, (x, x + h, x + 2 * h), (b,), n_workers=n_workers,
-        passage=b, f_prime=problem.cost.f_prime_plus,
-    )
-    v = v[:, :, 0]
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteSample("slope identity bundle produced non-finite values")
-    rhs_p = out["pp_fprime_to_tau"] - problem.C * out["pp_tau_disc"]
+    bundle = [(x, b), (x + h, b), (x + 2 * h, b)]
+    p = yield _Ask(pairs=bundle, passages=[(x, b)], f_prime=True)
+    v, allowance = _bundle(p, bundle, h, "slope identity")
+    rhs_p = p.passage(x, b, f_prime=True) - problem.C * p.passage(x, b)
     diff = (v[:, 1] - v[:, 0]) / h - rhs_p
     statistic = float(diff.mean())
     se = _se(diff)
-    # forward-difference bias is h/2 * v'' + O(h^2); budget a full h * v''
-    curvature = abs(float((v[:, 2] - 2 * v[:, 1] + v[:, 0]).mean())) / h**2
-    allowance = h * curvature
     floor = 1e-9 * (1.0 + float(np.abs(v[:, 0]).mean())) + cfg.tail_tol * (
         1.0 + abs(float(problem.cost.f_prime_plus(x)))
     )
@@ -232,15 +300,10 @@ def check_slope_identity(
         "rhs": float(rhs_p.mean()), "residual": statistic, "se": se,
         "tolerance": tolerance, "passed": bool(abs(statistic) <= tolerance),
     }
-    return CheckReport(
-        name="slope_identity",
-        statistic=statistic,
-        tolerance=tolerance,
-        passed=abs(statistic) <= tolerance,
-        details=[detail],
-    )
+    yield CheckReport("slope_identity", statistic, tolerance, abs(statistic) <= tolerance, [detail])
 
 
+@_check
 def check_convexity(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -248,7 +311,7 @@ def check_convexity(
     x_grid,
     b_star: float | None = None,
     n_workers: int = 1,
-) -> CheckReport:
+):
     """Second differences of x -> v_{b*}(x) on CRN-coupled starts are >= 0
     up to three propagated standard errors at every interior grid point."""
     problem.require_admissible()
@@ -260,7 +323,8 @@ def check_convexity(
         raise ValueError("x_grid must be uniformly spaced increasing")
     if b_star is None:
         b_star = solve_barrier(triplet, problem, cfg, n_workers=n_workers).b_star
-    v = _run_offsets(triplet, problem, cfg, offsets=tuple(x_grid), b=b_star, n_workers=n_workers)
+    bundle = [(x, b_star) for x in x_grid]
+    v = (yield _Ask(pairs=bundle)).values(bundle)
     details = []
     worst = -math.inf
     for j in range(1, x_grid.size - 1):
@@ -273,16 +337,10 @@ def check_convexity(
             {"x": float(x_grid[j]), "second_difference": mean, "se": se,
              "residual": mean, "tolerance": 3.0 * se + floor, "passed": bool(violation <= 0.0)}
         )
-    return CheckReport(
-        name="convexity",
-        statistic=worst,
-        tolerance=0.0,
-        passed=worst <= 0.0,
-        details=details,
-        one_sided=True,
-    )
+    yield CheckReport("convexity", worst, 0.0, worst <= 0.0, details, one_sided=True)
 
 
+@_check
 def check_martingale(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -292,12 +350,13 @@ def check_martingale(
     b_star: float | None = None,
     node_grid=None,
     n_workers: int = 1,
-) -> CheckReport:
+):
     """Constancy in t of E_x[e^{-q(tau and t)} v(X) + int_0^{tau and t} e^{-qs} f(X_s) ds].
 
     The value function enters through a piecewise-linear interpolant whose
-    nodes are estimated on an independent CRN batch (derived seed); below
-    the node range the exact linear continuation with slope -C is used.
+    nodes are estimated on an independent CRN batch (derived seed, so a
+    pass of its own); below the node range the exact linear continuation
+    with slope -C is used.
     """
     cfg.validate_for(problem.q)
     if b_star is None:
@@ -309,8 +368,8 @@ def check_martingale(
         node_grid = np.linspace(b_star - 2.0, x + span, 41)
     node_grid = np.asarray(node_grid, dtype=float)
     node_cfg = replace(cfg, master_seed=cfg.master_seed + 1)
-    node_v = _run_offsets(
-        triplet, problem, node_cfg, offsets=tuple(node_grid), b=b_star, n_workers=n_workers
+    node_v, _ = _value_pass(
+        triplet, problem, node_cfg, 0.0, [(o, b_star) for o in node_grid], n_workers=n_workers
     )
     node_means = node_v.mean(axis=0)
     node_se = np.array([_se(node_v[:, j]) for j in range(node_grid.size)])
@@ -322,6 +381,7 @@ def check_martingale(
     if max(t_indices) > cfg.n_steps:
         raise ValueError("t_grid exceeds the simulation horizon")
     ctx = _MartingaleCtx(
+        x=x,
         b_star=b_star,
         t_indices=tuple(t_indices),
         nodes=node_grid,
@@ -331,14 +391,13 @@ def check_martingale(
         w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
         disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
     )
-    out = map_reduce_paths(triplet, x, cfg, _martingale_chunk, ctx, n_workers=n_workers)
-    m = out["pp_m"]
+    p = yield _Ask(martingale=ctx)
+    m = p.m[p.walks.index(ctx)]
     if not np.all(np.isfinite(m)):
         raise NonFiniteSample("martingale functional produced non-finite values")
     m0 = float(m[:, 0].mean())
     details = []
-    statistic = 0.0
-    tolerance = 0.0
+    statistic = tolerance = 0.0
     for k, t_idx in enumerate(t_indices):
         drift_term = float(m[:, k].mean()) - m0
         se = _se(m[:, k] - m[:, 0])
@@ -349,14 +408,7 @@ def check_martingale(
             {"t": t_idx * cfg.dt, "m": float(m[:, k].mean()), "residual": drift_term,
              "se": se, "tolerance": tol, "passed": bool(abs(drift_term) <= tol)}
         )
-    passed = all(d["passed"] for d in details)
-    return CheckReport(
-        name="martingale",
-        statistic=statistic,
-        tolerance=tolerance,
-        passed=passed,
-        details=details,
-    )
+    yield CheckReport("martingale", statistic, tolerance, all(d["passed"] for d in details), details)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +465,7 @@ def _interp_weights(y_points, nodes, C):
     return W, const
 
 
+@_check
 def check_hjb(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -421,7 +474,7 @@ def check_hjb(
     fd_h: float,
     b_star: float | None = None,
     n_workers: int = 1,
-) -> CheckReport:
+):
     """Residual of the generator system at the fitted barrier.
 
     At each grid point the residual d*v' + (sigma^2/2) v'' +
@@ -455,7 +508,8 @@ def check_hjb(
         pad_step = max(fd_h, (hi_pad - lo_pad) / 96.0)
         nodes = np.concatenate([nodes, np.arange(lo_pad, hi_pad + pad_step, pad_step)])
     nodes = np.unique(np.round(nodes, 9))
-    Y = _run_offsets(triplet, problem, cfg, offsets=tuple(nodes), b=b_star, n_workers=n_workers)
+    bundle = [(o, b_star) for o in nodes]
+    Y = (yield _Ask(pairs=bundle)).values(bundle)
     if not np.all(np.isfinite(Y)):
         raise NonFiniteSample("value bundle produced non-finite samples")
     means = Y.mean(axis=0)
@@ -470,7 +524,7 @@ def check_hjb(
     tail = math.exp(-q * cfg.effective_horizon)
     moment_scale = abs(b_star) + drift_scale * (cfg.effective_horizon + 4.0 / q)
 
-    details = []
+    details, worst = [], -math.inf
     for x in x_grid:
         i0 = node_index(round(x, 9))
         im1, ip1 = node_index(round(x - fd_h, 9)), node_index(round(x + fd_h, 9))
@@ -531,33 +585,11 @@ def check_hjb(
         above = x >= b_star
         res_ok = abs(res_mean) <= tol if above else res_mean >= -tol
         slope_ok = slope_resid >= -slope_tol and (above or abs(slope_resid) <= slope_tol)
-        details.append(
-            {
-                "x": float(x),
-                "side": "active" if above else "reflecting",
-                "residual": res_mean,
-                "tolerance": tol,
-                "se": res_se,
-                "slope_plus_C": slope_resid,
-                "slope_tolerance": slope_tol,
-                "passed": bool(res_ok and slope_ok),
-            }
-        )
+        details.append({
+            "x": float(x), "side": "active" if above else "reflecting", "residual": res_mean,
+            "tolerance": tol, "se": res_se, "slope_plus_C": slope_resid,
+            "slope_tolerance": slope_tol, "passed": bool(res_ok and slope_ok),
+        })
+        worst = max(worst, abs(res_mean) - tol if above else -res_mean - tol)
     passed = all(r["passed"] for r in details)
-    worst = max(
-        (abs(r["residual"]) - r["tolerance"] for r in details if r["side"] == "active"),
-        default=-math.inf,
-    )
-    worst = max(
-        worst,
-        max((-r["residual"] - r["tolerance"] for r in details if r["side"] == "reflecting"),
-            default=-math.inf),
-    )
-    return CheckReport(
-        name="hjb",
-        statistic=float(worst),
-        tolerance=0.0,
-        passed=passed,
-        details=details,
-        one_sided=True,
-    )
+    yield CheckReport("hjb", float(worst), 0.0, passed, details, one_sided=True)

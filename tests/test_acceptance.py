@@ -127,10 +127,9 @@ def test_criterion_4_value_identity_below_barrier():
     worst = 0.0
     for model, prob, b in models:
         cfg = cfg_for(prob.q, dt=5e-3, n=400, seed=404, tail=1e-4)
-        batch = simulate_batch(model, 0.0, cfg)
-        _, _, v_b = estimate_value(model, prob, b, b, cfg, crn_batch=batch)
+        _, _, v_b = estimate_value(model, prob, b, b, cfg)
         for x in (b - 1.0, b - 2.0):
-            _, _, v_x = estimate_value(model, prob, b, x, cfg, crn_batch=batch)
+            _, _, v_x = estimate_value(model, prob, b, x, cfg)
             gap = v_x.mean - (prob.C * (b - x) + v_b.mean)
             scaled = abs(gap) / (1.0 + abs(v_b.mean))
             worst = max(worst, scaled)

@@ -27,7 +27,9 @@ def quad_problem(C, q):
 def test_pure_drift_zero_cost_root():
     # C = 0: rho(b) = 2(mu/q^2 + b/q) has root b* = -mu/q
     q = 0.1
-    for n in (20, 100):  # 100 paths: batches of one and of two paths
+    # 100 paths: batches of one and of two paths; 1,000: of 15 and 16, whose
+    # rows are scaled by sizes that a division does not undo exactly
+    for n in (20, 100, 1000):
         cfg = make_cfg(q, n=n, tail=1e-6)
         res = solve_barrier(DRIFT_UP, quad_problem(0.0, q), cfg, bisect_tol=2e-3)
         assert abs(res.b_star + 10.0) <= max(1e-2, 3 * res.ci_halfwidth)
@@ -239,11 +241,8 @@ def test_sweep_below_grid_linear_identity():
     grid = [-1.0, -0.5, 0.0, 0.5]
     x = -2.0  # below every barrier in the grid
     curve = barrier_sweep(KOU, prob, x=x, b_grid=grid, cfg=cfg)
-    from levybarrier.path_engine import simulate_batch
-
-    batch = simulate_batch(KOU, 0.0, cfg)
     for (b, est) in curve:
-        _, _, v_b = estimate_value(KOU, prob, b, b, cfg, crn_batch=batch)
+        _, _, v_b = estimate_value(KOU, prob, b, b, cfg)
         assert est.mean == pytest.approx(prob.C * (b - x) + v_b.mean, abs=1e-9 * (1 + abs(v_b.mean)))
 
 

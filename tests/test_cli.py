@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levybarrier import barrier_solver, estimators, path_engine
 from levybarrier.cli import main
+
+KOU = Path(__file__).resolve().parent.parent / "configs" / "kou_two_sided.json"
+ALL_CHECKS = '["barrier_derivative","slope_identity","convexity","martingale","hjb"]'
 
 
 def write_config(tmp_path, **updates):
@@ -189,6 +194,27 @@ def test_verify_command_on_drift_model(tmp_path):
     assert all(r["passed"] for r in reports.values())
     csv_text = (out / "check_hjb.csv").read_text().splitlines()
     assert csv_text[0] == "x,residual,tolerance,passed"
+
+
+@pytest.mark.parametrize("extra, passes", [([], [64, 64]), (["--set", "verify.checks=" + ALL_CHECKS], [64] * 3)],
+                         ids=["three_checks", "five_checks"])
+def test_verify_reads_its_checks_off_one_pass(tmp_path, monkeypatch, extra, passes):
+    # the solve, then one pass shared by every check; the martingale check's
+    # node values add one on their own seed
+    seen = []
+    real = path_engine.map_reduce_paths
+
+    def counted(triplet, x_start, cfg, *args, **kwargs):
+        seen.append(cfg.n_paths)
+        return real(triplet, x_start, cfg, *args, **kwargs)
+
+    for module in (path_engine, estimators, barrier_solver):
+        monkeypatch.setattr(module, "map_reduce_paths", counted)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05, *extra]) == 0
+    assert seen == passes
+    reports = json.loads((out / "result.json").read_text())["result"]["verify"]
+    assert len(reports) == (5 if extra else 3)
 
 
 def test_mollified_problem_through_config(tmp_path):

@@ -124,25 +124,25 @@ def test_value_kernel_matches_reflection_per_pair(rows, offsets, barriers):
     q, dt = 0.7, 0.1
     f = lambda u: u**2 + np.sin(u)
     f_prime = lambda u: 2 * u + np.cos(u)
-    for level in barriers:
-        ctx = ValueCtx(offsets=tuple(offsets), barriers=tuple(barriers), f=f, q=q, dt=dt,
-                       passage=level, f_prime=f_prime)
-        out = value_chunk(values, ctx)
-        w, disc = integral_weights(q, dt, width), discount_factors(q, dt, width)
-        for i, o in enumerate(offsets):
-            for k, b in enumerate(barriers):
-                u, r, _ = reflect_arrays(values + o, b)
-                assert np.array_equal(out["pp_running"][:, i, k], discounted_integral(f(u), q, dt))
-                assert np.array_equal(out["pp_control"][:, i, k], discounted_stieltjes(r, q, dt))
-        # first passage of the offsets[0] path, NEVER mapped to n_grid
-        base = values + offsets[0]
+    pairs = [(o, b) for o in offsets for b in barriers]
+    passages = [(o, level) for o in offsets for level in barriers]
+    ctx = ValueCtx(pairs=tuple(pairs), f=f, q=q, dt=dt, passages=tuple(passages), f_prime=f_prime)
+    out = value_chunk(values, ctx)
+    w, disc = integral_weights(q, dt, width), discount_factors(q, dt, width)
+    for k, (o, b) in enumerate(pairs):
+        u, r, _ = reflect_arrays(values + o, b)
+        assert np.array_equal(out["pp_running"][:, k], discounted_integral(f(u), q, dt))
+        assert np.array_equal(out["pp_control"][:, k], discounted_stieltjes(r, q, dt))
+    for k, (o, level) in enumerate(passages):
+        # first passage of the path values + o, NEVER mapped to n_grid
+        base = values + o
         tau = first_passage_index(np.minimum.accumulate(base, axis=-1), level)
         _, _, tau_ref = reflect_arrays(base, level)
         assert np.array_equal(tau, np.where(tau_ref == NEVER, width, tau_ref))
         tau_disc = np.where(tau < width, disc[np.minimum(tau, width - 1)], 0.0)
-        assert np.array_equal(out["pp_tau_disc"], tau_disc)
+        assert np.array_equal(out["pp_tau_disc"][:, k], tau_disc)
         stopped = [float(np.sum(f_prime(base[p, :t]) * w[:t])) for p, t in enumerate(tau)]
-        assert np.allclose(out["pp_fprime_to_tau"], stopped, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out["pp_fprime_to_tau"][:, k], stopped, rtol=1e-12, atol=1e-12)
 
 
 def test_stopped_integral_is_a_prefix_sum():
@@ -249,7 +249,8 @@ def test_value_sums_independent_of_chunk_rows():
     cfg = SimConfig(dt=2e-3, horizon_T=horizon_for(0.5, 1e-4, 2e-3), n_paths=192,
                     master_seed=13)
     kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
-    ctx = ValueCtx(offsets=(0.0, 0.3), barriers=(-0.5, 0.1), f=np.square, q=0.5, dt=cfg.dt)
+    ctx = ValueCtx(pairs=((0.0, -0.5), (0.0, 0.1), (0.3, -0.5), (0.3, 0.1)), f=np.square,
+                   q=0.5, dt=cfg.dt)
     n_grid = cfg.n_steps + 1
     assert n_grid > 8192
     three = map_reduce_paths(kou, 0.0, cfg, value_chunk, ctx)

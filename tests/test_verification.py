@@ -14,11 +14,13 @@ from levybarrier.verification import (
     check_hjb,
     check_martingale,
     check_slope_identity,
+    run_checks,
 )
 
 DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
 DRIFT_DOWN = LevyTriplet(gamma=-1.0, sigma=0.0)
 BM = LevyTriplet(gamma=0.0, sigma=1.0)
+KOU = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 3.0, 3.0))
 
 
 def make_cfg(q, dt=1e-3, n=500, seed=42, tail=1e-5):
@@ -186,3 +188,37 @@ def test_hjb_negative_subordinator_with_jumps():
     grid = res.b_star + np.linspace(-2.1, 2.9, 11)
     rep = check_hjb(neg, prob, cfg, grid, fd_h=0.25, b_star=res.b_star)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# several checks on one shared pass
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_shared_pass_reports_match_standalone_checks(n_workers):
+    # 130 paths make 64 batches; b != b* and x on the convexity grid, so the
+    # shared pass holds both distinct and repeated (offset, barrier) pairs
+    q = 0.5
+    prob = quad_problem(0.5, q)
+    cfg = make_cfg(q, dt=0.05, n=130, seed=21, tail=1e-4)
+    b_star = lb.solve_barrier(KOU, prob, cfg).b_star
+    b, x = b_star + 0.3, b_star + 1.0
+    x_grid = [b_star + (i - 7) * 0.5 for i in range(15)]
+    kwargs = {
+        "barrier_derivative": {"x": x, "b": b, "h": 0.05},
+        "slope_identity": {"x": x, "b": b, "h": 0.05},
+        "convexity": {"x_grid": x_grid, "b_star": b_star},
+        "martingale": {"x": x, "t_grid": [0.5, 1.0, 2.5], "b_star": b_star},
+        "hjb": {"x_grid": x_grid, "fd_h": 0.25, "b_star": b_star},
+    }
+    alone = [
+        check_barrier_derivative(KOU, prob, cfg=cfg, n_workers=n_workers, **kwargs["barrier_derivative"]),
+        check_slope_identity(KOU, prob, cfg=cfg, n_workers=n_workers, **kwargs["slope_identity"]),
+        check_convexity(KOU, prob, cfg, n_workers=n_workers, **kwargs["convexity"]),
+        check_martingale(KOU, prob, cfg, n_workers=n_workers, **kwargs["martingale"]),
+        check_hjb(KOU, prob, cfg, n_workers=n_workers, **kwargs["hjb"]),
+    ]
+    shared = run_checks(KOU, prob, cfg, list(kwargs.items()), n_workers=n_workers)
+    assert [r.name for r in shared] == list(kwargs)
+    assert [r.to_record() for r in shared] == [r.to_record() for r in alone]
