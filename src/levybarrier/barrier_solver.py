@@ -34,9 +34,9 @@ from .path_engine import (
     SimConfig,
     _antithetic_active,
     _grid_sum,
+    _reflected_at_zero,
     integral_weights,
     map_reduce_paths,
-    reflect_arrays,
 )
 
 __all__ = [
@@ -115,13 +115,14 @@ class _SolverCtx:
 
 
 def _solver_chunk(values, ctx: _SolverCtx):
-    u, _, _ = reflect_arrays(values, 0.0)
-    bins = np.rint(u / ctx.bin_width).astype(np.int64)
+    u = _reflected_at_zero(values)
+    udisc = _grid_sum(u, ctx.w)
+    bins = np.rint(np.divide(u, ctx.bin_width, out=u), out=u).astype(np.int64)
     weights = np.broadcast_to(ctx.w, u.shape).ravel()
     return {
         "acc_hist": np.bincount(bins.ravel(), weights=weights),
         "acc_paths": np.array([float(values.shape[0])]),
-        "pp_udisc": _grid_sum(u, ctx.w),
+        "pp_udisc": udisc,
     }
 
 

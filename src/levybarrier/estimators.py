@@ -35,10 +35,10 @@ from .path_engine import (
     ValueCtx,
     _antithetic_active,
     _grid_sum,
+    _reflected_at_zero,
     discount_factors,
     integral_weights,
     map_reduce_paths,
-    reflect_arrays,
     value_chunk,
 )
 
@@ -155,7 +155,7 @@ def _rho_chunk(values, ctx: _RhoCtx):
     if ctx.exp_clock:
         z = np.maximum.accumulate(values, axis=-1)
     else:
-        z, _, _ = reflect_arrays(values, 0.0)
+        z = _reflected_at_zero(values)
     y = [_grid_sum(ctx.f_prime(z + b), ctx.w) for b in ctx.b_values]
     return {"pp_y": np.stack(y, axis=1)}
 

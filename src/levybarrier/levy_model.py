@@ -308,8 +308,10 @@ class JumpSpec:
             out = rng.normal(self.mean, self.std, size)
         elif self.kind == "uniform":
             out = rng.uniform(self.lo, self.hi, size)
-        else:
-            out = rng.choice(np.asarray(self.values), size=size, p=np.asarray(self.probs))
+        else:  # Generator.choice(values, size, p=probs) without its validation
+            cdf = np.cumsum(self.probs)
+            cdf /= cdf[-1]
+            out = np.asarray(self.values, dtype=float)[cdf.searchsorted(rng.random(size), side="right")]
         while np.any(out == 0.0):
             idx = np.flatnonzero(out == 0.0)
             out[idx] = self.sample(rng, idx.size)

@@ -147,12 +147,14 @@ def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False)
 
 def _path_increments(triplet, cfg, rng, mirror):
     n_steps = cfg.n_steps
-    incr = np.full(n_steps, triplet.effective_drift * cfg.dt)
     if triplet.sigma > 0:
-        z = rng.standard_normal(n_steps)
+        incr = rng.standard_normal(n_steps)
         if mirror:
-            np.negative(z, out=z)
-        incr += (triplet.sigma * math.sqrt(cfg.dt)) * z
+            np.negative(incr, out=incr)
+        incr *= triplet.sigma * math.sqrt(cfg.dt)
+        incr += triplet.effective_drift * cfg.dt
+    else:
+        incr = np.full(n_steps, triplet.effective_drift * cfg.dt)
     rate = triplet.jumps.rate
     if rate > 0:
         counts = rng.poisson(rate * cfg.dt, n_steps)
@@ -202,6 +204,14 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
 # ---------------------------------------------------------------------------
 # reflection and discounted functionals
 # ---------------------------------------------------------------------------
+
+
+def _reflected_at_zero(values: np.ndarray) -> np.ndarray:
+    """U^0 = values - min(running_min, 0) in one new buffer: the ``u`` of
+    ``reflect_arrays(values, 0.0)`` bit for bit, since x + (0 - m) is x - m."""
+    u = np.minimum.accumulate(values, axis=-1)
+    np.minimum(u, 0.0, out=u)
+    return np.subtract(values, u, out=u)
 
 
 def reflect_arrays(values: np.ndarray, b: float):
@@ -348,7 +358,10 @@ def _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx):
 
 
 def _merge(plan: list, partials) -> dict:
-    """Merge chunk partials as they arrive, in chunk order (fixed float summation order)."""
+    """Merge chunk partials as they arrive, in chunk order (fixed float summation order).
+
+    An ``acc_*`` row is padded only when its own batch outgrows it; the rows
+    are padded to the longest and stacked once, at the end."""
     out: dict = {}
     for (_, _, g), part in zip(plan, partials):
         for key, val in part.items():
@@ -356,16 +369,23 @@ def _merge(plan: list, partials) -> dict:
                 out.setdefault(key, []).append(val)
             elif key.startswith("acc_"):
                 val = np.asarray(val, dtype=float)
-                rows = out.setdefault(key, np.zeros((plan[-1][2] + 1,) + val.shape[:-1] + (0,)))
-                if val.shape[-1] > rows.shape[-1]:
-                    pad = [(0, 0)] * (rows.ndim - 1) + [(0, val.shape[-1] - rows.shape[-1])]
-                    rows = out[key] = np.pad(rows, pad)
-                rows[g, ..., : val.shape[-1]] += val
+                rows = out.setdefault(key, {})
+                row = rows.get(g, np.zeros(val.shape[:-1] + (0,)))
+                if val.shape[-1] > row.shape[-1]:
+                    row = np.pad(row, [(0, 0)] * (row.ndim - 1) + [(0, val.shape[-1] - row.shape[-1])])
+                row[..., : val.shape[-1]] += val
+                rows[g] = row
             else:
                 raise KeyError(f"chunk partial key {key!r} has no merge rule")
     for key, val in out.items():
         if key.startswith("pp_"):
             out[key] = np.concatenate(val, axis=0)
+        else:  # every batch has a chunk, so its row
+            width = max(row.shape[-1] for row in val.values())
+            stacked = out[key] = np.zeros((len(val),) + val[0].shape[:-1] + (width,))
+            for g in range(len(val)):
+                row = val.pop(g)  # freed once stacked
+                stacked[g, ..., : row.shape[-1]] = row
     return out
 
 
