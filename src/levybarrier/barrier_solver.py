@@ -145,7 +145,8 @@ class _HistogramRho:
         return vals
 
     def __call__(self, b: float) -> float:
-        return float(self._f_prime_at(b) @ self.pooled) / self.n_paths
+        # a fixed-order sum: a BLAS dot over this many bins is threaded
+        return float((self._f_prime_at(b) * self.pooled).sum()) / self.n_paths
 
     def batch_means(self, b: float) -> np.ndarray:
         # row sums (unlike a matvec) give equal rows equal means

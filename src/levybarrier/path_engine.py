@@ -17,8 +17,8 @@ barrier) pair, first passage) is read off one running minimum per chunk,
 since the minimum of a shifted path is the shifted minimum; a path started
 at x is the path from 0 plus x bit for bit, so starts are offsets, and
 ``map_reduce_several`` lets several reducers share one simulation.  Sums
-along the grid take one dot product per path, so a path's sums do not
-depend on its chunk.
+along the grid take fixed-length dot products per path, so a path's sums
+depend neither on its chunk nor on the BLAS thread count.
 This is the package's only path simulator: the exp-clock supremum is read
 off the same paths by the estimators.
 """
@@ -57,6 +57,7 @@ NEVER = -1  # sentinel tau index: the path never went strictly below the barrier
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
 BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams
+DOT_SLICE = 10_000  # longest dot product OpenBLAS computes on one thread
 
 
 def horizon_for(q: float, tail_tol: float = 1e-4, dt: float | None = None) -> float:
@@ -239,16 +240,23 @@ def discount_factors(q: float, dt: float, n_grid: int) -> np.ndarray:
 
 
 def _grid_sum(g: np.ndarray, w: np.ndarray) -> np.ndarray | float:
-    """sum_i g[..., i] w[i], one dot product per row.
+    """sum_i g[..., i] w[i]: per row, dot products of consecutive slices of
+    at most DOT_SLICE grid points, added in order.
 
-    A dot per row adds in an order set by the row length alone, so a path's
-    sum does not depend on its chunk's row count; a BLAS matvec blocks rows,
-    and ``einsum`` buffers across rows beyond 8,192 grid points."""
+    The summation order is then set by the row length alone: a path's sum
+    does not depend on its chunk's row count (a BLAS matvec blocks rows, and
+    ``einsum`` buffers across rows beyond 8,192 grid points) nor on the BLAS
+    thread count (OpenBLAS splits a longer dot product across threads)."""
     g = np.asarray(g, dtype=float)
+    n = g.shape[-1]
+
+    def dot(row):
+        return sum((row[s:s + DOT_SLICE] @ w[s:s + DOT_SLICE] for s in range(DOT_SLICE, n, DOT_SLICE)),
+                   row[:DOT_SLICE] @ w[:DOT_SLICE])
+
     if g.ndim == 1:
-        return g @ w
-    rows = g.reshape(-1, g.shape[-1])
-    return np.array([row @ w for row in rows]).reshape(g.shape[:-1])
+        return dot(g)
+    return np.array([dot(row) for row in g.reshape(-1, n)]).reshape(g.shape[:-1])
 
 
 def discounted_integral(values: np.ndarray, q: float, dt: float) -> np.ndarray | float:

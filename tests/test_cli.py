@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,3 +233,20 @@ def test_mollified_problem_through_config(tmp_path):
     result = json.loads((out / "result.json").read_text())
     # smoothed |x| barrier sits near -log 2 + eps for this model
     assert abs(result["result"]["solve"]["b_star"] + np.log(2.0) - 0.2) <= 0.1
+
+
+@pytest.mark.parametrize("command, size", [("solve", ["--paths", "64", "--dt", "0.01"]),
+                                           ("value", ["--paths", "16", "--dt", "0.001"])])
+def test_result_independent_of_blas_threads(tmp_path, command, size):
+    # the solve's pooled histogram and the value's 18,421-point grid sums
+    # are longer than the dot products OpenBLAS keeps on one thread
+    src = Path(path_engine.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "levybarrier.cli", command, "--config", str(KOU),
+                        "--out", str(out)] + size, env=env, check=True, capture_output=True)
+        outputs.append((out / "result.json").read_bytes())
+    assert outputs[0] == outputs[1]

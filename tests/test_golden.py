@@ -20,6 +20,12 @@ of paths and integrated the clock out on the grid paths instead: only
 mean -5.826058238647674 -> -5.554555784839931, stderr 0.3676664364646955 ->
 0.2318208299745246 (every point moves by the same mean shift, +0.2715; the
 quadratic cost makes the curve a straight line in b either way).
+
+Re-pinned when the pooled histogram's rho-hat became a fixed-order sum (a
+BLAS dot over that many bins is threaded, so its bits followed
+OPENBLAS_NUM_THREADS): the last ``perturb`` level's ``rho_mean``, a
+near-cancelling sum, -0.0010940823676591181 -> -0.0010940823676578448
+(1.3e-15 absolute).  Every other figure held at rel 1e-12.
 """
 import json
 from pathlib import Path
@@ -157,7 +163,7 @@ PINNED = {"solve": {"b_star": -0.71826171875,
                                  [0.025,
                                   {"b_star": -0.56396484375,
                                    "ci_halfwidth": 0.05962461474389788,
-                                   "rho_mean": -0.0010940823676591181,
+                                   "rho_mean": -0.0010940823676578448,
                                    "rho_stderr": 0.2390714036247306}]]}}
 
 
