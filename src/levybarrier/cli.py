@@ -55,7 +55,7 @@ from .errors import (
 )
 from .estimators import estimate_record, estimate_rho_curve, estimate_value
 from .levy_model import JumpSpec, LevyTriplet
-from .path_engine import SimConfig, horizon_for
+from .path_engine import ENGINE_VERSION, SimConfig, horizon_for
 from .verification import run_checks
 
 COMMANDS = ("solve", "value", "rho", "sweep", "verify", "perturb")
@@ -350,6 +350,7 @@ def main(argv=None) -> int:
     payload = {
         "command": args.command,
         "config": cfg,
+        "engine_version": ENGINE_VERSION,
         "overrides": applied,
         "result": result,
     }

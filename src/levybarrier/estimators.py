@@ -31,6 +31,7 @@ from .cost_model import ProblemSpec
 from .errors import NonFiniteSample
 from .levy_model import LevyTriplet
 from .path_engine import (
+    ENGINE_VERSION,
     SimConfig,
     ValueCtx,
     _antithetic_active,
@@ -67,8 +68,9 @@ class EstimateWithError:
 
 
 def fingerprint(kind: str, triplet: LevyTriplet, problem: ProblemSpec, cfg: SimConfig, **extra) -> str:
-    """Stable hash of (model, problem, sim config, estimator kind, extras)."""
+    """Stable hash of (engine version, model, problem, sim config, estimator kind, extras)."""
     payload = {
+        "engine_version": ENGINE_VERSION,
         "kind": kind,
         "model": triplet.describe(),
         "problem": problem.describe(),

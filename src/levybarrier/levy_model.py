@@ -310,8 +310,8 @@ class JumpSpec:
             out = rng.uniform(self.lo, self.hi, size)
         else:  # Generator.choice(values, size, p=probs) without its validation
             cdf = np.cumsum(self.probs)
-            cdf /= cdf[-1]
-            out = np.asarray(self.values, dtype=float)[cdf.searchsorted(rng.random(size), side="right")]
+            idx = (cdf / cdf[-1]).searchsorted(rng.random(size), side="right")
+            out = np.asarray(self.values, dtype=float)[idx]
         while np.any(out == 0.0):
             idx = np.flatnonzero(out == 0.0)
             out[idx] = self.sample(rng, idx.size)

@@ -4,8 +4,10 @@ Paths are generated on the grid 0, dt, 2dt, ..., n_steps*dt.  Every path
 owns an independent random stream derived from (master_seed, path index)
 through ``numpy.random.SeedSequence`` spawn keys, so re-simulating any path
 reproduces it bit-for-bit regardless of batch size, chunking, or worker
-count.  Per path the draw order is fixed: Gaussian increments first (when
-sigma > 0), then Poisson jump counts per cell, then jump sizes.
+count.  Per path the draw order is fixed (``ENGINE_VERSION`` 2): N = n_steps
+Gaussian increments (when sigma > 0), a jump count K ~ Poisson(rate N dt), K
+uniform times U kept in draw order (given K, the jump times are iid uniform),
+K sizes; a jump at U lands at the right end of cell min(floor(U N), N - 1).
 
 Large runs never materialize the full (paths x grid) matrix: estimators
 stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
@@ -35,6 +37,7 @@ import numpy as np
 from .levy_model import LevyTriplet
 
 __all__ = [
+    "ENGINE_VERSION",
     "SimConfig",
     "PathBatch",
     "NEVER",
@@ -53,6 +56,7 @@ __all__ = [
     "discount_factors",
 ]
 
+ENGINE_VERSION = 2  # the per-path draw order of the module docstring
 NEVER = -1  # sentinel tau index: the path never went strictly below the barrier
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
@@ -150,22 +154,20 @@ def _path_increments(triplet, cfg, rng, mirror):
     n_steps = cfg.n_steps
     if triplet.sigma > 0:
         incr = rng.standard_normal(n_steps)
-        if mirror:
-            np.negative(incr, out=incr)
-        incr *= triplet.sigma * math.sqrt(cfg.dt)
+        incr *= (-1.0 if mirror else 1.0) * triplet.sigma * math.sqrt(cfg.dt)  # (-z) s is z (-s)
         incr += triplet.effective_drift * cfg.dt
     else:
         incr = np.full(n_steps, triplet.effective_drift * cfg.dt)
     rate = triplet.jumps.rate
     if rate > 0:
-        counts = rng.poisson(rate * cfg.dt, n_steps)
-        total = int(counts.sum())
+        total = int(rng.poisson(rate * n_steps * cfg.dt))
         if total:
+            cells = np.minimum((rng.random(total) * n_steps).astype(np.int64), n_steps - 1)
             sizes = triplet.jumps.sample(rng, total)
             if mirror:
                 np.negative(sizes, out=sizes)
             # jumps are booked at the right endpoint of their grid cell
-            np.add.at(incr, np.repeat(np.arange(n_steps), counts), sizes)
+            incr += np.bincount(cells, weights=sizes, minlength=n_steps)
     return incr
 
 
@@ -208,8 +210,7 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
 
 
 def _reflected_at_zero(values: np.ndarray) -> np.ndarray:
-    """U^0 = values - min(running_min, 0) in one new buffer: the ``u`` of
-    ``reflect_arrays(values, 0.0)`` bit for bit, since x + (0 - m) is x - m."""
+    """U^0 = values - min(running min, 0): ``reflect_arrays(values, 0.0)[0]`` bit for bit."""
     u = np.minimum.accumulate(values, axis=-1)
     np.minimum(u, 0.0, out=u)
     return np.subtract(values, u, out=u)
@@ -240,23 +241,16 @@ def discount_factors(q: float, dt: float, n_grid: int) -> np.ndarray:
 
 
 def _grid_sum(g: np.ndarray, w: np.ndarray) -> np.ndarray | float:
-    """sum_i g[..., i] w[i]: per row, dot products of consecutive slices of
-    at most DOT_SLICE grid points, added in order.
+    """sum_i g[..., i] w[i], per row the dots of DOT_SLICE-long slices added in order.
 
-    The summation order is then set by the row length alone: a path's sum
-    does not depend on its chunk's row count (a BLAS matvec blocks rows, and
-    ``einsum`` buffers across rows beyond 8,192 grid points) nor on the BLAS
-    thread count (OpenBLAS splits a longer dot product across threads)."""
+    So the summation order is set by the row length alone: neither by the
+    chunk's row count (a BLAS matvec blocks rows, ``einsum`` buffers rows
+    beyond 8,192 points) nor by the BLAS threads (a longer dot is split)."""
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
-
-    def dot(row):
-        return sum((row[s:s + DOT_SLICE] @ w[s:s + DOT_SLICE] for s in range(DOT_SLICE, n, DOT_SLICE)),
-                   row[:DOT_SLICE] @ w[:DOT_SLICE])
-
-    if g.ndim == 1:
-        return dot(g)
-    return np.array([dot(row) for row in g.reshape(-1, n)]).reshape(g.shape[:-1])
+    sums = [sum((row[s:s + DOT_SLICE] @ w[s:s + DOT_SLICE] for s in range(DOT_SLICE, n, DOT_SLICE)),
+                row[:DOT_SLICE] @ w[:DOT_SLICE]) for row in g.reshape(-1, n)]
+    return np.array(sums).reshape(g.shape[:-1])[()]
 
 
 def discounted_integral(values: np.ndarray, q: float, dt: float) -> np.ndarray | float:
@@ -366,10 +360,8 @@ def _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx):
 
 
 def _merge(plan: list, partials) -> dict:
-    """Merge chunk partials as they arrive, in chunk order (fixed float summation order).
-
-    An ``acc_*`` row is padded only when its own batch outgrows it; the rows
-    are padded to the longest and stacked once, at the end."""
+    """Merge chunk partials as they arrive, in chunk order (fixed float summation order);
+    each batch's ``acc_*`` row grows alone, and the rows are stacked once at the end."""
     out: dict = {}
     for (_, _, g), part in zip(plan, partials):
         for key, val in part.items():
@@ -377,22 +369,21 @@ def _merge(plan: list, partials) -> dict:
                 out.setdefault(key, []).append(val)
             elif key.startswith("acc_"):
                 val = np.asarray(val, dtype=float)
-                rows = out.setdefault(key, {})
-                row = rows.get(g, np.zeros(val.shape[:-1] + (0,)))
+                row = out.setdefault(key, {}).get(g, np.zeros(val.shape[:-1] + (0,)))
                 if val.shape[-1] > row.shape[-1]:
                     row = np.pad(row, [(0, 0)] * (row.ndim - 1) + [(0, val.shape[-1] - row.shape[-1])])
                 row[..., : val.shape[-1]] += val
-                rows[g] = row
+                out[key][g] = row
             else:
                 raise KeyError(f"chunk partial key {key!r} has no merge rule")
     for key, val in out.items():
         if key.startswith("pp_"):
             out[key] = np.concatenate(val, axis=0)
-        else:  # every batch has a chunk, so its row
+        else:
             width = max(row.shape[-1] for row in val.values())
             stacked = out[key] = np.zeros((len(val),) + val[0].shape[:-1] + (width,))
-            for g in range(len(val)):
-                row = val.pop(g)  # freed once stacked
+            for g in range(len(val)):  # every batch has a chunk; a row is freed once stacked
+                row = val.pop(g)
                 stacked[g, ..., : row.shape[-1]] = row
     return out
 

@@ -26,6 +26,15 @@ BLAS dot over that many bins is threaded, so its bits followed
 OPENBLAS_NUM_THREADS): the last ``perturb`` level's ``rho_mean``, a
 near-cancelling sum, -0.0010940823676591181 -> -0.0010940823676578448
 (1.3e-15 absolute).  Every other figure held at rel 1e-12.
+
+Re-pinned once for stream contract 2 (``path_engine.ENGINE_VERSION``): a
+path now draws one Poisson count of jumps over its whole horizon, then
+their uniform times, then their sizes, where contract 1 drew one count per
+grid cell.  Every case on a jump config (all but the ``bm_*`` ones) holds a
+new sample, so each of its figures moved within its noise; the old -> new
+figures are listed in CHANGES.md.  The ``bm_*`` cases are sigma-only, were
+pinned under contract 1 and hold unchanged: Gaussian paths are the same
+under both contracts.
 """
 import json
 from pathlib import Path
@@ -39,6 +48,14 @@ KOU = CONFIGS / "kou_two_sided.json"
 CP = CONFIGS / "compound_poisson.json"
 ALL_CHECKS = '["barrier_derivative","slope_identity","convexity","martingale","hjb"]'
 TINY = ["--paths", "64", "--dt", "0.01"]
+BM = {  # sigma only: its paths are Gaussian draws, whatever the jump draws do
+    "model": {"gamma": 0.0, "sigma": 1.0},
+    "problem": {"cost": {"kind": "quadratic"}, "C": 1.0, "q": 0.5},
+    "sim": {"dt": 0.01, "n_paths": 64, "master_seed": 7},
+    "solve": {"bisect_tol": 0.001},
+    "value": {"x": 0.0, "b": -1.25},
+    "rho": {"b_grid": [-1.5, -1.25, -1.0], "method": "exp_clock"},
+}
 
 RUNS = {
     "solve": ("solve", KOU, []),
@@ -48,6 +65,9 @@ RUNS = {
     "sweep": ("sweep", KOU, []),
     "verify": ("verify", KOU, ["--set", "verify.checks=" + ALL_CHECKS]),
     "perturb": ("perturb", CP, []),
+    "bm_solve": ("solve", BM, []),
+    "bm_value": ("value", BM, []),
+    "bm_rho_exp_clock": ("rho", BM, []),
 }
 
 
@@ -64,27 +84,25 @@ def _curve(records):
     return [[r["b"], r["mean"], r["stderr"]] for r in records]
 
 
-def figures(name, result):
+def figures(command, result):
     """The pinned numbers of one run's result.json payload."""
     res = result["result"]
-    if name == "solve":
+    if command == "solve":
         return _solve_figures(res["solve"])
-    if name == "value":
+    if command == "value":
         return {k: [res["value"][k]["mean"], res["value"][k]["stderr"]] for k in ("v", "v1", "v2")}
-    if name in ("rho", "rho_exp_clock"):
-        return _curve(res["rho"])
-    if name == "sweep":
-        return _curve(res["sweep"])
-    if name == "verify":
+    if command in ("rho", "sweep"):
+        return _curve(res[command])
+    if command == "verify":
         out = {r["name"]: [r["statistic"], r["tolerance"]] for r in res["verify"]}
         out["b_star"] = res["b_star"]
         return out
-    if name == "perturb":
+    if command == "perturb":
         return {
             "b_star": res["perturb"]["b_star"],
             "levels": [[eps, _solve_figures(rec)] for eps, rec in res["perturb"]["eps_sequence"]],
         }
-    raise KeyError(name)
+    raise KeyError(command)
 
 
 def _leaves(obj, path=""):
@@ -103,68 +121,82 @@ def _leaves(obj, path=""):
 
 def run_figures(name, out_dir):
     command, config, extra = RUNS[name]
+    if isinstance(config, dict):
+        path = out_dir / "config.json"
+        path.write_text(json.dumps(config))
+        config = path
     argv = [command, "--config", str(config), "--out", str(out_dir)] + TINY + extra
     assert main(argv) == 0
-    return figures(name, json.loads((out_dir / "result.json").read_text()))
+    return figures(command, json.loads((out_dir / "result.json").read_text()))
 
 
-PINNED = {"solve": {"b_star": -0.71826171875,
-                    "ci_halfwidth": 0.0488007838380486,
-                    "rho_mean": -0.5015480150914591,
-                    "rho_stderr": 0.19567207168148595},
-          "value": {"v": [1.305216308999336, 0.20243047844562348],
-                    "v1": [1.223431757057695, 0.20593290045374754],
-                    "v2": [0.16356910388328189, 0.03335254023938444]},
-          "rho": [[-2.0, -5.64081958343149, 0.19567190786366886],
-                  [-1.5, -3.636014985099134, 0.19567190786366884],
-                  [-1.0, -1.6312103867667789, 0.19567190786366886],
-                  [-0.5, 0.3735942115655764, 0.1956719078636689],
-                  [0.0, 2.3783988098979316, 0.19567190786366886],
-                  [0.5, 4.383203408230287, 0.19567190786366884],
-                  [1.0, 6.388008006562643, 0.19567190786366884]],
-          "rho_exp_clock": [[-2.0, -5.554555784839931, 0.2318208299745246],
-                            [-1.5, -3.5545557848399314, 0.2318208299745246],
-                            [-1.0, -1.5545557848399316, 0.2318208299745246],
-                            [-0.5, 0.44544421516006827, 0.23182082997452458],
-                            [0.0, 2.445444215160068, 0.2318208299745246],
-                            [0.5, 4.445444215160068, 0.23182082997452463],
-                            [1.0, 6.445444215160068, 0.23182082997452458]],
-          "sweep": [[-1.6, 1.5581598311597629, 0.20287757911887913],
-                    [-1.4, 1.4876467322030806, 0.20100189365778035],
-                    [-1.2, 1.415246911278853, 0.20044824122168506],
-                    [-1.0, 1.3513523681655708, 0.20117012490908118],
-                    [-0.8, 1.305216308999336, 0.20243047844562348],
-                    [-0.6, 1.300554216631915, 0.20372767518303808],
-                    [-0.4, 1.3867802421990771, 0.2154223767881833],
-                    [-0.2, 1.5918275074980288, 0.23146777303946417],
-                    [0.0, 1.971487571192466, 0.2557483083194403]],
-          "verify": {"barrier_derivative": [-0.0766733470803697, 0.28378038549557627],
-                     "slope_identity": [0.08067658232315375, 0.17562208433645313],
-                     "convexity": [-2.5474533778603787e-09, 0.0],
-                     "martingale": [0.13523554273434524, 7.619826478376133],
-                     "hjb": [-5.371824158303153, 0.0],
-                     "b_star": -0.71826171875},
-          "perturb": {"b_star": -0.56396484375,
-                      "levels": [[0.2,
-                                  {"b_star": -0.47998046875,
-                                   "ci_halfwidth": 0.051499194055816856,
-                                   "rho_mean": 0.000599970977482947,
-                                   "rho_stderr": 0.20649164210702634}],
-                                 [0.1,
-                                  {"b_star": -0.52783203125,
-                                   "ci_halfwidth": 0.05608203450123752,
-                                   "rho_mean": -0.0007011845922425541,
-                                   "rho_stderr": 0.22486704130383153}],
-                                 [0.05,
-                                  {"b_star": -0.55126953125,
-                                   "ci_halfwidth": 0.05843737116152976,
-                                   "rho_mean": 0.001623862719664821,
-                                   "rho_stderr": 0.23431102083817465}],
-                                 [0.025,
-                                  {"b_star": -0.56396484375,
-                                   "ci_halfwidth": 0.05962461474389788,
-                                   "rho_mean": -0.0010940823676578448,
-                                   "rho_stderr": 0.2390714036247306}]]}}
+PINNED = {"solve": {"b_star": -0.72314453125,
+           "ci_halfwidth": 0.04601682131818223,
+           "rho_mean": -0.5000839213652215,
+           "rho_stderr": 0.1845094699586605},
+ "value": {"v": [1.314148121799004, 0.1861201273096163],
+           "v1": [1.2284273963983794, 0.19041398465339537],
+           "v2": [0.17144145080124884, 0.028354163077841332]},
+ "rho": [[-2.0, -5.619774846876316, 0.18450974357527813],
+         [-1.5, -3.61497024854396, 0.18450974357527813],
+         [-1.0, -1.6101656502116048, 0.18450974357527813],
+         [-0.5, 0.3946389481207503, 0.1845097435752781],
+         [0.0, 2.3994435464531056, 0.1845097435752781],
+         [0.5, 4.404248144785461, 0.18450974357527813],
+         [1.0, 6.409052743117817, 0.18450974357527813]],
+ "rho_exp_clock": [[-2.0, -5.44480424568051, 0.2370860366354676],
+                   [-1.5, -3.4448042456805097, 0.2370860366354676],
+                   [-1.0, -1.44480424568051, 0.2370860366354676],
+                   [-0.5, 0.5551957543194903, 0.23708603663546762],
+                   [0.0, 2.55519575431949, 0.2370860366354676],
+                   [0.5, 4.55519575431949, 0.2370860366354676],
+                   [1.0, 6.55519575431949, 0.2370860366354676]],
+ "sweep": [[-1.6, 1.5396362460742197, 0.18127589612028994],
+           [-1.4, 1.4767712245252864, 0.18124048383034216],
+           [-1.2, 1.4165021346078444, 0.18220886205584125],
+           [-1.0, 1.3553236059834588, 0.18409442626405287],
+           [-0.8, 1.314148121799004, 0.1861201273096163],
+           [-0.6, 1.2998453306881392, 0.1878434868384516],
+           [-0.4, 1.3401620182923033, 0.1911018695917052],
+           [-0.2, 1.495500793585287, 0.1941575297654896],
+           [0.0, 1.8513717606608133, 0.20710826901134463]],
+ "verify": {"barrier_derivative": [-0.034453532313417655, 0.3151965406119779],
+            "slope_identity": [0.08612087160661691, 0.18679183876840505],
+            "convexity": [-2.4146159568020534e-09, 0.0],
+            "martingale": [0.33031707885956196, 8.706850042984678],
+            "hjb": [-5.291858120073129, 0.0],
+            "b_star": -0.72314453125},
+ "perturb": {"b_star": -0.67236328125,
+             "levels": [[0.2,
+                         {"b_star": -0.56689453125,
+                          "ci_halfwidth": 0.061790056382649804,
+                          "rho_mean": -0.0007903906019061484,
+                          "rho_stderr": 0.24775397833430485}],
+                        [0.1,
+                         {"b_star": -0.62646484375,
+                          "ci_halfwidth": 0.06799874108180493,
+                          "rho_mean": -0.0003385870878750037,
+                          "rho_stderr": 0.2726483776032262}],
+                        [0.05,
+                         {"b_star": -0.65673828125,
+                          "ci_halfwidth": 0.07124485757459502,
+                          "rho_mean": 0.0002513295144761299,
+                          "rho_stderr": 0.2856640361461635}],
+                        [0.025,
+                         {"b_star": -0.67236328125,
+                          "ci_halfwidth": 0.07287887201559377,
+                          "rho_mean": -0.0013841219953753398,
+                          "rho_stderr": 0.2922157954762759}]]},
+ "bm_solve": {"b_star": -1.14990234375,
+              "ci_halfwidth": 0.06356889805147638,
+              "rho_mean": -1.0005834131184421,
+              "rho_stderr": 0.2548864382490403},
+ "bm_value": {"v": [2.719368918990998, 0.37553232834003525],
+              "v1": [2.445331039473273, 0.38546493993456415],
+              "v2": [0.27403787951772546, 0.04933173334884561]},
+ "bm_rho_exp_clock": [[-1.5, -2.1248542156381385, 0.3427884220214285],
+                      [-1.25, -1.1248542156381385, 0.34278842202142845],
+                      [-1.0, -0.1248542156381386, 0.3427884220214285]]}
 
 
 @pytest.mark.parametrize("name", list(RUNS))

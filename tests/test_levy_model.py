@@ -189,6 +189,19 @@ def test_samples_never_zero():
         assert np.all(j.sample(rng, 5000) != 0.0)
 
 
+@pytest.mark.parametrize("values, probs", [((-1.0, 1.0), (0.5, 0.5)), ((1.0,), (1.0,)),
+                                           ((-2.0, 0.5, 3.0), (0.2, 0.3, 0.5)),
+                                           ((-1.5, 0.25, 2.0, 4.0), (0.1, 0.6, 0.2, 0.1))])
+def test_atom_sampler_is_generator_choice(values, probs):
+    jumps = JumpSpec.atom_sizes(1.0, values, probs)
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = jumps.sample(got_rng, 997)
+        want = want_rng.choice(np.asarray(values), size=997, p=np.asarray(probs))
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()  # the same draws consumed
+
+
 def test_truncated_mean_against_quadrature():
     for j in [kou(1.0, 0.7, 1.5, 3.0), JumpSpec.gaussian_sizes(1.0, 0.3, 0.8),
               JumpSpec.uniform_sizes(1.0, -0.4, 2.5)]:

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -164,6 +165,21 @@ def test_atom_increments_are_jump_multiples():
     halves = np.rint(jumps / 0.5)
     assert np.allclose(jumps, 0.5 * halves, rtol=0.0, atol=1e-12)
     assert np.any(halves != 0)  # some cells did book jumps
+
+
+def test_jump_counts_per_cell_are_poisson_and_uniform_in_time():
+    # a +1 atom with rate * dt = 0.05: a cell's increment counts its jumps,
+    # which must be Poisson(0.05) however the draws place them in time
+    up = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (1.0,), (1.0,)))
+    cfg = SimConfig(dt=0.05, horizon_T=5.0, n_paths=4000, master_seed=23, tail_tol=0.999)
+    counts = np.rint(np.diff(simulate_batch(up, 0.0, cfg).values, axis=-1))
+    lam, n = 0.05, counts.size
+    p0, p1 = math.exp(-lam), lam * math.exp(-lam)
+    for freq, p in ((counts == 0, p0), (counts == 1, p1), (counts >= 2, 1.0 - p0 - p1)):
+        assert abs(freq.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+    half = counts.shape[1] // 2
+    early, late = counts[:, :half].mean(), counts[:, half:].mean()
+    assert abs(early - late) <= 4.0 * math.sqrt(2.0 * lam / (n / 2))
 
 
 def test_translation_covariance():
