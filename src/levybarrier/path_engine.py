@@ -247,10 +247,11 @@ def _grid_sum(g: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     chunk's row count (a BLAS matvec blocks rows, ``einsum`` buffers rows
     beyond 8,192 points) nor by the BLAS threads (a longer dot is split)."""
     g = np.asarray(g, dtype=float)
-    n = g.shape[-1]
-    sums = [sum((row[s:s + DOT_SLICE] @ w[s:s + DOT_SLICE] for s in range(DOT_SLICE, n, DOT_SLICE)),
-                row[:DOT_SLICE] @ w[:DOT_SLICE]) for row in g.reshape(-1, n)]
-    return np.array(sums).reshape(g.shape[:-1])[()]
+    rows, w0 = g.reshape(-1, g.shape[-1]), w[:DOT_SLICE]
+    sums = np.array([row @ w0 for row in rows[:, :DOT_SLICE]])
+    for s in range(DOT_SLICE, rows.shape[-1], DOT_SLICE):
+        sums += [row @ w[s:s + DOT_SLICE] for row in rows[:, s:s + DOT_SLICE]]
+    return sums.reshape(g.shape[:-1])[()]
 
 
 def discounted_integral(values: np.ndarray, q: float, dt: float) -> np.ndarray | float:
