@@ -131,72 +131,72 @@ def run_figures(name, out_dir):
 
 
 PINNED = {"solve": {"b_star": -0.72314453125,
-           "ci_halfwidth": 0.04601682131818223,
-           "rho_mean": -0.5000839213652215,
-           "rho_stderr": 0.1845094699586605},
- "value": {"v": [1.314148121799004, 0.1861201273096163],
-           "v1": [1.2284273963983794, 0.19041398465339537],
-           "v2": [0.17144145080124884, 0.028354163077841332]},
- "rho": [[-2.0, -5.619774846876316, 0.18450974357527813],
-         [-1.5, -3.61497024854396, 0.18450974357527813],
-         [-1.0, -1.6101656502116048, 0.18450974357527813],
-         [-0.5, 0.3946389481207503, 0.1845097435752781],
-         [0.0, 2.3994435464531056, 0.1845097435752781],
-         [0.5, 4.404248144785461, 0.18450974357527813],
-         [1.0, 6.409052743117817, 0.18450974357527813]],
- "rho_exp_clock": [[-2.0, -5.44480424568051, 0.2370860366354676],
-                   [-1.5, -3.4448042456805097, 0.2370860366354676],
-                   [-1.0, -1.44480424568051, 0.2370860366354676],
-                   [-0.5, 0.5551957543194903, 0.23708603663546762],
-                   [0.0, 2.55519575431949, 0.2370860366354676],
-                   [0.5, 4.55519575431949, 0.2370860366354676],
-                   [1.0, 6.55519575431949, 0.2370860366354676]],
- "sweep": [[-1.6, 1.5396362460742197, 0.18127589612028994],
-           [-1.4, 1.4767712245252864, 0.18124048383034216],
-           [-1.2, 1.4165021346078444, 0.18220886205584125],
-           [-1.0, 1.3553236059834588, 0.18409442626405287],
-           [-0.8, 1.314148121799004, 0.1861201273096163],
-           [-0.6, 1.2998453306881392, 0.1878434868384516],
-           [-0.4, 1.3401620182923033, 0.1911018695917052],
-           [-0.2, 1.495500793585287, 0.1941575297654896],
-           [0.0, 1.8513717606608133, 0.20710826901134463]],
- "verify": {"barrier_derivative": [-0.034453532313417655, 0.3151965406119779],
-            "slope_identity": [0.08612087160661691, 0.18679183876840505],
-            "convexity": [-2.4146159568020534e-09, 0.0],
-            "martingale": [0.33031707885956196, 8.706850042984678],
-            "hjb": [-5.291858120073129, 0.0],
-            "b_star": -0.72314453125},
- "perturb": {"b_star": -0.67236328125,
-             "levels": [[0.2,
-                         {"b_star": -0.56689453125,
-                          "ci_halfwidth": 0.061790056382649804,
-                          "rho_mean": -0.0007903906019061484,
-                          "rho_stderr": 0.24775397833430485}],
-                        [0.1,
-                         {"b_star": -0.62646484375,
-                          "ci_halfwidth": 0.06799874108180493,
-                          "rho_mean": -0.0003385870878750037,
-                          "rho_stderr": 0.2726483776032262}],
-                        [0.05,
-                         {"b_star": -0.65673828125,
-                          "ci_halfwidth": 0.07124485757459502,
-                          "rho_mean": 0.0002513295144761299,
-                          "rho_stderr": 0.2856640361461635}],
-                        [0.025,
-                         {"b_star": -0.67236328125,
-                          "ci_halfwidth": 0.07287887201559377,
-                          "rho_mean": -0.0013841219953753398,
-                          "rho_stderr": 0.2922157954762759}]]},
- "bm_solve": {"b_star": -1.14990234375,
-              "ci_halfwidth": 0.06356889805147638,
-              "rho_mean": -1.0005834131184421,
-              "rho_stderr": 0.2548864382490403},
- "bm_value": {"v": [2.719368918990998, 0.37553232834003525],
-              "v1": [2.445331039473273, 0.38546493993456415],
-              "v2": [0.27403787951772546, 0.04933173334884561]},
- "bm_rho_exp_clock": [[-1.5, -2.1248542156381385, 0.3427884220214285],
-                      [-1.25, -1.1248542156381385, 0.34278842202142845],
-                      [-1.0, -0.1248542156381386, 0.3427884220214285]]}
+                    "ci_halfwidth": 0.04601682131818223,
+                    "rho_mean": -0.5000839213652215,
+                    "rho_stderr": 0.1845094699586605},
+          "value": {"v": [1.314148121799004, 0.1861201273096163],
+                    "v1": [1.2284273963983794, 0.19041398465339537],
+                    "v2": [0.17144145080124884, 0.028354163077841332]},
+          "rho": [[-2.0, -5.619774846876316, 0.18450974357527813],
+                  [-1.5, -3.61497024854396, 0.18450974357527813],
+                  [-1.0, -1.6101656502116048, 0.18450974357527813],
+                  [-0.5, 0.3946389481207503, 0.1845097435752781],
+                  [0.0, 2.3994435464531056, 0.1845097435752781],
+                  [0.5, 4.404248144785461, 0.18450974357527813],
+                  [1.0, 6.409052743117817, 0.18450974357527813]],
+          "rho_exp_clock": [[-2.0, -5.44480424568051, 0.2370860366354676],
+                            [-1.5, -3.4448042456805097, 0.2370860366354676],
+                            [-1.0, -1.44480424568051, 0.2370860366354676],
+                            [-0.5, 0.5551957543194903, 0.23708603663546762],
+                            [0.0, 2.55519575431949, 0.2370860366354676],
+                            [0.5, 4.55519575431949, 0.2370860366354676],
+                            [1.0, 6.55519575431949, 0.2370860366354676]],
+          "sweep": [[-1.6, 1.5396362460742197, 0.18127589612028994],
+                    [-1.4, 1.4767712245252864, 0.18124048383034216],
+                    [-1.2, 1.4165021346078444, 0.18220886205584125],
+                    [-1.0, 1.3553236059834588, 0.18409442626405287],
+                    [-0.8, 1.314148121799004, 0.1861201273096163],
+                    [-0.6, 1.2998453306881392, 0.1878434868384516],
+                    [-0.4, 1.3401620182923033, 0.1911018695917052],
+                    [-0.2, 1.495500793585287, 0.1941575297654896],
+                    [0.0, 1.8513717606608133, 0.20710826901134463]],
+          "verify": {"barrier_derivative": [-0.034453532313417655, 0.3151965406119779],
+                     "slope_identity": [0.08612087160661691, 0.18679183876840505],
+                     "convexity": [-2.4146159568020534e-09, 0.0],
+                     "martingale": [0.33031707885956196, 8.706850042984678],
+                     "hjb": [-5.291858120073129, 0.0],
+                     "b_star": -0.72314453125},
+          "perturb": {"b_star": -0.67236328125,
+                      "levels": [[0.2,
+                                  {"b_star": -0.56689453125,
+                                   "ci_halfwidth": 0.061790056382649804,
+                                   "rho_mean": -0.0007903906019061484,
+                                   "rho_stderr": 0.24775397833430485}],
+                                 [0.1,
+                                  {"b_star": -0.62646484375,
+                                   "ci_halfwidth": 0.06799874108180493,
+                                   "rho_mean": -0.0003385870878750037,
+                                   "rho_stderr": 0.2726483776032262}],
+                                 [0.05,
+                                  {"b_star": -0.65673828125,
+                                   "ci_halfwidth": 0.07124485757459502,
+                                   "rho_mean": 0.0002513295144761299,
+                                   "rho_stderr": 0.2856640361461635}],
+                                 [0.025,
+                                  {"b_star": -0.67236328125,
+                                   "ci_halfwidth": 0.07287887201559377,
+                                   "rho_mean": -0.0013841219953753398,
+                                   "rho_stderr": 0.2922157954762759}]]},
+          "bm_solve": {"b_star": -1.14990234375,
+                       "ci_halfwidth": 0.06356889805147638,
+                       "rho_mean": -1.0005834131184421,
+                       "rho_stderr": 0.2548864382490403},
+          "bm_value": {"v": [2.719368918990998, 0.37553232834003525],
+                       "v1": [2.445331039473273, 0.38546493993456415],
+                       "v2": [0.27403787951772546, 0.04933173334884561]},
+          "bm_rho_exp_clock": [[-1.5, -2.1248542156381385, 0.3427884220214285],
+                               [-1.25, -1.1248542156381385, 0.34278842202142845],
+                               [-1.0, -0.1248542156381386, 0.3427884220214285]]}
 
 
 @pytest.mark.parametrize("name", list(RUNS))
