@@ -28,7 +28,7 @@ import numpy as np
 
 from .cost_model import ProblemSpec
 from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
-from .estimators import EstimateWithError, _finish, _value_pass
+from .estimators import EstimateWithError, _finish, _outside_stacklevel, _value_pass
 from .levy_model import LevyTriplet, classify, exp_moment_check
 from .path_engine import (
     SimConfig,
@@ -126,32 +126,35 @@ def _solver_chunk(values, ctx: _SolverCtx):
     }
 
 
-class _HistogramRho:
-    """rho-hat(b) from the binned occupation of the CRN batch (``__call__``,
-    rows pooled in batch order) and of each path batch (``batch_means``)."""
+class _WeightedRho:
+    """rho-hat(b) = sum_j w_j f'_+(x_j + b) / n, pooled and per batch (``batch_means``), over
+    points shared by every batch row of ``weights`` (histogram bin centres, their weights
+    pooled once in batch order) or over one zero-weight-padded row of samples per batch."""
 
-    def __init__(self, hist: np.ndarray, batch_paths: np.ndarray, bin_width: float, f_prime):
-        self.centers = np.arange(hist.shape[-1]) * bin_width
-        self.hist = hist
-        self.pooled = np.sum(hist, axis=0)
+    def __init__(self, points: np.ndarray, weights: np.ndarray, batch_paths: np.ndarray, f_prime):
+        self.points = points
+        self.weights = weights
+        self.pooled = weights if points.ndim == 2 else np.sum(weights, axis=0)[None]
         self.batch_paths = batch_paths
         self.n_paths = float(batch_paths.sum())
         self.f_prime = f_prime
 
     def _f_prime_at(self, b: float) -> np.ndarray:
-        vals = np.asarray(self.f_prime(self.centers + b), dtype=float)
+        vals = np.asarray(self.f_prime(self.points + b), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteSample("f'_+ evaluated non-finite on the occupation support")
         return vals
 
+    @staticmethod
+    def _row_sums(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # fixed-order row sums (a BLAS dot is threaded); unlike a matvec, equal rows get equal means
+        return np.array([(row * v).sum() for row, v in zip(rows, np.broadcast_to(vals, rows.shape))])
+
     def __call__(self, b: float) -> float:
-        # a fixed-order sum: a BLAS dot over this many bins is threaded
-        return float((self._f_prime_at(b) * self.pooled).sum()) / self.n_paths
+        return float(self._row_sums(self._f_prime_at(b), self.pooled).sum()) / self.n_paths
 
     def batch_means(self, b: float) -> np.ndarray:
-        # row sums (unlike a matvec) give equal rows equal means
-        vals = self._f_prime_at(b)
-        return np.array([(row * vals).sum() for row in self.hist]) / self.batch_paths
+        return self._row_sums(self._f_prime_at(b), self.weights) / self.batch_paths
 
 
 def _expand_bracket(g: Callable, limit: float = BRACKET_LIMIT):
@@ -183,6 +186,56 @@ def _bisect(g: Callable, lo: float, hi: float, bisect_tol: float | None):
         iterations += 1
 
 
+def _require_moments_and_tol(triplet: LevyTriplet, bisect_tol: float | None) -> None:
+    if not exp_moment_check(triplet):
+        raise AssumptionViolated(
+            f"theta_bar = {triplet.exp_moment_theta:g} is not below the jump law's "
+            f"exponential tail rate {triplet.jumps.exp_tail_rate():g}, so "
+            "E[exp(theta_bar |J|)] is infinite"
+        )
+    if bisect_tol is not None and bisect_tol <= 0:
+        raise ValueError("bisect_tol must be positive")
+
+
+def _root_of(rho_hat: _WeightedRho, udisc, triplet, problem, cfg, bisect_tol, solver: str) -> BarrierResult:
+    """b* of rho-hat + C, its batch-means CI, and discounted_u0 from its per-path samples ``udisc``."""
+    g = lambda b: rho_hat(b) + problem.C
+    lo0, hi0 = _expand_bracket(g)
+    b_star, lo, hi, iterations = _bisect(g, lo0, hi0, bisect_tol=bisect_tol)
+
+    # batches hold whole antithetic pairs, so their means are not paired again;
+    # a deterministic model's batches copy one path, so their means are equal
+    # (its rows are scaled by unequal batch sizes, which a division rounds)
+    means = (np.full(len(rho_hat.batch_paths), rho_hat(b_star)) if triplet.is_deterministic
+             else rho_hat.batch_means(b_star))
+    rho_est = _finish("rho_at_b_star", means, False, triplet, problem, cfg, b=b_star, solver=solver)
+    # statistical half-width: stderr of rho near the root over a local slope
+    tol_eff = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(b_star))
+    delta = 10.0 * tol_eff
+    slope = (rho_hat(b_star + delta) - rho_hat(b_star - delta)) / (2 * delta)
+    flat = slope < FLAT_SLOPE_EPS
+    if flat:
+        warnings.warn(
+            "rho is numerically flat near the fitted barrier (kink plateau of f'); "
+            "the confidence half-width is unbounded",
+            stacklevel=_outside_stacklevel(),
+        )
+    ci = math.inf if flat else rho_est.stderr / slope
+    # rho mean at the root as the bisection saw it (pooled batch mean)
+    rho_est = replace(rho_est, mean=rho_hat(b_star), n=cfg.n_paths)
+    u0_est = _finish("discounted_u0", udisc, _antithetic_active(triplet, cfg), triplet, problem, cfg)
+    return BarrierResult(
+        b_star=b_star,
+        bracket=(lo, hi),
+        rho_at_b_star=rho_est,
+        iterations=iterations,
+        ci_halfwidth=ci,
+        slope=slope,
+        flat_slope=flat,
+        discounted_u0=u0_est,
+    )
+
+
 def solve_barrier(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -206,59 +259,16 @@ def solve_barrier(
         raise AssumptionViolated(
             "driftless compound Poisson model: use solve_barrier_perturbed"
         )
-    if not exp_moment_check(triplet):
-        raise AssumptionViolated(
-            f"theta_bar = {triplet.exp_moment_theta:g} is not below the jump law's "
-            f"exponential tail rate {triplet.jumps.exp_tail_rate():g}, so "
-            "E[exp(theta_bar |J|)] is infinite"
-        )
-    if bisect_tol is not None and bisect_tol <= 0:
-        raise ValueError("bisect_tol must be positive")
+    _require_moments_and_tol(triplet, bisect_tol)
     cfg.validate_for(problem.q)
-    anti = _antithetic_active(triplet, cfg)
     tol_floor = bisect_tol if bisect_tol is not None else 1e-3
     bin_width = min(1e-3, tol_floor) / 4.0
 
     ctx = _SolverCtx(bin_width=bin_width, w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
     out = map_reduce_paths(triplet, 0.0, cfg, _solver_chunk, ctx, n_workers=n_workers)
-    rho_hat = _HistogramRho(
-        out["acc_hist"], out["acc_paths"][:, 0], bin_width, problem.cost.f_prime_plus
-    )
-    g = lambda b: rho_hat(b) + problem.C
-    lo0, hi0 = _expand_bracket(g)
-    b_star, lo, hi, iterations = _bisect(g, lo0, hi0, bisect_tol=bisect_tol)
-
-    # batches hold whole antithetic pairs, so their means are not paired again;
-    # a deterministic model's batches copy one path, so their means are equal
-    # (its rows are scaled by unequal batch sizes, which a division rounds)
-    means = (np.full(len(rho_hat.batch_paths), rho_hat(b_star)) if triplet.is_deterministic
-             else rho_hat.batch_means(b_star))
-    rho_est = _finish("rho_at_b_star", means, False, triplet, problem, cfg, b=b_star, solver="histogram")
-    # statistical half-width: stderr of rho near the root over a local slope
-    tol_eff = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(b_star))
-    delta = 10.0 * tol_eff
-    slope = (rho_hat(b_star + delta) - rho_hat(b_star - delta)) / (2 * delta)
-    flat = slope < FLAT_SLOPE_EPS
-    if flat:
-        warnings.warn(
-            "rho is numerically flat near the fitted barrier (kink plateau of f'); "
-            "the confidence half-width is unbounded",
-            stacklevel=2,
-        )
-    ci = math.inf if flat else rho_est.stderr / slope
-    # rho mean at the root as the bisection saw it (pooled binned batch mean)
-    rho_est = replace(rho_est, mean=rho_hat(b_star), n=cfg.n_paths)
-    u0_est = _finish("discounted_u0", out["pp_udisc"], anti, triplet, problem, cfg)
-    return BarrierResult(
-        b_star=b_star,
-        bracket=(lo, hi),
-        rho_at_b_star=rho_est,
-        iterations=iterations,
-        ci_halfwidth=ci,
-        slope=slope,
-        flat_slope=flat,
-        discounted_u0=u0_est,
-    )
+    rho_hat = _WeightedRho(np.arange(out["acc_hist"].shape[-1]) * bin_width, out["acc_hist"],
+                           out["acc_paths"][:, 0], problem.cost.f_prime_plus)
+    return _root_of(rho_hat, out["pp_udisc"], triplet, problem, cfg, bisect_tol, "histogram")
 
 
 def solve_barrier_perturbed(

@@ -311,21 +311,24 @@ def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
     the level) and, with ``f_prime``, ``pp_fprime_to_tau`` the left-rule
     integral of f'_+ along that unreflected path up to tau.
     """
+    n_grid = values.shape[-1]
+    w, disc = integral_weights(ctx.q, ctx.dt, n_grid), discount_factors(ctx.q, ctx.dt, n_grid)
     m = np.minimum.accumulate(values, axis=-1)
     running, control = np.empty((2, values.shape[0], len(ctx.pairs)))
     r, u = np.empty_like(values), np.empty_like(values)
     for k, (o, b) in enumerate(ctx.pairs):
         np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
         np.add(np.add(values, o, out=u), r, out=u)
-        running[:, k] = discounted_integral(ctx.f(u), ctx.q, ctx.dt)
-        control[:, k] = discounted_stieltjes(r, ctx.q, ctx.dt)
+        running[:, k] = _grid_sum(ctx.f(u), w)
+        # u is spent: it takes R's increments, np.diff(r, prepend=0.0) bit for bit
+        u[:, 0] = r[:, 0]
+        np.subtract(r[:, 1:], r[:, :-1], out=u[:, 1:])
+        control[:, k] = _grid_sum(u, disc)
     out = {"pp_running": running, "pp_control": control}
     if ctx.passages:
-        n_grid = values.shape[-1]
         tau = np.stack([first_passage_index(m + o, level) for o, level in ctx.passages], axis=1)
-        out["pp_tau_disc"] = np.append(discount_factors(ctx.q, ctx.dt, n_grid), 0.0)[tau]
+        out["pp_tau_disc"] = np.append(disc, 0.0)[tau]
         if ctx.f_prime is not None:
-            w = integral_weights(ctx.q, ctx.dt, n_grid)
             out["pp_fprime_to_tau"] = np.stack([
                 stopped_integral(np.asarray(ctx.f_prime(values + o), dtype=float), w, tau[:, [k]])[:, 0]
                 for k, (o, _) in enumerate(ctx.passages)
