@@ -15,7 +15,8 @@ per-batch rho-hat(b*) over sqrt(B), B = 64 batches (63 degrees of freedom).
 
 Driftless compound Poisson models are handled by re-solving under the
 drift-perturbed processes X_t - eps*t for a decreasing grid of eps and
-reporting the smallest-eps barrier.
+reporting the smallest-eps barrier.  Those paths are linear between jumps,
+so their supremum at the exponential clock is sampled exactly, with no grid.
 """
 from __future__ import annotations
 
@@ -33,8 +34,11 @@ from .levy_model import LevyTriplet, classify, exp_moment_check
 from .path_engine import (
     SimConfig,
     _antithetic_active,
+    _chunk_plan,
     _grid_sum,
     _reflected_at_zero,
+    clock_skeleton,
+    clock_suprema,
     integral_weights,
     map_reduce_paths,
 )
@@ -271,6 +275,13 @@ def solve_barrier(
     return _root_of(rho_hat, out["pp_udisc"], triplet, problem, cfg, bisect_tol, "histogram")
 
 
+def _batch_rows(x: np.ndarray, plan) -> np.ndarray:
+    """The per-path rows of ``x`` as one zero-padded row per batch of ``plan``."""
+    rows = [np.concatenate([x[lo:hi].ravel() for lo, hi, h in plan if h == g]) for g in range(plan[-1][2] + 1)]
+    width = max(map(len, rows))
+    return np.stack([np.pad(r, (0, width - len(r))) for r in rows])
+
+
 def solve_barrier_perturbed(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -281,10 +292,13 @@ def solve_barrier_perturbed(
 ) -> PerturbedBarrierResult:
     """Barrier for a driftless compound Poisson model via vanishing drifts.
 
-    Solves for X_t - eps*t over a decreasing eps grid (same seeds, so the
-    levels are common-random-number coupled) and reports the smallest-eps
-    barrier; the sequence decreases toward the limit as eps shrinks, which
-    is surfaced as a diagnostic rather than extrapolated.
+    Solves for X_t - eps*t over a decreasing eps grid and reports the
+    smallest-eps barrier; the sequence decreases toward the limit as eps
+    shrinks, which is surfaced as a diagnostic rather than extrapolated.
+    No grid is simulated: each path draws its jumps up to the exponential clock
+    once, in this process whatever ``n_workers`` is (``clock_skeleton``), and every
+    level reads its exact suprema S_k off them (``clock_suprema``): the levels are
+    coupled exactly, ``cfg.dt`` does not enter, and rho-hat(b) = sum_k pi_k f'_+(S_k + b) / (q n).
     """
     if not classify(triplet).driftless_compound_poisson:
         raise AssumptionViolated("solve_barrier_perturbed expects a driftless compound Poisson model")
@@ -293,12 +307,20 @@ def solve_barrier_perturbed(
         raise ValueError("eps_grid must contain positive values")
     if any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing")
+    problem.require_admissible()
+    _require_moments_and_tol(triplet, bisect_tol)
+    pi, gaps, sizes = clock_skeleton(triplet, cfg, problem.q)
+    w = pi / problem.q
+    plan = _chunk_plan(cfg.n_paths, 1, _antithetic_active(triplet, cfg), cfg.n_paths)
+    weights = _batch_rows(np.broadcast_to(w, gaps.shape), plan)
+    batch_paths = np.bincount([g for _, _, g in plan], weights=[hi - lo for lo, hi, _ in plan])
     levels = []
     for eps in eps_grid:
-        res = solve_barrier(
-            triplet.with_drift_added(-eps), problem, cfg, bisect_tol=bisect_tol, n_workers=n_workers
-        )
-        levels.append((eps, res))
+        level = triplet.with_drift_added(-eps)
+        sup = clock_suprema(gaps, sizes, level.effective_drift)
+        rho_hat = _WeightedRho(_batch_rows(sup, plan), weights, batch_paths, problem.cost.f_prime_plus)
+        levels.append((eps, _root_of(rho_hat, (sup * w).sum(axis=1), level, problem, cfg, bisect_tol,
+                                     "clock_skeleton")))
     bs = [res.b_star for _, res in levels]
     tol_eff = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(bs[-1]))
     monotone = all(b1 >= b2 - 2 * tol_eff for b1, b2 in zip(bs, bs[1:]))

@@ -4,10 +4,12 @@ Paths are generated on the grid 0, dt, 2dt, ..., n_steps*dt.  Every path
 owns an independent random stream derived from (master_seed, path index)
 through ``numpy.random.SeedSequence`` spawn keys, so re-simulating any path
 reproduces it bit-for-bit regardless of batch size, chunking, or worker
-count.  Per path the draw order is fixed (``ENGINE_VERSION`` 2): N = n_steps
+count.  Per path the draw order is fixed (``ENGINE_VERSION`` 3): N = n_steps
 Gaussian increments (when sigma > 0), a jump count K ~ Poisson(rate N dt), K
 uniform times U kept in draw order (given K, the jump times are iid uniform),
 K sizes; a jump at U lands at the right end of cell min(floor(U N), N - 1).
+A path's jumps up to an Exponential(q) clock (``clock_skeleton``) are K
+Exp(1) gaps, then K sizes, K fixed by the rate, q and ``tail_tol``.
 
 Large runs never materialize the full (paths x grid) matrix: estimators
 stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
@@ -21,8 +23,8 @@ at x is the path from 0 plus x bit for bit, so starts are offsets, and
 ``map_reduce_several`` lets several reducers share one simulation.  Sums
 along the grid take fixed-length dot products per path, so a path's sums
 depend neither on its chunk nor on the BLAS thread count.
-This is the package's only path simulator: the exp-clock supremum is read
-off the same paths by the estimators.
+Grid paths serve every estimator, solver and check but one: the clock
+skeleton serves ``solve_barrier_perturbed``, whose paths are linear between jumps.
 """
 from __future__ import annotations
 
@@ -51,12 +53,14 @@ __all__ = [
     "discounted_stieltjes",
     "map_reduce_paths",
     "map_reduce_several",
+    "clock_skeleton",
+    "clock_suprema",
     "horizon_for",
     "integral_weights",
     "discount_factors",
 ]
 
-ENGINE_VERSION = 2  # the per-path draw order of the module docstring
+ENGINE_VERSION = 3  # the per-path draw orders of the module docstring
 NEVER = -1  # sentinel tau index: the path never went strictly below the barrier
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
@@ -202,6 +206,37 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
         )
     anti = _antithetic_active(triplet, cfg, warn=True)
     return PathBatch(values=_simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti))
+
+
+def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float):
+    """(pi, gaps, sizes) of each path's jumps up to an Exponential(q) clock.
+
+    Segment k ends at the clock with probability pi_k = p^(k-1) (1 - p), p = rate / (rate + q);
+    the last of K takes the tail mass p^(K-1) <= ``cfg.tail_tol``.  ``gaps`` (segment lengths)
+    and ``sizes`` (the jumps ending them) are (n_paths, K), drawn as the module docstring says.
+    """
+    rate = triplet.jumps.rate
+    p = rate / (rate + q)
+    k = 1 + math.ceil(math.log(cfg.tail_tol) / math.log(p))
+    pi = p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
+    n = cfg.n_paths // 2 if _antithetic_active(triplet, cfg, warn=True) else cfg.n_paths
+    gaps, sizes = np.empty((2, cfg.n_paths, k))
+    for path in range(n):
+        rng = _path_rng(cfg.master_seed, path)
+        gaps[path] = rng.standard_exponential(k)
+        sizes[path] = triplet.jumps.sample(rng, k)
+    gaps[n:], sizes[n:] = gaps[: cfg.n_paths - n], -sizes[: cfg.n_paths - n]  # antithetic mirrors
+    gaps /= rate + q
+    return pi, gaps, sizes
+
+
+def clock_suprema(gaps: np.ndarray, sizes: np.ndarray, drift: float) -> np.ndarray:
+    """S_k = max(0, sup over segments 1..k) per path moving at ``drift`` over each gap, then
+    jumping: a segment's top is its start plus max(drift, 0) times its gap."""
+    tops = np.zeros_like(gaps)
+    np.cumsum(drift * gaps[:, :-1] + sizes[:, :-1], axis=1, out=tops[:, 1:])
+    tops += max(drift, 0.0) * gaps
+    return np.maximum(np.maximum.accumulate(tops, axis=1), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, SimConfig, barrier_solver, builtin_cost
@@ -182,6 +183,31 @@ def test_negative_subordinator_cp_exact_root():
     assert abs(res.b_star + q * C / 2.0) <= 1e-3
     levels = [r.b_star for _, r in res.levels]
     assert levels[0] == levels[1]  # barrier invariant to the drift perturbation
+
+
+def test_perturbed_negative_subordinator_reads_f_prime_over_q():
+    # S = 0 on every path, so rho-hat(b) = f'_+(b) / q = 2 b / q at each level
+    q = 0.5
+    neg = lb.driftless_compound_poisson(JumpSpec.kou_mixture(1.0, 0.0, 1.0, 2.0))
+    res = solve_barrier_perturbed(neg, quad_problem(1.0, q), make_cfg(q, n=130, seed=5),
+                                  eps_grid=(0.2, 0.05), bisect_tol=1e-3)
+    for _, r in res.levels:
+        assert r.rho_at_b_star.mean == pytest.approx(2.0 * r.b_star / q, rel=1e-12)
+        assert r.discounted_u0.mean == 0.0
+
+
+def test_perturbed_matches_spectrally_positive_closed_form():
+    # up-jumps Exp(eta) only: P(S_{e_q} > x) = ((eta - beta) / eta) e^{-beta x}, beta
+    # the root on (0, eta) of -eps beta + lam beta / (eta - beta) = q (Kou & Wang,
+    # Adv. Appl. Probab. 2003, sigma = 0), so b* = -qC/2 - E S = -qC/2 - (eta - beta) / (eta beta)
+    q, C, lam, eta, tol = 0.5, 1.0, 1.0, 2.0, 1e-3
+    up = lb.driftless_compound_poisson(JumpSpec.kou_mixture(lam, 1.0, eta, 3.0))
+    res = solve_barrier_perturbed(up, quad_problem(C, q), make_cfg(q, n=2000),
+                                  eps_grid=(0.2, 0.05), bisect_tol=tol)
+    for eps, r in res.levels:
+        beta = brentq(lambda b: -eps * b + lam * b / (eta - b) - q, 1e-9, eta - 1e-9)
+        exact = -q * C / 2.0 - (eta - beta) / (eta * beta)
+        assert abs(r.b_star - exact) <= 3.0 * r.ci_halfwidth + tol
 
 
 def test_symmetric_cp_monotone_levels():

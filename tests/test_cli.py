@@ -53,6 +53,22 @@ def test_byte_identical_rerun_and_worker_invariance(tmp_path):
     assert b1 == (out3 / "result.json").read_bytes()
 
 
+def test_perturb_byte_identical_across_workers(tmp_path):
+    # symmetric atoms with antithetic pairs: the mirror half reuses its streams
+    cfg = write_config(
+        tmp_path,
+        model={"gamma": 0.0, "sigma": 0.0,
+               "jumps": {"rate": 1.0, "dist": {"kind": "atoms", "values": [-1.0, 1.0], "probs": [0.5, 0.5]}}},
+        problem={"cost": {"kind": "quadratic"}, "C": 0.0, "q": 0.5},
+        sim={"dt": 5e-3, "n_paths": 200, "master_seed": 3, "antithetic": True},
+        perturb={"eps_grid": [0.2, 0.05], "bisect_tol": 1e-3},
+    )
+    out1, out3 = tmp_path / "a", tmp_path / "c"
+    assert run(["perturb", "--config", cfg, "--out", out1]) == 0
+    assert run(["perturb", "--config", cfg, "--out", out3, "--workers", "3"]) == 0
+    assert (out1 / "result.json").read_bytes() == (out3 / "result.json").read_bytes()
+
+
 def test_override_recorded_and_applied(tmp_path):
     cfg = write_config(tmp_path, solve={"bisect_tol": 2e-3})
     out = tmp_path / "out"

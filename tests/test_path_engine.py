@@ -16,6 +16,8 @@ from levybarrier.path_engine import (
     ValueCtx,
     _chunk_plan,
     _simulate_chunk,
+    clock_skeleton,
+    clock_suprema,
     discount_factors,
     discounted_integral,
     discounted_stieltjes,
@@ -241,6 +243,33 @@ def test_path_reproducible_independent_of_batch():
     full = simulate_batch(kou, 0.0, cfg)
     row5 = _simulate_chunk(kou, 0.0, cfg, 5, 6, False)
     assert np.array_equal(full.values[5], row5[0])
+
+
+def test_clock_skeleton_reproducible_independent_of_n_paths():
+    cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=8, master_seed=11, tail_tol=1e-3)
+    kou = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 3.0))
+    pi, gaps, sizes = clock_skeleton(kou, cfg, 0.5)
+    # p = 2/3: K = 1 + ceil(log(1e-3) / log p) segments, tail mass p^(K-1) <= tail_tol
+    assert len(pi) == 19 and pi[-1] <= 1e-3 and pi.sum() == pytest.approx(1.0, rel=1e-14)
+    _, gaps3, sizes3 = clock_skeleton(kou, replace(cfg, n_paths=3), 0.5)
+    assert np.array_equal(gaps[:3], gaps3) and np.array_equal(sizes[:3], sizes3)
+    # an antithetic mirror reuses stream p - n/2 with negated sizes
+    sym = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5)))
+    _, g_anti, s_anti = clock_skeleton(sym, replace(cfg, antithetic=True), 0.5)
+    _, g_half, s_half = clock_skeleton(sym, replace(cfg, n_paths=4), 0.5)
+    assert np.array_equal(g_anti, np.vstack([g_half, g_half]))
+    assert np.array_equal(s_anti, np.vstack([s_half, -s_half]))
+
+
+def test_clock_suprema_nonincreasing_in_eps():
+    cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=500, master_seed=12)
+    kou = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 3.0))
+    _, gaps, sizes = clock_skeleton(kou, cfg, 0.5)
+    sups = [clock_suprema(gaps, sizes, kou.effective_drift - eps) for eps in (-0.1, 0.0, 0.025, 0.2, 1.0)]
+    assert all(np.all(s >= 0.0) and np.all(np.diff(s, axis=1) >= 0.0) for s in sups)
+    for hi, lo in zip(sups, sups[1:]):
+        assert np.all(hi >= lo)
+    assert np.any(sups[0] > sups[-1])
 
 
 def _sum_chunk(values, ctx):
