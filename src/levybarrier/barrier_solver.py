@@ -34,6 +34,7 @@ from .levy_model import LevyTriplet, classify, exp_moment_check
 from .path_engine import (
     SimConfig,
     _antithetic_active,
+    _batch_path_counts,
     _chunk_plan,
     _grid_sum,
     _reflected_at_zero,
@@ -125,7 +126,6 @@ def _solver_chunk(values, ctx: _SolverCtx):
     weights = np.broadcast_to(ctx.w, u.shape).ravel()
     return {
         "acc_hist": np.bincount(bins.ravel(), weights=weights),
-        "acc_paths": np.array([float(values.shape[0])]),
         "pp_udisc": udisc,
     }
 
@@ -271,7 +271,8 @@ def solve_barrier(
     ctx = _SolverCtx(bin_width=bin_width, w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
     out = map_reduce_paths(triplet, 0.0, cfg, _solver_chunk, ctx, n_workers=n_workers)
     rho_hat = _WeightedRho(np.arange(out["acc_hist"].shape[-1]) * bin_width, out["acc_hist"],
-                           out["acc_paths"][:, 0], problem.cost.f_prime_plus)
+                           _batch_path_counts(cfg.n_paths, _antithetic_active(triplet, cfg)),
+                           problem.cost.f_prime_plus)
     return _root_of(rho_hat, out["pp_udisc"], triplet, problem, cfg, bisect_tol, "histogram")
 
 
@@ -288,7 +289,6 @@ def solve_barrier_perturbed(
     cfg: SimConfig,
     eps_grid=(0.2, 0.1, 0.05, 0.025),
     bisect_tol: float | None = None,
-    n_workers: int = 1,
 ) -> PerturbedBarrierResult:
     """Barrier for a driftless compound Poisson model via vanishing drifts.
 
@@ -296,9 +296,9 @@ def solve_barrier_perturbed(
     smallest-eps barrier; the sequence decreases toward the limit as eps
     shrinks, which is surfaced as a diagnostic rather than extrapolated.
     No grid is simulated: each path draws its jumps up to the exponential clock
-    once, in this process whatever ``n_workers`` is (``clock_skeleton``), and every
-    level reads its exact suprema S_k off them (``clock_suprema``): the levels are
-    coupled exactly, ``cfg.dt`` does not enter, and rho-hat(b) = sum_k pi_k f'_+(S_k + b) / (q n).
+    once (``clock_skeleton``), and every level reads its exact suprema S_k off
+    them (``clock_suprema``): the levels are coupled exactly, ``cfg.dt`` does not
+    enter, and rho-hat(b) = sum_k pi_k f'_+(S_k + b) / (q n).
     """
     if not classify(triplet).driftless_compound_poisson:
         raise AssumptionViolated("solve_barrier_perturbed expects a driftless compound Poisson model")
@@ -311,9 +311,10 @@ def solve_barrier_perturbed(
     _require_moments_and_tol(triplet, bisect_tol)
     pi, gaps, sizes = clock_skeleton(triplet, cfg, problem.q)
     w = pi / problem.q
-    plan = _chunk_plan(cfg.n_paths, 1, _antithetic_active(triplet, cfg), cfg.n_paths)
+    anti = _antithetic_active(triplet, cfg)
+    plan = _chunk_plan(cfg.n_paths, 1, anti, cfg.n_paths)
     weights = _batch_rows(np.broadcast_to(w, gaps.shape), plan)
-    batch_paths = np.bincount([g for _, _, g in plan], weights=[hi - lo for lo, hi, _ in plan])
+    batch_paths = _batch_path_counts(cfg.n_paths, anti)
     levels = []
     for eps in eps_grid:
         level = triplet.with_drift_added(-eps)
@@ -339,13 +340,10 @@ def barrier_sweep(
     b_grid,
     cfg: SimConfig,
     n_workers: int = 1,
-    return_samples: bool = False,
 ):
     """Evaluate v-hat_b(x) over a barrier grid on shared CRN paths.
 
-    Returns a list of (b, EstimateWithError); with ``return_samples`` the
-    per-path value matrix is returned as well so callers can form pathwise
-    differences between barriers.
+    Returns a list of (b, EstimateWithError).
     """
     b_grid = [float(b) for b in b_grid]
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
@@ -353,10 +351,7 @@ def barrier_sweep(
     cfg.validate_for(problem.q)
     anti = _antithetic_active(triplet, cfg)
     v, _ = _value_pass(triplet, problem, cfg, x, [(0.0, b) for b in b_grid], n_workers=n_workers)
-    curve = [
+    return [
         (b, _finish("sweep_value", v[:, k], anti, triplet, problem, cfg, b=b, x=x))
         for k, b in enumerate(b_grid)
     ]
-    if return_samples:
-        return curve, v
-    return curve

@@ -291,10 +291,8 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
     if command == "perturb":
         section = cfg.get("perturb", {})
         eps_grid = section.get("eps_grid", [0.2, 0.1, 0.05, 0.025])
-        res = solve_barrier_perturbed(
-            model, problem, sim, eps_grid=eps_grid, bisect_tol=section.get("bisect_tol"),
-            n_workers=n_workers,
-        )
+        res = solve_barrier_perturbed(model, problem, sim, eps_grid=eps_grid,
+                                      bisect_tol=section.get("bisect_tol"))
         print(f"perturb: b_star={res.b_star:.6g} (smallest eps of {len(res.levels)})")
         return {"perturb": res.to_record()}
 

@@ -6,19 +6,19 @@ and the derivative limits at -inf/+inf.  All evaluation callables must accept
 scalars and numpy arrays and be pure; the builtin families are implemented as
 small picklable classes so costs can cross process boundaries.
 
-``mollify`` produces the double-averaged smoothing of a convex cost: its
-derivative is the average of f'_+ over x + y + z with y, z independent
-uniforms on (-eps, 0), equivalently a triangular kernel on [x - 2 eps, x].
-It is evaluated in closed form for the builtin families and by quadrature
-otherwise.
+``mollify`` smooths a builtin cost into f_eps(x) = E f(x + S) - E f(a + S) + f(a),
+S = -(Y + Z) with Y, Z iid uniform(0, eps): a triangular kernel on [-2 eps, 0].
+f_eps and its two derivatives are closed forms (polynomials for the quadratic and
+quartic families; the kernel's call, CDF and density at each kink of a
+piecewise-linear one); costs that are not builtin families cannot be mollified.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AssumptionViolated, NonConvexSpec
 
@@ -228,104 +228,45 @@ def builtin_cost(kind: str, **params) -> CostSpec:
 # ---------------------------------------------------------------------------
 
 
-def _triangle_cdf(u, eps):
-    """CDF of the kernel S = Y + Z, Y, Z iid uniform(-eps, 0); support [-2eps, 0]."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    left = (u > -2 * eps) & (u <= -eps)
-    right = (u > -eps) & (u < 0.0)
-    out[left] = (u[left] + 2 * eps) ** 2 / (2 * eps**2)
-    out[right] = 1.0 - u[right] ** 2 / (2 * eps**2)
-    out[u >= 0.0] = 1.0
-    return out
+def _kernel_part(y, eps: float, order: int):
+    """E[(y + S)^+] (order 0), or the CDF (1) or density (2) of -S at y: second backward
+    differences of (y^+)^n / n!, n = 3 - order, over eps^2 below 2 eps, where the kink is
+    inside the kernel, and exactly y - eps, 1 or 0 above (no cancellation at large y)."""
+    n, head = 3 - order, np.minimum(y, 2.0 * eps)
+    inner = np.maximum(head, 0.0) ** n - 2.0 * np.maximum(head - eps, 0.0) ** n
+    return np.where(y < 2.0 * eps, inner / (math.factorial(n) * eps**2), (y - eps, 1.0, 0.0)[order])
 
 
-class _MollifiedDerivative:
-    """Derivative of the smoothed cost: triangular-kernel average of f'_+."""
+class _Mollified:
+    """Order ``order`` derivative of x -> E f(x + S) for a builtin family f, in closed form;
+    order 0 is shifted so that it equals f at ``anchor``."""
 
-    def __init__(self, base: CostSpec, eps: float):
-        self.base = base
-        self.eps = eps
-        self.kind = base.descriptor[0]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        eps = self.eps
-        if self.kind == "quadratic":
-            return 2.0 * (x - eps)
-        if self.kind == "quartic":
-            # E[(x+S)^3] with S triangular: mean -eps, variance eps^2/6, zero skew
-            c = x - eps
-            return 4.0 * (c**3 + 0.5 * c * eps**2)
-        if self.kind == "piecewise_linear":
-            slopes = np.asarray(self.base.descriptor[1])
-            kinks = np.asarray(self.base.descriptor[2])
-            # integrate the piecewise-constant slope against the kernel CDF
-            edges = np.concatenate(([-np.inf], kinks, [np.inf]))
-            out = np.zeros_like(x)
-            for j, s in enumerate(slopes):
-                hi = np.where(np.isinf(edges[j + 1]), 1.0, _triangle_cdf(edges[j + 1] - x, eps))
-                lo = np.where(np.isinf(edges[j]), 0.0, _triangle_cdf(edges[j] - x, eps))
-                out += s * (hi - lo)
-            return out
-        return self._quad(x)
-
-    def _quad(self, x):
-        f = self.base.f
-        eps = self.eps
-
-        def one(xx):
-            val, _ = integrate.quad(
-                lambda z: float(f(xx + z)) - float(f(xx + z - eps)), -eps, 0.0, limit=200
-            )
-            return val / eps**2
-
-        return np.vectorize(one)(x)
-
-
-class _MollifiedSecond:
-    """Exact second derivative of the smoothed cost from base values."""
-
-    def __init__(self, base_f, eps):
-        self.base_f = base_f
-        self.eps = eps
+    def __init__(self, base: CostSpec, eps: float, order: int, anchor: float = 0.0):
+        kind, e2 = base.descriptor[0], eps**2
+        self.eps, self.order, self.shift, self.poly = eps, order, 0.0, None
+        # polynomials in x - eps: S + eps is symmetric, variance eps^2 / 6, fourth moment eps^4 / 15
+        if kind == "quadratic":
+            self.poly = ([1.0, 0.0, e2 / 6.0], [2.0, 0.0], [2.0])[order]
+        elif kind == "quartic":
+            self.poly = ([1.0, 0.0, e2, 0.0, e2**2 / 15.0], [4.0, 0.0, 2.0 * e2, 0.0],
+                         [12.0, 0.0, 2.0 * e2])[order]
+        elif kind == "piecewise_linear":
+            # f = s_0 (x - k_1) + sum_j (s_j - s_(j-1)) (x - k_j)^+, as _PiecewiseLinear
+            self.slopes, self.kinks = (np.asarray(v, dtype=float) for v in base.descriptor[1:3])
+        else:
+            raise ValueError(f"mollify supports the builtin cost families only, not {base.descriptor!r}")
+        if order == 0:
+            self.shift = float(base.f(anchor)) - float(self(anchor))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        e = self.eps
-        return (
-            np.asarray(self.base_f(x))
-            - 2.0 * np.asarray(self.base_f(x - e))
-            + np.asarray(self.base_f(x - 2 * e))
-        ) / e**2
-
-
-class _MollifiedValue:
-    """Smoothed cost anchored so that the value agrees with f at the anchor."""
-
-    def __init__(self, base: CostSpec, deriv: _MollifiedDerivative, eps: float, anchor: float):
-        self.base = base
-        self.deriv = deriv
-        self.eps = eps
-        self.anchor = anchor
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        anchor_val = float(self.base.f(self.anchor))
-        pts = None
-        if self.base.descriptor[0] == "piecewise_linear":
-            kinks = np.asarray(self.base.descriptor[2])
-            pts = np.unique(np.concatenate([kinks, kinks + self.eps, kinks + 2 * self.eps]))
-
-        def one(xx):
-            lo, hi = sorted((self.anchor, xx))
-            inner = [] if pts is None else [p for p in pts if lo < p < hi]
-            val, _ = integrate.quad(
-                lambda y: float(self.deriv(y)), self.anchor, xx, points=inner or None, limit=200
-            )
-            return anchor_val + val
-
-        return np.vectorize(one)(x) if x.ndim else float(one(float(x)))
+        if self.poly is not None:
+            return np.polyval(self.poly, x - self.eps) + self.shift
+        s0, k1 = self.slopes[0], self.kinks[0]
+        out = (s0 * (x - self.eps - k1), np.full_like(x, s0), np.zeros_like(x))[self.order]
+        for k, ds in zip(self.kinks, np.diff(self.slopes)):
+            out = out + ds * _kernel_part(x - k, self.eps, self.order)
+        return out + self.shift
 
 
 def mollify(cost: CostSpec, epsilon: float, b_star_anchor: float = 0.0) -> CostSpec:
@@ -335,19 +276,19 @@ def mollify(cost: CostSpec, epsilon: float, b_star_anchor: float = 0.0) -> CostS
     (-epsilon, 0)^2 shifted to x, so it lies between f'_-(x - 2 epsilon) and
     f'_-(x) and increases pointwise toward f'_- as epsilon decreases.  The
     anchor only fixes the additive constant (value equality at the anchor);
-    derivatives and hence the optimal barrier do not depend on it.
+    derivatives and hence the optimal barrier do not depend on it.  A cost
+    that is not a builtin family (descriptor) raises ValueError here.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    deriv = _MollifiedDerivative(cost, epsilon)
-    value = _MollifiedValue(cost, deriv, epsilon, b_star_anchor)
+    deriv = _Mollified(cost, epsilon, 1)
     # |f_eps| <= |f| + |f(a) - f(a - 2 eps)| + 2 eps sup|slope| style slack,
     # folded into k1 via the growth bound at shifted arguments
     shift = 2.0 * epsilon + abs(b_star_anchor)
     k1 = cost.growth_k1 * 2 + cost.growth_k2 * (2.0 * shift + 1.0) ** cost.growth_degree
     k2 = cost.growth_k2 * 2.0 ** cost.growth_degree
     return CostSpec(
-        f=value,
+        f=_Mollified(cost, epsilon, 0, b_star_anchor),
         f_prime_plus=deriv,
         f_prime_minus=deriv,
         growth_k1=float(k1),
@@ -355,5 +296,5 @@ def mollify(cost: CostSpec, epsilon: float, b_star_anchor: float = 0.0) -> CostS
         growth_degree=cost.growth_degree,
         f_prime_limits=cost.f_prime_limits,
         descriptor=("mollified", cost.descriptor, epsilon, b_star_anchor),
-        f_double_prime=_MollifiedSecond(cost.f, epsilon),
+        f_double_prime=_Mollified(cost, epsilon, 2),
     )

@@ -66,6 +66,8 @@ NEVER = -1  # sentinel tau index: the path never went strictly below the barrier
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
 BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams
 DOT_SLICE = 10_000  # longest dot product OpenBLAS computes on one thread
+BATCH_FLOATS = 2**27  # largest (paths x grid) batch simulate_batch materializes
+SKELETON_FLOATS = 2**22  # largest (paths x K) clock skeleton: perturb peaks at ~8 such arrays
 
 
 def horizon_for(q: float, tail_tol: float = 1e-4, dt: float | None = None) -> float:
@@ -199,7 +201,7 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
     streaming estimators instead.
     """
     n_grid = cfg.n_steps + 1
-    if cfg.n_paths * n_grid > 2**27:
+    if cfg.n_paths * n_grid > BATCH_FLOATS:
         raise ValueError(
             "batch of %d paths x %d grid points is too large to materialize; "
             "use the streaming estimators" % (cfg.n_paths, n_grid)
@@ -213,11 +215,15 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float):
 
     Segment k ends at the clock with probability pi_k = p^(k-1) (1 - p), p = rate / (rate + q);
     the last of K takes the tail mass p^(K-1) <= ``cfg.tail_tol``.  ``gaps`` (segment lengths)
-    and ``sizes`` (the jumps ending them) are (n_paths, K), drawn as the module docstring says.
+    and ``sizes`` (the jumps ending them) are (n_paths, K), drawn as the module docstring says;
+    n_paths * K above ``SKELETON_FLOATS`` raises ValueError before anything is allocated.
     """
     rate = triplet.jumps.rate
     p = rate / (rate + q)
     k = 1 + math.ceil(math.log(cfg.tail_tol) / math.log(p))
+    if cfg.n_paths * k > SKELETON_FLOATS:
+        raise ValueError(f"clock skeleton of {cfg.n_paths} paths x K = {k} jumps exceeds the budget of "
+                         f"{SKELETON_FLOATS} floats; use fewer paths, a larger q or tail_tol")
     pi = p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
     n = cfg.n_paths // 2 if _antithetic_active(triplet, cfg, warn=True) else cfg.n_paths
     gaps, sizes = np.empty((2, cfg.n_paths, k))
@@ -392,6 +398,12 @@ def _chunk_plan(n_paths: int, n_grid: int, antithetic: bool, target: int) -> lis
         for g, (start, hi) in enumerate(zip(bounds, bounds[1:]))
         for lo in range(start, hi, size)
     ]
+
+
+def _batch_path_counts(n_paths: int, antithetic: bool) -> np.ndarray:
+    """Paths in each fixed batch of ``_chunk_plan`` (both mirrored halves), as floats."""
+    plan = _chunk_plan(n_paths, 1, antithetic, n_paths)
+    return np.bincount([g for _, _, g in plan], weights=[hi - lo for lo, hi, _ in plan])
 
 
 def _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx):

@@ -8,7 +8,7 @@ import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, SimConfig, barrier_solver, builtin_cost
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated, NoSignChange
-from levybarrier.estimators import estimate_rho, estimate_value
+from levybarrier.estimators import _value_pass, estimate_rho, estimate_value
 from levybarrier.barrier_solver import barrier_sweep, solve_barrier, solve_barrier_perturbed
 from levybarrier.path_engine import horizon_for, integral_weights
 
@@ -243,8 +243,10 @@ def test_sweep_minimized_near_fitted_barrier():
     cfg = make_cfg(q, dt=2e-3, n=3000, seed=10)
     res = solve_barrier(BM, prob, cfg)
     grid = res.b_star + np.linspace(-1.0, 1.0, 11)
-    curve, samples = barrier_sweep(BM, prob, x=0.0, b_grid=grid, cfg=cfg, return_samples=True)
+    curve = barrier_sweep(BM, prob, x=0.0, b_grid=grid, cfg=cfg)
+    samples, _ = _value_pass(BM, prob, cfg, 0.0, [(0.0, b) for b in grid])  # the sweep's per-path values
     means = np.array([est.mean for _, est in curve])
+    assert means == pytest.approx(samples.mean(axis=0), rel=1e-12)
     j_min = int(np.argmin(means))
     j_star = int(np.argmin(np.abs(grid - res.b_star)))
     gap = samples[:, j_star] - samples[:, j_min]

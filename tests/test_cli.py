@@ -236,19 +236,26 @@ def test_verify_reads_its_checks_off_one_pass(tmp_path, monkeypatch, extra, pass
     assert len(reports) == (5 if extra else 3)
 
 
-def test_mollified_problem_through_config(tmp_path):
+@pytest.mark.parametrize("command", ["solve", "value", "sweep", "verify"])
+def test_mollified_problem_through_config(tmp_path, command):
+    # every command finishes on a mollified cost: its values are closed forms
     cfg = write_config(
         tmp_path,
         model={"gamma": 0.0, "sigma": 1.0, "jumps": {"rate": 0.0}},
         problem={"cost": {"kind": "abs"}, "C": 0.0, "q": 0.5, "mollify": {"epsilon": 0.2}},
         sim={"dt": 5e-3, "n_paths": 500, "master_seed": 11},
         solve={"bisect_tol": 2e-3},
+        value={"x": 0.0, "b": -0.5},
+        sweep={"x": 0.0, "b_grid": [-0.8, -0.5, -0.2]},
     )
     out = tmp_path / "out"
-    assert run(["solve", "--config", cfg, "--out", out]) == 0
-    result = json.loads((out / "result.json").read_text())
-    # smoothed |x| barrier sits near -log 2 + eps for this model
-    assert abs(result["result"]["solve"]["b_star"] + np.log(2.0) - 0.2) <= 0.1
+    size = [] if command == "solve" else ["--paths", "200", "--dt", "0.01"]
+    assert run([command, "--config", cfg, "--out", out] + size) == 0
+    result = json.loads((out / "result.json").read_text())["result"]
+    assert command in result
+    if command == "solve":
+        # smoothed |x| barrier sits near -log 2 + eps for this model
+        assert abs(result["solve"]["b_star"] + np.log(2.0) - 0.2) <= 0.1
 
 
 @pytest.mark.parametrize("command, size", [("solve", ["--paths", "64", "--dt", "0.01"]),

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from levybarrier import builtin_cost, mollify
-from levybarrier.cost_model import ProblemSpec
+from levybarrier.cost_model import CostSpec, ProblemSpec
 from levybarrier.errors import AssumptionViolated, NonConvexSpec
 
 
@@ -72,26 +72,42 @@ def test_mollified_abs_exact_values():
     assert m.f_prime_plus(2 * eps) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mollified_derivative_against_quadrature():
-    # oracle: the equivalent single integral of the continuous difference
-    # quotient [f(x+z) - f(x+z-eps)] / eps, split at the kink crossings
+@pytest.mark.parametrize("field", ["f", "f_prime_plus"])
+def test_mollified_derivative_against_quadrature(field):
+    # oracles, split at the kink crossings: f_eps(x) = E f(x+S) - E f(a+S) + f(a)
+    # against the triangular density of S on [-2 eps, 0], and f_eps'(x) as the
+    # equivalent single integral of the difference quotient [f(x+z) - f(x+z-eps)] / eps
     base = builtin_cost("piecewise_linear", slopes=(-2.0, 0.5, 3.0), kinks=(-0.5, 1.0))
     eps = 0.37
     m = mollify(base, eps)
     kinks = (-0.5, 1.0)
 
-    def oracle(x):
-        breaks = sorted(
-            {z for k in kinks for z in (k - x, k - x + eps) if -eps < z < 0.0}
-        )
-        val, _ = integrate.quad(
-            lambda z: float(base.f(x + z)) - float(base.f(x + z - eps)),
-            -eps, 0.0, points=breaks or None, limit=200, epsabs=1e-13, epsrel=1e-13,
-        )
-        return val / eps**2
+    def quad(g, lo, breaks):
+        inner = sorted(b for b in breaks if lo < b < 0.0)
+        val, _ = integrate.quad(g, lo, 0.0, points=inner or None, limit=200, epsabs=1e-13, epsrel=1e-13)
+        return val
 
+    def smoothed(x):
+        density = lambda s: (eps - abs(s + eps)) / eps**2
+        return quad(lambda s: float(base.f(x + s)) * density(s), -2 * eps, {-eps} | {k - x for k in kinks})
+
+    def slope(x):
+        breaks = {z for k in kinks for z in (k - x, k - x + eps)}
+        return quad(lambda z: float(base.f(x + z)) - float(base.f(x + z - eps)), -eps, breaks) / eps**2
+
+    oracle = {"f": lambda x: smoothed(x) - smoothed(0.0) + float(base.f(0.0)), "f_prime_plus": slope}[field]
     for x in (-1.3, -0.5, -0.2, 0.4, 1.0, 1.2, 1.9):
-        assert float(m.f_prime_plus(x)) == pytest.approx(oracle(x), abs=1e-9)
+        assert float(getattr(m, field)(x)) == pytest.approx(oracle(x), abs=1e-9)
+
+
+def test_mollify_rejects_costs_outside_the_builtin_families():
+    base = builtin_cost("abs")
+    custom = CostSpec(f=base.f, f_prime_plus=base.f_prime_plus, f_prime_minus=base.f_prime_minus,
+                      growth_k1=0.0, growth_k2=1.0, growth_degree=1, f_prime_limits=(-1.0, 1.0))
+    with pytest.raises(ValueError, match=r"\('custom',\)"):
+        mollify(custom, 0.2)
+    with pytest.raises(ValueError, match=r"\('mollified', \('piecewise_linear'"):
+        mollify(mollify(base, 0.2), 0.1)
 
 
 def test_mollified_quadratic_second_derivative_exact():

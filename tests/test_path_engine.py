@@ -14,6 +14,7 @@ from levybarrier.path_engine import (
     BATCHES,
     NEVER,
     ValueCtx,
+    _batch_path_counts,
     _chunk_plan,
     _simulate_chunk,
     clock_skeleton,
@@ -261,6 +262,14 @@ def test_clock_skeleton_reproducible_independent_of_n_paths():
     assert np.array_equal(s_anti, np.vstack([s_half, -s_half]))
 
 
+def test_clock_skeleton_over_budget_raises_before_allocating():
+    # rate 10, q = 0.01: K = 9,216 jumps per path; gaps and sizes alone would take 1.37 GiB
+    cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=10_000, master_seed=13)
+    cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(10.0, (-1.0, 1.0), (0.5, 0.5)))
+    with pytest.raises(ValueError, match=r"10000 paths x K = 9216 jumps .* budget of 4194304"):
+        clock_skeleton(cp, cfg, 0.01)
+
+
 def test_clock_suprema_nonincreasing_in_eps():
     cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=500, master_seed=12)
     kou = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 3.0))
@@ -347,6 +356,7 @@ def test_chunk_plan_batches(n_paths, n_grid, antithetic, target):
     assert sizes.size == min(BATCHES, n_streams) and sizes.max() - sizes.min() <= 1
     whole = _chunk_plan(n_paths, n_grid, antithetic, 10**9)
     assert [g for lo, hi, g in whole for _ in range(lo, hi)] == batch.tolist()
+    assert np.array_equal(_batch_path_counts(n_paths, antithetic), np.bincount(batch))
 
 
 def test_antithetic_ignored_warns_once_per_call():
