@@ -1,8 +1,10 @@
 """Discretized path simulation, reflection, and discounted functionals.
 
 Paths are generated on the grid 0, dt, 2dt, ..., n_steps*dt.  Every path
-owns an independent random stream derived from (master_seed, path index)
-through ``numpy.random.SeedSequence`` spawn keys, so re-simulating any path
+owns an independent random stream derived from (master_seed, path index):
+the ``PCG64DXSM`` state that ``numpy.random.SeedSequence(master_seed,
+spawn_key=(index,))`` seeds, derived for a whole chunk at once and loaded in
+turn into one reused generator (``_path_rngs``), so re-simulating any path
 reproduces it bit-for-bit regardless of batch size, chunking, or worker
 count.  Per path the draw order is fixed (``ENGINE_VERSION`` 3): N = n_steps
 Gaussian increments (when sigma > 0), a jump count K ~ Poisson(rate N dt), K
@@ -28,7 +30,9 @@ skeleton serves ``solve_barrier_perturbed``, whose paths are linear between jump
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -94,8 +98,10 @@ class SimConfig:
             raise ValueError("dt and horizon_T must be positive")
         if self.dt > self.horizon_T:
             raise ValueError("dt must not exceed horizon_T")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+        if not 1 <= self.n_paths <= 2**32:  # stream indices are one-word spawn keys
+            raise ValueError("n_paths must lie in [1, 2**32]")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be a non-negative integer")
         if not (0 < self.tail_tol < 1):
             raise ValueError("tail_tol must lie in (0, 1)")
 
@@ -131,9 +137,48 @@ class PathBatch:
 # ---------------------------------------------------------------------------
 
 
-def _path_rng(master_seed: int, stream_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream_index,))
-    return np.random.Generator(np.random.PCG64DXSM(seq))
+# numpy.random.SeedSequence's hash (pool size 4) and PCG64DXSM's seeding step
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, k: int, init: int = _INIT_A, mult: int = _MULT_A):
+    """SeedSequence's k-th hashmix (counting from 0) of ``value``, an int or uint32 array."""
+    const = init * pow(mult, k, 2**32) & _MASK32
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y):
+    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _path_rngs(master_seed: int, streams):
+    """One Generator, set in turn to the start of stream (master_seed, i) for each i of ``streams``.
+
+    Each state equals ``PCG64DXSM(SeedSequence(master_seed, spawn_key=(i,)))``'s: the pool
+    after the seed's words (padded to 4) is hashed once, then only the spawn word i < 2**32
+    is mixed in, for all streams at once."""
+    seed = operator.index(master_seed)
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 128), 32)]  # >= 4 words
+    ks = itertools.count()
+    pool = [_hashmix(w, next(ks)) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(ks)))
+    for w in words[4:] + [np.asarray(streams, dtype=np.uint32)]:  # the spawn word comes last
+        pool = [_mix(x, _hashmix(w, next(ks))) for x in pool]
+    state = [_hashmix(pool[k % 4], k, _INIT_B, _MULT_B) for k in range(8)]  # generate_state(4, u64)
+    seeds = np.stack(state, axis=-1).astype("<u4").view("<u8").tolist()
+    rng = np.random.Generator(np.random.PCG64DXSM(0))
+    for s_hi, s_lo, i_hi, i_lo in seeds:
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        s = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64DXSM", "state": {"state": s, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False) -> bool:
@@ -156,40 +201,35 @@ def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False)
     return True
 
 
-def _path_increments(triplet, cfg, rng, mirror):
-    n_steps = cfg.n_steps
-    if triplet.sigma > 0:
-        incr = rng.standard_normal(n_steps)
-        incr *= (-1.0 if mirror else 1.0) * triplet.sigma * math.sqrt(cfg.dt)  # (-z) s is z (-s)
-        incr += triplet.effective_drift * cfg.dt
-    else:
-        incr = np.full(n_steps, triplet.effective_drift * cfg.dt)
-    rate = triplet.jumps.rate
-    if rate > 0:
-        total = int(rng.poisson(rate * n_steps * cfg.dt))
+def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti):
+    """Values (hi-lo, n_steps+1) for paths lo..hi-1; ``anti`` (mirror the second half) is decided
+    once per pass by the caller.  The draws go straight into each row; scaling, drift, jumps (at
+    their cell's right end) and the running sum then act chunk-wide, each element rounding as
+    it would path by path."""
+    n_steps, rate, half = cfg.n_steps, triplet.jumps.rate, cfg.n_paths // 2
+    paths = np.arange(lo, hi)
+    mirror = anti & (paths >= half)
+    values = np.empty((hi - lo, n_steps + 1))
+    jumps = []
+    for j, rng in enumerate(_path_rngs(cfg.master_seed, paths - mirror * half)):
+        if triplet.sigma > 0:
+            rng.standard_normal(out=values[j, 1:])
+        total = int(rng.poisson(rate * n_steps * cfg.dt)) if rate > 0 else 0
         if total:
             cells = np.minimum((rng.random(total) * n_steps).astype(np.int64), n_steps - 1)
             sizes = triplet.jumps.sample(rng, total)
-            if mirror:
-                np.negative(sizes, out=sizes)
-            # jumps are booked at the right endpoint of their grid cell
-            incr += np.bincount(cells, weights=sizes, minlength=n_steps)
-    return incr
-
-
-def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti):
-    """Values (hi-lo, n_steps+1) for paths lo..hi-1; ``anti`` (mirror the
-    second half) is decided once per pass by the caller."""
-    n_steps = cfg.n_steps
-    half = cfg.n_paths // 2
-    values = np.empty((hi - lo, n_steps + 1))
+            jumps.append((j, cells, -sizes if mirror[j] else sizes))
+    incr = values[:, 1:]
+    if triplet.sigma > 0:
+        incr *= np.where(mirror, -1.0, 1.0)[:, None] * triplet.sigma * math.sqrt(cfg.dt)  # (-z) s is z (-s)
+        incr += triplet.effective_drift * cfg.dt
+    else:
+        incr[:] = triplet.effective_drift * cfg.dt
+    for j, cells, sizes in jumps:
+        incr[j] += np.bincount(cells, weights=sizes, minlength=n_steps)
+    np.cumsum(incr, axis=1, out=incr)
+    incr += x_start
     values[:, 0] = x_start
-    for j, p in enumerate(range(lo, hi)):
-        mirror = anti and p >= half
-        stream = p - half if mirror else p
-        rng = _path_rng(cfg.master_seed, stream)
-        np.cumsum(_path_increments(triplet, cfg, rng, mirror), out=values[j, 1:])
-        values[j, 1:] += x_start
     return values
 
 
@@ -227,9 +267,8 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float):
     pi = p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
     n = cfg.n_paths // 2 if _antithetic_active(triplet, cfg, warn=True) else cfg.n_paths
     gaps, sizes = np.empty((2, cfg.n_paths, k))
-    for path in range(n):
-        rng = _path_rng(cfg.master_seed, path)
-        gaps[path] = rng.standard_exponential(k)
+    for path, rng in enumerate(_path_rngs(cfg.master_seed, range(n))):
+        rng.standard_exponential(out=gaps[path])
         sizes[path] = triplet.jumps.sample(rng, k)
     gaps[n:], sizes[n:] = gaps[: cfg.n_paths - n], -sizes[: cfg.n_paths - n]  # antithetic mirrors
     gaps /= rate + q
@@ -288,10 +327,10 @@ def _grid_sum(g: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     chunk's row count (a BLAS matvec blocks rows, ``einsum`` buffers rows
     beyond 8,192 points) nor by the BLAS threads (a longer dot is split)."""
     g = np.asarray(g, dtype=float)
-    rows, w0 = g.reshape(-1, g.shape[-1]), w[:DOT_SLICE]
-    sums = np.array([row @ w0 for row in rows[:, :DOT_SLICE]])
+    rows = g.reshape(-1, g.shape[-1])
+    sums = np.vecdot(rows[:, :DOT_SLICE], w[:DOT_SLICE])  # one ddot per row, as row @ w would
     for s in range(DOT_SLICE, rows.shape[-1], DOT_SLICE):
-        sums += [row @ w[s:s + DOT_SLICE] for row in rows[:, s:s + DOT_SLICE]]
+        sums += np.vecdot(rows[:, s:s + DOT_SLICE], w[s:s + DOT_SLICE])
     return sums.reshape(g.shape[:-1])[()]
 
 

@@ -100,6 +100,17 @@ def test_missing_field_exit_2(tmp_path, capsys):
     assert "problem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, model", [
+    ("solve", {"gamma": 0.0, "sigma": 1.0, "jumps": {"rate": 0.0}}),
+    ("perturb", {"gamma": 0.0, "sigma": 0.0,
+                 "jumps": {"rate": 1.0, "dist": {"kind": "atoms", "values": [-1.0], "probs": [1.0]}}}),
+])
+def test_negative_seed_exit_2(tmp_path, capsys, command, model):
+    cfg = write_config(tmp_path, model=model, perturb={"eps_grid": [0.1], "bisect_tol": 1e-3})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", "--seed", "-1"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_assumption_violation_exit_3(tmp_path):
     cfg = write_config(tmp_path, problem={"cost": {"kind": "abs"}, "C": 5.0, "q": 0.5})
     assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 3

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost
+from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost, path_engine
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.estimators import estimate_rho
 from levybarrier.path_engine import (
     BATCHES,
+    DOT_SLICE,
     NEVER,
     ValueCtx,
     _batch_path_counts,
     _chunk_plan,
+    _grid_sum,
+    _path_rngs,
     _simulate_chunk,
     clock_skeleton,
     clock_suprema,
@@ -244,6 +247,112 @@ def test_path_reproducible_independent_of_batch():
     full = simulate_batch(kou, 0.0, cfg)
     row5 = _simulate_chunk(kou, 0.0, cfg, 5, 6, False)
     assert np.array_equal(full.values[5], row5[0])
+
+
+# ---------------------------------------------------------------------------
+# per-path streams: NumPy's own seeding is the reference
+# ---------------------------------------------------------------------------
+
+STREAMS = [*range(50), 123_456, 2**31, 2**32 - 1]
+
+
+def _seed_sequence_rng(master_seed, stream):
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master_seed, spawn_key=(stream,))))
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 611, 2**32 + 5, 2**70 + 3, 12 * 10**39])
+def test_stream_states_equal_seed_sequence(master_seed):
+    for stream, rng in zip(STREAMS, _path_rngs(master_seed, STREAMS), strict=True):
+        assert rng.bit_generator.state == _seed_sequence_rng(master_seed, stream).bit_generator.state
+
+
+def _reference_chunk(triplet, x_start, cfg, lo, hi, anti):
+    """Paths lo..hi-1 one at a time, each from its own SeedSequence, in the contract-3 draw order."""
+    n, half, drift = cfg.n_steps, cfg.n_paths // 2, triplet.effective_drift * cfg.dt
+    rows = []
+    for p in range(lo, hi):
+        mirror = anti and p >= half
+        rng = _seed_sequence_rng(cfg.master_seed, p - half if mirror else p)
+        incr = np.full(n, drift)
+        if triplet.sigma > 0:
+            incr = rng.standard_normal(n) * ((-1.0 if mirror else 1.0) * triplet.sigma * math.sqrt(cfg.dt))
+            incr += drift
+        total = int(rng.poisson(triplet.jumps.rate * n * cfg.dt)) if triplet.jumps.rate > 0 else 0
+        if total:
+            cells = np.minimum((rng.random(total) * n).astype(np.int64), n - 1)
+            sizes = triplet.jumps.sample(rng, total)
+            incr += np.bincount(cells, weights=-sizes if mirror else sizes, minlength=n)
+        rows.append(np.concatenate([[x_start], np.cumsum(incr) + x_start]))
+    return np.array(rows)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SYM_ATOMS = LevyTriplet(0.1, 0.4, jumps=JumpSpec.atom_sizes(2.0, (-1.0, 1.0), (0.5, 0.5)))
+
+
+@pytest.mark.parametrize("triplet, antithetic", [
+    (BM, False),
+    (LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(3.0, 0.4, 2.0, 3.0)), False),
+    (LevyTriplet(0.3, 0.0, jumps=JumpSpec.atom_sizes(2.0, (-1.0, 0.5), (0.3, 0.7))), False),
+    (BM, True),
+    (SYM_ATOMS, True),
+])
+def test_chunk_matches_per_path_seed_sequences(triplet, antithetic):
+    cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=40, master_seed=611, antithetic=antithetic, tail_tol=0.999)
+    for lo, hi in ((0, 40), (13, 31)):  # the second straddles the mirrored half
+        for x in (0.0, -0.7):
+            expect = _reference_chunk(triplet, x, cfg, lo, hi, antithetic)
+            assert _same_bits(_simulate_chunk(triplet, x, cfg, lo, hi, antithetic), expect)
+
+
+def test_clock_skeleton_matches_per_path_seed_sequences():
+    cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(2.0, 0.5, 2.0, 3.0))
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=50, master_seed=611, tail_tol=1e-3)
+    _, gaps, sizes = clock_skeleton(cp, cfg, 0.5)
+    k = gaps.shape[1]
+    for path in range(cfg.n_paths):
+        rng = _seed_sequence_rng(cfg.master_seed, path)
+        assert _same_bits(gaps[path], rng.standard_exponential(k) / (2.0 + 0.5))
+        assert _same_bits(sizes[path], cp.jumps.sample(rng, k))
+
+
+def test_stream_set_up_builds_no_seed_sequence_per_path(monkeypatch):
+    made, real = [], np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(path_engine.np.random, "SeedSequence", counting)
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=300, master_seed=5, tail_tol=0.999)
+    simulate_batch(BM, 0.0, cfg)  # one chunk
+    assert len(made) <= 1
+    made.clear()
+    clock_skeleton(LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(2.0, 0.5, 2.0, 3.0)), cfg, 0.5)
+    assert len(made) <= 1
+
+
+def test_seed_domain_enforced():
+    with pytest.raises(ValueError, match="master_seed"):
+        SimConfig(dt=0.1, horizon_T=1.0, n_paths=2, master_seed=-1)
+    with pytest.raises(ValueError, match="n_paths"):
+        SimConfig(dt=0.1, horizon_T=1.0, n_paths=2**32 + 1, master_seed=0)  # a two-word spawn key
+
+
+@pytest.mark.parametrize("n_grid", [1, 1843, 9213, 10_000, 20_001])
+def test_grid_sum_adds_per_row_slice_dots(n_grid):
+    rng = np.random.default_rng(n_grid)
+    g, w = rng.standard_normal((7, n_grid)), rng.random(n_grid)
+    expect = []
+    for row in g:
+        acc = row[:DOT_SLICE] @ w[:DOT_SLICE]
+        for s in range(DOT_SLICE, n_grid, DOT_SLICE):
+            acc += row[s:s + DOT_SLICE] @ w[s:s + DOT_SLICE]
+        expect.append(acc)
+    assert _same_bits(_grid_sum(g, w), np.array(expect))
 
 
 def test_clock_skeleton_reproducible_independent_of_n_paths():
