@@ -37,9 +37,7 @@ from .barrier_solver import (
 from .levy_model import (
     JumpSpec,
     LevyTriplet,
-    PathClass,
     characteristic_exponent,
-    classify,
     driftless_compound_poisson,
     exp_moment_check,
 )
@@ -51,7 +49,6 @@ from .oracles import (
 )
 from .path_engine import (
     NEVER,
-    PathBatch,
     SimConfig,
     discounted_integral,
     discounted_stieltjes,

@@ -30,7 +30,7 @@ import numpy as np
 from .cost_model import ProblemSpec
 from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
 from .estimators import EstimateWithError, _finish, _outside_stacklevel, _value_pass
-from .levy_model import LevyTriplet, classify, exp_moment_check
+from .levy_model import LevyTriplet, exp_moment_check
 from .path_engine import (
     SimConfig,
     _antithetic_active,
@@ -123,9 +123,9 @@ def _solver_chunk(values, ctx: _SolverCtx):
     u = _reflected_at_zero(values)
     udisc = _grid_sum(u, ctx.w)
     bins = np.rint(np.divide(u, ctx.bin_width, out=u), out=u).astype(np.int64)
-    weights = np.broadcast_to(ctx.w, u.shape).ravel()
+    u[:] = ctx.w  # the spent buffer holds the bin weights: no chunk-sized copy
     return {
-        "acc_hist": np.bincount(bins.ravel(), weights=weights),
+        "acc_hist": np.bincount(bins.ravel(), weights=u.ravel()),
         "pp_udisc": udisc,
     }
 
@@ -300,7 +300,7 @@ def solve_barrier_perturbed(
     them (``clock_suprema``): the levels are coupled exactly, ``cfg.dt`` does not
     enter, and rho-hat(b) = sum_k pi_k f'_+(S_k + b) / (q n).
     """
-    if not classify(triplet).driftless_compound_poisson:
+    if not triplet.is_driftless_cp():
         raise AssumptionViolated("solve_barrier_perturbed expects a driftless compound Poisson model")
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or any(e <= 0 for e in eps_grid):

@@ -13,7 +13,9 @@ perturb  driftless compound Poisson barrier via vanishing drifts
 Config schema (defaults in brackets):
 
     model:   gamma, sigma, theta_bar [1.0],
-             jumps: rate [0], dist: {kind, ...params}
+             jumps: rate [0], dist: {kind, ...params}, params by kind:
+                 kou: p_up, eta_up, eta_down;  gaussian: mean, std;
+                 uniform: lo, hi;  atoms: values, probs
     problem: cost: {kind, ...params}, C, q, mollify: {epsilon, anchor [0]}
     sim:     dt, horizon_T [derived from tail_tol], n_paths, master_seed,
              antithetic [false], tail_tol [1e-4]
@@ -54,7 +56,7 @@ from .errors import (
     NotSpectrallyNegative,
 )
 from .estimators import estimate_record, estimate_rho_curve, estimate_value
-from .levy_model import JumpSpec, LevyTriplet
+from .levy_model import JUMP_FAMILIES, JumpSpec, LevyTriplet
 from .path_engine import ENGINE_VERSION, SimConfig, horizon_for
 from .verification import run_checks
 
@@ -63,7 +65,6 @@ COMMANDS = ("solve", "value", "rho", "sweep", "verify", "perturb")
 _SCHEMA = {
     "model": {"gamma", "sigma", "theta_bar", "jumps"},
     "model.jumps": {"rate", "dist"},
-    "model.jumps.dist": {"kind", "p_up", "eta_up", "eta_down", "mean", "std", "lo", "hi", "values", "probs"},
     "problem": {"cost", "C", "q", "mollify"},
     "problem.cost": {"kind", "slopes", "kinks"},
     "problem.mollify": {"epsilon", "anchor"},
@@ -100,35 +101,31 @@ def _need(cfg: dict, path: str):
     return node
 
 
+def _build_jumps(cfg: dict) -> JumpSpec:
+    """The law of ``model.jumps``; a dist given is checked against its family even at rate 0."""
+    jumps_cfg = cfg["model"].get("jumps", {})
+    rate = float(jumps_cfg.get("rate", 0.0))
+    if "dist" not in jumps_cfg and rate <= 0:
+        return JumpSpec.none()
+    kind = _need(cfg, "model.jumps.dist.kind")
+    family = JUMP_FAMILIES.get(str(kind))
+    if family is None:
+        raise ConfigError(f"config.model.jumps.dist.kind: unknown kind {kind!r}")
+    names = family.param_names()
+    for key in jumps_cfg["dist"]:
+        if key not in ("kind",) + names:
+            raise ConfigError(f"config.model.jumps.dist.{key}: unknown key")
+    params = [_need(cfg, f"model.jumps.dist.{name}") for name in names]
+    return family(rate, *params) if rate > 0 else JumpSpec.none()
+
+
 def _build_model(cfg: dict) -> LevyTriplet:
     section = _need(cfg, "model")
-    jumps_cfg = section.get("jumps", {"rate": 0.0})
-    rate = float(jumps_cfg.get("rate", 0.0))
-    if rate > 0:
-        dist = jumps_cfg.get("dist")
-        if not isinstance(dist, dict) or "kind" not in dist:
-            raise ConfigError("config.model.jumps.dist: need a dist with a 'kind' for rate > 0")
-        kind = dist["kind"]
-        try:
-            if kind == "kou":
-                jumps = JumpSpec.kou_mixture(rate, dist["p_up"], dist["eta_up"], dist["eta_down"])
-            elif kind == "gaussian":
-                jumps = JumpSpec.gaussian_sizes(rate, dist["mean"], dist["std"])
-            elif kind == "uniform":
-                jumps = JumpSpec.uniform_sizes(rate, dist["lo"], dist["hi"])
-            elif kind == "atoms":
-                jumps = JumpSpec.atom_sizes(rate, dist["values"], dist["probs"])
-            else:
-                raise ConfigError(f"config.model.jumps.dist.kind: unknown kind {kind!r}")
-        except KeyError as exc:
-            raise ConfigError(f"config.model.jumps.dist.{exc.args[0]}: required field is missing")
-    else:
-        jumps = JumpSpec.none()
     try:
         return LevyTriplet(
             gamma=float(_need(cfg, "model.gamma")),
             sigma=float(_need(cfg, "model.sigma")),
-            jumps=jumps,
+            jumps=_build_jumps(cfg),
             exp_moment_theta=float(section.get("theta_bar", 1.0)),
         )
     except InvalidModel as exc:

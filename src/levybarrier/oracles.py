@@ -16,7 +16,7 @@ from scipy import optimize
 
 from .cost_model import ProblemSpec
 from .errors import NotSpectrallyNegative
-from .levy_model import LevyTriplet, classify
+from .levy_model import LevyTriplet
 
 __all__ = [
     "SpectrallyNegativeOracle",
@@ -32,9 +32,7 @@ def _laplace_exponent(triplet: LevyTriplet, lam: float) -> float:
     """psi(lam) = log E[e^{lam X_1}] for lam >= 0, finite when jumps are <= 0."""
     jumps = triplet.jumps
     val = triplet.effective_drift * lam + 0.5 * (triplet.sigma * lam) ** 2
-    if jumps.rate > 0:
-        val += jumps.rate * (jumps.mgf(lam) - 1.0)
-    return val
+    return val + jumps.rate * (jumps.mgf(lam) - 1.0)
 
 
 def phi_root(triplet: LevyTriplet, q: float) -> float:
@@ -43,10 +41,9 @@ def phi_root(triplet: LevyTriplet, q: float) -> float:
     psi is convex with psi(0) = 0, so the root is unique once a lam with
     psi(lam) > q is found.  Monotone-path models never cross q.
     """
-    flags = classify(triplet)
-    if not flags.spectrally_negative:
+    if not triplet.jumps.support_negative:
         raise NotSpectrallyNegative("model has positive jumps")
-    if flags.negative_of_subordinator:
+    if triplet.sigma == 0.0 and triplet.effective_drift <= 0.0:
         raise NotSpectrallyNegative("monotone nonincreasing paths: psi stays below q")
     if q <= 0:
         raise ValueError("q must be positive")

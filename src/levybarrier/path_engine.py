@@ -45,7 +45,6 @@ from .levy_model import LevyTriplet
 __all__ = [
     "ENGINE_VERSION",
     "SimConfig",
-    "PathBatch",
     "NEVER",
     "simulate_batch",
     "reflect_arrays",
@@ -125,13 +124,6 @@ class SimConfig:
         return asdict(self)
 
 
-@dataclass
-class PathBatch:
-    """Materialized sample paths, one row per path."""
-
-    values: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # per-path generation
 # ---------------------------------------------------------------------------
@@ -189,7 +181,7 @@ def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False)
     """
     if not cfg.antithetic:
         return False
-    if triplet.jumps.rate > 0 and not triplet.jumps.is_symmetric:
+    if not triplet.jumps.is_symmetric:
         if warn:
             warnings.warn(
                 "antithetic ignored: jump law is not symmetric, mirroring would bias it",
@@ -233,8 +225,8 @@ def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti):
     return values
 
 
-def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> PathBatch:
-    """Materialize a full batch of paths (moderate sizes only).
+def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> np.ndarray:
+    """Materialize a full batch of paths, one (n_steps + 1) row per path (moderate sizes only).
 
     Deterministic given (master_seed, path index); see the module docstring
     for the draw-order contract.  For large n_paths x grid products use the
@@ -247,7 +239,7 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> Path
             "use the streaming estimators" % (cfg.n_paths, n_grid)
         )
     anti = _antithetic_active(triplet, cfg, warn=True)
-    return PathBatch(values=_simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti))
+    return _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti)
 
 
 def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float):

@@ -416,27 +416,6 @@ def check_martingale(
 # ---------------------------------------------------------------------------
 
 
-def _jump_quadrature(jumps, tail_prob=1e-3, points_per_side=2000):
-    """(z, mass) pairs integrating the jump law; exact for atom laws."""
-    if jumps.kind == "atoms":
-        return np.asarray(jumps.values, dtype=float), np.asarray(jumps.probs, dtype=float), 0.0
-    lo, hi = jumps.displacement_quantiles(tail_prob)
-    zs, masses = [], []
-    for a, b in ((lo, 0.0), (0.0, hi)):
-        if b - a <= 0:
-            continue
-        z = np.linspace(a, b, points_per_side + 1)
-        pdf = jumps.pdf(z)
-        w = np.full(z.shape, (b - a) / points_per_side)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        zs.append(z)
-        masses.append(pdf * w)
-    z = np.concatenate(zs)
-    mass = np.concatenate(masses)
-    return z, mass, max(0.0, 1.0 - float(mass.sum()))
-
-
 def _interp_weights(y_points, nodes, C):
     """Hat-function weights of the interpolant at arbitrary points.
 
@@ -499,10 +478,8 @@ def check_hjb(
     # padding nodes so jump displacements stay on the interpolant
     stencil = np.concatenate([x_grid + k * fd_h for k in (-2, -1, 0, 1, 2)])
     nodes = stencil
-    z = mass = None
-    tail_mass = 0.0
     if jumps.rate > 0:
-        z, mass, tail_mass = _jump_quadrature(jumps)
+        z, mass, tail_mass = jumps.quadrature()
         lo_pad = x_grid.min() + min(z.min(), 0.0) - fd_h
         hi_pad = x_grid.max() + max(z.max(), 0.0) + fd_h
         pad_step = max(fd_h, (hi_pad - lo_pad) / 96.0)

@@ -143,10 +143,10 @@ def test_criterion_5_duality_two_sample_ks():
     cfg_a = SimConfig(dt=5e-3, horizon_T=t_end, n_paths=n, master_seed=505, tail_tol=0.999)
     cfg_b = SimConfig(dt=5e-3, horizon_T=t_end, n_paths=n, master_seed=99505, tail_tol=0.999)
     batch = simulate_batch(MODEL_KOU, 0.0, cfg_a)
-    u, _, _ = reflect_arrays(batch.values, 0.0)
+    u, _, _ = reflect_arrays(batch, 0.0)
     reflected_terminal = u[:, -1]
     other = simulate_batch(MODEL_KOU, 0.0, cfg_b)
-    running_sup = other.values.max(axis=1)
+    running_sup = other.max(axis=1)
     stat = stats.ks_2samp(reflected_terminal, running_sup).statistic
     critical = 1.628 * np.sqrt(2.0 / n)  # 1% two-sample critical value
     report(5, stat < critical,

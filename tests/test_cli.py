@@ -87,6 +87,20 @@ def test_unknown_key_rejected_with_path(tmp_path, capsys):
     assert "model.jumps.dst" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate, dist, message", [
+    (1.0, {"kind": "gaussian", "mean": 0, "std": 0.3, "p_up": 0.9, "values": [5]},
+     "config.model.jumps.dist.p_up: unknown key"),
+    (0.0, {"kind": "uniform", "lo": -1, "hi": 1, "std": 0.3}, "config.model.jumps.dist.std: unknown key"),
+    (1.0, {"kind": "kou", "p_up": 0.5, "eta_up": 2.0}, "config.model.jumps.dist.eta_down: required field is missing"),
+    (1.0, {"kind": "levy"}, "config.model.jumps.dist.kind: unknown kind 'levy'"),
+    (1.0, {"kind": "kou", "p_up": 1.5, "eta_up": 2.0, "eta_down": 2.0}, "config.model: kou p_up must lie in [0, 1]"),
+], ids=["foreign_keys", "foreign_key_at_rate_0", "missing", "unknown_kind", "invalid_param"])
+def test_jump_dist_checked_against_its_family(tmp_path, capsys, rate, dist, message):
+    cfg = write_config(tmp_path, model={"gamma": 1.0, "sigma": 0.5, "jumps": {"rate": rate, "dist": dist}})
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unsorted_grid_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, rho={"b_grid": [1.0, 0.0]})
     assert run(["rho", "--config", cfg, "--out", tmp_path / "o"]) == 2

@@ -71,7 +71,7 @@ def test_rho_shift_identity_near_exact():
     cfg = make_cfg(q, dt=2e-3, n=300, seed=12)
     est = estimate_rho(BM, prob, b, cfg)
     batch = simulate_batch(BM, b, cfg)
-    u, _, _ = reflect_arrays(batch.values, b)
+    u, _, _ = reflect_arrays(batch, b)
     w = integral_weights(q, cfg.dt, cfg.n_steps + 1)
     direct = float((np.asarray(prob.cost.f_prime_plus(u)) @ w).mean())
     assert abs(est.mean - direct) <= 1e-10

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, characteristic_exponent, classify
+from levybarrier import JumpSpec, LevyTriplet, characteristic_exponent
 from levybarrier.errors import InvalidModel
 from levybarrier.path_engine import SimConfig, simulate_batch
 
@@ -96,7 +96,7 @@ def test_empirical_characteristic_function():
     cfg = SimConfig(dt=1.0 / 64, horizon_T=1.0, n_paths=n, master_seed=99, tail_tol=0.999)
     for t in [LevyTriplet(0.0, 1.0), LevyTriplet(0.2, 0.5, jumps=kou(1.0, 0.4, 2.0, 3.0))]:
         batch = simulate_batch(t, 0.0, cfg)
-        x1 = batch.values[:, -1]
+        x1 = batch[:, -1]
         for lam in (0.5, 1.0, 2.0):
             emp = np.exp(1j * lam * x1).mean()
             target = np.exp(-characteristic_exponent(t, lam))
@@ -105,34 +105,15 @@ def test_empirical_characteristic_function():
 
 
 # ---------------------------------------------------------------------------
-# classification
+# path flags
 # ---------------------------------------------------------------------------
 
 
-def test_classify_gaussian_part_unbounded_variation():
-    flags = classify(LevyTriplet(0.0, 1.0, jumps=kou()))
-    assert not flags.bounded_variation
-
-
-def test_classify_driftless_compound_poisson():
+def test_driftless_compound_poisson_flag():
     cp = lb.driftless_compound_poisson(JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5)))
-    flags = classify(cp)
-    assert flags.driftless_compound_poisson
-    assert flags.bounded_variation
-    assert not flags.negative_of_subordinator
-
-
-def test_classify_negative_of_subordinator():
-    t = LevyTriplet(gamma=-1.0, sigma=0.0, jumps=kou(1.0, 0.0, 1.0, 2.0))
-    flags = classify(t)
-    assert flags.negative_of_subordinator
-    assert flags.spectrally_negative
-    assert not flags.spectrally_positive
-
-
-def test_classify_is_pure():
-    t = LevyTriplet(0.0, 1.0, jumps=kou())
-    assert classify(t) == classify(t)
+    assert cp.is_driftless_cp()
+    assert not cp.with_drift_added(0.1).is_driftless_cp()
+    assert not LevyTriplet(cp.gamma, 1.0, jumps=cp.jumps).is_driftless_cp()
 
 
 def test_degenerate_model_rejected():
@@ -180,7 +161,9 @@ def test_jump_invariants_rejected():
     with pytest.raises(InvalidModel):
         JumpSpec(rate=-1.0)
     with pytest.raises(InvalidModel):
-        JumpSpec(rate=1.0, kind="none")
+        JumpSpec(rate=1.0)
+    with pytest.raises(InvalidModel):
+        JumpSpec.gaussian_sizes(0.0, 0.0, 1.0)
 
 
 def test_samples_never_zero():
@@ -202,11 +185,50 @@ def test_atom_sampler_is_generator_choice(values, probs):
         assert got_rng.random() == want_rng.random()  # the same draws consumed
 
 
+def _kou_draw(p_up, eta_up, eta_down):
+    def draw(rng, n):
+        up = rng.random(n) < p_up
+        mags_up, mags_down = rng.exponential(1.0 / eta_up, n), rng.exponential(1.0 / eta_down, n)
+        return np.where(up, mags_up, -mags_down)
+
+    return draw
+
+
+@pytest.mark.parametrize("jumps, draw, described", [
+    (JumpSpec.gaussian_sizes(1.5, 0.2, 0.7), lambda rng, n: rng.normal(0.2, 0.7, n),
+     {"rate": 1.5, "kind": "gaussian", "mean": 0.2, "std": 0.7}),
+    (JumpSpec.uniform_sizes(0.5, -1.0, 2.0), lambda rng, n: rng.uniform(-1.0, 2.0, n),
+     {"rate": 0.5, "kind": "uniform", "lo": -1.0, "hi": 2.0}),
+    (kou(1.3, 0.7, 1.5, 3.0), _kou_draw(0.7, 1.5, 3.0),
+     {"rate": 1.3, "kind": "kou", "p_up": 0.7, "eta_up": 1.5, "eta_down": 3.0}),
+    (JumpSpec.atom_sizes(2.0, [-1.0, 2.0], [0.25, 0.75]),
+     lambda rng, n: rng.choice(np.array([-1.0, 2.0]), size=n, p=np.array([0.25, 0.75])),
+     {"rate": 2.0, "kind": "atoms", "values": [-1.0, 2.0], "probs": [0.25, 0.75]}),
+], ids=["gaussian", "uniform", "kou", "atoms"])
+def test_family_draws_and_describe(jumps, draw, described):
+    # the draws are stream contract 3's and describe() enters every fingerprint
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(jumps.sample(got_rng, 997), draw(want_rng, 997))
+        assert got_rng.random() == want_rng.random()  # the same draws consumed
+    assert list(jumps.describe().items()) == list(described.items())
+    assert list(JumpSpec.none().describe().items()) == [("rate", 0.0), ("kind", "none")]
+
+
 def test_truncated_mean_against_quadrature():
     for j in [kou(1.0, 0.7, 1.5, 3.0), JumpSpec.gaussian_sizes(1.0, 0.3, 0.8),
               JumpSpec.uniform_sizes(1.0, -0.4, 2.5)]:
         val, _ = integrate.quad(lambda z: z * j.pdf(z), -1.0, 1.0, limit=200)
         assert j.truncated_mean() == pytest.approx(val, abs=1e-10)
+
+
+@pytest.mark.parametrize("jumps", [kou(1.0, 0.7, 1.5, 3.0), JumpSpec.gaussian_sizes(1.0, 0.3, 0.8),
+                                   JumpSpec.uniform_sizes(1.0, -0.4, 2.5), JumpSpec.uniform_sizes(1.0, 0.5, 2.0),
+                                   JumpSpec.uniform_sizes(1.0, -3.0, -1.5)])
+def test_mean_abs_size_against_quadrature(jumps):
+    pieces = [(-60.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 60.0)]
+    val = sum(integrate.quad(lambda z: abs(z) * jumps.pdf(z), a, b, limit=200)[0] for a, b in pieces)
+    assert jumps.mean_abs_size() == pytest.approx(val, abs=1e-9)
 
 
 def test_symmetry_flags():

@@ -38,12 +38,24 @@ def test_phi_bm_with_negative_exponential_jumps():
 
 
 def test_phi_rejects_positive_jumps_and_monotone_paths():
-    kou = LevyTriplet(0.0, 1.0, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
-    with pytest.raises(NotSpectrallyNegative):
-        phi_root(kou, 0.5)
-    neg = LevyTriplet(-1.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.0, 1.0, 2.0))
-    with pytest.raises(NotSpectrallyNegative):
-        phi_root(neg, 0.5)
+    # up-jumps are refused before monotone-down paths, which psi never lifts to q
+    up_jumps = [JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0), JumpSpec.kou_mixture(1.0, 0.1, 2.0, 2.0),
+                JumpSpec.gaussian_sizes(1.0, -3.0, 0.5), JumpSpec.uniform_sizes(1.0, -1.0, 0.5),
+                JumpSpec.atom_sizes(1.0, (-1.0, 0.5), (0.9, 0.1))]
+    for jumps in up_jumps:
+        with pytest.raises(NotSpectrallyNegative, match="positive jumps"):
+            phi_root(LevyTriplet(0.0, 1.0, jumps=jumps), 0.5)
+        with pytest.raises(NotSpectrallyNegative, match="positive jumps"):
+            phi_root(LevyTriplet(-1.0, 0.0, jumps=jumps), 0.5)
+    monotone_down = [
+        LevyTriplet(-1.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.0, 1.0, 2.0)),
+        LevyTriplet(-1.0, 0.0, jumps=JumpSpec.uniform_sizes(1.0, -1.0, 0.0)),
+        LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0,), (1.0,))),
+        LevyTriplet(-0.5, 0.0),
+    ]
+    for model in monotone_down:
+        with pytest.raises(NotSpectrallyNegative, match="monotone"):
+            phi_root(model, 0.5)
 
 
 def test_quadratic_bstar_closed_forms():

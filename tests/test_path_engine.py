@@ -42,14 +42,14 @@ DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
 def test_pure_drift_paths_exact():
     cfg = SimConfig(dt=0.5, horizon_T=1.0, n_paths=4, master_seed=1, tail_tol=0.999)
     batch = simulate_batch(DRIFT_UP, 0.0, cfg)
-    assert np.allclose(batch.values, [[0.0, 0.5, 1.0]] * 4)
+    assert np.allclose(batch, [[0.0, 0.5, 1.0]] * 4)
 
 
 def test_variance_of_unit_bm():
     n = 100_000
     cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=n, master_seed=2024, tail_tol=0.999)
     batch = simulate_batch(BM, 0.0, cfg)
-    var = batch.values[:, -1].var()
+    var = batch[:, -1].var()
     assert abs(var - 1.0) <= 0.02
 
 
@@ -103,8 +103,8 @@ def test_reflect_barrier_monotonicity():
     cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=50, master_seed=7, tail_tol=0.999)
     batch = simulate_batch(BM, 0.0, cfg)
     b1, b2 = -0.5, 0.25
-    u1, r1, _ = reflect_arrays(batch.values, b1)
-    u2, r2, _ = reflect_arrays(batch.values, b2)
+    u1, r1, _ = reflect_arrays(batch, b1)
+    u2, r2, _ = reflect_arrays(batch, b2)
     du = u2 - u1
     dr = r2 - r1
     gap = b2 - b1
@@ -167,7 +167,7 @@ def test_atom_increments_are_jump_multiples():
     cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(2.0, (-1.0, 0.5), (0.5, 0.5)))
     cfg = SimConfig(dt=0.1, horizon_T=2.0, n_paths=5, master_seed=17, tail_tol=0.999)
     batch = simulate_batch(cp, 0.0, cfg)
-    jumps = np.diff(batch.values, axis=-1) - cp.effective_drift * cfg.dt
+    jumps = np.diff(batch, axis=-1) - cp.effective_drift * cfg.dt
     halves = np.rint(jumps / 0.5)
     assert np.allclose(jumps, 0.5 * halves, rtol=0.0, atol=1e-12)
     assert np.any(halves != 0)  # some cells did book jumps
@@ -178,7 +178,7 @@ def test_jump_counts_per_cell_are_poisson_and_uniform_in_time():
     # which must be Poisson(0.05) however the draws place them in time
     up = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (1.0,), (1.0,)))
     cfg = SimConfig(dt=0.05, horizon_T=5.0, n_paths=4000, master_seed=23, tail_tol=0.999)
-    counts = np.rint(np.diff(simulate_batch(up, 0.0, cfg).values, axis=-1))
+    counts = np.rint(np.diff(simulate_batch(up, 0.0, cfg), axis=-1))
     lam, n = 0.05, counts.size
     p0, p1 = math.exp(-lam), lam * math.exp(-lam)
     for freq, p in ((counts == 0, p0), (counts == 1, p1), (counts >= 2, 1.0 - p0 - p1)):
@@ -193,7 +193,7 @@ def test_translation_covariance():
     kou = LevyTriplet(0.1, 0.3, jumps=JumpSpec.kou_mixture(2.0, 0.4, 2.0, 3.0))
     a = simulate_batch(kou, 0.0, cfg)
     b = simulate_batch(kou, 1.5, cfg)
-    assert np.allclose(b.values, a.values + 1.5, atol=1e-12)
+    assert np.allclose(b, a + 1.5, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_same_seed_bit_identical():
     kou = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
     a = simulate_batch(kou, 0.0, cfg)
     b = simulate_batch(kou, 0.0, cfg)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_path_reproducible_independent_of_batch():
@@ -246,7 +246,7 @@ def test_path_reproducible_independent_of_batch():
     kou = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
     full = simulate_batch(kou, 0.0, cfg)
     row5 = _simulate_chunk(kou, 0.0, cfg, 5, 6, False)
-    assert np.array_equal(full.values[5], row5[0])
+    assert np.array_equal(full[5], row5[0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def test_antithetic_ignored_warns_once_per_call():
 def test_antithetic_mirrors_gaussian_increments():
     cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=10, master_seed=9, antithetic=True, tail_tol=0.999)
     batch = simulate_batch(BM, 0.0, cfg)
-    assert np.allclose(batch.values[5:], -batch.values[:5], atol=1e-15)
+    assert np.allclose(batch[5:], -batch[:5], atol=1e-15)
 
 
 def test_antithetic_ignored_for_asymmetric_jumps():
@@ -495,7 +495,7 @@ def test_antithetic_ignored_for_asymmetric_jumps():
     cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=10, master_seed=9, antithetic=True, tail_tol=0.999)
     with pytest.warns(UserWarning, match="antithetic ignored"):
         batch = simulate_batch(skew, 0.0, cfg)
-    assert not np.allclose(batch.values[5:], batch.values[:5])
+    assert not np.allclose(batch[5:], batch[:5])
 
 
 def test_horizon_validation():
