@@ -6,7 +6,8 @@ from scipy import integrate
 
 import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, characteristic_exponent
-from levybarrier.errors import InvalidModel
+from levybarrier.errors import InvalidModel, NotSpectrallyNegative
+from levybarrier.oracles import phi_root
 from levybarrier.path_engine import SimConfig, simulate_batch
 
 
@@ -114,6 +115,16 @@ def test_driftless_compound_poisson_flag():
     assert cp.is_driftless_cp()
     assert not cp.with_drift_added(0.1).is_driftless_cp()
     assert not LevyTriplet(cp.gamma, 1.0, jumps=cp.jumps).is_driftless_cp()
+
+
+def test_classify_negative_of_subordinator():
+    # the negative of a subordinator: only down-jumps, no Gaussian part, drift <= 0
+    t = LevyTriplet(gamma=-1.0, sigma=0.0, jumps=kou(1.0, 0.0, 1.0, 2.0))
+    assert t.jumps.support_negative
+    assert np.all(t.jumps.sample(np.random.default_rng(0), 1000) < 0)
+    assert t.sigma == 0.0 and t.effective_drift <= 0.0
+    with pytest.raises(NotSpectrallyNegative, match="monotone"):
+        phi_root(t, 0.5)
 
 
 def test_degenerate_model_rejected():
