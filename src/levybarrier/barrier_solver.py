@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -83,12 +83,8 @@ class BarrierResult:
             "ci_halfwidth": self.ci_halfwidth,
             "slope": self.slope,
             "flat_slope": self.flat_slope,
-            "rho_at_b_star": {
-                "mean": self.rho_at_b_star.mean,
-                "stderr": self.rho_at_b_star.stderr,
-                "n": self.rho_at_b_star.n,
-                "fingerprint": self.rho_at_b_star.fingerprint,
-            },
+            "rho_at_b_star": asdict(self.rho_at_b_star),
+            "discounted_u0": {"mean": self.discounted_u0.mean, "stderr": self.discounted_u0.stderr},
         }
 
 

@@ -4,7 +4,8 @@ Commands
 --------
 solve    optimal barrier via bisection on rho-hat + C
 value    (v1, v2, v) at a given barrier and start
-rho      rho-hat over a barrier grid (CSV: b,rho_mean,rho_stderr)
+rho      rho-hat over a barrier grid, read exactly off the exponential-clock
+         skeleton: no grid, so sim.dt does not enter (CSV: b,rho_mean,rho_stderr)
 sweep    v-hat_b(x) over a barrier grid (CSV: b,v_mean,v_stderr)
 verify   structural checks, all read off one shared pass after the solve
          (CSV per check: x,residual,tolerance,passed)
@@ -55,7 +56,7 @@ from .errors import (
     NonFiniteSample,
     NotSpectrallyNegative,
 )
-from .estimators import estimate_record, estimate_rho_curve, estimate_value
+from .estimators import estimate_record, estimate_value, skeleton_rho_curve
 from .levy_model import JUMP_FAMILIES, JumpSpec, LevyTriplet
 from .path_engine import ENGINE_VERSION, SimConfig, horizon_for
 from .verification import run_checks
@@ -90,6 +91,8 @@ def _reject_unknown(cfg: dict, path: str = "") -> None:
         subpath = f"{path}.{key}" if path else key
         if isinstance(sub, dict):
             _reject_unknown(sub, subpath)
+        elif subpath in _SCHEMA:
+            raise ConfigError(f"config.{subpath}: expected an object")
 
 
 def _need(cfg: dict, path: str):
@@ -236,7 +239,7 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         section = cfg.get("rho", {})
         b_grid = _need(cfg, "rho.b_grid")
         method = section.get("method", "time_integral")
-        curve = estimate_rho_curve(model, problem, b_grid, sim, method=method, n_workers=n_workers)
+        curve = skeleton_rho_curve(model, problem, b_grid, sim, method=method)
         _write_csv(
             out_dir / "rho.csv",
             ["b", "rho_mean", "rho_stderr"],

@@ -14,6 +14,10 @@ integrated out on the same grid paths (conditional Monte Carlo, so the
 variance is never higher than drawing it): with e_q conditioned on the
 horizon N dt and d_n = e^{-q n dt}, the sample is sum_n w_n f'_+(S_n + b)
 with w_n = (d_n - d_{n+1}) / (q (1 - d_N)) for n < N and w_N = 0.
+
+``skeleton_rho_curve`` (the CLI's ``rho``) reads either form exactly off
+``path_engine.clock_skeleton`` instead, with no grid; the grid estimators
+stay as the reference the checks compare against.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,11 +36,15 @@ from .errors import NonFiniteSample
 from .levy_model import LevyTriplet
 from .path_engine import (
     ENGINE_VERSION,
+    SKELETON_FLOATS,
     SimConfig,
     ValueCtx,
     _antithetic_active,
+    _clock_weights,
     _grid_sum,
     _reflected_at_zero,
+    clock_skeleton,
+    clock_suprema,
     discount_factors,
     integral_weights,
     map_reduce_paths,
@@ -48,6 +56,7 @@ __all__ = [
     "estimate_rho",
     "estimate_value",
     "estimate_rho_curve",
+    "skeleton_rho_curve",
     "fingerprint",
     "estimate_record",
 ]
@@ -171,30 +180,35 @@ def _value_pass(triplet, problem, cfg, x_start, pairs, n_workers=1):
     return out["pp_running"] + problem.C * out["pp_control"], out
 
 
-def _rho_ctx(problem, cfg, b_grid, method="time_integral") -> _RhoCtx:
-    """The ``_rho_chunk`` context of rho-hat on a sorted barrier grid."""
+def _rho_grid(b_grid, method) -> tuple:
+    """The barriers of a rho-hat curve, checked sorted, and its method checked known."""
     b_grid = tuple(float(b) for b in b_grid)
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
         raise ValueError("b_grid must be sorted strictly increasing")
+    if method not in ("time_integral", "exp_clock"):
+        raise ValueError(f"unknown rho method {method!r}")
+    return b_grid
+
+
+def _rho_ctx(problem, cfg, b_grid, method="time_integral") -> _RhoCtx:
+    """The ``_rho_chunk`` context of rho-hat on a sorted barrier grid."""
+    b_grid = _rho_grid(b_grid, method)
     q, n_grid = problem.q, cfg.n_steps + 1
     if method == "time_integral":
         w = integral_weights(q, cfg.dt, n_grid)
-    elif method == "exp_clock":  # the clock's law given e_q <= N dt (module docstring)
+    else:  # the clock's law given e_q <= N dt (module docstring)
         d = discount_factors(q, cfg.dt, n_grid)
         w = np.append(d[:-1] - d[1:], 0.0) / (q * (1.0 - d[-1]))
-    else:
-        raise ValueError(f"unknown rho method {method!r}")
     cfg.validate_for(q)
     return _RhoCtx(b_values=b_grid, f_prime=problem.cost.f_prime_plus, w=w,
                    exp_clock=method == "exp_clock")
 
 
-def _rho_curve(y, ctx: _RhoCtx, triplet, problem, cfg) -> list[tuple[float, EstimateWithError]]:
-    """(b, rho-hat(b)) from the merged ``pp_y`` of a ``_rho_chunk`` pass."""
-    kind = "rho_exp_clock" if ctx.exp_clock else "rho_time_integral"
+def _rho_curve(y, b_grid, method, triplet, problem, cfg, **extra) -> list[tuple[float, EstimateWithError]]:
+    """(b, rho-hat(b)) from per-path samples ``y``, one column per barrier of ``b_grid``."""
     anti = _antithetic_active(triplet, cfg)
-    return [(b, _finish(kind, y[:, k], anti, triplet, problem, cfg, b=b))
-            for k, b in enumerate(ctx.b_values)]
+    return [(b, _finish(f"rho_{method}", y[:, k], anti, triplet, problem, cfg, b=b, **extra))
+            for k, b in enumerate(b_grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +278,31 @@ def estimate_rho_curve(
     """
     ctx = _rho_ctx(problem, cfg, b_grid, method)
     out = map_reduce_paths(triplet, 0.0, cfg, _rho_chunk, ctx, n_workers=n_workers)
-    return _rho_curve(out["pp_y"], ctx, triplet, problem, cfg)
+    return _rho_curve(out["pp_y"], ctx.b_values, method, triplet, problem, cfg)
+
+
+def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: SimConfig,
+                       method: str = "time_integral") -> list[tuple[float, EstimateWithError]]:
+    """``estimate_rho_curve`` read off the clock skeleton: no grid, so ``cfg.dt`` does not enter.
+
+    Each path's sample is sum_k (pi_k / q) f'_+(Z_k + b) over the segments the
+    Exponential(q) clock may end (``path_engine.clock_skeleton``), Z_k the supremum S_k
+    (``exp_clock``) or U^0 (``time_integral``): exact up to the tail mass ``cfg.tail_tol``.
+    Chunks of at most ``SKELETON_FLOATS`` floats leave n_paths uncapped.
+    """
+    b_grid = _rho_grid(b_grid, method)
+    w = _clock_weights(triplet.jumps.rate, problem.q, cfg.tail_tol) / problem.q
+    size = max(1, SKELETON_FLOATS // len(w))
+    y = np.empty((cfg.n_paths, len(b_grid)))
+    for lo in range(0, cfg.n_paths, size):
+        rows = range(lo, min(lo + size, cfg.n_paths))
+        _, moves, sizes = clock_skeleton(triplet, cfg, problem.q, rows)
+        z = clock_suprema(moves, sizes, triplet.effective_drift, lows=method == "time_integral")
+        for k, b in enumerate(b_grid):
+            y[rows, k] = _grid_sum(problem.cost.f_prime_plus(z + b), w)
+    return _rho_curve(y, b_grid, method, triplet, problem, cfg, solver="clock_skeleton")
 
 
 def estimate_record(kind: str, est: EstimateWithError, b=None, x=None) -> dict:
-    """JSON-ready record {kind, b, x, mean, stderr, n, fingerprint}."""
-    return {
-        "kind": kind,
-        "b": b,
-        "x": x,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "n": est.n,
-        "fingerprint": est.fingerprint,
-    }
+    """JSON-ready record {kind, b, x} plus every field of ``est``."""
+    return {"kind": kind, "b": b, "x": x, **asdict(est)}

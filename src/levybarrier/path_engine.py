@@ -6,12 +6,13 @@ the ``PCG64DXSM`` state that ``numpy.random.SeedSequence(master_seed,
 spawn_key=(index,))`` seeds, derived for a whole chunk at once and loaded in
 turn into one reused generator (``_path_rngs``), so re-simulating any path
 reproduces it bit-for-bit regardless of batch size, chunking, or worker
-count.  Per path the draw order is fixed (``ENGINE_VERSION`` 3): N = n_steps
+count.  Per path the draw order is fixed (``ENGINE_VERSION`` 4): N = n_steps
 Gaussian increments (when sigma > 0), a jump count K ~ Poisson(rate N dt), K
 uniform times U kept in draw order (given K, the jump times are iid uniform),
 K sizes; a jump at U lands at the right end of cell min(floor(U N), N - 1).
-A path's jumps up to an Exponential(q) clock (``clock_skeleton``) are K
-Exp(1) gaps, then K sizes, K fixed by the rate, q and ``tail_tol``.
+A path's segments up to an Exponential(q) clock (``clock_skeleton``) are K
+Exp(1) draws (E_dn), then K sizes (with jumps), then K more Exp(1) (E_up,
+with sigma > 0), K fixed by the rate, q and ``tail_tol``.
 
 Large runs never materialize the full (paths x grid) matrix: estimators
 stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
@@ -25,8 +26,9 @@ at x is the path from 0 plus x bit for bit, so starts are offsets, and
 ``map_reduce_several`` lets several reducers share one simulation.  Sums
 along the grid take fixed-length dot products per path, so a path's sums
 depend neither on its chunk nor on the BLAS thread count.
-Grid paths serve every estimator, solver and check but one: the clock
-skeleton serves ``solve_barrier_perturbed``, whose paths are linear between jumps.
+Grid paths serve every estimator, solver and check but two: the clock
+skeleton, with no grid and no dt, serves ``solve_barrier_perturbed`` and
+``estimators.skeleton_rho_curve`` (the CLI's ``rho``).
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ __all__ = [
     "discount_factors",
 ]
 
-ENGINE_VERSION = 3  # the per-path draw orders of the module docstring
+ENGINE_VERSION = 4  # the per-path draw orders of the module docstring
 NEVER = -1  # sentinel tau index: the path never went strictly below the barrier
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
@@ -242,38 +244,65 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> np.n
     return _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti)
 
 
-def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float):
-    """(pi, gaps, sizes) of each path's jumps up to an Exponential(q) clock.
-
-    Segment k ends at the clock with probability pi_k = p^(k-1) (1 - p), p = rate / (rate + q);
-    the last of K takes the tail mass p^(K-1) <= ``cfg.tail_tol``.  ``gaps`` (segment lengths)
-    and ``sizes`` (the jumps ending them) are (n_paths, K), drawn as the module docstring says;
-    n_paths * K above ``SKELETON_FLOATS`` raises ValueError before anything is allocated.
-    """
-    rate = triplet.jumps.rate
+def _clock_weights(rate: float, q: float, tail_tol: float) -> np.ndarray:
+    """pi_k = p^(k-1) (1 - p), p = rate / (rate + q); the last of K takes the tail p^(K-1) <= tail_tol."""
     p = rate / (rate + q)
-    k = 1 + math.ceil(math.log(cfg.tail_tol) / math.log(p))
-    if cfg.n_paths * k > SKELETON_FLOATS:
-        raise ValueError(f"clock skeleton of {cfg.n_paths} paths x K = {k} jumps exceeds the budget of "
+    k = 1 + math.ceil(math.log(tail_tol) / math.log(p)) if rate > 0 else 1
+    return p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
+
+
+def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range | None = None):
+    """(pi, moves, sizes) of the segments of ``paths`` (default all) up to an Exponential(q) clock.
+
+    Segments last Exp(lambda), lambda = rate + q; the clock ends segment k with probability pi_k
+    and the jump ``sizes`` (n, K) end the others.  ``moves`` are the segment lengths (n, K) when
+    sigma = 0; else (2, n, K), each segment's fall E_dn / beta_- to its low and rise E_up / beta_+
+    to its high, beta_+- = (-+mu + sqrt(mu^2 + 2 sigma^2 lambda)) / sigma^2 (Wiener-Hopf Monte
+    Carlo, Kuznetsov, Kyprianou, Pardo & van Schaik 2011).  Draws are as the module docstring
+    says; a mirror swaps E_up and E_dn and negates the sizes.  Above ``SKELETON_FLOATS`` (n x K)
+    ValueError is raised before anything is allocated.
+    """
+    rate, sigma, mu, lam = triplet.jumps.rate, triplet.sigma, triplet.effective_drift, triplet.jumps.rate + q
+    pi = _clock_weights(rate, q, cfg.tail_tol)
+    paths = np.arange(cfg.n_paths) if paths is None else np.asarray(paths)
+    n, k = len(paths), len(pi)
+    if n * k > SKELETON_FLOATS:
+        raise ValueError(f"clock skeleton of {n} paths x K = {k} jumps exceeds the budget of "
                          f"{SKELETON_FLOATS} floats; use fewer paths, a larger q or tail_tol")
-    pi = p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
-    n = cfg.n_paths // 2 if _antithetic_active(triplet, cfg, warn=True) else cfg.n_paths
-    gaps, sizes = np.empty((2, cfg.n_paths, k))
-    for path, rng in enumerate(_path_rngs(cfg.master_seed, range(n))):
-        rng.standard_exponential(out=gaps[path])
-        sizes[path] = triplet.jumps.sample(rng, k)
-    gaps[n:], sizes[n:] = gaps[: cfg.n_paths - n], -sizes[: cfg.n_paths - n]  # antithetic mirrors
-    gaps /= rate + q
-    return pi, gaps, sizes
+    mirror = _antithetic_active(triplet, cfg, warn=True) & (paths >= cfg.n_paths // 2)
+    moves, sizes = np.empty((2 if sigma > 0 else 1, n, k)), np.zeros((n, k))
+    for j, rng in enumerate(_path_rngs(cfg.master_seed, paths - mirror * (cfg.n_paths // 2))):
+        rng.standard_exponential(out=moves[0, j])
+        if rate > 0:
+            sizes[j] = triplet.jumps.sample(rng, k)
+        if sigma > 0:
+            rng.standard_exponential(out=moves[1, j])
+    sizes[mirror] *= -1.0
+    if sigma == 0:
+        return pi, moves[0] / lam, sizes
+    moves[:, mirror] = moves[::-1, mirror]
+    # 1 / beta_+- = (root +- mu) / (2 lambda) = sigma^2 / (root -+ mu), each form taken where it
+    # does not cancel; at mu = 0 both are root / (2 lambda), so a mirror is then -X exactly
+    root = math.sqrt(mu * mu + 2.0 * sigma * sigma * lam)
+    moves[0] *= (root - mu) / (2.0 * lam) if mu <= 0 else sigma * sigma / (root + mu)
+    moves[1] *= (root + mu) / (2.0 * lam) if mu >= 0 else sigma * sigma / (root - mu)
+    return pi, moves, sizes
 
 
-def clock_suprema(gaps: np.ndarray, sizes: np.ndarray, drift: float) -> np.ndarray:
-    """S_k = max(0, sup over segments 1..k) per path moving at ``drift`` over each gap, then
-    jumping: a segment's top is its start plus max(drift, 0) times its gap."""
-    tops = np.zeros_like(gaps)
-    np.cumsum(drift * gaps[:, :-1] + sizes[:, :-1], axis=1, out=tops[:, 1:])
-    tops += max(drift, 0.0) * gaps
-    return np.maximum(np.maximum.accumulate(tops, axis=1), 0.0)
+def clock_suprema(moves: np.ndarray, sizes: np.ndarray, drift: float, lows: bool = False) -> np.ndarray:
+    """S_k = max(highs of segments 1..k) per path of a ``clock_skeleton``; with ``lows``, U^0 there:
+    the end of segment k (start + rise - fall, before its jump) less min(lows of 1..k).  Segment 1
+    starts at 0, so S_k >= 0 >= that minimum.  ``moves`` holds each segment's (fall, rise) or,
+    with sigma = 0, its length at ``drift``."""
+    if moves.ndim == 2:
+        fall, rise = max(-drift, 0.0) * moves, max(drift, 0.0) * moves
+    else:
+        fall, rise = moves
+    starts = np.zeros_like(sizes)
+    np.cumsum((rise - fall)[:, :-1] + sizes[:, :-1], axis=1, out=starts[:, 1:])
+    if lows:
+        return starts + rise - fall - np.minimum.accumulate(starts - fall, axis=1)
+    return np.maximum.accumulate(starts + rise, axis=1)
 
 
 # ---------------------------------------------------------------------------

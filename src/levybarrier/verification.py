@@ -175,7 +175,8 @@ class _Pass:
         self.v = value["pp_running"] + problem.C * value["pp_control"]
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
-            self.rho = dict(_rho_curve(rest.pop(0)["pp_y"], rho_ctx, triplet, problem, cfg))
+            y = rest.pop(0)["pp_y"]
+            self.rho = dict(_rho_curve(y, rho_ctx.b_values, "time_integral", triplet, problem, cfg))
         self.m = [out["pp_m"] for out in rest]
 
     def values(self, pairs) -> np.ndarray:

@@ -69,6 +69,25 @@ def test_perturb_byte_identical_across_workers(tmp_path):
     assert (out1 / "result.json").read_bytes() == (out3 / "result.json").read_bytes()
 
 
+def test_records_carry_sample_diagnostics(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        model={"gamma": 0.0, "sigma": 1.0},
+        problem={"cost": {"kind": "quadratic"}, "C": 1.0, "q": 0.5},
+        sim={"dt": 1e-2, "n_paths": 200, "master_seed": 5},
+        solve={"bisect_tol": 1e-3},
+        value={"x": 0.0, "b": -1.0},
+    )
+    for command in ("solve", "value"):
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0
+    solve = json.loads((tmp_path / "solve" / "result.json").read_text())["result"]["solve"]
+    rho = solve["rho_at_b_star"]
+    assert rho["kurtosis"] > 0 and rho["stderr_reliable"] is True
+    assert solve["discounted_u0"]["mean"] > 0 and solve["discounted_u0"]["stderr"] > 0
+    value = json.loads((tmp_path / "value" / "result.json").read_text())["result"]["value"]
+    assert all(value[k]["kurtosis"] > 0 and value[k]["stderr_reliable"] is True for k in ("v", "v1", "v2"))
+
+
 def test_override_recorded_and_applied(tmp_path):
     cfg = write_config(tmp_path, solve={"bisect_tol": 2e-3})
     out = tmp_path / "out"
@@ -99,6 +118,20 @@ def test_jump_dist_checked_against_its_family(tmp_path, capsys, rate, dist, mess
     cfg = write_config(tmp_path, model={"gamma": 1.0, "sigma": 0.5, "jumps": {"rate": rate, "dist": dist}})
     assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["model.jumps", "problem.cost", "problem.mollify", "solve", "sim"])
+def test_section_not_an_object_exit_2(tmp_path, capsys, section):
+    cfg_path = write_config(tmp_path, solve={"bisect_tol": 2e-3})
+    cfg = json.loads(cfg_path.read_text())
+    *parents, last = section.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = 5
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["solve", "--config", cfg_path, "--out", tmp_path / "o"]) == 2
+    assert f"config.{section}: expected an object" in capsys.readouterr().err
 
 
 def test_unsorted_grid_exit_2(tmp_path, capsys):
@@ -202,6 +235,32 @@ def test_exp_clock_rho_byte_identical_across_workers(tmp_path):
     assert run(["rho", "--config", cfg, "--out", one, "--workers", "1"]) == 0
     assert run(["rho", "--config", cfg, "--out", two, "--workers", "2"]) == 0
     assert (one / "result.json").read_bytes() == (two / "result.json").read_bytes()
+
+
+def test_rho_reads_no_grid(tmp_path):
+    # rho reads the clock skeleton: dt does not enter, and 500 paths x K = 9,216 jumps
+    # (q = 0.001) exceed one skeleton chunk of 2**22 floats
+    cfg = write_config(
+        tmp_path,
+        model={"gamma": 0.1, "sigma": 0.5,
+               "jumps": {"rate": 1.0, "dist": {"kind": "kou", "p_up": 0.5, "eta_up": 3.0, "eta_down": 3.0}}},
+        problem={"cost": {"kind": "quadratic"}, "C": 0.5, "q": 0.5},
+        sim={"dt": 1e-2, "n_paths": 120, "master_seed": 5},
+        rho={"b_grid": [-1.0, 0.0, 1.0]},
+    )
+    for method in ("time_integral", "exp_clock"):
+        means = []
+        for dt in ("0.01", "0.002"):
+            out = tmp_path / f"{method}_{dt}"
+            argv = ["rho", "--config", cfg, "--out", out, "--dt", dt, "--set", f"rho.method={method}"]
+            assert run(argv) == 0
+            means.append([r["mean"] for r in json.loads((out / "result.json").read_text())["result"]["rho"]])
+        assert means[0] == means[1]
+    long_clock = tmp_path / "long"
+    argv = ["rho", "--config", cfg, "--out", long_clock, "--paths", "500", "--set", "problem.q=0.001"]
+    assert run(argv) == 0
+    curve = json.loads((long_clock / "result.json").read_text())["result"]["rho"]
+    assert len(curve) == 3 and all(np.isfinite(r["mean"]) for r in curve)
 
 
 def test_value_and_sweep_commands(tmp_path):

@@ -3,12 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost, estimators
 from levybarrier.cost_model import CostSpec, ProblemSpec
 from levybarrier.errors import NonFiniteSample
-from levybarrier.estimators import _finish, estimate_rho, estimate_rho_curve, estimate_value
+from levybarrier.estimators import (
+    _finish,
+    estimate_rho,
+    estimate_rho_curve,
+    estimate_value,
+    skeleton_rho_curve,
+)
 from levybarrier.path_engine import horizon_for, integral_weights, reflect_arrays, simulate_batch
 
 DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
@@ -173,6 +180,76 @@ def test_exp_clock_curve_is_one_pass(monkeypatch):
     assert means[0] < means[-1]
     for b, est in curve:
         assert estimate_rho(KOU, prob, b, cfg, method="exp_clock") == est
+
+
+# ---------------------------------------------------------------------------
+# rho off the clock skeleton
+# ---------------------------------------------------------------------------
+
+
+def _skeleton_mean(triplet, cfg, q, method):
+    """q rho-hat(0) / 2 off the clock skeleton and its stderr: E[Z at e_q], since f'_+(x) = 2x."""
+    prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.0, q=q)
+    [(_, est)] = skeleton_rho_curve(triplet, prob, [0.0], cfg, method)
+    return q * est.mean / 2, q * est.stderr / 2
+
+
+def _kou_roots_and_mean_sup(triplet, q):
+    """The roots b1 < eta_up < b2 of psi(b) = q and E[S at e_q] = A1 / b1 + A2 / b2, from
+    P(S > x) = A1 e^{-b1 x} + A2 e^{-b2 x} (Kou & Wang 2003)."""
+    j, mu, s2 = triplet.jumps, triplet.effective_drift, triplet.sigma**2
+
+    def psi_minus_q(b):
+        mgf = j.p_up * j.eta_up / (j.eta_up - b) + (1 - j.p_up) * j.eta_down / (j.eta_down + b)
+        return mu * b + s2 * b * b / 2 + j.rate * (mgf - 1) - q
+
+    eta = j.eta_up
+    b1 = brentq(psi_minus_q, 0.0, eta - 1e-12, xtol=1e-15)
+    b2 = brentq(psi_minus_q, eta + 1e-12, 1e3, xtol=1e-15)
+    a1, a2 = (eta - b1) * b2 / (eta * (b2 - b1)), (b2 - eta) * b1 / (eta * (b2 - b1))
+    return (b1, b2), a1 / b1 + a2 / b2
+
+
+def test_kou_roots_of_the_shipped_config():
+    roots, mean_sup = _kou_roots_and_mean_sup(KOU, 0.5)
+    assert roots == pytest.approx((1.372281, 4.372281), abs=1e-6)
+    assert mean_sup == pytest.approx(0.624094, abs=1e-6)
+
+
+@pytest.mark.parametrize("triplet", [
+    KOU,
+    LevyTriplet(0.3, 0.4, jumps=JumpSpec.kou_mixture(1.5, 0.3, 2.0, 4.0)),   # mu > 0
+    LevyTriplet(-0.5, 0.6, jumps=JumpSpec.kou_mixture(0.8, 0.6, 3.0, 2.0)),  # mu < 0
+])
+def test_skeleton_reads_match_kou_wiener_hopf(triplet):
+    # exp_clock reads S at e_q; time_integral reads X - I there, which has the same law
+    q = 0.5
+    _, exact = _kou_roots_and_mean_sup(triplet, q)
+    cfg = make_cfg(q, dt=1e-2, n=20_000, seed=3)
+    (ec, ec_se), (ti, ti_se) = (_skeleton_mean(triplet, cfg, q, m) for m in ("exp_clock", "time_integral"))
+    assert abs(ec - exact) <= 3 * ec_se
+    assert abs(ti - exact) <= 3 * ti_se
+    assert abs(ec - ti) <= 3 * math.hypot(ec_se, ti_se)
+
+
+def test_skeleton_bm_mean_matches_phi():
+    # no jumps: one segment, S at e_q ~ Exponential(Phi(q)) exactly, Phi(0.5) = 1
+    q = 0.5
+    mean, se = _skeleton_mean(BM, make_cfg(q, dt=1e-2, n=20_000, seed=8), q, "exp_clock")
+    assert abs(mean - 1.0 / lb.phi_root(BM, q)) <= 3 * se
+
+
+def test_skeleton_curve_nondecreasing_and_checked():
+    prob = ProblemSpec(cost=builtin_cost("abs"), C=0.0, q=0.5)
+    grid = np.linspace(-1.0, 1.0, 9)
+    for method in ("exp_clock", "time_integral"):
+        curve = skeleton_rho_curve(KOU, prob, grid, make_cfg(0.5, dt=5e-3, n=300, seed=21), method)
+        means = np.array([est.mean for _, est in curve])
+        assert np.all(np.diff(means) >= 0.0) and means[0] < means[-1]  # exact, not statistical
+    with pytest.raises(ValueError, match="sorted"):
+        skeleton_rho_curve(BM, prob, [0.0, 0.0], make_cfg(0.5, n=10))
+    with pytest.raises(ValueError, match="unknown rho method 'grid'"):
+        skeleton_rho_curve(BM, prob, [0.0], make_cfg(0.5, n=10), "grid")
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,36 @@ def test_clock_skeleton_matches_per_path_seed_sequences():
         assert _same_bits(sizes[path], cp.jumps.sample(rng, k))
 
 
+@pytest.mark.parametrize("triplet, antithetic", [
+    (LevyTriplet(0.3, 0.5, jumps=JumpSpec.kou_mixture(2.0, 0.4, 2.0, 3.0)), False),
+    (LevyTriplet(-0.4, 0.7, jumps=JumpSpec.kou_mixture(2.0, 0.4, 2.0, 3.0)), False),
+    (SYM_ATOMS, True),
+    (BM, True),
+])
+def test_clock_skeleton_with_sigma_matches_per_path_seed_sequences(triplet, antithetic):
+    # K Exp(1) for E_dn, K sizes (with jumps), K Exp(1) for E_up; fall E_dn / beta_-, rise E_up / beta_+
+    q, n = 0.5, 40
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=n, master_seed=611, antithetic=antithetic, tail_tol=1e-3)
+    mu, s2, lam = triplet.effective_drift, triplet.sigma**2, triplet.jumps.rate + q
+    beta_up = (-mu + math.sqrt(mu * mu + 2 * s2 * lam)) / s2
+    beta_dn = (mu + math.sqrt(mu * mu + 2 * s2 * lam)) / s2
+    for rows in (range(n), range(13, 31)):  # the second straddles the mirrored half
+        _, moves, sizes = clock_skeleton(triplet, cfg, q, rows)
+        k = sizes.shape[1]
+        assert moves.shape == (2, len(rows), k) and (triplet.jumps.rate > 0 or k == 1)
+        for j, path in enumerate(rows):
+            mirror = antithetic and path >= n // 2
+            rng = _seed_sequence_rng(cfg.master_seed, path - n // 2 if mirror else path)
+            e_dn = rng.standard_exponential(k)
+            jumps = triplet.jumps.sample(rng, k) if triplet.jumps.rate > 0 else np.zeros(k)
+            e_up = rng.standard_exponential(k)
+            if mirror:
+                e_dn, e_up, jumps = e_up, e_dn, -jumps
+            assert _same_bits(sizes[j], jumps)
+            assert moves[0, j] == pytest.approx(e_dn / beta_dn, rel=1e-14)
+            assert moves[1, j] == pytest.approx(e_up / beta_up, rel=1e-14)
+
+
 def test_stream_set_up_builds_no_seed_sequence_per_path(monkeypatch):
     made, real = [], np.random.SeedSequence
 
@@ -369,6 +399,21 @@ def test_clock_skeleton_reproducible_independent_of_n_paths():
     _, g_half, s_half = clock_skeleton(sym, replace(cfg, n_paths=4), 0.5)
     assert np.array_equal(g_anti, np.vstack([g_half, g_half]))
     assert np.array_equal(s_anti, np.vstack([s_half, -s_half]))
+    # sigma > 0: rows do not depend on n_paths nor on the rows asked for; with mu = 0 the
+    # mirror swaps fall and rise exactly, so it is -X
+    kou_bm = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 3.0))
+    _, moves, sizes = clock_skeleton(kou_bm, cfg, 0.5)
+    _, moves3, sizes3 = clock_skeleton(kou_bm, replace(cfg, n_paths=3), 0.5)
+    _, moves_mid, sizes_mid = clock_skeleton(kou_bm, cfg, 0.5, range(2, 7))
+    assert np.array_equal(moves[:, :3], moves3) and np.array_equal(sizes[:3], sizes3)
+    assert np.array_equal(moves[:, 2:7], moves_mid) and np.array_equal(sizes[2:7], sizes_mid)
+    sym_bm = replace(sym, sigma=0.5)
+    _, m_anti, s_anti = clock_skeleton(sym_bm, replace(cfg, antithetic=True), 0.5)
+    _, m_half, s_half = clock_skeleton(sym_bm, replace(cfg, n_paths=4), 0.5)
+    assert np.array_equal(m_anti, np.concatenate([m_half, m_half[::-1]], axis=1))
+    assert np.array_equal(s_anti, np.vstack([s_half, -s_half]))
+    _, anti_rows, _ = clock_skeleton(sym_bm, replace(cfg, antithetic=True), 0.5, range(3, 6))
+    assert np.array_equal(anti_rows, m_anti[:, 3:6])
 
 
 def test_clock_skeleton_over_budget_raises_before_allocating():
