@@ -29,7 +29,7 @@ import numpy as np
 
 from .cost_model import ProblemSpec
 from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
-from .estimators import EstimateWithError, _finish, _outside_stacklevel, _value_pass
+from .estimators import EstimateWithError, _finish, _outside_stacklevel, _rho_grid, _value_pass
 from .levy_model import LevyTriplet, exp_moment_check
 from .path_engine import (
     SimConfig,
@@ -171,13 +171,17 @@ def _expand_bracket(g: Callable, limit: float = BRACKET_LIMIT):
             raise NoSignChange(f"no sign change of rho+C {side}{limit:g}")
 
 
+def _tol(bisect_tol: float | None, b: float) -> float:
+    """The bisection tolerance at b: ``bisect_tol``, or the relative 1e-3 * (1 + |b|) if omitted."""
+    return bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(b))
+
+
 def _bisect(g: Callable, lo: float, hi: float, bisect_tol: float | None):
     """Bisection keeping g(lo) < 0 <= g(hi); relative default tolerance."""
     iterations = 0
     while True:
         mid = 0.5 * (lo + hi)
-        tol = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(mid))
-        if hi - lo <= tol:
+        if hi - lo <= _tol(bisect_tol, mid):
             return mid, lo, hi, iterations
         if g(mid) >= 0.0:
             hi = mid
@@ -210,8 +214,7 @@ def _root_of(rho_hat: _WeightedRho, udisc, triplet, problem, cfg, bisect_tol, so
              else rho_hat.batch_means(b_star))
     rho_est = _finish("rho_at_b_star", means, False, triplet, problem, cfg, b=b_star, solver=solver)
     # statistical half-width: stderr of rho near the root over a local slope
-    tol_eff = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(b_star))
-    delta = 10.0 * tol_eff
+    delta = 10.0 * _tol(bisect_tol, b_star)
     slope = (rho_hat(b_star + delta) - rho_hat(b_star - delta)) / (2 * delta)
     flat = slope < FLAT_SLOPE_EPS
     if flat:
@@ -261,8 +264,7 @@ def solve_barrier(
         )
     _require_moments_and_tol(triplet, bisect_tol)
     cfg.validate_for(problem.q)
-    tol_floor = bisect_tol if bisect_tol is not None else 1e-3
-    bin_width = min(1e-3, tol_floor) / 4.0
+    bin_width = min(1e-3, _tol(bisect_tol, 0.0)) / 4.0  # at b = 0 the relative rule is its floor
 
     ctx = _SolverCtx(bin_width=bin_width, w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
     out = map_reduce_paths(triplet, 0.0, cfg, _solver_chunk, ctx, n_workers=n_workers)
@@ -319,8 +321,7 @@ def solve_barrier_perturbed(
         levels.append((eps, _root_of(rho_hat, (sup * w).sum(axis=1), level, problem, cfg, bisect_tol,
                                      "clock_skeleton")))
     bs = [res.b_star for _, res in levels]
-    tol_eff = bisect_tol if bisect_tol is not None else 1e-3 * (1.0 + abs(bs[-1]))
-    monotone = all(b1 >= b2 - 2 * tol_eff for b1, b2 in zip(bs, bs[1:]))
+    monotone = all(b1 >= b2 - 2 * _tol(bisect_tol, bs[-1]) for b1, b2 in zip(bs, bs[1:]))
     return PerturbedBarrierResult(levels=tuple(levels), b_star=bs[-1], monotone_trend=monotone)
 
 
@@ -341,9 +342,7 @@ def barrier_sweep(
 
     Returns a list of (b, EstimateWithError).
     """
-    b_grid = [float(b) for b in b_grid]
-    if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
-        raise ValueError("b_grid must be sorted strictly increasing")
+    b_grid = _rho_grid(b_grid)
     cfg.validate_for(problem.q)
     anti = _antithetic_active(triplet, cfg)
     v, _ = _value_pass(triplet, problem, cfg, x, [(0.0, b) for b in b_grid], n_workers=n_workers)

@@ -268,13 +268,13 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         res = solve_barrier(model, problem, sim, n_workers=n_workers)
         b = float(section.get("b", res.b_star))
         x = float(section.get("x", b + 1.0))
-        h = float(section.get("h", 0.05))
         fd_h = float(section.get("fd_h", 0.25))
         x_grid = section.get("x_grid") or [b + (i - 7) * fd_h * 2 for i in range(15)]
         t_grid = section.get("t_grid") or [0.5 * k for k in range(1, 6)]
+        at_b = {"x": x, "b": b, **({"h": float(section["h"])} if "h" in section else {})}
         check_args = {
-            "barrier_derivative": {"x": x, "b": b, "h": h},
-            "slope_identity": {"x": x, "b": b, "h": h},
+            "barrier_derivative": at_b,
+            "slope_identity": at_b,
             "convexity": {"x_grid": x_grid, "b_star": res.b_star},
             "martingale": {"x": x, "t_grid": t_grid, "b_star": res.b_star},
             "hjb": {"x_grid": x_grid, "fd_h": fd_h, "b_star": res.b_star},
@@ -289,10 +289,7 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         return {"verify": [r.to_record() for r in reports], "b_star": res.b_star}
 
     if command == "perturb":
-        section = cfg.get("perturb", {})
-        eps_grid = section.get("eps_grid", [0.2, 0.1, 0.05, 0.025])
-        res = solve_barrier_perturbed(model, problem, sim, eps_grid=eps_grid,
-                                      bisect_tol=section.get("bisect_tol"))
+        res = solve_barrier_perturbed(model, problem, sim, **cfg.get("perturb", {}))
         print(f"perturb: b_star={res.b_star:.6g} (smallest eps of {len(res.levels)})")
         return {"perturb": res.to_record()}
 

@@ -122,10 +122,16 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _finish(kind, samples, antithetic, triplet, problem, cfg, **extra):
+def _finite(kind: str, samples) -> np.ndarray:
+    """``samples`` as floats, refused if any is not finite."""
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteSample(f"{kind}: non-finite pathwise sample encountered")
+    return samples
+
+
+def _finish(kind, samples, antithetic, triplet, problem, cfg, **extra):
+    samples = _finite(kind, samples)
     mean, stderr, kurt = _moments(samples, antithetic)
     reliable = True
     if kurt is not None and kurt > KURTOSIS_RELIABLE_MAX:
@@ -180,8 +186,9 @@ def _value_pass(triplet, problem, cfg, x_start, pairs, n_workers=1):
     return out["pp_running"] + problem.C * out["pp_control"], out
 
 
-def _rho_grid(b_grid, method) -> tuple:
-    """The barriers of a rho-hat curve, checked sorted, and its method checked known."""
+def _rho_grid(b_grid, method="time_integral") -> tuple:
+    """The barriers of a rho-hat curve (or of ``barrier_sweep``), checked sorted, and
+    its method checked known."""
     b_grid = tuple(float(b) for b in b_grid)
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
         raise ValueError("b_grid must be sorted strictly increasing")

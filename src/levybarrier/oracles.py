@@ -75,13 +75,6 @@ class SpectrallyNegativeOracle:
     def for_model(cls, triplet: LevyTriplet, q: float) -> "SpectrallyNegativeOracle":
         return cls(triplet=triplet, q=q, phi_q=phi_root(triplet, q))
 
-    def laplace_exponent(self, lam: float) -> float:
-        return _laplace_exponent(self.triplet, lam)
-
-    def mean_sup_at_exp_time(self) -> float:
-        """E[sup of X over [0, e_q]] = 1 / Phi(q) for the exponential law."""
-        return 1.0 / self.phi_q
-
 
 def quadratic_bstar_closed_form(oracle: SpectrallyNegativeOracle, problem: ProblemSpec) -> float:
     """Exact optimal barrier -q C / 2 - 1 / Phi(q) for the quadratic cost."""

@@ -4,12 +4,14 @@ Each check compares a Monte Carlo finite difference or functional against
 the identity it should satisfy and reports a CheckReport.  All checks run
 on common-random-number batches: differences of estimates are formed per
 path before averaging, so the reported stderr is the propagated pathwise
-one, far below the independent-run value.  Tolerances are assembled per
-point from (a) the propagated Monte Carlo stderr, (b) finite-difference
-curvature allowances estimated from higher-order differences of the node
-values, (c) quadrature and interpolation bounds for the jump integral, and
-(d) explicit time-step and horizon-truncation allowances so that
-zero-variance (deterministic-path) models are budgeted honestly too.
+one, far below the independent-run value.  Check statistics pair
+antithetic halves first, as every estimate does (``estimators._moments``).
+Tolerances are assembled per point from (a) the propagated Monte Carlo
+stderr, (b) finite-difference curvature allowances estimated from
+higher-order differences of the node values, (c) quadrature and
+interpolation bounds for the jump integral, and (d) explicit time-step and
+horizon-truncation allowances so that zero-variance (deterministic-path)
+models are budgeted honestly too.
 
 ``run_checks`` reads several checks off ONE streamed pass of the paths
 from 0: a path started at x is the path from 0 plus x bit for bit, so each
@@ -34,12 +36,12 @@ import numpy as np
 
 from .barrier_solver import solve_barrier
 from .cost_model import ProblemSpec
-from .errors import NonFiniteSample
-from .estimators import _rho_chunk, _rho_ctx, _rho_curve, _value_pass
+from .estimators import _finite, _moments, _rho_chunk, _rho_ctx, _rho_curve, _value_pass
 from .levy_model import LevyTriplet
 from .path_engine import (
     SimConfig,
     ValueCtx,
+    _antithetic_active,
     discount_factors,
     first_passage_index,
     integral_weights,
@@ -86,13 +88,6 @@ class CheckReport:
         }
 
 
-def _se(samples: np.ndarray) -> float:
-    s = np.asarray(samples, dtype=float)
-    if s.size < 2 or np.all(s == s[0]):
-        return 0.0
-    return float(s.std(ddof=1) / math.sqrt(s.size))
-
-
 def _drift_scale(triplet: LevyTriplet) -> float:
     return abs(triplet.effective_drift) + triplet.sigma + triplet.jumps.rate * triplet.jumps.mean_abs_size()
 
@@ -102,22 +97,27 @@ def _drift_scale(triplet: LevyTriplet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interp_eval(y, nodes, means, C):
-    """Piecewise-linear value interpolant with structural extensions.
-
-    Below the node range the value continues with exact slope -C; above it
-    the last segment's slope is frozen.
+def _hat(y, nodes, C):
+    """The value interpolant at y in hat form (idx, t, const), the value being
+    (1 - t) v[idx] + t v[idx + 1] + const for node values v: linear between the
+    nodes, the last segment continued above them (idx is clipped to it, so
+    t > 1), and slope -C below them (t = 0, const = C (nodes[0] - y)).
     """
     y = np.asarray(y, dtype=float)
-    out = np.interp(y, nodes, means)
+    idx = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, nodes.size - 2)
     below = y < nodes[0]
-    if np.any(below):
-        out = np.where(below, means[0] + C * (nodes[0] - y), out)
-    above = y > nodes[-1]
-    if np.any(above):
-        slope = (means[-1] - means[-2]) / (nodes[-1] - nodes[-2])
-        out = np.where(above, means[-1] + slope * (y - nodes[-1]), out)
-    return out
+    t = np.where(below, 0.0, (y - nodes[idx]) / (nodes[idx + 1] - nodes[idx]))
+    return idx, t, np.where(below, C * (nodes[0] - y), 0.0)
+
+
+def _hat_weights(y, nodes, C):
+    """``_hat`` scattered into rows: the value at y[k] is W[k] @ v + const[k]."""
+    idx, t, const = _hat(y, nodes, C)
+    rows = np.arange(idx.size)
+    W = np.zeros((idx.size, nodes.size))
+    W[rows, idx] = 1.0 - t
+    W[rows, idx + 1] = t
+    return W, const
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +138,9 @@ def _martingale_chunk(values, ctx: _MartingaleCtx):
     tau = first_passage_index(np.minimum.accumulate(values, axis=-1), ctx.b_star)
     # stop each path at tau and t: j = min(tau, t_k) per (path, t_k)
     j = np.minimum(tau[:, None], np.asarray(ctx.t_indices)[None, :])
-    x_j = np.take_along_axis(values, j, axis=1)
-    out = ctx.disc[j] * _interp_eval(x_j, ctx.nodes, ctx.node_means, ctx.C) + stopped_integral(
+    idx, t, const = _hat(np.take_along_axis(values, j, axis=1), ctx.nodes, ctx.C)
+    v = ctx.node_means
+    out = ctx.disc[j] * ((1.0 - t) * v[idx] + t * v[idx + 1] + const) + stopped_integral(
         np.asarray(ctx.f(values), dtype=float), ctx.w, j
     )
     return {"pp_m": out}
@@ -172,12 +173,18 @@ class _Pass:
             reducers.append((_rho_chunk, rho_ctx))
         reducers += [(_martingale_chunk, ctx) for ctx in self.walks]
         value, *rest = map_reduce_several(triplet, 0.0, cfg, reducers, n_workers=n_workers)
+        self.antithetic = _antithetic_active(triplet, cfg)
         self.v = value["pp_running"] + problem.C * value["pp_control"]
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
             y = rest.pop(0)["pp_y"]
             self.rho = dict(_rho_curve(y, rho_ctx.b_values, "time_integral", triplet, problem, cfg))
         self.m = [out["pp_m"] for out in rest]
+
+    def stat(self, samples, kind: str) -> tuple[float, float]:
+        """(mean, stderr) of per-path samples, refused if not finite, with
+        antithetic halves paired as every estimate pairs them (``_finish``)."""
+        return _moments(_finite(kind, samples), self.antithetic)[:2]
 
     def values(self, pairs) -> np.ndarray:
         """Per-path values (n, pairs) of the paths started at each offset, reflected
@@ -231,12 +238,10 @@ def run_checks(triplet: LevyTriplet, problem: ProblemSpec, cfg: SimConfig, check
 # ---------------------------------------------------------------------------
 
 
-def _bundle(p: _Pass, bundle, h, what):
+def _bundle(p: _Pass, bundle, h):
     """Values of a three-point CRN bundle and its curvature allowance: a
     forward difference is biased by h/2 * v'' + O(h^2); budget a full h * v''."""
     v = p.values(bundle)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteSample(f"{what} bundle produced non-finite values")
     return v, h * (abs(float((v[:, 2] - 2 * v[:, 1] + v[:, 0]).mean())) / h**2)
 
 
@@ -254,11 +259,9 @@ def check_barrier_derivative(triplet: LevyTriplet, problem: ProblemSpec, x: floa
     cfg.validate_for(problem.q)
     bundle = [(x, b - h), (x, b), (x, b + h)]
     p = yield _Ask(pairs=bundle, passages=[(x, b)], rho=[b])
-    v, allowance = _bundle(p, bundle, h, "barrier derivative")
-    fwd = (v[:, 2] - v[:, 1]) / h
-    lhs, se_lhs = float(fwd.mean()), _se(fwd)
-    tau_disc = p.passage(x, b)
-    tau_mean, se_tau = float(tau_disc.mean()), _se(tau_disc)
+    v, allowance = _bundle(p, bundle, h)
+    lhs, se_lhs = p.stat((v[:, 2] - v[:, 1]) / h, "barrier_derivative")
+    tau_mean, se_tau = p.stat(p.passage(x, b), "barrier_derivative")
     rho = p.rho[b]
     rho_c = rho.mean + problem.C
     rhs = tau_mean * rho_c
@@ -287,11 +290,9 @@ def check_slope_identity(triplet: LevyTriplet, problem: ProblemSpec, x: float, b
     cfg.validate_for(problem.q)
     bundle = [(x, b), (x + h, b), (x + 2 * h, b)]
     p = yield _Ask(pairs=bundle, passages=[(x, b)], f_prime=True)
-    v, allowance = _bundle(p, bundle, h, "slope identity")
+    v, allowance = _bundle(p, bundle, h)
     rhs_p = p.passage(x, b, f_prime=True) - problem.C * p.passage(x, b)
-    diff = (v[:, 1] - v[:, 0]) / h - rhs_p
-    statistic = float(diff.mean())
-    se = _se(diff)
+    statistic, se = p.stat((v[:, 1] - v[:, 0]) / h - rhs_p, "slope_identity")
     floor = 1e-9 * (1.0 + float(np.abs(v[:, 0]).mean())) + cfg.tail_tol * (
         1.0 + abs(float(problem.cost.f_prime_plus(x)))
     )
@@ -325,12 +326,12 @@ def check_convexity(
     if b_star is None:
         b_star = solve_barrier(triplet, problem, cfg, n_workers=n_workers).b_star
     bundle = [(x, b_star) for x in x_grid]
-    v = (yield _Ask(pairs=bundle)).values(bundle)
+    p = yield _Ask(pairs=bundle)
+    v = p.values(bundle)
     details = []
     worst = -math.inf
     for j in range(1, x_grid.size - 1):
-        d2 = v[:, j + 1] - 2 * v[:, j] + v[:, j - 1]
-        mean, se = float(d2.mean()), _se(d2)
+        mean, se = p.stat(v[:, j + 1] - 2 * v[:, j] + v[:, j - 1], "convexity")
         floor = 1e-9 * (1.0 + float(np.abs(v[:, j]).mean()))
         violation = -(mean + 3.0 * se + floor)
         worst = max(worst, violation)
@@ -373,10 +374,6 @@ def check_martingale(
         triplet, problem, node_cfg, 0.0, [(o, b_star) for o in node_grid], n_workers=n_workers
     )
     node_means = node_v.mean(axis=0)
-    node_se = np.array([_se(node_v[:, j]) for j in range(node_grid.size)])
-    interp_allow = 3.0 * float(node_se.max()) + float(
-        np.max(np.abs(np.diff(node_means, 2))) / 8.0
-    )
 
     t_indices = sorted({0} | {int(round(t / cfg.dt)) for t in t_grid})
     if max(t_indices) > cfg.n_steps:
@@ -393,15 +390,15 @@ def check_martingale(
         disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
     )
     p = yield _Ask(martingale=ctx)
+    node_se = max(p.stat(col, "martingale")[1] for col in node_v.T)
+    interp_allow = 3.0 * node_se + float(np.max(np.abs(np.diff(node_means, 2))) / 8.0)
     m = p.m[p.walks.index(ctx)]
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteSample("martingale functional produced non-finite values")
     m0 = float(m[:, 0].mean())
     details = []
     statistic = tolerance = 0.0
     for k, t_idx in enumerate(t_indices):
         drift_term = float(m[:, k].mean()) - m0
-        se = _se(m[:, k] - m[:, 0])
+        se = p.stat(m[:, k] - m[:, 0], "martingale")[1]
         tol = 3.0 * se + interp_allow + 1e-9 * (1.0 + abs(m0))
         if abs(drift_term) >= abs(statistic):
             statistic, tolerance = drift_term, tol
@@ -415,34 +412,6 @@ def check_martingale(
 # ---------------------------------------------------------------------------
 # HJB system check
 # ---------------------------------------------------------------------------
-
-
-def _interp_weights(y_points, nodes, C):
-    """Hat-function weights of the interpolant at arbitrary points.
-
-    Returns (W, const) with v(y_k) = W[k] @ node_values + const[k], using the
-    exact slope -C continuation below the grid and a frozen top slope above.
-    """
-    y = np.asarray(y_points, dtype=float)
-    n = nodes.size
-    W = np.zeros((y.size, n))
-    const = np.zeros(y.size)
-    inside = (y >= nodes[0]) & (y <= nodes[-1])
-    idx = np.clip(np.searchsorted(nodes, y[inside], side="right") - 1, 0, n - 2)
-    t = (y[inside] - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    rows = np.flatnonzero(inside)
-    W[rows, idx] = 1.0 - t
-    W[rows, idx + 1] = t
-    below = y < nodes[0]
-    W[below, 0] = 1.0
-    const[below] = C * (nodes[0] - y[below])
-    above = y > nodes[-1]
-    if np.any(above):
-        dlast = nodes[-1] - nodes[-2]
-        s = (y[above] - nodes[-1]) / dlast
-        W[above, -1] = 1.0 + s
-        W[above, -2] = -s
-    return W, const
 
 
 @_check
@@ -487,9 +456,8 @@ def check_hjb(
         nodes = np.concatenate([nodes, np.arange(lo_pad, hi_pad + pad_step, pad_step)])
     nodes = np.unique(np.round(nodes, 9))
     bundle = [(o, b_star) for o in nodes]
-    Y = (yield _Ask(pairs=bundle)).values(bundle)
-    if not np.all(np.isfinite(Y)):
-        raise NonFiniteSample("value bundle produced non-finite samples")
+    p = yield _Ask(pairs=bundle)
+    Y = p.values(bundle)
     means = Y.mean(axis=0)
 
     def node_index(v):
@@ -518,7 +486,7 @@ def check_hjb(
             c[i0] -= 2 * sig2h / fd_h**2
         quad_allow = 0.0
         if jumps.rate > 0:
-            W, w_const = _interp_weights(x + z, nodes, C)
+            W, w_const = _hat_weights(x + z, nodes, C)
             c += jumps.rate * (mass @ W)
             const += jumps.rate * float(mass @ w_const)
             c[i0] -= jumps.rate * float(mass.sum())
@@ -528,8 +496,7 @@ def check_hjb(
             ) ** cost.growth_degree
             quad_allow = jumps.rate * (tail_mass * (far / q + abs(float(means[i0]))) + interp_err)
 
-        r_paths = Y @ c + const
-        res_mean, res_se = float(r_paths.mean()), _se(r_paths)
+        res_mean, res_se = p.stat(Y @ c + const, "hjb")
 
         v_abs = abs(float(means[i0]))
         f_abs = abs(float(cost.f(x)))
@@ -548,8 +515,7 @@ def check_hjb(
         floor = 1e-9 * (1.0 + v_abs + f_abs)
         tol = 3.0 * res_se + fd_allow + dt_allow + tail_allow + quad_allow + kink_allow + floor
 
-        slope_paths = (Y[:, ip1] - Y[:, im1]) / (2 * fd_h)
-        slope_mean, slope_se = float(slope_paths.mean()), _se(slope_paths)
+        slope_mean, slope_se = p.stat((Y[:, ip1] - Y[:, im1]) / (2 * fd_h), "hjb")
         slope_tol = (
             3.0 * slope_se
             + d3 / (6 * fd_h)

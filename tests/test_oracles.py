@@ -7,6 +7,7 @@ from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import NotSpectrallyNegative
 from levybarrier.oracles import (
     SpectrallyNegativeOracle,
+    _laplace_exponent,
     phi_root,
     pure_drift_value,
     quadratic_bstar_closed_form,
@@ -29,10 +30,10 @@ def test_phi_pure_positive_drift():
 def test_phi_bm_with_negative_exponential_jumps():
     t = LevyTriplet(gamma=0.0, sigma=1.0, jumps=JumpSpec.kou_mixture(2.0, 0.0, 1.0, 1.5))
     oracle = SpectrallyNegativeOracle.for_model(t, 0.7)
-    assert abs(oracle.laplace_exponent(oracle.phi_q) - 0.7) <= 1e-10
+    assert abs(_laplace_exponent(t, oracle.phi_q) - 0.7) <= 1e-10
     # psi convex with psi(0) = 0
     lams = np.linspace(0.0, 2 * oracle.phi_q, 9)
-    vals = [oracle.laplace_exponent(l) for l in lams]
+    vals = [_laplace_exponent(t, l) for l in lams]
     assert vals[0] == 0.0
     assert np.all(np.diff(vals, 2) >= -1e-9)
 
@@ -102,4 +103,4 @@ def test_exp_clock_rho_matches_phi():
     prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.0, q=q)
     est = lb.estimate_rho(BM, prob, 0.0, cfg, method="exp_clock")
     mean, se = q * est.mean / 2, q * est.stderr / 2
-    assert abs(mean - oracle.mean_sup_at_exp_time()) <= 3 * se + 0.6 * np.sqrt(cfg.dt)
+    assert abs(mean - 1 / oracle.phi_q) <= 3 * se + 0.6 * np.sqrt(cfg.dt)

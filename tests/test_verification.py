@@ -7,8 +7,11 @@ import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated
+from levybarrier.estimators import _moments, _value_pass
 from levybarrier.path_engine import horizon_for
 from levybarrier.verification import (
+    _hat,
+    _hat_weights,
     check_barrier_derivative,
     check_convexity,
     check_hjb,
@@ -222,3 +225,53 @@ def test_shared_pass_reports_match_standalone_checks(n_workers):
     shared = run_checks(KOU, prob, cfg, list(kwargs.items()), n_workers=n_workers)
     assert [r.name for r in shared] == list(kwargs)
     assert [r.to_record() for r in shared] == [r.to_record() for r in alone]
+
+
+# ---------------------------------------------------------------------------
+# shared statistics: the estimators' antithetic-aware stderr, one interpolant
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("triplet", [BM, LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 3.0, 3.0))])
+def test_check_stderr_pairs_antithetic_halves(triplet):
+    # a symmetric model with antithetic pairs: a check's stderr is the one
+    # every estimate reports, with the mirrored halves averaged first
+    q, h = 0.5, 0.05
+    prob = quad_problem(1.0, q)
+    cfg = SimConfig(dt=1e-2, horizon_T=horizon_for(q, 1e-3, 1e-2), n_paths=400, master_seed=5,
+                    tail_tol=1e-3, antithetic=True)
+    x, b = 0.0, -1.0
+    bundle = [(x, b - h), (x, b), (x, b + h)]
+    v, _ = _value_pass(triplet, prob, cfg, 0.0, bundle)
+    rep = check_barrier_derivative(triplet, prob, x=x, b=b, cfg=cfg, h=h)
+    assert rep.details[0]["se_lhs"] == _moments((v[:, 2] - v[:, 1]) / h, True)[1]
+
+    x_grid = np.linspace(-1.0, 1.0, 5)
+    v, _ = _value_pass(triplet, prob, cfg, 0.0, [(o, b) for o in x_grid])
+    rep = check_convexity(triplet, prob, cfg, x_grid, b_star=b)
+    expect = [_moments(v[:, j + 1] - 2 * v[:, j] + v[:, j - 1], True)[1] for j in range(1, 4)]
+    assert [row["se"] for row in rep.details] == expect
+
+
+def test_hat_form_is_the_value_interpolant():
+    nodes = np.array([-1.0, -0.5, 0.25, 1.0, 2.0])
+    v = np.array([3.0, 1.5, 0.75, 1.25, 4.0])
+    C = 0.7
+
+    def evaluate(y):
+        idx, t, const = _hat(y, nodes, C)
+        return (1.0 - t) * v[idx] + t * v[idx + 1] + const
+
+    inside = np.linspace(nodes[0], nodes[-1], 37)
+    np.testing.assert_allclose(evaluate(inside), np.interp(inside, nodes, v), rtol=1e-14, atol=1e-14)
+    below = np.array([-3.0, -1.5, -1.0 - 1e-12])
+    np.testing.assert_allclose(evaluate(below), v[0] + C * (nodes[0] - below), rtol=1e-14)
+    above = np.array([2.0 + 1e-12, 2.5, 7.0])
+    slope = (v[-1] - v[-2]) / (nodes[-1] - nodes[-2])
+    np.testing.assert_allclose(evaluate(above), v[-1] + slope * (above - nodes[-1]), rtol=1e-14)
+
+    # check_hjb's rows: the same form scattered into a matvec
+    y = np.concatenate([below, inside, above])
+    W, const = _hat_weights(y, nodes, C)
+    np.testing.assert_allclose(W @ v + const, evaluate(y), rtol=1e-14)
+    assert np.all(np.count_nonzero(W, axis=1) <= 2)
