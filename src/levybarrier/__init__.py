@@ -48,7 +48,6 @@ from .oracles import (
     quadratic_bstar_closed_form,
 )
 from .path_engine import (
-    NEVER,
     SimConfig,
     discounted_integral,
     discounted_stieltjes,

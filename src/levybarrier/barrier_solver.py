@@ -20,6 +20,7 @@ so their supremum at the exponential clock is sampled exactly, with no grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -109,17 +110,11 @@ class PerturbedBarrierResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _SolverCtx:
-    bin_width: float
-    w: np.ndarray
-
-
-def _solver_chunk(values, ctx: _SolverCtx):
+def _solver_chunk(values, *, bin_width, w):
     u = _reflected_at_zero(values)
-    udisc = _grid_sum(u, ctx.w)
-    bins = np.rint(np.divide(u, ctx.bin_width, out=u), out=u).astype(np.int64)
-    u[:] = ctx.w  # the spent buffer holds the bin weights: no chunk-sized copy
+    udisc = _grid_sum(u, w)
+    bins = np.rint(np.divide(u, bin_width, out=u), out=u).astype(np.int64)
+    u[:] = w  # the spent buffer holds the bin weights: no chunk-sized copy
     return {
         "acc_hist": np.bincount(bins.ravel(), weights=u.ravel()),
         "pp_udisc": udisc,
@@ -266,8 +261,9 @@ def solve_barrier(
     cfg.validate_for(problem.q)
     bin_width = min(1e-3, _tol(bisect_tol, 0.0)) / 4.0  # at b = 0 the relative rule is its floor
 
-    ctx = _SolverCtx(bin_width=bin_width, w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
-    out = map_reduce_paths(triplet, 0.0, cfg, _solver_chunk, ctx, n_workers=n_workers)
+    reducer = functools.partial(_solver_chunk, bin_width=bin_width,
+                                w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
+    [out] = map_reduce_paths(triplet, cfg, [reducer], n_workers=n_workers)
     rho_hat = _WeightedRho(np.arange(out["acc_hist"].shape[-1]) * bin_width, out["acc_hist"],
                            _batch_path_counts(cfg.n_paths, _antithetic_active(triplet, cfg)),
                            problem.cost.f_prime_plus)
@@ -345,7 +341,7 @@ def barrier_sweep(
     b_grid = _rho_grid(b_grid)
     cfg.validate_for(problem.q)
     anti = _antithetic_active(triplet, cfg)
-    v, _ = _value_pass(triplet, problem, cfg, x, [(0.0, b) for b in b_grid], n_workers=n_workers)
+    v, _ = _value_pass(triplet, problem, cfg, [(x, b) for b in b_grid], n_workers=n_workers)
     return [
         (b, _finish("sweep_value", v[:, k], anti, triplet, problem, cfg, b=b, x=x))
         for k, b in enumerate(b_grid)

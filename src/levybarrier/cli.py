@@ -27,9 +27,11 @@ Config schema (defaults in brackets):
     verify:  checks [all], x, b, h [0.05], fd_h [0.25], x_grid, t_grid
     perturb: eps_grid [0.2, 0.1, 0.05, 0.025], bisect_tol
 
-Unknown keys are rejected with the offending dotted path.  result.json is
-byte-identical across runs with the same config and seed (worker count and
-timestamps never enter it; volatile metadata goes to meta.json).
+Unknown keys (a dist or cost parameter included that its kind does not
+take) and wrongly typed values are rejected with the offending dotted path.
+result.json is byte-identical across runs with the same config and seed
+(worker count and timestamps never enter it; volatile metadata goes to
+meta.json).
 
 Exit codes: 0 success, 2 config validation, 3 solver preconditions
 (assumption violated / no sign change), 4 numeric failure.
@@ -95,78 +97,96 @@ def _reject_unknown(cfg: dict, path: str = "") -> None:
             raise ConfigError(f"config.{subpath}: expected an object")
 
 
-def _need(cfg: dict, path: str):
+_COST_KEYS = {"quadratic": (), "quartic": (), "abs": (), "piecewise_linear": ("slopes", "kinks")}
+_EXPECTED = {float: "a number", int: "an integer", bool: "true or false", list: "a list of numbers"}
+_REQUIRED = object()
+
+
+def _need(cfg: dict, path: str, kind=None, default=_REQUIRED):
+    """``config.<path>``, converted to ``kind`` when given: float, int, bool (a JSON true or
+    false only: bool("false") is True) or list (of floats).  An absent or null field is
+    ``default``, or an error when none is given."""
     node = cfg
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+        node = node.get(part) if isinstance(node, dict) else None
+    if node is None:
+        if default is _REQUIRED:
             raise ConfigError(f"config.{path}: required field is missing")
-        node = node[part]
-    return node
+        return default
+    if kind is None or (kind is bool and isinstance(node, bool)):
+        return node
+    try:
+        if kind is list and isinstance(node, list):
+            return [float(v) for v in node]
+        if kind in (float, int) and not isinstance(node, (bool, list, dict)):
+            value = kind(node)
+            if not isinstance(node, float) or value == node:  # int(2.5) would be 2
+                return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config.{path}: expected {_EXPECTED[kind]}, got {node!r}")
+
+
+def _params(cfg: dict, path: str, names: tuple, kind=None) -> list:
+    """The fields ``names`` of the section at ``path``, which holds no other key but its kind."""
+    for key in _need(cfg, path):
+        if key not in ("kind",) + names:
+            raise ConfigError(f"config.{path}.{key}: unknown key")
+    return [_need(cfg, f"{path}.{name}", kind) for name in names]
 
 
 def _build_jumps(cfg: dict) -> JumpSpec:
     """The law of ``model.jumps``; a dist given is checked against its family even at rate 0."""
-    jumps_cfg = cfg["model"].get("jumps", {})
-    rate = float(jumps_cfg.get("rate", 0.0))
-    if "dist" not in jumps_cfg and rate <= 0:
+    rate = _need(cfg, "model.jumps.rate", float, 0.0)
+    if _need(cfg, "model.jumps.dist", default=None) is None and rate <= 0:
         return JumpSpec.none()
     kind = _need(cfg, "model.jumps.dist.kind")
     family = JUMP_FAMILIES.get(str(kind))
     if family is None:
         raise ConfigError(f"config.model.jumps.dist.kind: unknown kind {kind!r}")
-    names = family.param_names()
-    for key in jumps_cfg["dist"]:
-        if key not in ("kind",) + names:
-            raise ConfigError(f"config.model.jumps.dist.{key}: unknown key")
-    params = [_need(cfg, f"model.jumps.dist.{name}") for name in names]
+    params = _params(cfg, "model.jumps.dist", family.param_names())
     return family(rate, *params) if rate > 0 else JumpSpec.none()
 
 
 def _build_model(cfg: dict) -> LevyTriplet:
-    section = _need(cfg, "model")
     try:
         return LevyTriplet(
-            gamma=float(_need(cfg, "model.gamma")),
-            sigma=float(_need(cfg, "model.sigma")),
+            gamma=_need(cfg, "model.gamma", float),
+            sigma=_need(cfg, "model.sigma", float),
             jumps=_build_jumps(cfg),
-            exp_moment_theta=float(section.get("theta_bar", 1.0)),
+            exp_moment_theta=_need(cfg, "model.theta_bar", float, 1.0),
         )
     except InvalidModel as exc:
         raise ConfigError(f"config.model: {exc}")
 
 
 def _build_problem(cfg: dict) -> ProblemSpec:
-    cost_cfg = dict(_need(cfg, "problem.cost"))
-    kind = cost_cfg.pop("kind", None)
-    if kind is None:
-        raise ConfigError("config.problem.cost.kind: required field is missing")
+    kind = _need(cfg, "problem.cost.kind")
+    names = _COST_KEYS.get(str(kind), ())
     try:
-        cost = builtin_cost(kind, **cost_cfg)
+        cost = builtin_cost(kind, **dict(zip(names, _params(cfg, "problem.cost", names, list))))
     except (NonConvexSpec, ValueError) as exc:
         raise ConfigError(f"config.problem.cost: {exc}")
-    moll = cfg["problem"].get("mollify")
-    if moll and moll.get("epsilon"):
-        cost = mollify(cost, float(moll["epsilon"]), float(moll.get("anchor", 0.0)))
+    epsilon = _need(cfg, "problem.mollify.epsilon", float, None)
+    if epsilon:
+        cost = mollify(cost, epsilon, _need(cfg, "problem.mollify.anchor", float, 0.0))
     try:
-        return ProblemSpec(cost=cost, C=float(_need(cfg, "problem.C")), q=float(_need(cfg, "problem.q")))
+        return ProblemSpec(cost=cost, C=_need(cfg, "problem.C", float), q=_need(cfg, "problem.q", float))
     except ValueError as exc:
         raise ConfigError(f"config.problem: {exc}")
 
 
 def _build_sim(cfg: dict, q: float) -> SimConfig:
-    sim = _need(cfg, "sim")
-    tail_tol = float(sim.get("tail_tol", 1e-4))
-    dt = float(_need(cfg, "sim.dt"))
-    horizon = sim.get("horizon_T")
-    if horizon is None:
-        horizon = horizon_for(q, tail_tol, dt)
+    tail_tol = _need(cfg, "sim.tail_tol", float, 1e-4)
+    dt = _need(cfg, "sim.dt", float)
+    horizon = _need(cfg, "sim.horizon_T", float, None)
     try:
         out = SimConfig(
             dt=dt,
-            horizon_T=float(horizon),
-            n_paths=int(_need(cfg, "sim.n_paths")),
-            master_seed=int(_need(cfg, "sim.master_seed")),
-            antithetic=bool(sim.get("antithetic", False)),
+            horizon_T=horizon_for(q, tail_tol, dt) if horizon is None else horizon,
+            n_paths=_need(cfg, "sim.n_paths", int),
+            master_seed=_need(cfg, "sim.master_seed", int),
+            antithetic=_need(cfg, "sim.antithetic", bool, False),
             tail_tol=tail_tol,
         )
         out.validate_for(q)
@@ -217,14 +237,14 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
     sim = _build_sim(cfg, problem.q)
 
     if command == "solve":
-        tol = cfg.get("solve", {}).get("bisect_tol")
+        tol = _need(cfg, "solve.bisect_tol", float, None)
         res = solve_barrier(model, problem, sim, bisect_tol=tol, n_workers=n_workers)
         print(f"solve: b_star={res.b_star:.6g} ci_halfwidth={res.ci_halfwidth:.3g}")
         return {"solve": res.to_record()}
 
     if command == "value":
-        x = float(_need(cfg, "value.x"))
-        b = float(_need(cfg, "value.b"))
+        x = _need(cfg, "value.x", float)
+        b = _need(cfg, "value.b", float)
         v1, v2, v = estimate_value(model, problem, b, x, sim, n_workers=n_workers)
         print(f"value: v={v.mean:.6g} +/- {v.stderr:.2g}")
         return {
@@ -236,9 +256,8 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         }
 
     if command == "rho":
-        section = cfg.get("rho", {})
-        b_grid = _need(cfg, "rho.b_grid")
-        method = section.get("method", "time_integral")
+        b_grid = _need(cfg, "rho.b_grid", list)
+        method = _need(cfg, "rho.method", default="time_integral")
         curve = skeleton_rho_curve(model, problem, b_grid, sim, method=method)
         _write_csv(
             out_dir / "rho.csv",
@@ -250,8 +269,8 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         return {"rho": [estimate_record("rho", est, b=b) for b, est in curve]}
 
     if command == "sweep":
-        x = float(_need(cfg, "sweep.x"))
-        b_grid = _need(cfg, "sweep.b_grid")
+        x = _need(cfg, "sweep.x", float)
+        b_grid = _need(cfg, "sweep.b_grid", list)
         curve = barrier_sweep(model, problem, x, b_grid, sim, n_workers=n_workers)
         _write_csv(
             out_dir / "sweep.csv",
@@ -263,15 +282,18 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         return {"sweep": [estimate_record("sweep_value", est, b=b, x=x) for b, est in curve]}
 
     if command == "verify":
-        section = cfg.get("verify", {})
-        names = section.get("checks", ["barrier_derivative", "slope_identity", "convexity", "martingale", "hjb"])
+        names = _need(cfg, "verify.checks", default=["barrier_derivative", "slope_identity", "convexity",
+                                                     "martingale", "hjb"])
+        if not isinstance(names, list):
+            raise ConfigError(f"config.verify.checks: expected a list of check names, got {names!r}")
         res = solve_barrier(model, problem, sim, n_workers=n_workers)
-        b = float(section.get("b", res.b_star))
-        x = float(section.get("x", b + 1.0))
-        fd_h = float(section.get("fd_h", 0.25))
-        x_grid = section.get("x_grid") or [b + (i - 7) * fd_h * 2 for i in range(15)]
-        t_grid = section.get("t_grid") or [0.5 * k for k in range(1, 6)]
-        at_b = {"x": x, "b": b, **({"h": float(section["h"])} if "h" in section else {})}
+        b = _need(cfg, "verify.b", float, res.b_star)
+        x = _need(cfg, "verify.x", float, b + 1.0)
+        fd_h = _need(cfg, "verify.fd_h", float, 0.25)
+        x_grid = _need(cfg, "verify.x_grid", list, None) or [b + (i - 7) * fd_h * 2 for i in range(15)]
+        t_grid = _need(cfg, "verify.t_grid", list, None) or [0.5 * k for k in range(1, 6)]
+        h = _need(cfg, "verify.h", float, None)
+        at_b = {"x": x, "b": b, **({} if h is None else {"h": h})}
         check_args = {
             "barrier_derivative": at_b,
             "slope_identity": at_b,
@@ -289,7 +311,9 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         return {"verify": [r.to_record() for r in reports], "b_star": res.b_star}
 
     if command == "perturb":
-        res = solve_barrier_perturbed(model, problem, sim, **cfg.get("perturb", {}))
+        eps_grid = _need(cfg, "perturb.eps_grid", list, None)
+        res = solve_barrier_perturbed(model, problem, sim, bisect_tol=_need(cfg, "perturb.bisect_tol", float, None),
+                                      **({} if eps_grid is None else {"eps_grid": eps_grid}))
         print(f"perturb: b_star={res.b_star:.6g} (smallest eps of {len(res.levels)})")
         return {"perturb": res.to_record()}
 

@@ -4,7 +4,10 @@ Every estimate is reported with its standard error and a configuration
 fingerprint.  Common random numbers come for free from the deterministic
 per-path streams: evaluating several barriers or starting points against
 the same (master_seed, n_paths) reuses identical paths, so differences of
-estimates are pathwise differences.
+estimates are pathwise differences.  Every grid estimate is one
+``path_engine.map_reduce_paths`` pass of the paths from 0, read by a
+module-level chunk reducer bound to its parameters with
+``functools.partial``; a start x is an offset of that pass.
 
 rho(b) is estimated from paths started at 0 and reflected at 0 with the
 argument shift rho(b) = E[ int_0^inf e^{-qt} f'_+(U^0_t + b) dt ]; the
@@ -21,13 +24,13 @@ stay as the reference the checks compare against.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .path_engine import (
     ENGINE_VERSION,
     SKELETON_FLOATS,
     SimConfig,
-    ValueCtx,
     _antithetic_active,
     _clock_weights,
     _grid_sum,
@@ -156,33 +158,21 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, **extra):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _RhoCtx:
-    b_values: tuple
-    f_prime: Callable
-    w: np.ndarray
-    exp_clock: bool  # weigh the running maximum, not U^0
+def _rho_chunk(values, *, b_values, f_prime, w, exp_clock):
+    """Per-path rho-hat samples sum_i w_i f'_+(Z_i + b), one column per barrier of ``b_values``.
+
+    Z is U^0, the path reflected at 0, for the time integral and, with
+    ``exp_clock``, the running maximum of the path (>= 0, as it starts at 0)."""
+    z = np.maximum.accumulate(values, axis=-1) if exp_clock else _reflected_at_zero(values)
+    return {"pp_y": np.stack([_grid_sum(f_prime(z + b), w) for b in b_values], axis=1)}
 
 
-def _rho_chunk(values, ctx: _RhoCtx):
-    """Per-path rho-hat samples sum_i w_i f'_+(Z_i + b), one column per barrier.
-
-    Z is U^0, the path reflected at 0, for the time integral and the running
-    maximum of the path (>= 0, as it starts at 0) for the exp clock."""
-    if ctx.exp_clock:
-        z = np.maximum.accumulate(values, axis=-1)
-    else:
-        z = _reflected_at_zero(values)
-    y = [_grid_sum(ctx.f_prime(z + b), ctx.w) for b in ctx.b_values]
-    return {"pp_y": np.stack(y, axis=1)}
-
-
-def _value_pass(triplet, problem, cfg, x_start, pairs, n_workers=1):
-    """One streamed ``value_chunk`` pass over (offset, barrier) ``pairs``;
+def _value_pass(triplet, problem, cfg, pairs, n_workers=1):
+    """One streamed ``value_chunk`` pass over (start offset, barrier) ``pairs``;
     returns (running + C * control, partials)."""
-    ctx = ValueCtx(pairs=tuple((float(o), float(b)) for o, b in pairs), f=problem.cost.f,
-                   q=problem.q, dt=cfg.dt)
-    out = map_reduce_paths(triplet, x_start, cfg, value_chunk, ctx, n_workers=n_workers)
+    reducer = functools.partial(value_chunk, pairs=tuple((float(o), float(b)) for o, b in pairs),
+                                f=problem.cost.f, q=problem.q, dt=cfg.dt)
+    [out] = map_reduce_paths(triplet, cfg, [reducer], n_workers=n_workers)
     return out["pp_running"] + problem.C * out["pp_control"], out
 
 
@@ -197,9 +187,8 @@ def _rho_grid(b_grid, method="time_integral") -> tuple:
     return b_grid
 
 
-def _rho_ctx(problem, cfg, b_grid, method="time_integral") -> _RhoCtx:
-    """The ``_rho_chunk`` context of rho-hat on a sorted barrier grid."""
-    b_grid = _rho_grid(b_grid, method)
+def _rho_reducer(problem, cfg, b_grid: tuple, method="time_integral"):
+    """The ``_rho_chunk`` reducer of rho-hat on a barrier grid checked by ``_rho_grid``."""
     q, n_grid = problem.q, cfg.n_steps + 1
     if method == "time_integral":
         w = integral_weights(q, cfg.dt, n_grid)
@@ -207,8 +196,8 @@ def _rho_ctx(problem, cfg, b_grid, method="time_integral") -> _RhoCtx:
         d = discount_factors(q, cfg.dt, n_grid)
         w = np.append(d[:-1] - d[1:], 0.0) / (q * (1.0 - d[-1]))
     cfg.validate_for(q)
-    return _RhoCtx(b_values=b_grid, f_prime=problem.cost.f_prime_plus, w=w,
-                   exp_clock=method == "exp_clock")
+    return functools.partial(_rho_chunk, b_values=b_grid, f_prime=problem.cost.f_prime_plus, w=w,
+                             exp_clock=method == "exp_clock")
 
 
 def _rho_curve(y, b_grid, method, triplet, problem, cfg, **extra) -> list[tuple[float, EstimateWithError]]:
@@ -258,7 +247,7 @@ def estimate_value(
     random numbers), whatever their b and x.
     """
     cfg.validate_for(problem.q)
-    _, out = _value_pass(triplet, problem, cfg, x, [(0.0, b)], n_workers=n_workers)
+    _, out = _value_pass(triplet, problem, cfg, [(x, b)], n_workers=n_workers)
     anti = _antithetic_active(triplet, cfg)
     y1 = out["pp_running"][:, 0]
     y2 = out["pp_control"][:, 0]
@@ -283,9 +272,9 @@ def estimate_rho_curve(
     paths, weights and summation order, the returned means are
     nondecreasing in b exactly, not just statistically.
     """
-    ctx = _rho_ctx(problem, cfg, b_grid, method)
-    out = map_reduce_paths(triplet, 0.0, cfg, _rho_chunk, ctx, n_workers=n_workers)
-    return _rho_curve(out["pp_y"], ctx.b_values, method, triplet, problem, cfg)
+    b_grid = _rho_grid(b_grid, method)
+    [out] = map_reduce_paths(triplet, cfg, [_rho_reducer(problem, cfg, b_grid, method)], n_workers=n_workers)
+    return _rho_curve(out["pp_y"], b_grid, method, triplet, problem, cfg)
 
 
 def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: SimConfig,

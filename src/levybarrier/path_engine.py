@@ -14,18 +14,18 @@ A path's segments up to an Exponential(q) clock (``clock_skeleton``) are K
 Exp(1) draws (E_dn), then K sizes (with jumps), then K more Exp(1) (E_up,
 with sigma > 0), K fixed by the rate, q and ``tail_tol``.
 
-Large runs never materialize the full (paths x grid) matrix: estimators
-stream chunks of paths through reducer callbacks via ``map_reduce_paths``,
-whose merge order is fixed by chunk index so results do not depend on the
-worker count; accumulators are summed per fixed batch of consecutive
-streams (``BATCHES``, mirrored pairs together), giving batch-means errors.
-Every reflected functional of a chunk (value at any (start offset,
-barrier) pair, first passage) is read off one running minimum per chunk,
-since the minimum of a shifted path is the shifted minimum; a path started
-at x is the path from 0 plus x bit for bit, so starts are offsets, and
-``map_reduce_several`` lets several reducers share one simulation.  Sums
-along the grid take fixed-length dot products per path, so a path's sums
-depend neither on its chunk nor on the BLAS thread count.
+Large runs never materialize the full (paths x grid) matrix: the one grid
+pass, ``map_reduce_paths``, simulates each chunk of paths from 0 once and
+hands it to every reducer it is given, merging each reducer's partials in
+chunk order so results do not depend on the worker count; accumulators are
+summed per fixed batch of consecutive streams (``BATCHES``, mirrored pairs
+together), giving batch-means errors.  A path started at x is the path from
+0 plus x bit for bit, so a start is an offset that a reducer adds; every
+reflected functional of a chunk (value at any (start offset, barrier) pair,
+first passage) is read off one running minimum per chunk, since the minimum
+of a shifted path is the shifted minimum.  Sums along the grid take
+fixed-length dot products per path, so a path's sums depend neither on its
+chunk nor on the BLAS thread count.
 Grid paths serve every estimator, solver and check but two: the clock
 skeleton, with no grid and no dt, serves ``solve_barrier_perturbed`` and
 ``estimators.skeleton_rho_curve`` (the CLI's ``rho``).
@@ -38,7 +38,6 @@ import operator
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -47,17 +46,14 @@ from .levy_model import LevyTriplet
 __all__ = [
     "ENGINE_VERSION",
     "SimConfig",
-    "NEVER",
     "simulate_batch",
     "reflect_arrays",
-    "ValueCtx",
     "value_chunk",
     "first_passage_index",
     "stopped_integral",
     "discounted_integral",
     "discounted_stieltjes",
     "map_reduce_paths",
-    "map_reduce_several",
     "clock_skeleton",
     "clock_suprema",
     "horizon_for",
@@ -66,7 +62,6 @@ __all__ = [
 ]
 
 ENGINE_VERSION = 4  # the per-path draw orders of the module docstring
-NEVER = -1  # sentinel tau index: the path never went strictly below the barrier
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
 BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams
@@ -195,8 +190,8 @@ def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False)
     return True
 
 
-def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti):
-    """Values (hi-lo, n_steps+1) for paths lo..hi-1; ``anti`` (mirror the second half) is decided
+def _simulate_chunk(triplet, cfg, lo, hi, anti):
+    """Values (hi-lo, n_steps+1) from 0 for paths lo..hi-1; ``anti`` (mirror the second half) is decided
     once per pass by the caller.  The draws go straight into each row; scaling, drift, jumps (at
     their cell's right end) and the running sum then act chunk-wide, each element rounding as
     it would path by path."""
@@ -222,13 +217,13 @@ def _simulate_chunk(triplet, x_start, cfg, lo, hi, anti):
     for j, cells, sizes in jumps:
         incr[j] += np.bincount(cells, weights=sizes, minlength=n_steps)
     np.cumsum(incr, axis=1, out=incr)
-    incr += x_start
-    values[:, 0] = x_start
+    values[:, 0] = 0.0
     return values
 
 
 def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> np.ndarray:
-    """Materialize a full batch of paths, one (n_steps + 1) row per path (moderate sizes only).
+    """Materialize a full batch of paths from x_start, one (n_steps + 1) row per path (moderate
+    sizes only): the paths from 0 plus x_start.
 
     Deterministic given (master_seed, path index); see the module docstring
     for the draw-order contract.  For large n_paths x grid products use the
@@ -240,8 +235,9 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> np.n
             "batch of %d paths x %d grid points is too large to materialize; "
             "use the streaming estimators" % (cfg.n_paths, n_grid)
         )
-    anti = _antithetic_active(triplet, cfg, warn=True)
-    return _simulate_chunk(triplet, x_start, cfg, 0, cfg.n_paths, anti)
+    values = _simulate_chunk(triplet, cfg, 0, cfg.n_paths, _antithetic_active(triplet, cfg, warn=True))
+    values += x_start
+    return values
 
 
 def _clock_weights(rate: float, q: float, tail_tol: float) -> np.ndarray:
@@ -321,13 +317,11 @@ def reflect_arrays(values: np.ndarray, b: float):
     """(u, r, tau_idx) for the lower-barrier reflection of each row.
 
     One forward pass: r = max(b - running_min, 0), u = values + r; tau_idx is
-    the first index with the raw path strictly below b, NEVER otherwise.
+    the first index with the raw path strictly below b, n_grid if never.
     """
     running_min = np.minimum.accumulate(values, axis=-1)
     r = np.maximum(b - running_min, 0.0)
-    u = values + r
-    tau = first_passage_index(running_min, b)
-    return u, r, np.where(tau < values.shape[-1], tau, NEVER)
+    return values + r, r, first_passage_index(running_min, b)
 
 
 def integral_weights(q: float, dt: float, n_grid: int) -> np.ndarray:
@@ -386,19 +380,7 @@ def stopped_integral(g: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarra
     return np.where(idx > 0, np.take_along_axis(cum, np.maximum(idx - 1, 0), axis=-1), 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ValueCtx:
-    """The value functionals ``value_chunk`` evaluates on every chunk."""
-
-    pairs: tuple                     # (start offset, reflection barrier) pairs
-    f: Callable                      # running cost
-    q: float
-    dt: float
-    passages: tuple = ()             # (start offset, level) pairs of e^{-q tau}
-    f_prime: Callable | None = None  # also integrate f'_+ up to each passage
-
-
-def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
+def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(), f_prime=None) -> dict:
     """Running and control parts of the value at every (offset, barrier) pair.
 
     ``pp_running`` and ``pp_control`` have shape (n, pairs) and hold
@@ -407,32 +389,33 @@ def value_chunk(values: np.ndarray, ctx: ValueCtx) -> dict:
     equals m + o exactly for the running minimum m of the chunk:
     R = max(b - (m + o), 0) and U = (values + o) + R match
     ``reflect_arrays(values + o, b)`` bit for bit, and are written into two
-    buffers reused across all pairs.  Per (offset, level) of ``passages``,
-    ``pp_tau_disc`` is e^{-q tau} (0 if the path values + o never pass below
-    the level) and, with ``f_prime``, ``pp_fprime_to_tau`` the left-rule
-    integral of f'_+ along that unreflected path up to tau.
+    buffers reused across all pairs; ``f`` is the running cost.  Per (offset,
+    level) of ``passages``, ``pp_tau_disc`` is e^{-q tau} (0 if the path
+    values + o never pass below the level) and, with ``f_prime``,
+    ``pp_fprime_to_tau`` the left-rule integral of f'_+ along that
+    unreflected path up to tau.
     """
     n_grid = values.shape[-1]
-    w, disc = integral_weights(ctx.q, ctx.dt, n_grid), discount_factors(ctx.q, ctx.dt, n_grid)
+    w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
     m = np.minimum.accumulate(values, axis=-1)
-    running, control = np.empty((2, values.shape[0], len(ctx.pairs)))
+    running, control = np.empty((2, values.shape[0], len(pairs)))
     r, u = np.empty_like(values), np.empty_like(values)
-    for k, (o, b) in enumerate(ctx.pairs):
+    for k, (o, b) in enumerate(pairs):
         np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
         np.add(np.add(values, o, out=u), r, out=u)
-        running[:, k] = _grid_sum(ctx.f(u), w)
+        running[:, k] = _grid_sum(f(u), w)
         # u is spent: it takes R's increments, np.diff(r, prepend=0.0) bit for bit
         u[:, 0] = r[:, 0]
         np.subtract(r[:, 1:], r[:, :-1], out=u[:, 1:])
         control[:, k] = _grid_sum(u, disc)
     out = {"pp_running": running, "pp_control": control}
-    if ctx.passages:
-        tau = np.stack([first_passage_index(m + o, level) for o, level in ctx.passages], axis=1)
+    if passages:
+        tau = np.stack([first_passage_index(m + o, level) for o, level in passages], axis=1)
         out["pp_tau_disc"] = np.append(disc, 0.0)[tau]
-        if ctx.f_prime is not None:
+        if f_prime is not None:
             out["pp_fprime_to_tau"] = np.stack([
-                stopped_integral(np.asarray(ctx.f_prime(values + o), dtype=float), w, tau[:, [k]])[:, 0]
-                for k, (o, _) in enumerate(ctx.passages)
+                stopped_integral(np.asarray(f_prime(values + o), dtype=float), w, tau[:, [k]])[:, 0]
+                for k, (o, _) in enumerate(passages)
             ], axis=1)
     return out
 
@@ -466,57 +449,61 @@ def _batch_path_counts(n_paths: int, antithetic: bool) -> np.ndarray:
     return np.bincount([g for _, _, g in plan], weights=[hi - lo for lo, hi, _ in plan])
 
 
-def _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx):
-    return chunk_fn(_simulate_chunk(triplet, x_start, cfg, lo, hi, anti), ctx)
+def _process_chunk(triplet, cfg, lo, hi, anti, reducers) -> list[dict]:
+    values = _simulate_chunk(triplet, cfg, lo, hi, anti)
+    return [reduce(values) for reduce in reducers]
 
 
-def _merge(plan: list, partials) -> dict:
-    """Merge chunk partials as they arrive, in chunk order (fixed float summation order);
-    each batch's ``acc_*`` row grows alone, and the rows are stacked once at the end."""
-    out: dict = {}
-    for (_, _, g), part in zip(plan, partials):
-        for key, val in part.items():
+def _merge(plan: list, partials, n_reducers: int) -> list[dict]:
+    """Merge each reducer's chunk partials as they arrive, in chunk order (fixed float
+    summation order); each batch's ``acc_*`` row grows alone, and the rows are stacked
+    once at the end."""
+    outs: list[dict] = [{} for _ in range(n_reducers)]
+    for (_, _, g), parts in zip(plan, partials):
+        for out, part in zip(outs, parts):
+            for key, val in part.items():
+                if key.startswith("pp_"):
+                    out.setdefault(key, []).append(val)
+                elif key.startswith("acc_"):
+                    val = np.asarray(val, dtype=float)
+                    row = out.setdefault(key, {}).get(g, np.zeros(val.shape[:-1] + (0,)))
+                    if val.shape[-1] > row.shape[-1]:
+                        row = np.pad(row, [(0, 0)] * (row.ndim - 1) + [(0, val.shape[-1] - row.shape[-1])])
+                    row[..., : val.shape[-1]] += val
+                    out[key][g] = row
+                else:
+                    raise KeyError(f"chunk partial key {key!r} has no merge rule")
+    for out in outs:
+        for key, val in out.items():
             if key.startswith("pp_"):
-                out.setdefault(key, []).append(val)
-            elif key.startswith("acc_"):
-                val = np.asarray(val, dtype=float)
-                row = out.setdefault(key, {}).get(g, np.zeros(val.shape[:-1] + (0,)))
-                if val.shape[-1] > row.shape[-1]:
-                    row = np.pad(row, [(0, 0)] * (row.ndim - 1) + [(0, val.shape[-1] - row.shape[-1])])
-                row[..., : val.shape[-1]] += val
-                out[key][g] = row
+                out[key] = np.concatenate(val, axis=0)
             else:
-                raise KeyError(f"chunk partial key {key!r} has no merge rule")
-    for key, val in out.items():
-        if key.startswith("pp_"):
-            out[key] = np.concatenate(val, axis=0)
-        else:
-            width = max(row.shape[-1] for row in val.values())
-            stacked = out[key] = np.zeros((len(val),) + val[0].shape[:-1] + (width,))
-            for g in range(len(val)):  # every batch has a chunk; a row is freed once stacked
-                row = val.pop(g)
-                stacked[g, ..., : row.shape[-1]] = row
-    return out
+                width = max(row.shape[-1] for row in val.values())
+                stacked = out[key] = np.zeros((len(val),) + val[0].shape[:-1] + (width,))
+                for g in range(len(val)):  # every batch has a chunk; a row is freed once stacked
+                    row = val.pop(g)
+                    stacked[g, ..., : row.shape[-1]] = row
+    return outs
 
 
 def map_reduce_paths(
     triplet: LevyTriplet,
-    x_start: float,
     cfg: SimConfig,
-    chunk_fn: Callable,
-    ctx,
+    reducers,
     n_workers: int = 1,
     chunk_target: int = CHUNK_TARGET_FLOATS,
-) -> dict:
-    """Stream simulated path chunks through ``chunk_fn`` and merge partials.
+) -> list[dict]:
+    """Simulate each chunk of paths from 0 once, pass it to every reducer, and merge.
 
-    ``chunk_fn(values, ctx)`` receives the (chunk_paths, n_grid) value matrix
-    and returns a dict whose keys select the merge rule: ``pp_*`` per-path
-    rows (concatenated in path order) and ``acc_*`` accumulator arrays
-    (summed per path batch in chunk order, right-padded along the last axis
-    to the longest, and stacked into one leading row per batch).  The chunk
-    plan depends only on (n_paths, n_grid, antithetic pairing), so results
-    are identical for any worker count.
+    Each of ``reducers`` is a one-argument callable (picklable for a pool: a
+    ``functools.partial`` of a module-level chunk function) that receives the
+    (chunk_paths, n_grid) value matrix and returns a dict whose keys select
+    the merge rule: ``pp_*`` per-path rows (concatenated in path order) and
+    ``acc_*`` accumulator arrays (summed per path batch in chunk order,
+    right-padded along the last axis to the longest, and stacked into one
+    leading row per batch).  One merged dict is returned per reducer, in
+    order.  The chunk plan depends only on (n_paths, n_grid, antithetic
+    pairing), so results are identical for any worker count.
 
     Pure-drift models collapse to a single representative path whose partials
     are expanded law-exactly (identical rows, accumulators scaled by each
@@ -527,38 +514,18 @@ def map_reduce_paths(
     anti = _antithetic_active(triplet, cfg, warn=True)
     if triplet.is_deterministic:
         plan = _chunk_plan(cfg.n_paths, 1, anti, cfg.n_paths)  # whole batches (halves if paired)
-        part = chunk_fn(_simulate_chunk(triplet, x_start, cfg, 0, 1, anti), ctx)
+        parts = _process_chunk(triplet, cfg, 0, 1, anti, reducers)
         partials = (
-            {k: np.repeat(v, hi - lo, axis=0) if k.startswith("pp_") else np.multiply(v, hi - lo)
-             for k, v in part.items()}
+            [{k: np.repeat(v, hi - lo, axis=0) if k.startswith("pp_") else np.multiply(v, hi - lo)
+              for k, v in part.items()} for part in parts]
             for lo, hi, _ in plan
         )
-        return _merge(plan, partials)
+        return _merge(plan, partials, len(reducers))
 
     plan = _chunk_plan(cfg.n_paths, cfg.n_steps + 1, anti, chunk_target)
     if n_workers <= 1 or len(plan) == 1:
-        partials = (
-            _process_chunk(triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx)
-            for lo, hi, _ in plan
-        )
-        return _merge(plan, partials)
+        partials = (_process_chunk(triplet, cfg, lo, hi, anti, reducers) for lo, hi, _ in plan)
+        return _merge(plan, partials, len(reducers))
     with ProcessPoolExecutor(max_workers=n_workers) as ex:
-        futures = [
-            ex.submit(_process_chunk, triplet, x_start, cfg, lo, hi, anti, chunk_fn, ctx)
-            for lo, hi, _ in plan
-        ]
-        return _merge(plan, (f.result() for f in futures))
-
-
-def _each_reducer(values, reducers):
-    return {f"{key}@{i}": val for i, (fn, ctx) in enumerate(reducers) for key, val in fn(values, ctx).items()}
-
-
-def map_reduce_several(triplet: LevyTriplet, x_start: float, cfg: SimConfig, reducers,
-                       n_workers: int = 1) -> list[dict]:
-    """One ``map_reduce_paths`` pass feeding every chunk to each ``(chunk_fn, ctx)``
-    of ``reducers``: the paths are simulated once, and each reducer gets the
-    merged dict it would get alone."""
-    out = map_reduce_paths(triplet, x_start, cfg, _each_reducer, tuple(reducers), n_workers=n_workers)
-    return [{key.rpartition("@")[0]: val for key, val in out.items() if key.endswith(f"@{i}")}
-            for i in range(len(reducers))]
+        futures = [ex.submit(_process_chunk, triplet, cfg, lo, hi, anti, reducers) for lo, hi, _ in plan]
+        return _merge(plan, (f.result() for f in futures), len(reducers))

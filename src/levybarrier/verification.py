@@ -13,12 +13,13 @@ interpolation bounds for the jump integral, and (d) explicit time-step and
 horizon-truncation allowances so that zero-variance (deterministic-path)
 models are budgeted honestly too.
 
-``run_checks`` reads several checks off ONE streamed pass of the paths
-from 0: a path started at x is the path from 0 plus x bit for bit, so each
-start is an offset.  A check validates its arguments, yields an ``_Ask`` of
-what it reads off the pass, is sent the ``_Pass`` (what several checks ask
-is computed once) and yields its report; each public ``check_*`` is
-``run_checks`` with that one check.  Only a solve (b_star omitted) and the
+``run_checks`` reads several checks off ONE ``map_reduce_paths`` pass of
+the paths from 0: a path started at x is the path from 0 plus x bit for
+bit, so each start is an offset.  A check validates its arguments, yields
+an ``_Ask`` of what it reads off the pass, is sent the ``_Pass`` (what
+several checks ask is computed once, and every reducer reads the same
+chunks) and yields its report; each public ``check_*`` is ``run_checks``
+with that one check.  Only a solve (b_star omitted) and the
 martingale check's node values (an independent seed) run passes of their
 own.
 
@@ -36,16 +37,15 @@ import numpy as np
 
 from .barrier_solver import solve_barrier
 from .cost_model import ProblemSpec
-from .estimators import _finite, _moments, _rho_chunk, _rho_ctx, _rho_curve, _value_pass
+from .estimators import _finite, _moments, _rho_curve, _rho_grid, _rho_reducer, _value_pass
 from .levy_model import LevyTriplet
 from .path_engine import (
     SimConfig,
-    ValueCtx,
     _antithetic_active,
     discount_factors,
     first_passage_index,
     integral_weights,
-    map_reduce_several,
+    map_reduce_paths,
     stopped_integral,
     value_chunk,
 )
@@ -120,28 +120,15 @@ def _hat_weights(y, nodes, C):
     return W, const
 
 
-@dataclass(frozen=True, eq=False)
-class _MartingaleCtx:
-    x: float
-    b_star: float
-    t_indices: tuple
-    nodes: np.ndarray
-    node_means: np.ndarray
-    C: float
-    f: Callable
-    w: np.ndarray
-    disc: np.ndarray
-
-
-def _martingale_chunk(values, ctx: _MartingaleCtx):
-    values = values + ctx.x  # the paths started at x, bit for bit
-    tau = first_passage_index(np.minimum.accumulate(values, axis=-1), ctx.b_star)
+def _martingale_chunk(values, *, x, b_star, t_indices, nodes, node_means, C, f, w, disc):
+    values = values + x  # the paths started at x, bit for bit
+    tau = first_passage_index(np.minimum.accumulate(values, axis=-1), b_star)
     # stop each path at tau and t: j = min(tau, t_k) per (path, t_k)
-    j = np.minimum(tau[:, None], np.asarray(ctx.t_indices)[None, :])
-    idx, t, const = _hat(np.take_along_axis(values, j, axis=1), ctx.nodes, ctx.C)
-    v = ctx.node_means
-    out = ctx.disc[j] * ((1.0 - t) * v[idx] + t * v[idx + 1] + const) + stopped_integral(
-        np.asarray(ctx.f(values), dtype=float), ctx.w, j
+    j = np.minimum(tau[:, None], np.asarray(t_indices)[None, :])
+    idx, t, const = _hat(np.take_along_axis(values, j, axis=1), nodes, C)
+    v = node_means
+    out = disc[j] * ((1.0 - t) * v[idx] + t * v[idx + 1] + const) + stopped_integral(
+        np.asarray(f(values), dtype=float), w, j
     )
     return {"pp_m": out}
 
@@ -154,7 +141,7 @@ class _Ask:
     passages: tuple = ()    # (start offset, level) first passages
     f_prime: bool = False   # with the integrals of f'_+ up to them
     rho: tuple = ()         # barriers of time-integral rho-hat
-    martingale: _MartingaleCtx | None = None
+    martingale: Callable | None = None  # a ``_martingale_chunk`` reducer
 
 
 class _Pass:
@@ -164,21 +151,17 @@ class _Pass:
         self.pairs = list(dict.fromkeys(p for a in asks for p in a.pairs))
         self.passages = list(dict.fromkeys(p for a in asks for p in a.passages))
         self.walks = [a.martingale for a in asks if a.martingale is not None]
-        rho_b = sorted({b for a in asks for b in a.rho})
+        rho_b = _rho_grid(sorted({b for a in asks for b in a.rho}))
         f_prime = problem.cost.f_prime_plus if any(a.f_prime for a in asks) else None
-        reducers = [(value_chunk, ValueCtx(pairs=tuple(self.pairs), f=problem.cost.f, q=problem.q,
-                                           dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime))]
-        if rho_b:
-            rho_ctx = _rho_ctx(problem, cfg, rho_b)
-            reducers.append((_rho_chunk, rho_ctx))
-        reducers += [(_martingale_chunk, ctx) for ctx in self.walks]
-        value, *rest = map_reduce_several(triplet, 0.0, cfg, reducers, n_workers=n_workers)
+        reducers = [functools.partial(value_chunk, pairs=tuple(self.pairs), f=problem.cost.f, q=problem.q,
+                                      dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime)]
+        reducers += [_rho_reducer(problem, cfg, rho_b)] if rho_b else []
+        value, *rest = map_reduce_paths(triplet, cfg, reducers + self.walks, n_workers=n_workers)
         self.antithetic = _antithetic_active(triplet, cfg)
         self.v = value["pp_running"] + problem.C * value["pp_control"]
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
-            y = rest.pop(0)["pp_y"]
-            self.rho = dict(_rho_curve(y, rho_ctx.b_values, "time_integral", triplet, problem, cfg))
+            self.rho = dict(_rho_curve(rest.pop(0)["pp_y"], rho_b, "time_integral", triplet, problem, cfg))
         self.m = [out["pp_m"] for out in rest]
 
     def stat(self, samples, kind: str) -> tuple[float, float]:
@@ -370,15 +353,14 @@ def check_martingale(
         node_grid = np.linspace(b_star - 2.0, x + span, 41)
     node_grid = np.asarray(node_grid, dtype=float)
     node_cfg = replace(cfg, master_seed=cfg.master_seed + 1)
-    node_v, _ = _value_pass(
-        triplet, problem, node_cfg, 0.0, [(o, b_star) for o in node_grid], n_workers=n_workers
-    )
+    node_v, _ = _value_pass(triplet, problem, node_cfg, [(o, b_star) for o in node_grid], n_workers=n_workers)
     node_means = node_v.mean(axis=0)
 
     t_indices = sorted({0} | {int(round(t / cfg.dt)) for t in t_grid})
     if max(t_indices) > cfg.n_steps:
         raise ValueError("t_grid exceeds the simulation horizon")
-    ctx = _MartingaleCtx(
+    walk = functools.partial(
+        _martingale_chunk,
         x=x,
         b_star=b_star,
         t_indices=tuple(t_indices),
@@ -389,10 +371,10 @@ def check_martingale(
         w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
         disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
     )
-    p = yield _Ask(martingale=ctx)
+    p = yield _Ask(martingale=walk)
     node_se = max(p.stat(col, "martingale")[1] for col in node_v.T)
     interp_allow = 3.0 * node_se + float(np.max(np.abs(np.diff(node_means, 2))) / 8.0)
-    m = p.m[p.walks.index(ctx)]
+    m = p.m[p.walks.index(walk)]
     m0 = float(m[:, 0].mean())
     details = []
     statistic = tolerance = 0.0

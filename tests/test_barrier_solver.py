@@ -61,9 +61,9 @@ def test_solve_is_one_pass(monkeypatch):
     passes = []
     real = barrier_solver.map_reduce_paths
 
-    def counted(triplet, x_start, cfg, *args, **kwargs):
+    def counted(triplet, cfg, *args, **kwargs):
         passes.append(cfg.n_paths)
-        return real(triplet, x_start, cfg, *args, **kwargs)
+        return real(triplet, cfg, *args, **kwargs)
 
     monkeypatch.setattr(barrier_solver, "map_reduce_paths", counted)
     solve_barrier(KOU, quad_problem(0.5, 0.5), make_cfg(0.5, dt=0.05, n=500))
@@ -244,7 +244,7 @@ def test_sweep_minimized_near_fitted_barrier():
     res = solve_barrier(BM, prob, cfg)
     grid = res.b_star + np.linspace(-1.0, 1.0, 11)
     curve = barrier_sweep(BM, prob, x=0.0, b_grid=grid, cfg=cfg)
-    samples, _ = _value_pass(BM, prob, cfg, 0.0, [(0.0, b) for b in grid])  # the sweep's per-path values
+    samples, _ = _value_pass(BM, prob, cfg, [(0.0, b) for b in grid])  # the sweep's per-path values
     means = np.array([est.mean for _, est in curve])
     assert means == pytest.approx(samples.mean(axis=0), rel=1e-12)
     j_min = int(np.argmin(means))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levybarrier import barrier_solver, estimators, path_engine
+from levybarrier import barrier_solver, estimators, path_engine, verification
 from levybarrier.cli import main
 
 KOU = Path(__file__).resolve().parent.parent / "configs" / "kou_two_sided.json"
@@ -117,6 +117,32 @@ def test_unknown_key_rejected_with_path(tmp_path, capsys):
 def test_jump_dist_checked_against_its_family(tmp_path, capsys, rate, dist, message):
     cfg = write_config(tmp_path, model={"gamma": 1.0, "sigma": 0.5, "jumps": {"rate": rate, "dist": dist}})
     assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("quadratic", "slopes", [1, 2]),
+    ("quartic", "kinks", [0.0]),
+    ("abs", "slopes", [-1, 1]),
+])
+def test_cost_keys_checked_against_its_kind(tmp_path, capsys, kind, key, value):
+    cfg = write_config(tmp_path, problem={"cost": {"kind": kind, key: value}, "C": 0.5, "q": 0.1})
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"config.problem.cost.{key}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("solve", 'solve.bisect_tol="abc"', "config.solve.bisect_tol: expected a number, got 'abc'"),
+    ("rho", "rho.b_grid=5", "config.rho.b_grid: expected a list of numbers, got 5"),
+    ("solve", 'sim.antithetic="false"', "config.sim.antithetic: expected true or false, got 'false'"),
+    ("solve", "sim.n_paths=[50]", "config.sim.n_paths: expected an integer, got [50]"),
+    ("solve", "sim.n_paths=50.5", "config.sim.n_paths: expected an integer, got 50.5"),
+    ("solve", "model.gamma=true", "config.model.gamma: expected a number, got True"),
+    ("verify", "verify.checks=5", "config.verify.checks: expected a list of check names, got 5"),
+], ids=["bisect_tol", "b_grid", "antithetic", "n_paths", "fractional_n_paths", "gamma", "checks"])
+def test_wrongly_typed_value_exit_2(tmp_path, capsys, command, override, message):
+    cfg = write_config(tmp_path, rho={"b_grid": [0.0]})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", "--set", override]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -307,11 +333,11 @@ def test_verify_reads_its_checks_off_one_pass(tmp_path, monkeypatch, extra, pass
     seen = []
     real = path_engine.map_reduce_paths
 
-    def counted(triplet, x_start, cfg, *args, **kwargs):
+    def counted(triplet, cfg, *args, **kwargs):
         seen.append(cfg.n_paths)
-        return real(triplet, x_start, cfg, *args, **kwargs)
+        return real(triplet, cfg, *args, **kwargs)
 
-    for module in (path_engine, estimators, barrier_solver):
+    for module in (estimators, barrier_solver, verification):
         monkeypatch.setattr(module, "map_reduce_paths", counted)
     out = tmp_path / "out"
     assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05, *extra]) == 0

@@ -165,9 +165,9 @@ def test_exp_clock_curve_is_one_pass(monkeypatch):
     passes = []
     real = estimators.map_reduce_paths
 
-    def counted(triplet, x_start, cfg, *args, **kwargs):
+    def counted(triplet, cfg, *args, **kwargs):
         passes.append(cfg.n_paths)
-        return real(triplet, x_start, cfg, *args, **kwargs)
+        return real(triplet, cfg, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "map_reduce_paths", counted)
     prob = ProblemSpec(cost=builtin_cost("abs"), C=0.0, q=0.5)

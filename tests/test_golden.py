@@ -50,6 +50,10 @@ Monte Carlo).  Only ``rho``, ``rho_exp_clock`` and ``bm_rho_exp_clock`` hold
 new samples, and none depends on ``--dt`` any more; the old -> new figures
 are listed in CHANGES.md.  Every other case, ``perturb`` included, holds at
 rel 1e-12.
+
+``value_x`` and ``sweep_x`` start away from 0 (x = 0.3 and x = -0.4); they
+were pinned before every start became an offset of one pass from 0, and
+hold through it at rel 1e-12.
 """
 import json
 from pathlib import Path
@@ -75,9 +79,11 @@ BM = {  # sigma only: its paths are Gaussian draws, whatever the jump draws do
 RUNS = {
     "solve": ("solve", KOU, []),
     "value": ("value", KOU, []),
+    "value_x": ("value", KOU, ["--set", "value.x=0.3"]),
     "rho": ("rho", KOU, []),
     "rho_exp_clock": ("rho", KOU, ["--set", "rho.method=exp_clock"]),
     "sweep": ("sweep", KOU, []),
+    "sweep_x": ("sweep", KOU, ["--set", "sweep.x=-0.4"]),
     "verify": ("verify", KOU, ["--set", "verify.checks=" + ALL_CHECKS]),
     "perturb": ("perturb", CP, []),
     "bm_solve": ("solve", BM, []),
@@ -152,6 +158,9 @@ PINNED = {"solve": {"b_star": -0.72314453125,
           "value": {"v": [1.314148121799004, 0.1861201273096163],
                     "v1": [1.2284273963983794, 0.19041398465339537],
                     "v2": [0.17144145080124884, 0.028354163077841332]},
+          "value_x": {"v": [1.7627657727464152, 0.2531984256483409],
+                      "v1": [1.707857582568701, 0.25694786290856286],
+                      "v2": [0.10981638035542894, 0.020280020702389993]},
           "rho": [[-2.0, -5.359631786039129, 0.21608930506726637],
                   [-1.5, -3.359631786039129, 0.21608930506726637],
                   [-1.0, -1.3596317860391292, 0.21608930506726637],
@@ -175,6 +184,15 @@ PINNED = {"solve": {"b_star": -0.72314453125,
                     [-0.4, 1.3401620182923033, 0.1911018695917052],
                     [-0.2, 1.495500793585287, 0.1941575297654896],
                     [0.0, 1.8513717606608133, 0.20710826901134463]],
+          "sweep_x": [[-1.6, 1.5010859214636003, 0.1333190357327907],
+                      [-1.4, 1.3834486355059794, 0.12446850998478935],
+                      [-1.2, 1.2731773978619392, 0.11935118764947587],
+                      [-1.0, 1.1733389895141202, 0.11746334249197234],
+                      [-0.8, 1.1019793687112016, 0.1201072917217167],
+                      [-0.6, 1.0934438681810903, 0.1258094277986696],
+                      [-0.4, 1.2123630778127477, 0.14074420190636408],
+                      [-0.2, 1.5516752353034864, 0.17317513941844787],
+                      [0.0, 2.051371760660813, 0.20710826901134466]],
           "verify": {"barrier_derivative": [-0.034453532313417655, 0.3151965406119779],
                      "slope_identity": [0.08612087160661691, 0.18679183876840505],
                      "convexity": [-2.4146159568020534e-09, 0.0],

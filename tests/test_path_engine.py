@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -13,8 +14,6 @@ from levybarrier.estimators import estimate_rho
 from levybarrier.path_engine import (
     BATCHES,
     DOT_SLICE,
-    NEVER,
-    ValueCtx,
     _batch_path_counts,
     _chunk_plan,
     _grid_sum,
@@ -92,7 +91,7 @@ def test_reflect_matches_definition(path, b):
     assert np.allclose(u[0], u_ref, atol=1e-12)
     assert np.allclose(r[0], r_ref, atol=1e-12)
     crossings = [i for i, v in enumerate(path) if v < b]
-    assert tau[0] == (crossings[0] if crossings else NEVER)
+    assert tau[0] == (crossings[0] if crossings else len(path))
     # invariants: R nondecreasing, U >= b, R_0 = max(0, b - x_0)
     assert np.all(np.diff(r[0]) >= 0)
     assert np.all(u[0] >= b - 1e-12)
@@ -133,19 +132,18 @@ def test_value_kernel_matches_reflection_per_pair(rows, offsets, barriers):
     f_prime = lambda u: 2 * u + np.cos(u)
     pairs = [(o, b) for o in offsets for b in barriers]
     passages = [(o, level) for o in offsets for level in barriers]
-    ctx = ValueCtx(pairs=tuple(pairs), f=f, q=q, dt=dt, passages=tuple(passages), f_prime=f_prime)
-    out = value_chunk(values, ctx)
+    out = value_chunk(values, pairs=tuple(pairs), f=f, q=q, dt=dt, passages=tuple(passages), f_prime=f_prime)
     w, disc = integral_weights(q, dt, width), discount_factors(q, dt, width)
     for k, (o, b) in enumerate(pairs):
         u, r, _ = reflect_arrays(values + o, b)
         assert np.array_equal(out["pp_running"][:, k], discounted_integral(f(u), q, dt))
         assert np.array_equal(out["pp_control"][:, k], discounted_stieltjes(r, q, dt))
     for k, (o, level) in enumerate(passages):
-        # first passage of the path values + o, NEVER mapped to n_grid
+        # first passage of the path values + o, n_grid if never
         base = values + o
         tau = first_passage_index(np.minimum.accumulate(base, axis=-1), level)
         _, _, tau_ref = reflect_arrays(base, level)
-        assert np.array_equal(tau, np.where(tau_ref == NEVER, width, tau_ref))
+        assert np.array_equal(tau, tau_ref)
         tau_disc = np.where(tau < width, disc[np.minimum(tau, width - 1)], 0.0)
         assert np.array_equal(out["pp_tau_disc"][:, k], tau_disc)
         stopped = [float(np.sum(f_prime(base[p, :t]) * w[:t])) for p, t in enumerate(tau)]
@@ -245,7 +243,7 @@ def test_path_reproducible_independent_of_batch():
     cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=8, master_seed=11, tail_tol=0.999)
     kou = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
     full = simulate_batch(kou, 0.0, cfg)
-    row5 = _simulate_chunk(kou, 0.0, cfg, 5, 6, False)
+    row5 = _simulate_chunk(kou, cfg, 5, 6, False)
     assert np.array_equal(full[5], row5[0])
 
 
@@ -305,7 +303,7 @@ def test_chunk_matches_per_path_seed_sequences(triplet, antithetic):
     for lo, hi in ((0, 40), (13, 31)):  # the second straddles the mirrored half
         for x in (0.0, -0.7):
             expect = _reference_chunk(triplet, x, cfg, lo, hi, antithetic)
-            assert _same_bits(_simulate_chunk(triplet, x, cfg, lo, hi, antithetic), expect)
+            assert _same_bits(_simulate_chunk(triplet, cfg, lo, hi, antithetic) + x, expect)
 
 
 def test_clock_skeleton_matches_per_path_seed_sequences():
@@ -435,20 +433,30 @@ def test_clock_suprema_nonincreasing_in_eps():
     assert np.any(sups[0] > sups[-1])
 
 
-def _sum_chunk(values, ctx):
+def _sum_chunk(values):
     return {"pp_sum": values.sum(axis=1), "acc_total": np.array([values.sum()])}
+
+
+def _same_dicts(a, b):
+    return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
 
 
 def test_map_reduce_worker_and_chunk_invariance():
     cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=64, master_seed=13, tail_tol=0.999)
     kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
-    base = map_reduce_paths(kou, 0.0, cfg, _sum_chunk, None, n_workers=1)
-    two = map_reduce_paths(kou, 0.0, cfg, _sum_chunk, None, n_workers=2)
+    [base] = map_reduce_paths(kou, cfg, [_sum_chunk], n_workers=1)
+    [two] = map_reduce_paths(kou, cfg, [_sum_chunk], n_workers=2)
     assert np.array_equal(base["pp_sum"], two["pp_sum"])
     assert np.array_equal(base["acc_total"], two["acc_total"])
     # per-path outputs do not depend on the chunk plan either
-    small = map_reduce_paths(kou, 0.0, cfg, _sum_chunk, None, chunk_target=512)
+    [small] = map_reduce_paths(kou, cfg, [_sum_chunk], chunk_target=512)
     assert np.array_equal(base["pp_sum"], small["pp_sum"])
+    # two reducers on one pass: each merged dict is its own single-reducer run
+    value = functools.partial(value_chunk, pairs=((0.0, -0.5), (0.3, 0.1)), f=np.square, q=0.5, dt=cfg.dt)
+    [alone] = map_reduce_paths(kou, cfg, [value])
+    for n_workers in (1, 2):
+        both = map_reduce_paths(kou, cfg, [_sum_chunk, value], n_workers=n_workers)
+        assert _same_dicts(both[0], base) and _same_dicts(both[1], alone)
 
 
 def test_value_sums_independent_of_chunk_rows():
@@ -457,17 +465,17 @@ def test_value_sums_independent_of_chunk_rows():
     cfg = SimConfig(dt=2e-3, horizon_T=horizon_for(0.5, 1e-4, 2e-3), n_paths=192,
                     master_seed=13)
     kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
-    ctx = ValueCtx(pairs=((0.0, -0.5), (0.0, 0.1), (0.3, -0.5), (0.3, 0.1)), f=np.square,
-                   q=0.5, dt=cfg.dt)
+    value = functools.partial(value_chunk, pairs=((0.0, -0.5), (0.0, 0.1), (0.3, -0.5), (0.3, 0.1)),
+                              f=np.square, q=0.5, dt=cfg.dt)
     n_grid = cfg.n_steps + 1
     assert n_grid > 8192
-    three = map_reduce_paths(kou, 0.0, cfg, value_chunk, ctx)
-    one = map_reduce_paths(kou, 0.0, cfg, value_chunk, ctx, chunk_target=n_grid)
+    [three] = map_reduce_paths(kou, cfg, [value])
+    [one] = map_reduce_paths(kou, cfg, [value], chunk_target=n_grid)
     for key in ("pp_running", "pp_control"):
         assert np.array_equal(three[key], one[key])
 
 
-def _width_chunk(values, ctx):
+def _width_chunk(values):
     # a 2-D accumulator whose last axis grows with the chunk's path count
     return {"acc_grid": np.ones((2, values.shape[0]))}
 
@@ -477,14 +485,14 @@ def test_accumulators_are_summed_per_batch():
     kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
     # 3- and 4-path batches cut into 2-path chunks: rows are right-padded
     # along the last axis only, then summed within the batch
-    out = map_reduce_paths(kou, 0.0, cfg, _width_chunk, None, chunk_target=2 * 101)
+    [out] = map_reduce_paths(kou, cfg, [_width_chunk], chunk_target=2 * 101)
     sizes = np.diff([g * 200 // BATCHES for g in range(BATCHES + 1)])
     want = np.stack([np.full((2, 2), [2.0, n - 2.0]) for n in sizes])
     assert out["acc_grid"].shape == (BATCHES, 2, 2)
     assert np.array_equal(out["acc_grid"], want)
     # pure drift: each batch row is the representative path's scaled by its size
-    drift = map_reduce_paths(DRIFT_UP, 0.0, cfg, _sum_chunk, None)
-    one = map_reduce_paths(DRIFT_UP, 0.0, replace(cfg, n_paths=1), _sum_chunk, None)
+    [drift] = map_reduce_paths(DRIFT_UP, cfg, [_sum_chunk])
+    [one] = map_reduce_paths(DRIFT_UP, replace(cfg, n_paths=1), [_sum_chunk])
     assert np.array_equal(drift["acc_total"][:, 0], one["acc_total"][0, 0] * sizes)
 
 
@@ -518,7 +526,7 @@ def test_antithetic_ignored_warns_once_per_call():
     cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=10, master_seed=9, antithetic=True, tail_tol=0.999)
     calls = (
         lambda: simulate_batch(skew, 0.0, cfg),
-        lambda: map_reduce_paths(skew, 0.0, cfg, _sum_chunk, None, chunk_target=21),  # 10 chunks
+        lambda: map_reduce_paths(skew, cfg, [_sum_chunk], chunk_target=21),  # 10 chunks
         lambda: estimate_rho(skew, ProblemSpec(builtin_cost("quadratic"), 0.0, 0.5), 0.0, cfg,
                              method="exp_clock"),
     )

@@ -242,12 +242,12 @@ def test_check_stderr_pairs_antithetic_halves(triplet):
                     tail_tol=1e-3, antithetic=True)
     x, b = 0.0, -1.0
     bundle = [(x, b - h), (x, b), (x, b + h)]
-    v, _ = _value_pass(triplet, prob, cfg, 0.0, bundle)
+    v, _ = _value_pass(triplet, prob, cfg, bundle)
     rep = check_barrier_derivative(triplet, prob, x=x, b=b, cfg=cfg, h=h)
     assert rep.details[0]["se_lhs"] == _moments((v[:, 2] - v[:, 1]) / h, True)[1]
 
     x_grid = np.linspace(-1.0, 1.0, 5)
-    v, _ = _value_pass(triplet, prob, cfg, 0.0, [(o, b) for o in x_grid])
+    v, _ = _value_pass(triplet, prob, cfg, [(o, b) for o in x_grid])
     rep = check_convexity(triplet, prob, cfg, x_grid, b_star=b)
     expect = [_moments(v[:, j + 1] - 2 * v[:, j] + v[:, j - 1], True)[1] for j in range(1, 4)]
     assert [row["se"] for row in rep.details] == expect
