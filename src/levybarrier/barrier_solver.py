@@ -303,9 +303,9 @@ def solve_barrier_perturbed(
         raise ValueError("eps_grid must be strictly decreasing")
     problem.require_admissible()
     _require_moments_and_tol(triplet, bisect_tol)
-    pi, gaps, sizes = clock_skeleton(triplet, cfg, problem.q)
+    anti = _antithetic_active(triplet, cfg, warn=True)
+    pi, gaps, sizes = clock_skeleton(triplet, cfg, problem.q, anti=anti)
     w = pi / problem.q
-    anti = _antithetic_active(triplet, cfg)
     plan = _chunk_plan(cfg.n_paths, 1, anti, cfg.n_paths)
     weights = _batch_rows(np.broadcast_to(w, gaps.shape), plan)
     batch_paths = _batch_path_counts(cfg.n_paths, anti)

@@ -28,7 +28,9 @@ Config schema (defaults in brackets):
     perturb: eps_grid [0.2, 0.1, 0.05, 0.025], bisect_tol
 
 Unknown keys (a dist or cost parameter included that its kind does not
-take) and wrongly typed values are rejected with the offending dotted path.
+take), wrongly typed values (a dist parameter is typed by its family),
+empty or unsorted grids and an unknown rho method are rejected with the
+offending dotted path.
 result.json is byte-identical across runs with the same config and seed
 (worker count and timestamps never enter it; volatile metadata goes to
 meta.json).
@@ -97,7 +99,7 @@ def _reject_unknown(cfg: dict, path: str = "") -> None:
             raise ConfigError(f"config.{subpath}: expected an object")
 
 
-_COST_KEYS = {"quadratic": (), "quartic": (), "abs": (), "piecewise_linear": ("slopes", "kinks")}
+_COST_KEYS = {"quadratic": {}, "quartic": {}, "abs": {}, "piecewise_linear": {"slopes": list, "kinks": list}}
 _EXPECTED = {float: "a number", int: "an integer", bool: "true or false", list: "a list of numbers"}
 _REQUIRED = object()
 
@@ -127,12 +129,21 @@ def _need(cfg: dict, path: str, kind=None, default=_REQUIRED):
     raise ConfigError(f"config.{path}: expected {_EXPECTED[kind]}, got {node!r}")
 
 
-def _params(cfg: dict, path: str, names: tuple, kind=None) -> list:
-    """The fields ``names`` of the section at ``path``, which holds no other key but its kind."""
+def _params(cfg: dict, path: str, kinds: dict) -> dict:
+    """The fields of the section at ``path`` named by ``kinds``, each read as its kind; the
+    section holds no other key but its own kind."""
     for key in _need(cfg, path):
-        if key not in ("kind",) + names:
+        if key != "kind" and key not in kinds:
             raise ConfigError(f"config.{path}.{key}: unknown key")
-    return [_need(cfg, f"{path}.{name}", kind) for name in names]
+    return {name: _need(cfg, f"{path}.{name}", kind) for name, kind in kinds.items()}
+
+
+def _grid(cfg: dict, path: str) -> list:
+    """``config.<path>``, a nonempty list of numbers sorted strictly increasing."""
+    grid = _need(cfg, path, list)
+    if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
+        raise ConfigError(f"config.{path}: expected a nonempty list sorted strictly increasing, got {grid}")
+    return grid
 
 
 def _build_jumps(cfg: dict) -> JumpSpec:
@@ -144,8 +155,8 @@ def _build_jumps(cfg: dict) -> JumpSpec:
     family = JUMP_FAMILIES.get(str(kind))
     if family is None:
         raise ConfigError(f"config.model.jumps.dist.kind: unknown kind {kind!r}")
-    params = _params(cfg, "model.jumps.dist", family.param_names())
-    return family(rate, *params) if rate > 0 else JumpSpec.none()
+    params = _params(cfg, "model.jumps.dist", family.param_kinds())
+    return family(rate, **params) if rate > 0 else JumpSpec.none()
 
 
 def _build_model(cfg: dict) -> LevyTriplet:
@@ -162,9 +173,8 @@ def _build_model(cfg: dict) -> LevyTriplet:
 
 def _build_problem(cfg: dict) -> ProblemSpec:
     kind = _need(cfg, "problem.cost.kind")
-    names = _COST_KEYS.get(str(kind), ())
     try:
-        cost = builtin_cost(kind, **dict(zip(names, _params(cfg, "problem.cost", names, list))))
+        cost = builtin_cost(kind, **_params(cfg, "problem.cost", _COST_KEYS.get(str(kind), {})))
     except (NonConvexSpec, ValueError) as exc:
         raise ConfigError(f"config.problem.cost: {exc}")
     epsilon = _need(cfg, "problem.mollify.epsilon", float, None)
@@ -256,8 +266,10 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         }
 
     if command == "rho":
-        b_grid = _need(cfg, "rho.b_grid", list)
+        b_grid = _grid(cfg, "rho.b_grid")
         method = _need(cfg, "rho.method", default="time_integral")
+        if method not in ("time_integral", "exp_clock"):
+            raise ConfigError(f"config.rho.method: expected time_integral or exp_clock, got {method!r}")
         curve = skeleton_rho_curve(model, problem, b_grid, sim, method=method)
         _write_csv(
             out_dir / "rho.csv",
@@ -270,7 +282,7 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
 
     if command == "sweep":
         x = _need(cfg, "sweep.x", float)
-        b_grid = _need(cfg, "sweep.b_grid", list)
+        b_grid = _grid(cfg, "sweep.b_grid")
         curve = barrier_sweep(model, problem, x, b_grid, sim, n_workers=n_workers)
         _write_csv(
             out_dir / "sweep.csv",

@@ -9,18 +9,13 @@ estimates are pathwise differences.  Every grid estimate is one
 module-level chunk reducer bound to its parameters with
 ``functools.partial``; a start x is an offset of that pass.
 
-rho(b) is estimated from paths started at 0 and reflected at 0 with the
-argument shift rho(b) = E[ int_0^inf e^{-qt} f'_+(U^0_t + b) dt ]; the
-``exp_clock`` variant replaces the time integral by q^{-1} f'_+ of the
-running supremum S at an independent Exponential(q) time e_q.  The clock is
-integrated out on the same grid paths (conditional Monte Carlo, so the
-variance is never higher than drawing it): with e_q conditioned on the
-horizon N dt and d_n = e^{-q n dt}, the sample is sum_n w_n f'_+(S_n + b)
-with w_n = (d_n - d_{n+1}) / (q (1 - d_N)) for n < N and w_N = 0.
-
-``skeleton_rho_curve`` (the CLI's ``rho``) reads either form exactly off
-``path_engine.clock_skeleton`` instead, with no grid; the grid estimators
-stay as the reference the checks compare against.
+rho(b) has two forms.  The grid estimators read the time integral
+E[ int_0^inf e^{-qt} f'_+(U^0_t + b) dt ] off paths started and reflected at
+0 (the argument shift), as the solver and the checks do.  The exponential-clock
+form q^{-1} E[f'_+(S_{e_q} + b)] has one reader, ``skeleton_rho_curve`` (the
+CLI's ``rho``, which reads either form exactly off ``path_engine.clock_skeleton``
+with no grid): one clock per path, free of a grid's monitoring bias, but with
+no clock integrated out over the steps of a grid to lower its stderr.
 """
 from __future__ import annotations
 
@@ -47,7 +42,6 @@ from .path_engine import (
     _reflected_at_zero,
     clock_skeleton,
     clock_suprema,
-    discount_factors,
     integral_weights,
     map_reduce_paths,
     value_chunk,
@@ -158,12 +152,10 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, **extra):
 # ---------------------------------------------------------------------------
 
 
-def _rho_chunk(values, *, b_values, f_prime, w, exp_clock):
-    """Per-path rho-hat samples sum_i w_i f'_+(Z_i + b), one column per barrier of ``b_values``.
-
-    Z is U^0, the path reflected at 0, for the time integral and, with
-    ``exp_clock``, the running maximum of the path (>= 0, as it starts at 0)."""
-    z = np.maximum.accumulate(values, axis=-1) if exp_clock else _reflected_at_zero(values)
+def _rho_chunk(values, *, b_values, f_prime, w):
+    """Per-path rho-hat samples sum_i w_i f'_+(U^0_i + b), one column per barrier of ``b_values``,
+    U^0 the path reflected at 0."""
+    z = _reflected_at_zero(values)
     return {"pp_y": np.stack([_grid_sum(f_prime(z + b), w) for b in b_values], axis=1)}
 
 
@@ -187,22 +179,16 @@ def _rho_grid(b_grid, method="time_integral") -> tuple:
     return b_grid
 
 
-def _rho_reducer(problem, cfg, b_grid: tuple, method="time_integral"):
-    """The ``_rho_chunk`` reducer of rho-hat on a barrier grid checked by ``_rho_grid``."""
-    q, n_grid = problem.q, cfg.n_steps + 1
-    if method == "time_integral":
-        w = integral_weights(q, cfg.dt, n_grid)
-    else:  # the clock's law given e_q <= N dt (module docstring)
-        d = discount_factors(q, cfg.dt, n_grid)
-        w = np.append(d[:-1] - d[1:], 0.0) / (q * (1.0 - d[-1]))
-    cfg.validate_for(q)
-    return functools.partial(_rho_chunk, b_values=b_grid, f_prime=problem.cost.f_prime_plus, w=w,
-                             exp_clock=method == "exp_clock")
+def _rho_reducer(problem, cfg, b_grid: tuple):
+    """The ``_rho_chunk`` reducer of time-integral rho-hat on a barrier grid checked by ``_rho_grid``."""
+    cfg.validate_for(problem.q)
+    return functools.partial(_rho_chunk, b_values=b_grid, f_prime=problem.cost.f_prime_plus,
+                             w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
 
 
-def _rho_curve(y, b_grid, method, triplet, problem, cfg, **extra) -> list[tuple[float, EstimateWithError]]:
-    """(b, rho-hat(b)) from per-path samples ``y``, one column per barrier of ``b_grid``."""
-    anti = _antithetic_active(triplet, cfg)
+def _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, **extra) -> list[tuple[float, EstimateWithError]]:
+    """(b, rho-hat(b)) from per-path samples ``y``, one column per barrier of ``b_grid``,
+    antithetic halves paired when ``anti``."""
     return [(b, _finish(f"rho_{method}", y[:, k], anti, triplet, problem, cfg, b=b, **extra))
             for k, b in enumerate(b_grid)]
 
@@ -222,13 +208,14 @@ def estimate_rho(
 ) -> EstimateWithError:
     """Estimate rho(b), the discounted integral of f'_+ along U^b from b.
 
-    ``time_integral`` reflects paths at 0 and integrates f'_+(U^0 + b);
-    ``exp_clock`` averages q^{-1} f'_+(sup_{s<=e_q} X_s + b) with the clock
-    integrated out.  Both are ``estimate_rho_curve`` at the single barrier b.
-    No admissibility is required to evaluate rho.
+    ``time_integral`` is ``estimate_rho_curve`` at the single barrier b;
+    ``exp_clock``, q^{-1} f'_+(sup_{s<=e_q} X_s + b), is ``skeleton_rho_curve``
+    there, so neither ``cfg.dt`` nor ``n_workers`` enters it.  No
+    admissibility is required to evaluate rho.
     """
-    curve = estimate_rho_curve(triplet, problem, [b], cfg, method=method, n_workers=n_workers)
-    return curve[0][1]
+    if method == "time_integral":
+        return estimate_rho_curve(triplet, problem, [b], cfg, n_workers=n_workers)[0][1]
+    return skeleton_rho_curve(triplet, problem, [b], cfg, method)[0][1]  # exp_clock, or refused there
 
 
 def estimate_value(
@@ -262,41 +249,42 @@ def estimate_rho_curve(
     problem: ProblemSpec,
     b_grid,
     cfg: SimConfig,
-    method: str = "time_integral",
     n_workers: int = 1,
 ) -> list[tuple[float, EstimateWithError]]:
-    """rho-hat on a sorted barrier grid from ONE shared batch of paths.
+    """Time-integral rho-hat on a sorted barrier grid from ONE streamed pass of grid paths.
 
-    ``method`` is as for ``estimate_rho``; either way it is one streamed
-    pass.  Because f'_+ is nondecreasing and every barrier sees identical
-    paths, weights and summation order, the returned means are
-    nondecreasing in b exactly, not just statistically.
+    Because f'_+ is nondecreasing and every barrier sees identical paths,
+    weights and summation order, the returned means are nondecreasing in b
+    exactly, not just statistically.
     """
-    b_grid = _rho_grid(b_grid, method)
-    [out] = map_reduce_paths(triplet, cfg, [_rho_reducer(problem, cfg, b_grid, method)], n_workers=n_workers)
-    return _rho_curve(out["pp_y"], b_grid, method, triplet, problem, cfg)
+    b_grid = _rho_grid(b_grid)
+    [out] = map_reduce_paths(triplet, cfg, [_rho_reducer(problem, cfg, b_grid)], n_workers=n_workers)
+    anti = _antithetic_active(triplet, cfg)
+    return _rho_curve(out["pp_y"], b_grid, "time_integral", anti, triplet, problem, cfg)
 
 
 def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: SimConfig,
                        method: str = "time_integral") -> list[tuple[float, EstimateWithError]]:
-    """``estimate_rho_curve`` read off the clock skeleton: no grid, so ``cfg.dt`` does not enter.
+    """rho-hat on a sorted barrier grid read off the clock skeleton: no grid, so ``cfg.dt`` does not enter.
 
     Each path's sample is sum_k (pi_k / q) f'_+(Z_k + b) over the segments the
     Exponential(q) clock may end (``path_engine.clock_skeleton``), Z_k the supremum S_k
     (``exp_clock``) or U^0 (``time_integral``): exact up to the tail mass ``cfg.tail_tol``.
-    Chunks of at most ``SKELETON_FLOATS`` floats leave n_paths uncapped.
+    Chunks of at most ``SKELETON_FLOATS`` floats leave n_paths uncapped; the pairing is
+    decided once for all of them.
     """
     b_grid = _rho_grid(b_grid, method)
+    anti = _antithetic_active(triplet, cfg, warn=True)
     w = _clock_weights(triplet.jumps.rate, problem.q, cfg.tail_tol) / problem.q
     size = max(1, SKELETON_FLOATS // len(w))
     y = np.empty((cfg.n_paths, len(b_grid)))
     for lo in range(0, cfg.n_paths, size):
         rows = range(lo, min(lo + size, cfg.n_paths))
-        _, moves, sizes = clock_skeleton(triplet, cfg, problem.q, rows)
+        _, moves, sizes = clock_skeleton(triplet, cfg, problem.q, rows, anti)
         z = clock_suprema(moves, sizes, triplet.effective_drift, lows=method == "time_integral")
         for k, b in enumerate(b_grid):
             y[rows, k] = _grid_sum(problem.cost.f_prime_plus(z + b), w)
-    return _rho_curve(y, b_grid, method, triplet, problem, cfg, solver="clock_skeleton")
+    return _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, solver="clock_skeleton")
 
 
 def estimate_record(kind: str, est: EstimateWithError, b=None, x=None) -> dict:

@@ -80,9 +80,10 @@ class JumpSpec:
         return _Atoms(rate, values, probs)
 
     @classmethod
-    def param_names(cls) -> tuple[str, ...]:
-        """The family's parameters, in constructor order after ``rate``."""
-        return tuple(f.name for f in fields(cls)[1:])
+    def param_kinds(cls) -> dict:
+        """The family's parameters, in constructor order after ``rate``, each with the kind of
+        its field: ``float``, or ``list`` for a ``tuple[float, ...]`` of atoms."""
+        return {f.name: {"float": float, "tuple[float, ...]": list}[f.type] for f in fields(cls)[1:]}
 
     # -- law summaries (the no-jump law; families override) -----------------
 
@@ -133,9 +134,9 @@ class JumpSpec:
 
     def describe(self) -> dict:
         d = {"rate": self.rate, "kind": self.kind}
-        for name in self.param_names():
+        for name, kind in self.param_kinds().items():
             v = getattr(self, name)
-            d[name] = list(v) if isinstance(v, tuple) else v
+            d[name] = list(v) if kind is list else v
         return d
 
 

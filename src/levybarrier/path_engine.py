@@ -247,7 +247,8 @@ def _clock_weights(rate: float, q: float, tail_tol: float) -> np.ndarray:
     return p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
 
 
-def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range | None = None):
+def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range | None = None,
+                   anti: bool | None = None):
     """(pi, moves, sizes) of the segments of ``paths`` (default all) up to an Exponential(q) clock.
 
     Segments last Exp(lambda), lambda = rate + q; the clock ends segment k with probability pi_k
@@ -255,8 +256,9 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range 
     sigma = 0; else (2, n, K), each segment's fall E_dn / beta_- to its low and rise E_up / beta_+
     to its high, beta_+- = (-+mu + sqrt(mu^2 + 2 sigma^2 lambda)) / sigma^2 (Wiener-Hopf Monte
     Carlo, Kuznetsov, Kyprianou, Pardo & van Schaik 2011).  Draws are as the module docstring
-    says; a mirror swaps E_up and E_dn and negates the sizes.  Above ``SKELETON_FLOATS`` (n x K)
-    ValueError is raised before anything is allocated.
+    says; a mirror swaps E_up and E_dn and negates the sizes, and ``anti`` (None: decided here)
+    lets a chunked read decide that once.  Above ``SKELETON_FLOATS`` (n x K) ValueError is raised
+    before anything is allocated.
     """
     rate, sigma, mu, lam = triplet.jumps.rate, triplet.sigma, triplet.effective_drift, triplet.jumps.rate + q
     pi = _clock_weights(rate, q, cfg.tail_tol)
@@ -265,7 +267,9 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range 
     if n * k > SKELETON_FLOATS:
         raise ValueError(f"clock skeleton of {n} paths x K = {k} jumps exceeds the budget of "
                          f"{SKELETON_FLOATS} floats; use fewer paths, a larger q or tail_tol")
-    mirror = _antithetic_active(triplet, cfg, warn=True) & (paths >= cfg.n_paths // 2)
+    if anti is None:
+        anti = _antithetic_active(triplet, cfg, warn=True)
+    mirror = anti & (paths >= cfg.n_paths // 2)
     moves, sizes = np.empty((2 if sigma > 0 else 1, n, k)), np.zeros((n, k))
     for j, rng in enumerate(_path_rngs(cfg.master_seed, paths - mirror * (cfg.n_paths // 2))):
         rng.standard_exponential(out=moves[0, j])

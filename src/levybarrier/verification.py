@@ -19,9 +19,9 @@ bit, so each start is an offset.  A check validates its arguments, yields
 an ``_Ask`` of what it reads off the pass, is sent the ``_Pass`` (what
 several checks ask is computed once, and every reducer reads the same
 chunks) and yields its report; each public ``check_*`` is ``run_checks``
-with that one check.  Only a solve (b_star omitted) and the
-martingale check's node values (an independent seed) run passes of their
-own.
+with that one check.  Only the martingale check's node values (an
+independent seed) run a pass of their own; the checks at the barrier take
+b_star as given and never solve for it.
 
 Checks are advisory: they return reports, they do not raise on failure.
 """
@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from .barrier_solver import solve_barrier
 from .cost_model import ProblemSpec
 from .estimators import _finite, _moments, _rho_curve, _rho_grid, _rho_reducer, _value_pass
 from .levy_model import LevyTriplet
@@ -161,7 +160,8 @@ class _Pass:
         self.v = value["pp_running"] + problem.C * value["pp_control"]
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
-            self.rho = dict(_rho_curve(rest.pop(0)["pp_y"], rho_b, "time_integral", triplet, problem, cfg))
+            self.rho = dict(_rho_curve(rest.pop(0)["pp_y"], rho_b, "time_integral", self.antithetic,
+                                       triplet, problem, cfg))
         self.m = [out["pp_m"] for out in rest]
 
     def stat(self, samples, kind: str) -> tuple[float, float]:
@@ -294,7 +294,7 @@ def check_convexity(
     problem: ProblemSpec,
     cfg: SimConfig,
     x_grid,
-    b_star: float | None = None,
+    b_star: float,
     n_workers: int = 1,
 ):
     """Second differences of x -> v_{b*}(x) on CRN-coupled starts are >= 0
@@ -306,8 +306,6 @@ def check_convexity(
     steps = np.diff(x_grid)
     if np.any(steps <= 0) or np.any(np.abs(steps - steps[0]) > 1e-9 * (1 + steps[0])):
         raise ValueError("x_grid must be uniformly spaced increasing")
-    if b_star is None:
-        b_star = solve_barrier(triplet, problem, cfg, n_workers=n_workers).b_star
     bundle = [(x, b_star) for x in x_grid]
     p = yield _Ask(pairs=bundle)
     v = p.values(bundle)
@@ -332,8 +330,7 @@ def check_martingale(
     cfg: SimConfig,
     x: float,
     t_grid,
-    b_star: float | None = None,
-    node_grid=None,
+    b_star: float,
     n_workers: int = 1,
 ):
     """Constancy in t of E_x[e^{-q(tau and t)} v(X) + int_0^{tau and t} e^{-qs} f(X_s) ds].
@@ -344,14 +341,10 @@ def check_martingale(
     with slope -C is used.
     """
     cfg.validate_for(problem.q)
-    if b_star is None:
-        b_star = solve_barrier(triplet, problem, cfg, n_workers=n_workers).b_star
     if x <= b_star:
         raise ValueError("martingale check needs a start strictly above the barrier")
-    if node_grid is None:
-        span = 3.0 * _drift_scale(triplet) / problem.q + 3.0 * triplet.sigma / math.sqrt(problem.q)
-        node_grid = np.linspace(b_star - 2.0, x + span, 41)
-    node_grid = np.asarray(node_grid, dtype=float)
+    span = 3.0 * _drift_scale(triplet) / problem.q + 3.0 * triplet.sigma / math.sqrt(problem.q)
+    node_grid = np.linspace(b_star - 2.0, x + span, 41)
     node_cfg = replace(cfg, master_seed=cfg.master_seed + 1)
     node_v, _ = _value_pass(triplet, problem, node_cfg, [(o, b_star) for o in node_grid], n_workers=n_workers)
     node_means = node_v.mean(axis=0)
@@ -403,7 +396,7 @@ def check_hjb(
     cfg: SimConfig,
     x_grid,
     fd_h: float,
-    b_star: float | None = None,
+    b_star: float,
     n_workers: int = 1,
 ):
     """Residual of the generator system at the fitted barrier.
@@ -418,8 +411,6 @@ def check_hjb(
     cfg.validate_for(problem.q)
     if fd_h <= 0:
         raise ValueError("fd_h must be positive")
-    if b_star is None:
-        b_star = solve_barrier(triplet, problem, cfg, n_workers=n_workers).b_star
     x_grid = np.asarray([float(v) for v in x_grid])
     jumps = triplet.jumps
     d = triplet.effective_drift

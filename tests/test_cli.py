@@ -11,6 +11,7 @@ from levybarrier import barrier_solver, estimators, path_engine, verification
 from levybarrier.cli import main
 
 KOU = Path(__file__).resolve().parent.parent / "configs" / "kou_two_sided.json"
+CP = KOU.parent / "compound_poisson.json"
 ALL_CHECKS = '["barrier_derivative","slope_identity","convexity","martingale","hjb"]'
 
 
@@ -120,6 +121,16 @@ def test_jump_dist_checked_against_its_family(tmp_path, capsys, rate, dist, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, override, message", [
+    ("solve", KOU, 'model.jumps.dist.p_up="abc"', "config.model.jumps.dist.p_up: expected a number, got 'abc'"),
+    ("solve", KOU, "model.jumps.dist.p_up=[0.5]", "config.model.jumps.dist.p_up: expected a number, got [0.5]"),
+    ("perturb", CP, "model.jumps.dist.values=5", "config.model.jumps.dist.values: expected a list of numbers, got 5"),
+], ids=["string", "list_for_number", "number_for_list"])
+def test_jump_dist_params_typed_by_family(tmp_path, capsys, command, config, override, message):
+    assert run([command, "--config", config, "--out", tmp_path / "o", "--paths", "10", "--set", override]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("quadratic", "slopes", [1, 2]),
     ("quartic", "kinks", [0.0]),
@@ -164,6 +175,15 @@ def test_unsorted_grid_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, rho={"b_grid": [1.0, 0.0]})
     assert run(["rho", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "sorted" in capsys.readouterr().err
+    # the CLI names the config path of what the library would refuse
+    for command, override, message in (
+        ("rho", "rho.b_grid=[1,0]", "config.rho.b_grid: expected a nonempty list sorted strictly increasing"),
+        ("sweep", "sweep.b_grid=[1,0]", "config.sweep.b_grid: expected a nonempty list sorted strictly increasing"),
+        ("rho", "rho.b_grid=[]", "config.rho.b_grid: expected a nonempty list sorted strictly increasing, got []"),
+        ("rho", "rho.method=5", "config.rho.method: expected time_integral or exp_clock, got 5"),
+    ):
+        assert run([command, "--config", KOU, "--out", tmp_path / "o", "--paths", "10", "--set", override]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_missing_field_exit_2(tmp_path, capsys):

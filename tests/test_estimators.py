@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_rho_nonfinite_guard():
 
 
 # ---------------------------------------------------------------------------
-# exp-clock rho: the supremum at an Exponential(q) clock, clock integrated out
+# exp-clock rho: the supremum at an Exponential(q) clock, off the clock skeleton
 # ---------------------------------------------------------------------------
 
 
@@ -113,39 +114,13 @@ def _clock_sup_mean(triplet, cfg, q):
     return q * est.mean / 2, q * est.stderr / 2
 
 
-def _conditioned_clock_mean(q, horizon):
-    """E[e_q | e_q <= T]: the clock law the exp-clock weights integrate."""
-    tail = math.exp(-q * horizon)
-    return 1.0 / q - horizon * tail / (1.0 - tail)
-
-
-def test_exp_clock_pure_drift_mean():
-    # S at e_q is the grid time below e_q: E[e_q | e_q <= T] less about dt / 2
-    # (1 / q itself is 1.8e-3 further off, from the 1e-4 tail beyond T)
-    q = 0.5
-    cfg = SimConfig(dt=1e-3, horizon_T=horizon_for(q, 1e-4, 1e-3), n_paths=4000, master_seed=3)
-    mean, se = _clock_sup_mean(DRIFT_UP, cfg, q)
-    assert abs(mean - _conditioned_clock_mean(q, cfg.effective_horizon)) <= 2 * cfg.dt
-    assert se == 0.0
-
-
-def test_exp_clock_conditions_on_the_horizon():
-    # a clock beyond T = 2 has probability e^{-1}: dropping the 1 / (1 - d_N)
-    # factor would read 0.53 instead of E[e_q | e_q <= T] = 0.836
-    q = 0.5
-    cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=400, master_seed=5, tail_tol=0.5)
-    mean, se = _clock_sup_mean(DRIFT_UP, cfg, q)
-    assert abs(mean - _conditioned_clock_mean(q, 2.0)) <= cfg.dt
-    assert se == 0.0
-
-
 def test_exp_clock_negative_of_subordinator_is_f_prime_over_q():
     # nonincreasing paths: the running maximum is 0, so rho(b) = f'_+(b) / q exactly
     q = 0.5
     neg = LevyTriplet(gamma=-0.5, sigma=0.0, jumps=JumpSpec.kou_mixture(1.0, 0.0, 1.0, 2.0))
     prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.0, q=q)
     cfg = SimConfig(dt=1e-2, horizon_T=horizon_for(q, 1e-4, 1e-2), n_paths=500, master_seed=4)
-    for b, est in estimate_rho_curve(neg, prob, [-1.5, 0.0, 0.7], cfg, method="exp_clock"):
+    for b, est in skeleton_rho_curve(neg, prob, [-1.5, 0.0, 0.7], cfg, "exp_clock"):
         assert est.mean == pytest.approx(2.0 * b / q, rel=1e-12, abs=0.0)
         assert est.stderr == 0.0
 
@@ -173,13 +148,14 @@ def test_exp_clock_curve_is_one_pass(monkeypatch):
     prob = ProblemSpec(cost=builtin_cost("abs"), C=0.0, q=0.5)
     cfg = make_cfg(0.5, dt=5e-3, n=300, seed=21)
     grid = np.linspace(-1.0, 1.0, 9)
-    curve = estimate_rho_curve(KOU, prob, grid, cfg, method="exp_clock")
-    assert passes == [300]
+    curve = skeleton_rho_curve(KOU, prob, grid, cfg, "exp_clock")
+    assert passes == []
     means = np.array([est.mean for _, est in curve])
     assert np.all(np.diff(means) >= 0.0)  # exact, not statistical
     assert means[0] < means[-1]
     for b, est in curve:
         assert estimate_rho(KOU, prob, b, cfg, method="exp_clock") == est
+        assert asdict(estimate_rho(KOU, prob, b, cfg, method="exp_clock")) == asdict(est)  # field for field
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +209,12 @@ def test_skeleton_reads_match_kou_wiener_hopf(triplet):
 
 
 def test_skeleton_bm_mean_matches_phi():
-    # no jumps: one segment, S at e_q ~ Exponential(Phi(q)) exactly, Phi(0.5) = 1
+    # no jumps: one segment, S at e_q ~ Exponential(Phi(q)) exactly, Phi(0.5) = 1; under
+    # pure drift d, S at e_q = d e_q, Exponential(Phi(q) = q / d) too, with mean d / q
     q = 0.5
-    mean, se = _skeleton_mean(BM, make_cfg(q, dt=1e-2, n=20_000, seed=8), q, "exp_clock")
-    assert abs(mean - 1.0 / lb.phi_root(BM, q)) <= 3 * se
+    for triplet in (BM, DRIFT_UP):
+        mean, se = _skeleton_mean(triplet, make_cfg(q, dt=1e-2, n=20_000, seed=8), q, "exp_clock")
+        assert abs(mean - 1.0 / lb.phi_root(triplet, q)) <= 3 * se
 
 
 def test_skeleton_curve_nondecreasing_and_checked():

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost, path_engine
+from levybarrier import (
+    JumpSpec,
+    LevyTriplet,
+    SimConfig,
+    builtin_cost,
+    driftless_compound_poisson,
+    estimators,
+    path_engine,
+    solve_barrier_perturbed,
+)
 from levybarrier.cost_model import ProblemSpec
-from levybarrier.estimators import estimate_rho
+from levybarrier.estimators import estimate_rho, skeleton_rho_curve
 from levybarrier.path_engine import (
     BATCHES,
     DOT_SLICE,
@@ -521,14 +530,17 @@ def test_chunk_plan_batches(n_paths, n_grid, antithetic, target):
     assert np.array_equal(_batch_path_counts(n_paths, antithetic), np.bincount(batch))
 
 
-def test_antithetic_ignored_warns_once_per_call():
+def test_antithetic_ignored_warns_once_per_call(monkeypatch):
     skew = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.7, 2.0, 3.0))
     cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=10, master_seed=9, antithetic=True, tail_tol=0.999)
+    prob = ProblemSpec(builtin_cost("quadratic"), 0.0, 0.5)
+    monkeypatch.setattr(estimators, "SKELETON_FLOATS", 6)  # K = 2: skeleton reads of 3 paths, 4 chunks
     calls = (
         lambda: simulate_batch(skew, 0.0, cfg),
         lambda: map_reduce_paths(skew, cfg, [_sum_chunk], chunk_target=21),  # 10 chunks
-        lambda: estimate_rho(skew, ProblemSpec(builtin_cost("quadratic"), 0.0, 0.5), 0.0, cfg,
-                             method="exp_clock"),
+        lambda: estimate_rho(skew, prob, 0.0, cfg, method="exp_clock"),
+        lambda: skeleton_rho_curve(skew, prob, [-1.0, 0.0], cfg, "time_integral"),
+        lambda: solve_barrier_perturbed(driftless_compound_poisson(skew.jumps), prob, cfg),
     )
     for call in calls:
         with warnings.catch_warnings(record=True) as rec:

@@ -134,7 +134,7 @@ def test_convexity_guard_for_linear_cost():
     prob = ProblemSpec(cost=builtin_cost("piecewise_linear", slopes=(1.0, 1.0), kinks=(0.0,)),
                        C=1.0, q=0.5)
     with pytest.raises(AssumptionViolated):
-        check_convexity(BM, prob, make_cfg(0.5, n=16, tail=1e-4), np.linspace(-1, 1, 5))
+        check_convexity(BM, prob, make_cfg(0.5, n=16, tail=1e-4), np.linspace(-1, 1, 5), b_star=0.0)
 
 
 # ---------------------------------------------------------------------------
