@@ -33,6 +33,8 @@ from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
 from .estimators import EstimateWithError, _finish, _outside_stacklevel, _rho_grid, _value_pass
 from .levy_model import LevyTriplet, exp_moment_check
 from .path_engine import (
+    BATCHES,
+    HISTOGRAM_FLOATS,
     SimConfig,
     _antithetic_active,
     _batch_path_counts,
@@ -113,6 +115,9 @@ class PerturbedBarrierResult:
 def _solver_chunk(values, *, bin_width, w):
     u = _reflected_at_zero(values)
     udisc = _grid_sum(u, w)
+    if u.max() / bin_width * BATCHES > HISTOGRAM_FLOATS:
+        raise ValueError(f"bisect_tol too small: {u.max() / bin_width:.3g} bins per batch exceed the "
+                         f"{HISTOGRAM_FLOATS}-float histogram budget over {BATCHES} batches")
     bins = np.rint(np.divide(u, bin_width, out=u), out=u).astype(np.int64)
     u[:] = w  # the spent buffer holds the bin weights: no chunk-sized copy
     return {
@@ -172,11 +177,11 @@ def _tol(bisect_tol: float | None, b: float) -> float:
 
 
 def _bisect(g: Callable, lo: float, hi: float, bisect_tol: float | None):
-    """Bisection keeping g(lo) < 0 <= g(hi); relative default tolerance."""
+    """Bisection keeping g(lo) < 0 <= g(hi) down to the tolerance (relative by default) or adjacent floats."""
     iterations = 0
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= _tol(bisect_tol, mid):
+        if hi - lo <= _tol(bisect_tol, mid) or not lo < mid < hi:
             return mid, lo, hi, iterations
         if g(mid) >= 0.0:
             hi = mid

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from statistics import NormalDist
 from typing import ClassVar
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidModel
 
@@ -227,19 +227,19 @@ class _Gaussian(JumpSpec):
     def truncated_mean(self) -> float:
         m, s = self.mean, self.std
         a, b = (-1.0 - m) / s, (1.0 - m) / s
-        return m * (stats.norm.cdf(b) - stats.norm.cdf(a)) + s * (stats.norm.pdf(a) - stats.norm.pdf(b))
+        cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))  # full relative precision in the left tail
+        return m * (cdf(b) - cdf(a)) + s * s * (self.pdf(-1.0) - self.pdf(1.0))
 
     def mean_abs_size(self) -> float:
-        m, s = self.mean, self.std
-        return s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (m / s) ** 2) + m * (
-            1.0 - 2.0 * stats.norm.cdf(-m / s)
-        )
+        # E|J| = 2 s^2 pdf(0) + m (1 - 2 cdf(-m / s)), and 1 - 2 cdf(-x) = erf(x / sqrt 2)
+        return 2.0 * self.std**2 * self.pdf(0.0) + self.mean * math.erf(self.mean / self.std / math.sqrt(2.0))
 
     def pdf(self, z):
-        return stats.norm.pdf(np.asarray(z, dtype=float), loc=self.mean, scale=self.std)
+        x = (np.asarray(z, dtype=float) - self.mean) / self.std
+        return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / self.std
 
     def displacement_quantiles(self, tail_prob: float) -> tuple[float, float]:
-        z = stats.norm.ppf(1.0 - tail_prob)
+        z = NormalDist().inv_cdf(1.0 - tail_prob)
         return min(0.0, self.mean - z * self.std), max(0.0, self.mean + z * self.std)
 
     @property

@@ -5,15 +5,16 @@ Exponential(q) time is Exponential(Phi(q)), where Phi(q) is the positive
 root of the Laplace exponent equation psi(lam) = q.  Combined with the
 quadratic-cost identity b* = -q (C/2 + E[int e^{-qt} U^0_t dt]) this yields
 the exact optimal barrier b* = -q C / 2 - 1 / Phi(q) used to cross-check
-the Monte Carlo solver.  Two-sided models have no such closed form here and
-are validated through internal identities instead.
+the Monte Carlo solver; Phi(q) comes from the barrier solver's root finder.
+Two-sided models have no such closed form here and are validated through
+internal identities instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
+from .barrier_solver import _bisect, _expand_bracket
 from .cost_model import ProblemSpec
 from .errors import NotSpectrallyNegative
 from .levy_model import LevyTriplet
@@ -36,10 +37,10 @@ def _laplace_exponent(triplet: LevyTriplet, lam: float) -> float:
 
 
 def phi_root(triplet: LevyTriplet, q: float) -> float:
-    """Positive root Phi(q) of psi(lam) = q, by bracket doubling + Brent.
+    """Positive root Phi(q) of psi(lam) = q, bisected to adjacent floats by the solver's root finder.
 
-    psi is convex with psi(0) = 0, so the root is unique once a lam with
-    psi(lam) > q is found.  Monotone-path models never cross q.
+    psi is convex with psi(0) = 0 and unbounded unless the paths are monotone
+    nonincreasing (those never cross q), so the bracket is finite.
     """
     if not triplet.jumps.support_negative:
         raise NotSpectrallyNegative("model has positive jumps")
@@ -47,17 +48,9 @@ def phi_root(triplet: LevyTriplet, q: float) -> float:
         raise NotSpectrallyNegative("monotone nonincreasing paths: psi stays below q")
     if q <= 0:
         raise ValueError("q must be positive")
-    hi = 1.0
-    for _ in range(400):
-        if _laplace_exponent(triplet, hi) > q:
-            break
-        hi *= 2.0
-    else:
-        raise NotSpectrallyNegative("could not bracket a root of psi(lam) = q")
-    root = optimize.brentq(
-        lambda lam: _laplace_exponent(triplet, lam) - q, 0.0, hi, xtol=1e-13, rtol=8.9e-16
-    )
-    residual = abs(_laplace_exponent(triplet, root) - q)
+    g = lambda lam: _laplace_exponent(triplet, lam) - q
+    root = _bisect(g, *_expand_bracket(g, limit=math.inf), bisect_tol=0.0)[0]
+    residual = abs(g(root))
     if residual > PHI_RESIDUAL_TOL:
         raise ArithmeticError(f"phi root residual {residual:.2e} exceeds {PHI_RESIDUAL_TOL}")
     return float(root)

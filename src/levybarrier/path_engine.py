@@ -40,6 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.random import PCG64DXSM, Generator
 
 from .levy_model import LevyTriplet
 
@@ -68,6 +69,7 @@ BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams
 DOT_SLICE = 10_000  # longest dot product OpenBLAS computes on one thread
 BATCH_FLOATS = 2**27  # largest (paths x grid) batch simulate_batch materializes
 SKELETON_FLOATS = 2**22  # largest (paths x K) clock skeleton: perturb peaks at ~8 such arrays
+HISTOGRAM_FLOATS = 2**26  # largest (BATCHES x bins) occupation histogram of the grid solve
 
 
 def horizon_for(q: float, tail_tol: float = 1e-4, dt: float | None = None) -> float:
@@ -161,7 +163,7 @@ def _path_rngs(master_seed: int, streams):
         pool = [_mix(x, _hashmix(w, next(ks))) for x in pool]
     state = [_hashmix(pool[k % 4], k, _INIT_B, _MULT_B) for k in range(8)]  # generate_state(4, u64)
     seeds = np.stack(state, axis=-1).astype("<u4").view("<u8").tolist()
-    rng = np.random.Generator(np.random.PCG64DXSM(0))
+    rng = Generator(PCG64DXSM(0))
     for s_hi, s_lo, i_hi, i_lo in seeds:
         inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
         s = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128

@@ -224,6 +224,18 @@ def test_symmetric_cp_monotone_levels():
     assert res.b_star == bs[-1]
 
 
+@pytest.mark.filterwarnings("ignore:rho is numerically flat")  # the CI slope step scales with the tolerance
+def test_perturbed_tiny_tolerance_stops_at_adjacent_floats():
+    # a tolerance below 1 ulp of b* cannot be met: the bisection stops at adjacent floats
+    q = 0.5
+    sym = lb.driftless_compound_poisson(JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5)))
+    res = solve_barrier_perturbed(sym, quad_problem(0.0, q), make_cfg(q, n=200), bisect_tol=1e-300)
+    for _, r in res.levels:
+        lo, hi = r.bracket
+        assert lo < hi == np.nextafter(lo, np.inf)
+        assert r.b_star in (lo, hi)
+
+
 def test_perturbed_requires_driftless_cp():
     with pytest.raises(AssumptionViolated):
         solve_barrier_perturbed(BM, quad_problem(0.0, 0.5), make_cfg(0.5, n=100))

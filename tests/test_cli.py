@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,16 @@ def test_unsorted_grid_exit_2(tmp_path, capsys):
     ):
         assert run([command, "--config", KOU, "--out", tmp_path / "o", "--paths", "10", "--set", override]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-20"])
+def test_histogram_beyond_budget_exit_2(tmp_path, capsys, tol):
+    # 1e-9 bins would ask for ~90 GiB; at 1e-20 the bin index overflows int64
+    start = time.perf_counter()
+    assert run(["solve", "--config", KOU, "--out", tmp_path / "o", "--paths", "64", "--dt", "0.05",
+                "--set", f"solve.bisect_tol={tol}"]) == 2
+    assert time.perf_counter() - start < 20.0
+    assert "config error: bisect_tol too small" in capsys.readouterr().err
 
 
 def test_missing_field_exit_2(tmp_path, capsys):
@@ -403,3 +414,11 @@ def test_result_independent_of_blas_threads(tmp_path, command, size):
                         "--out", str(out)] + size, env=env, check=True, capture_output=True)
         outputs.append((out / "result.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_imports_no_scipy():
+    src = Path(path_engine.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = "import levybarrier.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

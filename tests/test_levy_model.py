@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, characteristic_exponent
@@ -240,6 +240,23 @@ def test_mean_abs_size_against_quadrature(jumps):
     pieces = [(-60.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 60.0)]
     val = sum(integrate.quad(lambda z: abs(z) * jumps.pdf(z), a, b, limit=200)[0] for a, b in pieces)
     assert jumps.mean_abs_size() == pytest.approx(val, abs=1e-9)
+
+
+@pytest.mark.parametrize("mean, std", [(0.3, 0.8), (-0.3, 0.7), (0.0, 1.0), (2.0, 0.5), (-1.5, 0.25)])
+def test_gaussian_normal_law_matches_scipy(mean, std):
+    jumps = JumpSpec.gaussian_sizes(1.0, mean, std)
+    z = np.linspace(mean - 12 * std, mean + 12 * std, 10_001)
+    assert np.array_equal(jumps.pdf(z), stats.norm.pdf(z, loc=mean, scale=std))
+    a, b = (-1.0 - mean) / std, (1.0 - mean) / std
+    truncated = mean * (stats.norm.cdf(b) - stats.norm.cdf(a)) + std * (stats.norm.pdf(a) - stats.norm.pdf(b))
+    assert jumps.truncated_mean() == pytest.approx(truncated, rel=1e-13)
+    mean_abs = std * np.sqrt(2 / np.pi) * np.exp(-0.5 * (mean / std) ** 2) + mean * (
+        1.0 - 2.0 * stats.norm.cdf(-mean / std))
+    assert jumps.mean_abs_size() == pytest.approx(mean_abs, rel=1e-13)
+    for tail in (1e-3, 1e-6):
+        z = stats.norm.ppf(1.0 - tail)
+        expected = (min(0.0, mean - z * std), max(0.0, mean + z * std))
+        assert jumps.displacement_quantiles(tail) == pytest.approx(expected, rel=1e-13)
 
 
 def test_symmetry_flags():

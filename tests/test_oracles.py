@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, builtin_cost
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import NotSpectrallyNegative
 from levybarrier.oracles import (
+    PHI_RESIDUAL_TOL,
     SpectrallyNegativeOracle,
     _laplace_exponent,
     phi_root,
@@ -36,6 +38,21 @@ def test_phi_bm_with_negative_exponential_jumps():
     vals = [_laplace_exponent(t, l) for l in lams]
     assert vals[0] == 0.0
     assert np.all(np.diff(vals, 2) >= -1e-9)
+
+
+@pytest.mark.parametrize("model", [
+    BM,
+    LevyTriplet(0.3, 0.7, jumps=JumpSpec.kou_mixture(2.0, 0.0, 1.0, 1.5)),
+    LevyTriplet(1.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.0, 1.0, 2.0)),
+], ids=["bm", "bm_negative_kou", "sigma_0"])
+@pytest.mark.parametrize("q", [0.05, 0.5, 2.0])
+def test_phi_bisection_matches_brent(model, q):
+    # Brent at its tightest tolerance; bisection runs down to adjacent floats
+    g = lambda lam: _laplace_exponent(model, lam) - q
+    ref = brentq(g, 0.0, 64.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    phi = phi_root(model, q)
+    assert abs(phi - ref) <= 4 * np.spacing(ref)
+    assert abs(g(phi)) <= PHI_RESIDUAL_TOL
 
 
 def test_phi_rejects_positive_jumps_and_monotone_paths():
