@@ -213,8 +213,9 @@ def _root_of(rho_hat: _WeightedRho, udisc, triplet, problem, cfg, bisect_tol, so
     means = (np.full(len(rho_hat.batch_paths), rho_hat(b_star)) if triplet.is_deterministic
              else rho_hat.batch_means(b_star))
     rho_est = _finish("rho_at_b_star", means, False, triplet, problem, cfg, b=b_star, solver=solver)
-    # statistical half-width: stderr of rho near the root over a local slope
-    delta = 10.0 * _tol(bisect_tol, b_star)
+    # statistical half-width: stderr of rho near the root over a local slope, taken
+    # over a step that a tolerance below the float spacing at b* cannot shrink to 0
+    delta = max(10.0 * _tol(bisect_tol, b_star), 1e-8 * (1.0 + abs(b_star)))
     slope = (rho_hat(b_star + delta) - rho_hat(b_star - delta)) / (2 * delta)
     flat = slope < FLAT_SLOPE_EPS
     if flat:

@@ -44,6 +44,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -106,8 +107,8 @@ _REQUIRED = object()
 
 def _need(cfg: dict, path: str, kind=None, default=_REQUIRED):
     """``config.<path>``, converted to ``kind`` when given: float, int, bool (a JSON true or
-    false only: bool("false") is True) or list (of floats).  An absent or null field is
-    ``default``, or an error when none is given."""
+    false only: bool("false") is True) or list (of floats); a float or list is finite.  An
+    absent or null field is ``default``, or an error when none is given."""
     node = cfg
     for part in path.split("."):
         node = node.get(part) if isinstance(node, dict) else None
@@ -119,10 +120,12 @@ def _need(cfg: dict, path: str, kind=None, default=_REQUIRED):
         return node
     try:
         if kind is list and isinstance(node, list):
-            return [float(v) for v in node]
+            values = [float(v) for v in node]
+            if all(map(math.isfinite, values)):
+                return values
         if kind in (float, int) and not isinstance(node, (bool, list, dict)):
             value = kind(node)
-            if not isinstance(node, float) or value == node:  # int(2.5) would be 2
+            if (not isinstance(node, float) or value == node) and math.isfinite(value):  # int(2.5) would be 2
                 return value
     except (TypeError, ValueError, OverflowError):
         pass
@@ -190,6 +193,10 @@ def _build_sim(cfg: dict, q: float) -> SimConfig:
     tail_tol = _need(cfg, "sim.tail_tol", float, 1e-4)
     dt = _need(cfg, "sim.dt", float)
     horizon = _need(cfg, "sim.horizon_T", float, None)
+    if dt <= 0:  # horizon_for divides by it
+        raise ConfigError(f"config.sim.dt: expected a positive number, got {dt!r}")
+    if not 0 < tail_tol < 1:  # and takes its log
+        raise ConfigError(f"config.sim.tail_tol: expected a number in (0, 1), got {tail_tol!r}")
     try:
         out = SimConfig(
             dt=dt,
@@ -324,6 +331,10 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
 
     if command == "perturb":
         eps_grid = _need(cfg, "perturb.eps_grid", list, None)
+        if eps_grid is not None and (not eps_grid or eps_grid[-1] <= 0
+                                     or any(e2 >= e1 for e1, e2 in zip(eps_grid, eps_grid[1:]))):
+            raise ConfigError("config.perturb.eps_grid: expected a nonempty list of positive numbers sorted "
+                              f"strictly decreasing, got {eps_grid}")
         res = solve_barrier_perturbed(model, problem, sim, bisect_tol=_need(cfg, "perturb.bisect_tol", float, None),
                                       **({} if eps_grid is None else {"eps_grid": eps_grid}))
         print(f"perturb: b_star={res.b_star:.6g} (smallest eps of {len(res.levels)})")

@@ -3,8 +3,10 @@
 A cost is carried around as a :class:`CostSpec`: the function itself, its
 one-sided derivatives, a polynomial growth certificate ``|f| <= k1+k2|x|^N``,
 and the derivative limits at -inf/+inf.  All evaluation callables must accept
-scalars and numpy arrays and be pure; the builtin families are implemented as
-small picklable classes so costs can cross process boundaries.
+scalars and numpy arrays and be pure.  Each builtin family is one small
+picklable class, so costs can cross process boundaries: ``_Power`` gives x^n
+or its slope (``quadratic`` n = 2, ``quartic`` n = 4), and ``_PiecewiseLinear``
+gives the value or either one-sided slope (``abs`` is slopes (-1, 1) at 0).
 
 ``mollify`` smooths a builtin cost into f_eps(x) = E f(x + S) - E f(a + S) + f(a),
 S = -(Y + Z) with Y, Z iid uniform(0, eps): a triangular kernel on [-2 eps, 0].
@@ -110,59 +112,40 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-class _Quadratic:
-    def __call__(self, x):
-        return np.square(x)
+_POWERS = {"quadratic": 2, "quartic": 4}  # kind -> n of the power family x^n
 
 
-class _QuadraticSlope:
-    def __call__(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
+class _Power:
+    """x^n, or its slope n x^(n-1) when ``slope``."""
 
+    def __init__(self, n: int, slope: bool = False):
+        self.n, self.slope = n, slope
 
-class _Quartic:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return x**4
-
-
-class _QuarticSlope:
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return 4.0 * x**3
+        if not self.slope:
+            return x**self.n
+        return self.n * (x if self.n == 2 else x ** (self.n - 1))  # x**1 would copy x
 
 
 class _PiecewiseLinear:
-    """Convex piecewise-linear function anchored at f(first kink) = value."""
+    """Convex piecewise-linear function with f(first kink) = 0, or its right (``side``
+    "right") or left ("left") slope."""
 
-    def __init__(self, slopes, kinks, anchor_value=0.0):
+    def __init__(self, slopes, kinks, side=None):
         self.slopes = np.asarray(slopes, dtype=float)
         self.kinks = np.asarray(kinks, dtype=float)
+        self.side = side
         # value at each kink, integrating slopes from the first kink
-        vals = [anchor_value]
-        for j in range(1, len(self.kinks)):
-            vals.append(vals[-1] + self.slopes[j] * (self.kinks[j] - self.kinks[j - 1]))
-        self.kink_values = np.asarray(vals)
+        self.kink_values = np.cumsum(np.append(0.0, self.slopes[1:-1] * np.diff(self.kinks)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.kinks, x, side="right")  # segment index
+        idx = np.searchsorted(self.kinks, x, side=self.side or "right")  # segment index
+        if self.side:
+            return self.slopes[idx]
         idx_k = np.clip(idx, 1, len(self.kinks)) - 1
-        base = self.kink_values[idx_k]
-        slope = self.slopes[np.clip(idx, 0, len(self.slopes) - 1)]
-        return base + slope * (x - self.kinks[idx_k])
-
-
-class _PiecewiseLinearSlope:
-    def __init__(self, slopes, kinks, side):
-        self.slopes = np.asarray(slopes, dtype=float)
-        self.kinks = np.asarray(kinks, dtype=float)
-        self.side = side  # "right" -> f'_+, "left" -> f'_-
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.kinks, x, side="right" if self.side == "right" else "left")
-        return self.slopes[np.clip(idx, 0, len(self.slopes) - 1)]
+        return self.kink_values[idx_k] + self.slopes[idx] * (x - self.kinks[idx_k])
 
 
 def builtin_cost(kind: str, **params) -> CostSpec:
@@ -172,27 +155,17 @@ def builtin_cost(kind: str, **params) -> CostSpec:
     "piecewise_linear" with params slopes (len k+1) and kinks (len k).
     Kinks produce genuinely different one-sided derivatives.
     """
-    if kind == "quadratic":
+    if kind in _POWERS:
+        n = _POWERS[kind]
         spec = CostSpec(
-            f=_Quadratic(),
-            f_prime_plus=_QuadraticSlope(),
-            f_prime_minus=_QuadraticSlope(),
+            f=_Power(n),
+            f_prime_plus=_Power(n, slope=True),
+            f_prime_minus=_Power(n, slope=True),
             growth_k1=0.0,
             growth_k2=1.0,
-            growth_degree=2,
+            growth_degree=n,
             f_prime_limits=(NEG_INF, POS_INF),
-            descriptor=("quadratic",),
-        )
-    elif kind == "quartic":
-        spec = CostSpec(
-            f=_Quartic(),
-            f_prime_plus=_QuarticSlope(),
-            f_prime_minus=_QuarticSlope(),
-            growth_k1=0.0,
-            growth_k2=1.0,
-            growth_degree=4,
-            f_prime_limits=(NEG_INF, POS_INF),
-            descriptor=("quartic",),
+            descriptor=(kind,),
         )
     elif kind == "abs":
         return builtin_cost("piecewise_linear", slopes=(-1.0, 1.0), kinks=(0.0,))
@@ -209,8 +182,8 @@ def builtin_cost(kind: str, **params) -> CostSpec:
         k1_cert = float(np.max(np.abs(pwl.kink_values)) + np.max(np.abs(kinks)) * np.max(np.abs(slopes)))
         spec = CostSpec(
             f=pwl,
-            f_prime_plus=_PiecewiseLinearSlope(slopes, kinks, "right"),
-            f_prime_minus=_PiecewiseLinearSlope(slopes, kinks, "left"),
+            f_prime_plus=_PiecewiseLinear(slopes, kinks, "right"),
+            f_prime_minus=_PiecewiseLinear(slopes, kinks, "left"),
             growth_k1=k1_cert,
             growth_k2=float(np.max(np.abs(slopes))),
             growth_degree=1,
@@ -244,12 +217,11 @@ class _Mollified:
     def __init__(self, base: CostSpec, eps: float, order: int, anchor: float = 0.0):
         kind, e2 = base.descriptor[0], eps**2
         self.eps, self.order, self.shift, self.poly = eps, order, 0.0, None
-        # polynomials in x - eps: S + eps is symmetric, variance eps^2 / 6, fourth moment eps^4 / 15
-        if kind == "quadratic":
-            self.poly = ([1.0, 0.0, e2 / 6.0], [2.0, 0.0], [2.0])[order]
-        elif kind == "quartic":
-            self.poly = ([1.0, 0.0, e2, 0.0, e2**2 / 15.0], [4.0, 0.0, 2.0 * e2, 0.0],
-                         [12.0, 0.0, 2.0 * e2])[order]
+        # E (y + S + eps)^n, a polynomial in y = x - eps: S + eps is symmetric, with
+        # variance eps^2 / 6 and fourth moment eps^4 / 15; np.polyder is exact on it
+        rows = {"quadratic": [1.0, 0.0, e2 / 6.0], "quartic": [1.0, 0.0, e2, 0.0, e2**2 / 15.0]}
+        if kind in rows:
+            self.poly = np.polyder(rows[kind], order)
         elif kind == "piecewise_linear":
             # f = s_0 (x - k_1) + sum_j (s_j - s_(j-1)) (x - k_j)^+, as _PiecewiseLinear
             self.slopes, self.kinks = (np.asarray(v, dtype=float) for v in base.descriptor[1:3])

@@ -53,6 +53,12 @@ def test_byte_identical_rerun_and_worker_invariance(tmp_path):
     b1 = (out1 / "result.json").read_bytes()
     assert b1 == (out2 / "result.json").read_bytes()
     assert b1 == (out3 / "result.json").read_bytes()
+    # a mollified cost crosses the process pool: its callables pickle
+    mollified = ["verify", "--config", KOU, "--paths", "64", "--dt", "0.01",
+                 "--set", "problem.cost.kind=quartic", "--set", "problem.mollify.epsilon=0.2"]
+    assert run(mollified + ["--out", tmp_path / "m1"]) == 0
+    assert run(mollified + ["--out", tmp_path / "m2", "--workers", "2"]) == 0
+    assert (tmp_path / "m1" / "result.json").read_bytes() == (tmp_path / "m2" / "result.json").read_bytes()
 
 
 def test_perturb_byte_identical_across_workers(tmp_path):
@@ -151,7 +157,21 @@ def test_cost_keys_checked_against_its_kind(tmp_path, capsys, kind, key, value):
     ("solve", "sim.n_paths=50.5", "config.sim.n_paths: expected an integer, got 50.5"),
     ("solve", "model.gamma=true", "config.model.gamma: expected a number, got True"),
     ("verify", "verify.checks=5", "config.verify.checks: expected a list of check names, got 5"),
-], ids=["bisect_tol", "b_grid", "antithetic", "n_paths", "fractional_n_paths", "gamma", "checks"])
+    # the sim grid is checked before the horizon is derived from it
+    ("solve", "sim.dt=0", "config.sim.dt: expected a positive number, got 0.0"),
+    ("solve", "sim.tail_tol=0", "config.sim.tail_tol: expected a number in (0, 1), got 0.0"),
+    ("solve", "sim.tail_tol=-1", "config.sim.tail_tol: expected a number in (0, 1), got -1.0"),
+    ("solve", "sim.tail_tol=2", "config.sim.tail_tol: expected a number in (0, 1), got 2.0"),
+    # non-finite numbers never reach the library
+    ("solve", "problem.C=nan", "config.problem.C: expected a number, got 'nan'"),
+    ("solve", "problem.C=-Infinity", "config.problem.C: expected a number, got -inf"),
+    ("solve", "problem.q=inf", "config.problem.q: expected a number, got 'inf'"),
+    ("solve", "problem.q=1e400", "config.problem.q: expected a number, got inf"),
+    ("value", "value.x=inf", "config.value.x: expected a number, got 'inf'"),
+    ("rho", "rho.b_grid=[0,1e400]", "config.rho.b_grid: expected a list of numbers, got [0, inf]"),
+], ids=["bisect_tol", "b_grid", "antithetic", "n_paths", "fractional_n_paths", "gamma", "checks",
+        "dt_zero", "tail_tol_zero", "tail_tol_negative", "tail_tol_above_one",
+        "C_nan", "C_minus_infinity", "q_inf", "q_overflow", "value_x_inf", "b_grid_overflow"])
 def test_wrongly_typed_value_exit_2(tmp_path, capsys, command, override, message):
     cfg = write_config(tmp_path, rho={"b_grid": [0.0]})
     assert run([command, "--config", cfg, "--out", tmp_path / "o", "--set", override]) == 2
@@ -182,8 +202,13 @@ def test_unsorted_grid_exit_2(tmp_path, capsys):
         ("sweep", "sweep.b_grid=[1,0]", "config.sweep.b_grid: expected a nonempty list sorted strictly increasing"),
         ("rho", "rho.b_grid=[]", "config.rho.b_grid: expected a nonempty list sorted strictly increasing, got []"),
         ("rho", "rho.method=5", "config.rho.method: expected time_integral or exp_clock, got 5"),
+        ("perturb", "perturb.eps_grid=[]", "config.perturb.eps_grid: expected a nonempty list of positive "
+                                           "numbers sorted strictly decreasing, got []"),
+        ("perturb", "perturb.eps_grid=[0.1,0.2]", "config.perturb.eps_grid: expected a nonempty list"),
+        ("perturb", "perturb.eps_grid=[0.1,-0.1]", "config.perturb.eps_grid: expected a nonempty list"),
     ):
-        assert run([command, "--config", KOU, "--out", tmp_path / "o", "--paths", "10", "--set", override]) == 2
+        config = CP if command == "perturb" else KOU
+        assert run([command, "--config", config, "--out", tmp_path / "o", "--paths", "10", "--set", override]) == 2
         assert message in capsys.readouterr().err
 
 

@@ -54,6 +54,11 @@ rel 1e-12.
 ``value_x`` and ``sweep_x`` start away from 0 (x = 0.3 and x = -0.4); they
 were pinned before every start became an offset of one pass from 0, and
 hold through it at rel 1e-12.
+
+The four cost-family cases (``quartic_solve``, ``mollified_abs_solve``,
+``piecewise_rho`` and ``mollified_quartic_sweep``) run the Kou config with a
+cost other than the shipped quadratic.  They were pinned before each builtin
+cost family moved into one class, which is bit-preserving.
 """
 import json
 from pathlib import Path
@@ -89,6 +94,12 @@ RUNS = {
     "bm_solve": ("solve", BM, []),
     "bm_value": ("value", BM, []),
     "bm_rho_exp_clock": ("rho", BM, []),
+    "quartic_solve": ("solve", KOU, ["--set", "problem.cost.kind=quartic"]),
+    "mollified_abs_solve": ("solve", KOU, ["--set", "problem.cost.kind=abs", "--set", "problem.mollify.epsilon=0.2"]),
+    "piecewise_rho": ("rho", KOU, ["--set", 'problem.cost={"kind": "piecewise_linear", '
+                                           '"slopes": [-1.0, 0.5, 2.0], "kinks": [-0.5, 0.5]}']),
+    "mollified_quartic_sweep": ("sweep", KOU, ["--set", "problem.cost.kind=quartic",
+                                               "--set", "problem.mollify.epsilon=0.2"]),
 }
 
 
@@ -229,7 +240,31 @@ PINNED = {"solve": {"b_star": -0.72314453125,
                        "v2": [0.27403787951772546, 0.04933173334884561]},
           "bm_rho_exp_clock": [[-1.5, -2.3199209402456793, 0.4919180285881194],
                                [-1.25, -1.3199209402456795, 0.4919180285881194],
-                               [-1.0, -0.3199209402456796, 0.4919180285881194]]}
+                               [-1.0, -0.3199209402456796, 0.4919180285881194]],
+          "quartic_solve": {"b_star": -1.00537109375,
+                            "ci_halfwidth": 0.050813613631125534,
+                            "rho_mean": -0.49388987880900326,
+                            "rho_stderr": 0.7276492375829112},
+          "mollified_abs_solve": {"b_star": -0.36962890625,
+                                  "ci_halfwidth": 0.0548864225476971,
+                                  "rho_mean": -0.49959502934266586,
+                                  "rho_stderr": 0.12530100069148256},
+          "piecewise_rho": [[-2.0, -1.5743036097038776, 0.0847814387672301],
+                            [-1.5, -1.1711662730617136, 0.12630551202434903],
+                            [-1.0, -0.26537157191245414, 0.16098672082551518],
+                            [-0.5, 1.6631449300024335, 0.09647673330172936],
+                            [0.0, 2.3817254347846966, 0.10828506050737154],
+                            [0.5, 4.000000000000001, 0.0],
+                            [1.0, 4.000000000000001, 0.0]],
+          "mollified_quartic_sweep": [[-1.6, 4.844370611927371, 1.0675731368284644],
+                                      [-1.4, 4.494621166190472, 1.0715856602933742],
+                                      [-1.2, 4.213659307410326, 1.0788009570460653],
+                                      [-1.0, 3.985527829464398, 1.08682654602342],
+                                      [-0.8, 3.8640584970495873, 1.0925301666598086],
+                                      [-0.6, 3.853894187035689, 1.0954638867834254],
+                                      [-0.4, 4.048337625507276, 1.110427953593536],
+                                      [-0.2, 4.5229354617656945, 1.1419631593669681],
+                                      [0.0, 5.5976658519049565, 1.3029315600260503]]}
 
 
 @pytest.mark.parametrize("name", list(RUNS))
