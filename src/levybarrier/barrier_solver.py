@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 BRACKET_LIMIT = 1e6
+ROW_SUM_FLOATS = 2**16  # largest block of rows x weights that rho-hat multiplies at once
 FLAT_SLOPE_EPS = 1e-12
 
 
@@ -147,8 +148,12 @@ class _WeightedRho:
 
     @staticmethod
     def _row_sums(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # fixed-order row sums (a BLAS dot is threaded); unlike a matvec, equal rows get equal means
-        return np.array([(row * v).sum() for row, v in zip(rows, np.broadcast_to(vals, rows.shape))])
+        # fixed-order row sums (a BLAS dot is threaded); unlike a matvec, equal rows get equal means.
+        # Each row is one pairwise sum, as row.sum() takes it; blocks of rows bound the product's size
+        vals = np.broadcast_to(vals, rows.shape)
+        step = max(1, ROW_SUM_FLOATS // rows.shape[1])
+        return np.concatenate([(rows[i:i + step] * vals[i:i + step]).sum(axis=1)
+                               for i in range(0, len(rows), step)])
 
     def __call__(self, b: float) -> float:
         return float(self._row_sums(self._f_prime_at(b), self.pooled).sum()) / self.n_paths

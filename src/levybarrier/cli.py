@@ -63,7 +63,7 @@ from .errors import (
 )
 from .estimators import estimate_record, estimate_value, skeleton_rho_curve
 from .levy_model import JUMP_FAMILIES, JumpSpec, LevyTriplet
-from .path_engine import ENGINE_VERSION, SimConfig, horizon_for
+from .path_engine import CHUNK_TARGET_FLOATS, ENGINE_VERSION, SimConfig, horizon_for
 from .verification import run_checks
 
 COMMANDS = ("solve", "value", "rho", "sweep", "verify", "perturb")
@@ -197,10 +197,17 @@ def _build_sim(cfg: dict, q: float) -> SimConfig:
         raise ConfigError(f"config.sim.dt: expected a positive number, got {dt!r}")
     if not 0 < tail_tol < 1:  # and takes its log
         raise ConfigError(f"config.sim.tail_tol: expected a number in (0, 1), got {tail_tol!r}")
+    if horizon is None:
+        horizon = horizon_for(q, tail_tol)
+        if not horizon / dt < CHUNK_TARGET_FLOATS - 1:  # checked before the steps are counted
+            raise ConfigError(f"config.sim.dt: the horizon log(1 / sim.tail_tol) / problem.q = {horizon:.3g} "
+                              f"is {horizon / dt:.3g} steps of {dt:g}, beyond the budget of "
+                              f"{CHUNK_TARGET_FLOATS - 1} per path; use a larger sim.dt, problem.q or sim.tail_tol")
+        horizon = horizon_for(q, tail_tol, dt)
     try:
         out = SimConfig(
             dt=dt,
-            horizon_T=horizon_for(q, tail_tol, dt) if horizon is None else horizon,
+            horizon_T=horizon,
             n_paths=_need(cfg, "sim.n_paths", int),
             master_seed=_need(cfg, "sim.master_seed", int),
             antithetic=_need(cfg, "sim.antithetic", bool, False),

@@ -37,6 +37,7 @@ from .path_engine import (
     SKELETON_FLOATS,
     SimConfig,
     _antithetic_active,
+    _clock_segments,
     _clock_weights,
     _grid_sum,
     _reflected_at_zero,
@@ -275,8 +276,9 @@ def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: 
     """
     b_grid = _rho_grid(b_grid, method)
     anti = _antithetic_active(triplet, cfg, warn=True)
-    w = _clock_weights(triplet.jumps.rate, problem.q, cfg.tail_tol) / problem.q
-    size = max(1, SKELETON_FLOATS // len(w))
+    k = _clock_segments(triplet.jumps.rate, problem.q, cfg.tail_tol)  # refuses a K beyond the budget
+    w = _clock_weights(triplet.jumps.rate, problem.q, k) / problem.q
+    size = SKELETON_FLOATS // k
     y = np.empty((cfg.n_paths, len(b_grid)))
     for lo in range(0, cfg.n_paths, size):
         rows = range(lo, min(lo + size, cfg.n_paths))

@@ -39,13 +39,16 @@ class JumpSpec:
 
     This class is the law of "no jumps" (``rate = 0``); each jump-size family
     is a subclass that holds only its own parameters, checks and formulas and
-    supplies its raw draw (``_draw``).  Jump sizes are supported on R \\ {0}:
-    ``sample`` redraws the (probability-zero) exact zeros, and atom values
-    must be nonzero.
+    supplies its raw draw (``_draw``, for the grid) and its transform of
+    ``uniforms_per_size`` arrays of uniforms in (0, 1] to as many sizes
+    (``from_uniforms``, for the clock skeleton).  Jump sizes are supported on
+    R \\ {0}: ``sample`` redraws the (probability-zero) exact zeros, and atom
+    values must be nonzero.
     """
 
     rate: float
     kind: ClassVar[str] = "none"
+    uniforms_per_size: ClassVar[int] = 0
     support_negative: ClassVar[bool] = True  # every jump is <= 0 (vacuously true without jumps)
     is_symmetric: ClassVar[bool] = True
 
@@ -199,6 +202,13 @@ class _Kou(JumpSpec):
     def is_symmetric(self) -> bool:
         return self.p_up == 0.5 and self.eta_up == self.eta_down
 
+    uniforms_per_size = 2
+
+    def from_uniforms(self, u):
+        """Up where the first uniform is <= p_up; the magnitude -log(u) / eta of the second."""
+        side, mag = u
+        return np.log(mag) / np.where(side <= self.p_up, -self.eta_up, self.eta_down)
+
     def _draw(self, rng, size):
         up = rng.random(size) < self.p_up
         mags = np.where(
@@ -246,6 +256,13 @@ class _Gaussian(JumpSpec):
     def is_symmetric(self) -> bool:
         return self.mean == 0.0
 
+    uniforms_per_size = 2
+
+    def from_uniforms(self, u):
+        """Box-Muller: a radius sqrt(-2 log u) from the first uniform, an angle 2 pi u from the second."""
+        radius, angle = u
+        return self.mean + self.std * (np.sqrt(-2.0 * np.log(radius)) * np.cos(2.0 * np.pi * angle))
+
     def _draw(self, rng, size):
         return rng.normal(self.mean, self.std, size)
 
@@ -288,6 +305,12 @@ class _Uniform(JumpSpec):
     @property
     def is_symmetric(self) -> bool:
         return self.lo == -self.hi
+
+    uniforms_per_size = 1
+
+    def from_uniforms(self, u):
+        """lo + (hi - lo) u, held to hi where it rounds above it (at u = 1)."""
+        return np.minimum(self.lo + (self.hi - self.lo) * u[0], self.hi)
 
     def _draw(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
@@ -338,11 +361,19 @@ class _Atoms(JumpSpec):
         mirrored = sorted((-v, p) for v, p in zip(self.values, self.probs))
         return vals == mirrored
 
+    uniforms_per_size = 1
+
+    def _pick(self, u, side):
+        cdf = np.cumsum(self.probs)
+        return np.asarray(self.values, dtype=float)[(cdf / cdf[-1]).searchsorted(u, side=side)]
+
+    def from_uniforms(self, u):
+        """values[i] for u in (cdf[i-1], cdf[i]]: u = 1 is the last atom of positive mass."""
+        return self._pick(u[0], "left")
+
     def _draw(self, rng, size):
         # Generator.choice(values, size, p=probs) without its validation
-        cdf = np.cumsum(self.probs)
-        idx = (cdf / cdf[-1]).searchsorted(rng.random(size), side="right")
-        return np.asarray(self.values, dtype=float)[idx]
+        return self._pick(rng.random(size), "right")
 
 
 JUMP_FAMILIES = {family.kind: family for family in (_Kou, _Gaussian, _Uniform, _Atoms)}

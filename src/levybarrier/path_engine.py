@@ -6,13 +6,18 @@ the ``PCG64DXSM`` state that ``numpy.random.SeedSequence(master_seed,
 spawn_key=(index,))`` seeds, derived for a whole chunk at once and loaded in
 turn into one reused generator (``_path_rngs``), so re-simulating any path
 reproduces it bit-for-bit regardless of batch size, chunking, or worker
-count.  Per path the draw order is fixed (``ENGINE_VERSION`` 4): N = n_steps
+count.  Per path the draw order is fixed (``ENGINE_VERSION`` 5): N = n_steps
 Gaussian increments (when sigma > 0), a jump count K ~ Poisson(rate N dt), K
 uniform times U kept in draw order (given K, the jump times are iid uniform),
 K sizes; a jump at U lands at the right end of cell min(floor(U N), N - 1).
-A path's segments up to an Exponential(q) clock (``clock_skeleton``) are K
-Exp(1) draws (E_dn), then K sizes (with jumps), then K more Exp(1) (E_up,
-with sigma > 0), K fixed by the rate, q and ``tail_tol``.
+A path's segments up to an Exponential(q) clock (``clock_skeleton``), K of
+them fixed by the rate, q and ``tail_tol``, take ONE block u = 1 - U of
+K (1 + m + [sigma > 0]) uniforms in (0, 1] (U from ``Generator.random``, so
+the subtraction is exact): E_dn = -log u of the first K, the K sizes from the
+next K m (``JumpSpec.from_uniforms``: m = ``uniforms_per_size`` of the jump
+family, the K uniforms of its i-th input consecutive), and E_up = -log u of
+the last K (with sigma > 0).  No size is redrawn: one of exactly 0 has
+probability 2**-53 and leaves the law as it is.
 
 Large runs never materialize the full (paths x grid) matrix: the one grid
 pass, ``map_reduce_paths``, simulates each chunk of paths from 0 once and
@@ -62,21 +67,23 @@ __all__ = [
     "discount_factors",
 ]
 
-ENGINE_VERSION = 4  # the per-path draw orders of the module docstring
+ENGINE_VERSION = 5  # the per-path draw orders of the module docstring
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
 BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams
 DOT_SLICE = 10_000  # longest dot product OpenBLAS computes on one thread
 BATCH_FLOATS = 2**27  # largest (paths x grid) batch simulate_batch materializes
-SKELETON_FLOATS = 2**22  # largest (paths x K) clock skeleton: perturb peaks at ~8 such arrays
+SKELETON_FLOATS = 2**22  # largest (paths x K) clock skeleton: perturb peaks at ~10 such arrays
+SKELETON_SLAB = 2**13  # uniforms a clock skeleton draws and transforms at a time, beside its output
+SEED_SLAB = 1024  # stream states converted to Python ints at a time
 HISTOGRAM_FLOATS = 2**26  # largest (BATCHES x bins) occupation histogram of the grid solve
 
 
 def horizon_for(q: float, tail_tol: float = 1e-4, dt: float | None = None) -> float:
-    """Smallest horizon T with exp(-q T) <= tail_tol, grid-aligned if dt given."""
+    """Smallest horizon T with exp(-q T) <= tail_tol, grid-aligned (at least one step) if dt given."""
     t = math.log(1.0 / tail_tol) / q
     if dt is not None:
-        t = math.ceil(t / dt - 1e-12) * dt
+        t = max(1, math.ceil(t / dt - 1e-12)) * dt
     return t
 
 
@@ -96,6 +103,9 @@ class SimConfig:
             raise ValueError("dt and horizon_T must be positive")
         if self.dt > self.horizon_T:
             raise ValueError("dt must not exceed horizon_T")
+        if not self.horizon_T / self.dt < CHUNK_TARGET_FLOATS - 1:  # one path's grid fits a chunk
+            raise ValueError(f"horizon_T / dt = {self.horizon_T / self.dt:.3g} grid steps exceed the "
+                             f"budget of {CHUNK_TARGET_FLOATS - 1} steps per path")
         if not 1 <= self.n_paths <= 2**32:  # stream indices are one-word spawn keys
             raise ValueError("n_paths must lie in [1, 2**32]")
         if self.master_seed < 0:
@@ -162,14 +172,15 @@ def _path_rngs(master_seed: int, streams):
     for w in words[4:] + [np.asarray(streams, dtype=np.uint32)]:  # the spawn word comes last
         pool = [_mix(x, _hashmix(w, next(ks))) for x in pool]
     state = [_hashmix(pool[k % 4], k, _INIT_B, _MULT_B) for k in range(8)]  # generate_state(4, u64)
-    seeds = np.stack(state, axis=-1).astype("<u4").view("<u8").tolist()
+    seeds = np.stack(state, axis=-1).astype("<u4").view("<u8")
     rng = Generator(PCG64DXSM(0))
-    for s_hi, s_lo, i_hi, i_lo in seeds:
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        s = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        rng.bit_generator.state = {"bit_generator": "PCG64DXSM", "state": {"state": s, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield rng
+    for lo in range(0, len(seeds), SEED_SLAB):  # Python ints for a slab of streams at a time
+        for s_hi, s_lo, i_hi, i_lo in seeds[lo:lo + SEED_SLAB].tolist():
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            s = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            rng.bit_generator.state = {"bit_generator": "PCG64DXSM", "state": {"state": s, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False) -> bool:
@@ -242,10 +253,24 @@ def simulate_batch(triplet: LevyTriplet, x_start: float, cfg: SimConfig) -> np.n
     return values
 
 
-def _clock_weights(rate: float, q: float, tail_tol: float) -> np.ndarray:
+def _clock_segments(rate: float, q: float, tail_tol: float, n_paths: int = 1) -> int:
+    """K = 1 + ceil(log(tail_tol) / log(p)), p = rate / (rate + q), the segments of a skeleton path:
+    from scalars alone, so that n_paths x K above ``SKELETON_FLOATS`` raises ValueError before anything
+    is allocated (K is infinite where p rounds to 1)."""
+    k = 1
+    if rate > 0:
+        log_p = math.log(rate / (rate + q))
+        k = 1 + math.ceil(math.log(tail_tol) / log_p) if log_p < 0 else math.inf
+    if n_paths * k > SKELETON_FLOATS:
+        raise ValueError(f"clock skeleton of {n_paths} paths x K = {k} jumps exceeds the budget of "
+                         f"{SKELETON_FLOATS} floats; use fewer paths (sim.n_paths), a larger q "
+                         f"(problem.q) or tail_tol (sim.tail_tol)")
+    return k
+
+
+def _clock_weights(rate: float, q: float, k: int) -> np.ndarray:
     """pi_k = p^(k-1) (1 - p), p = rate / (rate + q); the last of K takes the tail p^(K-1) <= tail_tol."""
     p = rate / (rate + q)
-    k = 1 + math.ceil(math.log(tail_tol) / math.log(p)) if rate > 0 else 1
     return p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
 
 
@@ -257,37 +282,46 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range 
     and the jump ``sizes`` (n, K) end the others.  ``moves`` are the segment lengths (n, K) when
     sigma = 0; else (2, n, K), each segment's fall E_dn / beta_- to its low and rise E_up / beta_+
     to its high, beta_+- = (-+mu + sqrt(mu^2 + 2 sigma^2 lambda)) / sigma^2 (Wiener-Hopf Monte
-    Carlo, Kuznetsov, Kyprianou, Pardo & van Schaik 2011).  Draws are as the module docstring
-    says; a mirror swaps E_up and E_dn and negates the sizes, and ``anti`` (None: decided here)
-    lets a chunked read decide that once.  Above ``SKELETON_FLOATS`` (n x K) ValueError is raised
-    before anything is allocated.
+    Carlo, Kuznetsov, Kyprianou, Pardo & van Schaik 2011).  Each path draws one block of uniforms
+    as the module docstring says, ``SKELETON_SLAB`` of them at a time, transformed straight into
+    the returned arrays; a mirror swaps E_up and E_dn and negates the sizes, and ``anti`` (None:
+    decided here) lets a chunked read decide that once.  Above ``SKELETON_FLOATS`` (n x K)
+    ValueError is raised before anything is allocated.
     """
     rate, sigma, mu, lam = triplet.jumps.rate, triplet.sigma, triplet.effective_drift, triplet.jumps.rate + q
-    pi = _clock_weights(rate, q, cfg.tail_tol)
     paths = np.arange(cfg.n_paths) if paths is None else np.asarray(paths)
-    n, k = len(paths), len(pi)
-    if n * k > SKELETON_FLOATS:
-        raise ValueError(f"clock skeleton of {n} paths x K = {k} jumps exceeds the budget of "
-                         f"{SKELETON_FLOATS} floats; use fewer paths, a larger q or tail_tol")
+    n, k = len(paths), _clock_segments(rate, q, cfg.tail_tol, len(paths))
+    pi = _clock_weights(rate, q, k)
     if anti is None:
         anti = _antithetic_active(triplet, cfg, warn=True)
     mirror = anti & (paths >= cfg.n_paths // 2)
+    m = triplet.jumps.uniforms_per_size
+    width = k * (1 + m + (sigma > 0))
     moves, sizes = np.empty((2 if sigma > 0 else 1, n, k)), np.zeros((n, k))
-    for j, rng in enumerate(_path_rngs(cfg.master_seed, paths - mirror * (cfg.n_paths // 2))):
-        rng.standard_exponential(out=moves[0, j])
-        if rate > 0:
-            sizes[j] = triplet.jumps.sample(rng, k)
+    slab = max(1, SKELETON_SLAB // width)
+    block = np.empty((min(slab, n), width))
+    rngs = _path_rngs(cfg.master_seed, paths - mirror * (cfg.n_paths // 2))
+    for lo in range(0, n, slab):
+        u = block[:min(slab, n - lo)]
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        np.subtract(1.0, u, out=u)
+        rows = slice(lo, lo + len(u))
+        np.log(u[:, :k], out=moves[0, rows])  # -E_dn
+        if m:
+            sizes[rows] = triplet.jumps.from_uniforms(u[:, k:k + m * k].reshape(len(u), m, k).swapaxes(0, 1))
         if sigma > 0:
-            rng.standard_exponential(out=moves[1, j])
+            np.log(u[:, k + m * k:], out=moves[1, rows])  # -E_up
     sizes[mirror] *= -1.0
     if sigma == 0:
-        return pi, moves[0] / lam, sizes
+        return pi, np.divide(moves[0], -lam, out=moves[0]), sizes
     moves[:, mirror] = moves[::-1, mirror]
     # 1 / beta_+- = (root +- mu) / (2 lambda) = sigma^2 / (root -+ mu), each form taken where it
-    # does not cancel; at mu = 0 both are root / (2 lambda), so a mirror is then -X exactly
+    # does not cancel; at mu = 0 both are root / (2 lambda), so a mirror is then -X exactly.  The
+    # moves hold -E, so each scale carries a minus sign (the negation is exact)
     root = math.sqrt(mu * mu + 2.0 * sigma * sigma * lam)
-    moves[0] *= (root - mu) / (2.0 * lam) if mu <= 0 else sigma * sigma / (root + mu)
-    moves[1] *= (root + mu) / (2.0 * lam) if mu >= 0 else sigma * sigma / (root - mu)
+    moves[0] *= -((root - mu) / (2.0 * lam) if mu <= 0 else sigma * sigma / (root + mu))
+    moves[1] *= -((root + mu) / (2.0 * lam) if mu >= 0 else sigma * sigma / (root - mu))
     return pi, moves, sizes
 
 

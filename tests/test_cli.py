@@ -169,13 +169,34 @@ def test_cost_keys_checked_against_its_kind(tmp_path, capsys, kind, key, value):
     ("solve", "problem.q=1e400", "config.problem.q: expected a number, got inf"),
     ("value", "value.x=inf", "config.value.x: expected a number, got 'inf'"),
     ("rho", "rho.b_grid=[0,1e400]", "config.rho.b_grid: expected a list of numbers, got [0, inf]"),
+    # the grid is bounded before its steps are counted, let alone allocated
+    ("solve", "problem.q=1e-300", "config.sim.dt: the horizon log(1 / sim.tail_tol) / problem.q = 1.38e+301"),
+    ("solve", "sim.dt=1e-300", "config.sim.dt: the horizon log(1 / sim.tail_tol) / problem.q = 138 is 1.38e+302 steps"),
+    ("rho", "problem.q=1e-9", "config.sim.dt: the horizon log(1 / sim.tail_tol) / problem.q = 1.38e+10"),
+    ("solve", "sim.horizon_T=1e10", "config.sim: horizon_T / dt = 2e+12 grid steps exceed the budget"),
 ], ids=["bisect_tol", "b_grid", "antithetic", "n_paths", "fractional_n_paths", "gamma", "checks",
         "dt_zero", "tail_tol_zero", "tail_tol_negative", "tail_tol_above_one",
-        "C_nan", "C_minus_infinity", "q_inf", "q_overflow", "value_x_inf", "b_grid_overflow"])
+        "C_nan", "C_minus_infinity", "q_inf", "q_overflow", "value_x_inf", "b_grid_overflow",
+        "q_tiny", "dt_tiny", "rho_q_tiny", "horizon_huge"])
 def test_wrongly_typed_value_exit_2(tmp_path, capsys, command, override, message):
     cfg = write_config(tmp_path, rho={"b_grid": [0.0]})
     assert run([command, "--config", cfg, "--out", tmp_path / "o", "--set", override]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [("rho", KOU), ("perturb", CP)], ids=["rho", "perturb"])
+def test_clock_skeleton_beyond_budget_exit_2(tmp_path, capsys, command, config):
+    # rate 1e6 at q = 0.5: K = 18,420,687 segments per path, over the skeleton budget for one path
+    assert run([command, "--config", config, "--out", tmp_path / "o", "--paths", "10",
+                "--set", "model.jumps.rate=1e6"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: clock skeleton of" in err and "K = 18420687 jumps" in err and "problem.q" in err
+
+
+def test_huge_discount_takes_one_grid_step(tmp_path):
+    # log(1 / tail_tol) / q rounds up to one step of dt, not to an empty grid
+    assert run(["solve", "--config", KOU, "--out", tmp_path / "o", "--paths", "10",
+                "--set", "problem.q=1e300"]) == 0
 
 
 @pytest.mark.parametrize("section", ["model.jumps", "problem.cost", "problem.mollify", "solve", "sim"])

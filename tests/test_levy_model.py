@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,52 @@ def test_family_draws_and_describe(jumps, draw, described):
         assert got_rng.random() == want_rng.random()  # the same draws consumed
     assert list(jumps.describe().items()) == list(described.items())
     assert list(JumpSpec.none().describe().items()) == [("rate", 0.0), ("kind", "none")]
+
+
+def _uniforms(m, n, seed):
+    """m arrays of n uniforms in (0, 1], as the clock skeleton draws them."""
+    return 1.0 - np.random.default_rng(seed).random((m, n))
+
+
+@pytest.mark.parametrize("jumps, mean, var", [
+    (kou(1.0, 0.7, 1.5, 3.0), 0.7 / 1.5 - 0.3 / 3.0, 2 * 0.7 / 1.5**2 + 2 * 0.3 / 3.0**2 - (0.7 / 1.5 - 0.3 / 3.0) ** 2),
+    (kou(1.0, 0.0, 2.0, 4.0), -0.25, 2 / 16.0 - 0.0625),
+    (JumpSpec.gaussian_sizes(1.0, -0.3, 0.7), -0.3, 0.49),
+    (JumpSpec.uniform_sizes(1.0, -0.4, 2.5), 1.05, 2.9**2 / 12.0),
+], ids=["kou", "kou_negative", "gaussian", "uniform"])
+def test_from_uniforms_law(jumps, mean, var):
+    # 1e5 sizes from uniforms in (0, 1]: mean and variance within 4 se of the closed forms
+    n = 100_000
+    z = jumps.from_uniforms(_uniforms(jumps.uniforms_per_size, n, 17))
+    assert z.shape == (n,)
+    assert abs(z.mean() - mean) <= 4.0 * math.sqrt(var / n)
+    dev = (z - mean) ** 2
+    assert abs(dev.mean() - var) <= 4.0 * dev.std() / math.sqrt(n)
+
+
+def test_from_uniforms_atom_frequencies():
+    values, probs = (-2.0, 0.5, 3.0, 7.0), (0.2, 0.3, 0.5, 0.0)
+    n = 100_000
+    z = JumpSpec.atom_sizes(1.0, values, probs).from_uniforms(_uniforms(1, n, 18))
+    for v, p in zip(values, probs):
+        assert abs(np.mean(z == v) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+    assert np.isin(z, values).all()
+
+
+@pytest.mark.parametrize("jumps, lo, hi", [
+    (kou(1.0, 0.3, 1.5, 3.0), -np.inf, np.inf),
+    (kou(1.0, 1.0, 1.5, 3.0), 0.0, np.inf),
+    (kou(1.0, 0.0, 1.5, 3.0), -np.inf, 0.0),
+    (JumpSpec.gaussian_sizes(1.0, 0.2, 0.5), -np.inf, np.inf),
+    (JumpSpec.uniform_sizes(1.0, -0.1, 0.3), -0.1, 0.3),
+    (JumpSpec.atom_sizes(1.0, (-1.0, 0.5, 2.0), (0.0, 1.0, 0.0)), 0.5, 0.5),
+], ids=["kou", "kou_up_only", "kou_down_only", "gaussian", "uniform", "atoms_zero_mass_ends"])
+def test_from_uniforms_at_the_ends(jumps, lo, hi):
+    # u = 1 and u = 2**-53, the ends of (0, 1], in every combination of the family's inputs
+    ends = np.array([2.0**-53, 0.5, 1.0])
+    u = np.stack(np.meshgrid(*[ends] * jumps.uniforms_per_size, indexing="ij")).reshape(jumps.uniforms_per_size, -1)
+    z = jumps.from_uniforms(u)
+    assert np.isfinite(z).all() and (z >= lo).all() and (z <= hi).all()
 
 
 def test_truncated_mean_against_quadrature():

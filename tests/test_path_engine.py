@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -316,14 +317,17 @@ def test_chunk_matches_per_path_seed_sequences(triplet, antithetic):
 
 
 def test_clock_skeleton_matches_per_path_seed_sequences():
+    # one block u = 1 - U of 3K uniforms per stream: E = -log u of the first K, then the K Kou
+    # sides (up where u <= p_up) and the K magnitudes -log u / eta
     cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(2.0, 0.5, 2.0, 3.0))
     cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=50, master_seed=611, tail_tol=1e-3)
     _, gaps, sizes = clock_skeleton(cp, cfg, 0.5)
     k = gaps.shape[1]
     for path in range(cfg.n_paths):
-        rng = _seed_sequence_rng(cfg.master_seed, path)
-        assert _same_bits(gaps[path], rng.standard_exponential(k) / (2.0 + 0.5))
-        assert _same_bits(sizes[path], cp.jumps.sample(rng, k))
+        u = 1.0 - _seed_sequence_rng(cfg.master_seed, path).random(3 * k)
+        assert _same_bits(gaps[path], -np.log(u[:k]) / (2.0 + 0.5))
+        mags = -np.log(u[2 * k:])
+        assert _same_bits(sizes[path], np.where(u[k:2 * k] <= 0.5, mags / 2.0, -(mags / 3.0)))
 
 
 @pytest.mark.parametrize("triplet, antithetic", [
@@ -333,7 +337,9 @@ def test_clock_skeleton_matches_per_path_seed_sequences():
     (BM, True),
 ])
 def test_clock_skeleton_with_sigma_matches_per_path_seed_sequences(triplet, antithetic):
-    # K Exp(1) for E_dn, K sizes (with jumps), K Exp(1) for E_up; fall E_dn / beta_-, rise E_up / beta_+
+    # one block u = 1 - U of K (2 + m) uniforms per stream: E_dn = -log u of the first K, the sizes
+    # from the next K m (m = 0 without jumps), E_up = -log u of the last K; fall E_dn / beta_-,
+    # rise E_up / beta_+
     q, n = 0.5, 40
     cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=n, master_seed=611, antithetic=antithetic, tail_tol=1e-3)
     mu, s2, lam = triplet.effective_drift, triplet.sigma**2, triplet.jumps.rate + q
@@ -346,9 +352,10 @@ def test_clock_skeleton_with_sigma_matches_per_path_seed_sequences(triplet, anti
         for j, path in enumerate(rows):
             mirror = antithetic and path >= n // 2
             rng = _seed_sequence_rng(cfg.master_seed, path - n // 2 if mirror else path)
-            e_dn = rng.standard_exponential(k)
-            jumps = triplet.jumps.sample(rng, k) if triplet.jumps.rate > 0 else np.zeros(k)
-            e_up = rng.standard_exponential(k)
+            m = triplet.jumps.uniforms_per_size
+            u = 1.0 - rng.random(k * (2 + m))
+            e_dn, e_up = -np.log(u[:k]), -np.log(u[-k:])
+            jumps = triplet.jumps.from_uniforms(u[k:-k].reshape(m, k)) if m else np.zeros(k)
             if mirror:
                 e_dn, e_up, jumps = e_up, e_dn, -jumps
             assert _same_bits(sizes[j], jumps)
@@ -429,6 +436,42 @@ def test_clock_skeleton_over_budget_raises_before_allocating():
     cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(10.0, (-1.0, 1.0), (0.5, 0.5)))
     with pytest.raises(ValueError, match=r"10000 paths x K = 9216 jumps .* budget of 4194304"):
         clock_skeleton(cp, cfg, 0.01)
+
+
+@pytest.mark.parametrize("q", [1e-9, 1e-300])
+def test_skeleton_rho_refuses_a_long_clock_before_allocating(q):
+    # q = 1e-9: K = 9,210,339,607 segments, whose weights alone would take 69 GiB; at q = 1e-300,
+    # p = rate / (rate + q) rounds to 1 and K is infinite
+    cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5)))
+    cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=10, master_seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1 paths x K = (9210339607|inf) jumps .* larger q \(problem.q\)"):
+            skeleton_rho_curve(cp, ProblemSpec(builtin_cost("quadratic"), 0.0, q), [0.0], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("triplet, bound", [
+    (LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 3.0, 3.0)), 4.77),
+    (LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5))), 3.77),
+], ids=["kou_config", "compound_poisson_config"])
+def test_clock_skeleton_peak_memory(triplet, bound):
+    # the models of the shipped configs at q = 0.5 (K = 24).  Uniforms are drawn and transformed a
+    # slab at a time, straight into the returned arrays, so at n K = 2**20 the traced peak stays
+    # within what drawing each path's Exp(1) and sizes by separate calls took (4.77 and 3.77 n K
+    # floats)
+    cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=2**20 // 24, master_seed=7)
+    tracemalloc.start()
+    try:
+        pi, _, _ = clock_skeleton(triplet, cfg, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pi) == 24
+    assert peak <= bound * 8 * cfg.n_paths * len(pi)
 
 
 def test_clock_suprema_nonincreasing_in_eps():
