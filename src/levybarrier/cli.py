@@ -312,7 +312,8 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
                                                      "martingale", "hjb"])
         if not isinstance(names, list):
             raise ConfigError(f"config.verify.checks: expected a list of check names, got {names!r}")
-        res = solve_barrier(model, problem, sim, n_workers=n_workers)
+        res = solve_barrier(model, problem, sim, bisect_tol=_need(cfg, "solve.bisect_tol", float, None),
+                            n_workers=n_workers)
         b = _need(cfg, "verify.b", float, res.b_star)
         x = _need(cfg, "verify.x", float, b + 1.0)
         fd_h = _need(cfg, "verify.fd_h", float, 0.25)

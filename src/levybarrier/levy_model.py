@@ -39,11 +39,11 @@ class JumpSpec:
 
     This class is the law of "no jumps" (``rate = 0``); each jump-size family
     is a subclass that holds only its own parameters, checks and formulas and
-    supplies its raw draw (``_draw``, for the grid) and its transform of
-    ``uniforms_per_size`` arrays of uniforms in (0, 1] to as many sizes
-    (``from_uniforms``, for the clock skeleton).  Jump sizes are supported on
-    R \\ {0}: ``sample`` redraws the (probability-zero) exact zeros, and atom
-    values must be nonzero.
+    its one sampler: the transform of ``uniforms_per_size`` arrays of uniforms
+    in (0, 1] to as many sizes (``from_uniforms``), which the grid (through
+    ``sample``) and the clock skeleton both use.  Jump sizes are supported on
+    R \\ {0}: a size of exactly 0 has probability 2**-53 and is kept, as it
+    leaves the law as it is, and atom values must be nonzero.
     """
 
     rate: float
@@ -126,14 +126,10 @@ class JumpSpec:
         return z, mass, max(0.0, 1.0 - float(mass.sum()))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw jump sizes; exact zeros are redrawn so the law lives off 0."""
-        if size == 0:
-            return np.empty(0)
-        out = self._draw(rng, size)
-        while np.any(out == 0.0):
-            idx = np.flatnonzero(out == 0.0)
-            out[idx] = self.sample(rng, idx.size)
-        return out
+        """``size`` jump sizes: ``from_uniforms`` of ``uniforms_per_size`` consecutive blocks of
+        ``size`` uniforms u = 1 - U from ``rng``."""
+        m = self.uniforms_per_size
+        return self.from_uniforms((1.0 - rng.random(m * size)).reshape(m, size))
 
     def describe(self) -> dict:
         d = {"rate": self.rate, "kind": self.kind}
@@ -209,15 +205,6 @@ class _Kou(JumpSpec):
         side, mag = u
         return np.log(mag) / np.where(side <= self.p_up, -self.eta_up, self.eta_down)
 
-    def _draw(self, rng, size):
-        up = rng.random(size) < self.p_up
-        mags = np.where(
-            up,
-            rng.exponential(1.0 / self.eta_up, size),
-            rng.exponential(1.0 / self.eta_down, size),
-        )
-        return np.where(up, mags, -mags)
-
 
 @dataclass(frozen=True)
 class _Gaussian(JumpSpec):
@@ -263,9 +250,6 @@ class _Gaussian(JumpSpec):
         radius, angle = u
         return self.mean + self.std * (np.sqrt(-2.0 * np.log(radius)) * np.cos(2.0 * np.pi * angle))
 
-    def _draw(self, rng, size):
-        return rng.normal(self.mean, self.std, size)
-
 
 @dataclass(frozen=True)
 class _Uniform(JumpSpec):
@@ -281,7 +265,10 @@ class _Uniform(JumpSpec):
     def mgf(self, lam):
         if lam == 0:
             return 1.0
-        return (np.exp(lam * self.hi) - np.exp(lam * self.lo)) / (lam * (self.hi - self.lo))
+        # factored at the end with the larger exponent: no cancellation near lam = 0, no 0 * inf far out
+        end, other = (self.hi, self.lo) if lam.real > 0 else (self.lo, self.hi)
+        w = lam * (other - end)
+        return np.exp(lam * end) * np.expm1(w) / w
 
     def truncated_mean(self) -> float:
         left, right = (min(max(v, -1.0), 1.0) for v in (self.lo, self.hi))  # [lo, hi] within [-1, 1]
@@ -311,9 +298,6 @@ class _Uniform(JumpSpec):
     def from_uniforms(self, u):
         """lo + (hi - lo) u, held to hi where it rounds above it (at u = 1)."""
         return np.minimum(self.lo + (self.hi - self.lo) * u[0], self.hi)
-
-    def _draw(self, rng, size):
-        return rng.uniform(self.lo, self.hi, size)
 
 
 @dataclass(frozen=True)
@@ -363,17 +347,10 @@ class _Atoms(JumpSpec):
 
     uniforms_per_size = 1
 
-    def _pick(self, u, side):
-        cdf = np.cumsum(self.probs)
-        return np.asarray(self.values, dtype=float)[(cdf / cdf[-1]).searchsorted(u, side=side)]
-
     def from_uniforms(self, u):
         """values[i] for u in (cdf[i-1], cdf[i]]: u = 1 is the last atom of positive mass."""
-        return self._pick(u[0], "left")
-
-    def _draw(self, rng, size):
-        # Generator.choice(values, size, p=probs) without its validation
-        return self._pick(rng.random(size), "right")
+        cdf = np.cumsum(self.probs)
+        return np.asarray(self.values, dtype=float)[(cdf / cdf[-1]).searchsorted(u[0], side="left")]
 
 
 JUMP_FAMILIES = {family.kind: family for family in (_Kou, _Gaussian, _Uniform, _Atoms)}

@@ -6,18 +6,20 @@ the ``PCG64DXSM`` state that ``numpy.random.SeedSequence(master_seed,
 spawn_key=(index,))`` seeds, derived for a whole chunk at once and loaded in
 turn into one reused generator (``_path_rngs``), so re-simulating any path
 reproduces it bit-for-bit regardless of batch size, chunking, or worker
-count.  Per path the draw order is fixed (``ENGINE_VERSION`` 5): N = n_steps
+count.  Per path the draw order is fixed (``ENGINE_VERSION`` 6): N = n_steps
 Gaussian increments (when sigma > 0), a jump count K ~ Poisson(rate N dt), K
 uniform times U kept in draw order (given K, the jump times are iid uniform),
-K sizes; a jump at U lands at the right end of cell min(floor(U N), N - 1).
-A path's segments up to an Exponential(q) clock (``clock_skeleton``), K of
-them fixed by the rate, q and ``tail_tol``, take ONE block u = 1 - U of
-K (1 + m + [sigma > 0]) uniforms in (0, 1] (U from ``Generator.random``, so
-the subtraction is exact): E_dn = -log u of the first K, the K sizes from the
-next K m (``JumpSpec.from_uniforms``: m = ``uniforms_per_size`` of the jump
-family, the K uniforms of its i-th input consecutive), and E_up = -log u of
-the last K (with sigma > 0).  No size is redrawn: one of exactly 0 has
-probability 2**-53 and leaves the law as it is.
+then K m uniforms u = 1 - U for the K sizes (``JumpSpec.sample``); a jump at
+U lands at the right end of cell min(floor(U N), N - 1).  A path's segments
+up to an Exponential(q) clock (``clock_skeleton``), K of them fixed by the
+rate, q and ``tail_tol``, take ONE block u = 1 - U of K (1 + m + [sigma > 0])
+uniforms in (0, 1]: E_dn = -log u of the first K, the K sizes from the next
+K m, and E_up = -log u of the last K (with sigma > 0).  U comes from
+``Generator.random``, so u = 1 - U is exact.  Grid and skeleton alike turn
+the K m uniforms into sizes by the family's one transform
+(``JumpSpec.from_uniforms``: m = ``uniforms_per_size`` of the jump family,
+the K uniforms of its i-th input consecutive).  No size is redrawn: one of exactly 0 has probability
+2**-53 and leaves the law as it is.
 
 Large runs never materialize the full (paths x grid) matrix: the one grid
 pass, ``map_reduce_paths``, simulates each chunk of paths from 0 once and
@@ -67,7 +69,7 @@ __all__ = [
     "discount_factors",
 ]
 
-ENGINE_VERSION = 5  # the per-path draw orders of the module docstring
+ENGINE_VERSION = 6  # the per-path draw orders of the module docstring
 
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
 BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams

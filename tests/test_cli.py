@@ -402,6 +402,15 @@ def test_verify_command_on_drift_model(tmp_path):
     assert csv_text[0] == "x,residual,tolerance,passed"
 
 
+def test_verify_solves_at_the_configured_bisect_tol(tmp_path):
+    # verify's b* is the b* that solve gives on the same config, solve.bisect_tol included
+    args = ["--config", KOU, "--paths", 200, "--dt", 0.01, "--set", "solve.bisect_tol=0.05"]
+    assert run(["solve", *args, "--out", tmp_path / "s"]) == 0
+    assert run(["verify", *args, "--set", 'verify.checks=["convexity"]', "--out", tmp_path / "v"]) == 0
+    solved = json.loads((tmp_path / "s" / "result.json").read_text())["result"]["solve"]["b_star"]
+    assert json.loads((tmp_path / "v" / "result.json").read_text())["result"]["b_star"] == solved
+
+
 @pytest.mark.parametrize("extra, passes", [([], [64, 64]), (["--set", "verify.checks=" + ALL_CHECKS], [64] * 3)],
                          ids=["three_checks", "five_checks"])
 def test_verify_reads_its_checks_off_one_pass(tmp_path, monkeypatch, extra, passes):

@@ -58,6 +58,15 @@ skeleton cases (``rho``, ``rho_exp_clock``, ``perturb``, ``bm_rho_exp_clock``
 and ``piecewise_rho``) hold new samples; the old -> new figures are listed in
 CHANGES.md.  Every grid case holds at rel 1e-12.
 
+Re-pinned once for stream contract 6, when the grid's jump sizes became
+``JumpSpec.from_uniforms`` of K m uniforms u = 1 - U drawn after the jump
+times (m = ``uniforms_per_size``), the one transform the skeleton uses,
+with no zero redraw.  Only the nine grid cases on a jump config (``solve``,
+``value``, ``value_x``, ``sweep``, ``sweep_x``, ``verify``,
+``quartic_solve``, ``mollified_abs_solve`` and ``mollified_quartic_sweep``)
+hold new samples; the old -> new figures are listed in CHANGES.md.  The
+``bm_*`` cases and the five skeleton cases hold at rel 1e-12.
+
 ``value_x`` and ``sweep_x`` start away from 0 (x = 0.3 and x = -0.4); they
 were pinned before every start became an offset of one pass from 0, and
 hold through it at rel 1e-12.
@@ -169,16 +178,16 @@ def run_figures(name, out_dir):
     return figures(command, json.loads((out_dir / "result.json").read_text()))
 
 
-PINNED = {"solve": {"b_star": -0.72314453125,
-                    "ci_halfwidth": 0.04601682131818223,
-                    "rho_mean": -0.5000839213652215,
-                    "rho_stderr": 0.1845094699586605},
-          "value": {"v": [1.314148121799004, 0.1861201273096163],
-                    "v1": [1.2284273963983794, 0.19041398465339537],
-                    "v2": [0.17144145080124884, 0.028354163077841332]},
-          "value_x": {"v": [1.7627657727464152, 0.2531984256483409],
-                      "v1": [1.707857582568701, 0.25694786290856286],
-                      "v2": [0.10981638035542894, 0.020280020702389993]},
+PINNED = {"solve": {"b_star": -0.63720703125,
+                    "ci_halfwidth": 0.02998969591267692,
+                    "rho_mean": -0.49964022727707047,
+                    "rho_stderr": 0.12024696053664743},
+          "value": {"v": [0.8595429349872233, 0.09488334645137117],
+                    "v1": [0.7661605843381557, 0.09645973880191239],
+                    "v2": [0.18676470129813527, 0.02963933976113036]},
+          "value_x": {"v": [1.1258610922745882, 0.13950898507538512],
+                      "v1": [1.067783634033519, 0.1421253656924117],
+                      "v2": [0.11615491648213815, 0.021397864835017197]},
           "rho": [[-2.0, -5.2695945755879325, 0.21737053732970116],
                   [-1.5, -3.2695945755879325, 0.21737053732970113],
                   [-1.0, -1.2695945755879325, 0.21737053732970116],
@@ -193,30 +202,30 @@ PINNED = {"solve": {"b_star": -0.72314453125,
                             [0.0, 2.5654186505753467, 0.23149695685487245],
                             [0.5, 4.565418650575346, 0.2314969568548724],
                             [1.0, 6.565418650575347, 0.23149695685487245]],
-          "sweep": [[-1.6, 1.5396362460742197, 0.18127589612028994],
-                    [-1.4, 1.4767712245252864, 0.18124048383034216],
-                    [-1.2, 1.4165021346078444, 0.18220886205584125],
-                    [-1.0, 1.3553236059834588, 0.18409442626405287],
-                    [-0.8, 1.314148121799004, 0.1861201273096163],
-                    [-0.6, 1.2998453306881392, 0.1878434868384516],
-                    [-0.4, 1.3401620182923033, 0.1911018695917052],
-                    [-0.2, 1.495500793585287, 0.1941575297654896],
-                    [0.0, 1.8513717606608133, 0.20710826901134463]],
-          "sweep_x": [[-1.6, 1.5010859214636003, 0.1333190357327907],
-                      [-1.4, 1.3834486355059794, 0.12446850998478935],
-                      [-1.2, 1.2731773978619392, 0.11935118764947587],
-                      [-1.0, 1.1733389895141202, 0.11746334249197234],
-                      [-0.8, 1.1019793687112016, 0.1201072917217167],
-                      [-0.6, 1.0934438681810903, 0.1258094277986696],
-                      [-0.4, 1.2123630778127477, 0.14074420190636408],
-                      [-0.2, 1.5516752353034864, 0.17317513941844787],
-                      [0.0, 2.051371760660813, 0.20710826901134466]],
-          "verify": {"barrier_derivative": [-0.034453532313417655, 0.3151965406119779],
-                     "slope_identity": [0.08612087160661691, 0.18679183876840505],
-                     "convexity": [-2.4146159568020534e-09, 0.0],
-                     "martingale": [0.33031707885956196, 8.706850042984678],
-                     "hjb": [-5.291858120073129, 0.0],
-                     "b_star": -0.72314453125},
+          "sweep": [[-1.6, 1.0841242152138548, 0.10490785853183955],
+                    [-1.4, 1.0129126877937058, 0.09887659386758829],
+                    [-1.2, 0.9461489003093555, 0.09531485351169734],
+                    [-1.0, 0.8912927297009976, 0.09419481772188446],
+                    [-0.8, 0.8595429349872233, 0.09488334645137117],
+                    [-0.6, 0.8622672340578792, 0.09687190385805348],
+                    [-0.4, 0.9237243646326276, 0.09901757012309417],
+                    [-0.2, 1.0898449145987623, 0.10129843987552223],
+                    [0.0, 1.4275803098143254, 0.11192266993248577]],
+          "sweep_x": [[-1.6, 1.2561060126379506, 0.09873102224701213],
+                      [-1.4, 1.1418671853447158, 0.08245055415038754],
+                      [-1.2, 1.0295988765766926, 0.0696282642254194],
+                      [-1.0, 0.9270287492667727, 0.062251573728651095],
+                      [-0.8, 0.8516402452520058, 0.060048719594797774],
+                      [-0.6, 0.8349682319616707, 0.06198051834301871],
+                      [-0.4, 0.9262246126237145, 0.0724449987607041],
+                      [-0.2, 1.1967102772857254, 0.09115431936561531],
+                      [0.0, 1.6275803098143253, 0.11192266993248577]],
+          "verify": {"barrier_derivative": [0.09369202042755491, 0.29448797374252356],
+                     "slope_identity": [0.07639073942094265, 0.1615065906416634],
+                     "convexity": [-2.1819381686349546e-09, 0.0],
+                     "martingale": [-0.345399059358777, 8.912202789355865],
+                     "hjb": [-4.970212346212798, 0.0],
+                     "b_star": -0.63720703125},
           "perturb": {"b_star": -0.50341796875,
                       "levels": [[0.2,
                                   {"b_star": -0.42236328125,
@@ -248,14 +257,14 @@ PINNED = {"solve": {"b_star": -0.72314453125,
           "bm_rho_exp_clock": [[-1.5, -2.010411728768128, 0.5447070065859703],
                                [-1.25, -1.0104117287681276, 0.5447070065859703],
                                [-1.0, -0.01041172876812764, 0.5447070065859703]],
-          "quartic_solve": {"b_star": -1.00537109375,
-                            "ci_halfwidth": 0.050813613631125534,
-                            "rho_mean": -0.49388987880900326,
-                            "rho_stderr": 0.7276492375829112},
-          "mollified_abs_solve": {"b_star": -0.36962890625,
-                                  "ci_halfwidth": 0.0548864225476971,
-                                  "rho_mean": -0.49959502934266586,
-                                  "rho_stderr": 0.12530100069148256},
+          "quartic_solve": {"b_star": -0.87841796875,
+                            "ci_halfwidth": 0.036590215123763564,
+                            "rho_mean": -0.4974209179865285,
+                            "rho_stderr": 0.38044585147453824},
+          "mollified_abs_solve": {"b_star": -0.29833984375,
+                                  "ci_halfwidth": 0.035911576248463334,
+                                  "rho_mean": -0.4986574533715625,
+                                  "rho_stderr": 0.10294558333552456},
           "piecewise_rho": [[-2.0, -1.5109346990487804, 0.09504554205701847],
                             [-1.5, -1.1174970812924494, 0.11991644165638894],
                             [-1.0, -0.2728795593208424, 0.14626459865927552],
@@ -263,15 +272,15 @@ PINNED = {"solve": {"b_star": -0.72314453125,
                             [0.0, 2.341727939892028, 0.09620852314576729],
                             [0.5, 4.000000000000001, 0.0],
                             [1.0, 4.000000000000001, 0.0]],
-          "mollified_quartic_sweep": [[-1.6, 4.844370611927371, 1.0675731368284644],
-                                      [-1.4, 4.494621166190472, 1.0715856602933742],
-                                      [-1.2, 4.213659307410326, 1.0788009570460653],
-                                      [-1.0, 3.985527829464398, 1.08682654602342],
-                                      [-0.8, 3.8640584970495873, 1.0925301666598086],
-                                      [-0.6, 3.853894187035689, 1.0954638867834254],
-                                      [-0.4, 4.048337625507276, 1.110427953593536],
-                                      [-0.2, 4.5229354617656945, 1.1419631593669681],
-                                      [0.0, 5.5976658519049565, 1.3029315600260503]]}
+          "mollified_quartic_sweep": [[-1.6, 2.427082166412421, 0.30788246573414957],
+                                      [-1.4, 2.0355011022191887, 0.26772846405924555],
+                                      [-1.2, 1.7378119219366277, 0.25384199633679255],
+                                      [-1.0, 1.5528494170937965, 0.26686354530015305],
+                                      [-0.8, 1.4824532539496258, 0.29583428923320293],
+                                      [-0.6, 1.5419044425539026, 0.33859359185688054],
+                                      [-0.4, 1.7597084779522443, 0.39835214045538164],
+                                      [-0.2, 2.1773317590223513, 0.4779643619231255],
+                                      [0.0, 2.946777715579283, 0.6021807935322139]]}
 
 
 @pytest.mark.parametrize("name", list(RUNS))

@@ -9,6 +9,7 @@ from scipy import integrate, stats
 import levybarrier as lb
 from levybarrier import JumpSpec, LevyTriplet, characteristic_exponent
 from levybarrier.errors import InvalidModel, NotSpectrallyNegative
+from levybarrier.levy_model import JUMP_FAMILIES
 from levybarrier.oracles import phi_root
 from levybarrier.path_engine import SimConfig, simulate_batch
 
@@ -72,6 +73,33 @@ def test_char_exponent_quadrature_cross_check(jumps, lam):
         -1j * t.gamma * lam + 0.5 * t.sigma**2 * lam**2 + _quad_jump_term(jumps, lam)
     )
     assert characteristic_exponent(t, lam) == pytest.approx(expected, abs=1e-7)
+
+
+@pytest.mark.parametrize("lam", [1e-7, 1e-10, 1e-12])
+def test_uniform_mgf_matches_its_series_near_zero(lam):
+    # E[J^k] = (hi^(k+1) - lo^(k+1)) / ((k + 1)(hi - lo)); the series to O(lam^3) on both axes
+    lo, hi = -0.5, 0.3
+    jumps = JumpSpec.uniform_sizes(1.0, lo, hi)
+    m1, m2, m3 = ((hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo)) for k in (1, 2, 3))
+    assert jumps.mgf(lam) == pytest.approx(1.0 + lam * m1 + lam**2 * m2 / 2, rel=1e-15, abs=0.0)
+    at_i_lam = jumps.mgf(1j * lam)
+    assert at_i_lam.real == pytest.approx(1.0 - lam**2 * m2 / 2, rel=1e-15, abs=0.0)
+    assert at_i_lam.imag == pytest.approx(lam * m1 - lam**3 * m3 / 6, rel=1e-14, abs=0.0)
+
+
+def test_uniform_mgf_far_from_zero():
+    # e^(lam lo) underflows while e^(lam (hi - lo)) need not: phi_root brackets out to lam = 2048
+    # here, and at its root, 1500, the mgf is e^-750 / 750, so Phi(q) = (q + rate) / d to rounding
+    jumps = JumpSpec.uniform_sizes(1.0, -1.0, -0.5)
+    assert jumps.mgf(800.0) == pytest.approx(math.exp(-400.0) / 400.0, rel=1e-13)
+    t = LevyTriplet(gamma=-0.749, sigma=0.0, jumps=jumps)
+    assert phi_root(t, 0.5) == pytest.approx(1.5 / t.effective_drift, rel=1e-12)
+
+
+def test_char_exponent_uniform_near_zero():
+    # E[J] = E[J 1_{|J| < 1}] here, so the jump term is O(lam^2) real + O(lam^3) and Im Psi = -gamma lam
+    t = LevyTriplet(gamma=0.1, sigma=0.0, jumps=JumpSpec.uniform_sizes(1.0, -0.5, 0.3))
+    assert characteristic_exponent(t, 1e-9).imag == pytest.approx(-1e-10, rel=1e-9)
 
 
 def test_psi_zero_is_zero():
@@ -179,53 +207,31 @@ def test_jump_invariants_rejected():
         JumpSpec.gaussian_sizes(0.0, 0.0, 1.0)
 
 
-def test_samples_never_zero():
-    rng = np.random.default_rng(0)
-    for j in [kou(), JumpSpec.uniform_sizes(1.0, -1.0, 1.0), JumpSpec.gaussian_sizes(1.0, 0.0, 1.0)]:
-        assert np.all(j.sample(rng, 5000) != 0.0)
-
-
-@pytest.mark.parametrize("values, probs", [((-1.0, 1.0), (0.5, 0.5)), ((1.0,), (1.0,)),
-                                           ((-2.0, 0.5, 3.0), (0.2, 0.3, 0.5)),
-                                           ((-1.5, 0.25, 2.0, 4.0), (0.1, 0.6, 0.2, 0.1))])
-def test_atom_sampler_is_generator_choice(values, probs):
-    jumps = JumpSpec.atom_sizes(1.0, values, probs)
-    for seed in range(4):
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = jumps.sample(got_rng, 997)
-        want = want_rng.choice(np.asarray(values), size=997, p=np.asarray(probs))
-        assert np.array_equal(got, want)
-        assert got_rng.random() == want_rng.random()  # the same draws consumed
-
-
-def _kou_draw(p_up, eta_up, eta_down):
-    def draw(rng, n):
-        up = rng.random(n) < p_up
-        mags_up, mags_down = rng.exponential(1.0 / eta_up, n), rng.exponential(1.0 / eta_down, n)
-        return np.where(up, mags_up, -mags_down)
-
-    return draw
-
-
-@pytest.mark.parametrize("jumps, draw, described", [
-    (JumpSpec.gaussian_sizes(1.5, 0.2, 0.7), lambda rng, n: rng.normal(0.2, 0.7, n),
-     {"rate": 1.5, "kind": "gaussian", "mean": 0.2, "std": 0.7}),
-    (JumpSpec.uniform_sizes(0.5, -1.0, 2.0), lambda rng, n: rng.uniform(-1.0, 2.0, n),
-     {"rate": 0.5, "kind": "uniform", "lo": -1.0, "hi": 2.0}),
-    (kou(1.3, 0.7, 1.5, 3.0), _kou_draw(0.7, 1.5, 3.0),
-     {"rate": 1.3, "kind": "kou", "p_up": 0.7, "eta_up": 1.5, "eta_down": 3.0}),
+@pytest.mark.parametrize("jumps, described", [
+    (JumpSpec.gaussian_sizes(1.5, 0.2, 0.7), {"rate": 1.5, "kind": "gaussian", "mean": 0.2, "std": 0.7}),
+    (JumpSpec.uniform_sizes(0.5, -1.0, 2.0), {"rate": 0.5, "kind": "uniform", "lo": -1.0, "hi": 2.0}),
+    (kou(1.3, 0.7, 1.5, 3.0), {"rate": 1.3, "kind": "kou", "p_up": 0.7, "eta_up": 1.5, "eta_down": 3.0}),
     (JumpSpec.atom_sizes(2.0, [-1.0, 2.0], [0.25, 0.75]),
-     lambda rng, n: rng.choice(np.array([-1.0, 2.0]), size=n, p=np.array([0.25, 0.75])),
      {"rate": 2.0, "kind": "atoms", "values": [-1.0, 2.0], "probs": [0.25, 0.75]}),
 ], ids=["gaussian", "uniform", "kou", "atoms"])
-def test_family_draws_and_describe(jumps, draw, described):
-    # the draws are stream contract 3's and describe() enters every fingerprint
+def test_family_draws_and_describe(jumps, described):
+    # stream contract 6: n sizes are from_uniforms of the next m n uniforms u = 1 - U, m blocks of
+    # n; describe() enters every fingerprint
+    m = jumps.uniforms_per_size
     for seed in range(4):
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(jumps.sample(got_rng, 997), draw(want_rng, 997))
-        assert got_rng.random() == want_rng.random()  # the same draws consumed
+        for n in (0, 1, 997):
+            got_rng, want_rng = (np.random.Generator(np.random.PCG64DXSM(seed)) for _ in range(2))
+            got = jumps.sample(got_rng, n)
+            want = jumps.from_uniforms((1.0 - want_rng.random(m * n)).reshape(m, n))
+            assert got.shape == (n,) and got.tobytes() == want.tobytes()
+            assert got_rng.random() == want_rng.random()  # exactly m n uniforms consumed
     assert list(jumps.describe().items()) == list(described.items())
     assert list(JumpSpec.none().describe().items()) == [("rate", 0.0), ("kind", "none")]
+
+
+def test_no_family_overrides_sample():
+    # the benchmark times the grid's jump draws by patching JumpSpec.sample: an override would escape it
+    assert [kind for kind, family in JUMP_FAMILIES.items() if "sample" in vars(family)] == []
 
 
 def _uniforms(m, n, seed):

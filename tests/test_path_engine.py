@@ -275,7 +275,7 @@ def test_stream_states_equal_seed_sequence(master_seed):
 
 
 def _reference_chunk(triplet, x_start, cfg, lo, hi, anti):
-    """Paths lo..hi-1 one at a time, each from its own SeedSequence, in the contract-3 draw order."""
+    """Paths lo..hi-1 one at a time, each from its own SeedSequence, in the contract-6 draw order."""
     n, half, drift = cfg.n_steps, cfg.n_paths // 2, triplet.effective_drift * cfg.dt
     rows = []
     for p in range(lo, hi):
@@ -288,7 +288,8 @@ def _reference_chunk(triplet, x_start, cfg, lo, hi, anti):
         total = int(rng.poisson(triplet.jumps.rate * n * cfg.dt)) if triplet.jumps.rate > 0 else 0
         if total:
             cells = np.minimum((rng.random(total) * n).astype(np.int64), n - 1)
-            sizes = triplet.jumps.sample(rng, total)
+            m = triplet.jumps.uniforms_per_size  # m blocks of `total` uniforms u = 1 - U
+            sizes = triplet.jumps.from_uniforms((1.0 - rng.random(m * total)).reshape(m, total))
             incr += np.bincount(cells, weights=-sizes if mirror else sizes, minlength=n)
         rows.append(np.concatenate([[x_start], np.cumsum(incr) + x_start]))
     return np.array(rows)
@@ -307,6 +308,8 @@ SYM_ATOMS = LevyTriplet(0.1, 0.4, jumps=JumpSpec.atom_sizes(2.0, (-1.0, 1.0), (0
     (LevyTriplet(0.3, 0.0, jumps=JumpSpec.atom_sizes(2.0, (-1.0, 0.5), (0.3, 0.7))), False),
     (BM, True),
     (SYM_ATOMS, True),
+    (LevyTriplet(-0.1, 0.3, jumps=JumpSpec.gaussian_sizes(2.5, 0.2, 0.6)), False),
+    (LevyTriplet(0.2, 0.0, jumps=JumpSpec.uniform_sizes(2.5, -0.8, 0.5)), False),
 ])
 def test_chunk_matches_per_path_seed_sequences(triplet, antithetic):
     cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=40, master_seed=611, antithetic=antithetic, tail_tol=0.999)
