@@ -41,6 +41,7 @@ from .path_engine import (
     _clock_weights,
     _grid_sum,
     _reflected_at_zero,
+    _row_blocks,
     clock_skeleton,
     clock_suprema,
     integral_weights,
@@ -155,9 +156,16 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, **extra):
 
 def _rho_chunk(values, *, b_values, f_prime, w):
     """Per-path rho-hat samples sum_i w_i f'_+(U^0_i + b), one column per barrier of ``b_values``,
-    U^0 the path reflected at 0."""
-    z = _reflected_at_zero(values)
-    return {"pp_y": np.stack([_grid_sum(f_prime(z + b), w) for b in b_values], axis=1)}
+    U^0 the path reflected at 0: each row block reflected once, into reused block buffers."""
+    y = np.empty((values.shape[0], len(b_values)))
+    blocks = _row_blocks(*values.shape)
+    buffers = np.empty((2, blocks[0].stop if blocks else 0, values.shape[1]))
+    for rows in blocks:
+        z, zb = buffers[:, : rows.stop - rows.start]
+        _reflected_at_zero(values[rows], out=z)
+        for k, b in enumerate(b_values):
+            y[rows, k] = _grid_sum(f_prime(np.add(z, b, out=zb)), w)
+    return {"pp_y": y}
 
 
 def _value_pass(triplet, problem, cfg, pairs, n_workers=1):
@@ -284,8 +292,9 @@ def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: 
         rows = range(lo, min(lo + size, cfg.n_paths))
         _, moves, sizes = clock_skeleton(triplet, cfg, problem.q, rows, anti)
         z = clock_suprema(moves, sizes, triplet.effective_drift, lows=method == "time_integral")
-        for k, b in enumerate(b_grid):
-            y[rows, k] = _grid_sum(problem.cost.f_prime_plus(z + b), w)
+        for block in _row_blocks(len(z), k):
+            for j, b in enumerate(b_grid):
+                y[rows[block], j] = _grid_sum(problem.cost.f_prime_plus(z[block] + b), w)
     return _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, solver="clock_skeleton")
 
 

@@ -32,7 +32,10 @@ reflected functional of a chunk (value at any (start offset, barrier) pair,
 first passage) is read off one running minimum per chunk, since the minimum
 of a shifted path is the shifted minimum.  Sums along the grid take
 fixed-length dot products per path, so a path's sums depend neither on its
-chunk nor on the BLAS thread count.
+chunk nor on the BLAS thread count.  The grid reducers sweep a chunk in row
+blocks of ``BLOCK_FLOATS`` (``_row_blocks``), in reused block-sized buffers
+that stay in cache; each row takes the same operations in the same order, so
+the bits do not depend on the block size.
 Grid paths serve every estimator, solver and check but two: the clock
 skeleton, with no grid and no dt, serves ``solve_barrier_perturbed`` and
 ``estimators.skeleton_rho_curve`` (the CLI's ``rho``).
@@ -74,6 +77,7 @@ ENGINE_VERSION = 6  # the per-path draw orders of the module docstring
 CHUNK_TARGET_FLOATS = 2**23  # ~64 MB of float64 per streamed chunk
 BATCHES = 64  # fixed path batches per pass; fewer when there are fewer streams
 DOT_SLICE = 10_000  # longest dot product OpenBLAS computes on one thread
+BLOCK_FLOATS = 2**15  # rows a grid reducer sweeps at a time: 256 KiB per buffer, within L2
 BATCH_FLOATS = 2**27  # largest (paths x grid) batch simulate_batch materializes
 SKELETON_FLOATS = 2**22  # largest (paths x K) clock skeleton: perturb peaks at ~10 such arrays
 SKELETON_SLAB = 2**13  # uniforms a clock skeleton draws and transforms at a time, beside its output
@@ -348,9 +352,15 @@ def clock_suprema(moves: np.ndarray, sizes: np.ndarray, drift: float, lows: bool
 # ---------------------------------------------------------------------------
 
 
-def _reflected_at_zero(values: np.ndarray) -> np.ndarray:
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices covering n_rows rows, max(1, BLOCK_FLOATS // width) at a time."""
+    size = max(1, BLOCK_FLOATS // max(1, width))
+    return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
+
+
+def _reflected_at_zero(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """U^0 = values - min(running min, 0): ``reflect_arrays(values, 0.0)[0]`` bit for bit."""
-    u = np.minimum.accumulate(values, axis=-1)
+    u = np.minimum.accumulate(values, axis=-1, out=out)
     np.minimum(u, 0.0, out=u)
     return np.subtract(values, u, out=u)
 
@@ -430,35 +440,44 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     path values + o reflected at b.  Rounding is monotone, so min(values + o)
     equals m + o exactly for the running minimum m of the chunk:
     R = max(b - (m + o), 0) and U = (values + o) + R match
-    ``reflect_arrays(values + o, b)`` bit for bit, and are written into two
-    buffers reused across all pairs; ``f`` is the running cost.  Per (offset,
-    level) of ``passages``, ``pp_tau_disc`` is e^{-q tau} (0 if the path
-    values + o never pass below the level) and, with ``f_prime``,
-    ``pp_fprime_to_tau`` the left-rule integral of f'_+ along that
-    unreflected path up to tau.
+    ``reflect_arrays(values + o, b)`` bit for bit.  The chunk is read one
+    ``_row_blocks`` block at a time, m, R and U written into three block
+    buffers reused across all blocks and pairs; ``f`` (the running cost) and
+    ``f_prime`` act elementwise, as every builtin and mollified cost does, so
+    no figure depends on the block size.  Per (offset, level) of ``passages``,
+    ``pp_tau_disc`` is e^{-q tau} (0 if the path values + o never pass below
+    the level) and, with ``f_prime``, ``pp_fprime_to_tau`` the left-rule
+    integral of f'_+ along that unreflected path up to tau.
     """
-    n_grid = values.shape[-1]
+    n_rows, n_grid = values.shape
     w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
-    m = np.minimum.accumulate(values, axis=-1)
-    running, control = np.empty((2, values.shape[0], len(pairs)))
-    r, u = np.empty_like(values), np.empty_like(values)
-    for k, (o, b) in enumerate(pairs):
-        np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
-        np.add(np.add(values, o, out=u), r, out=u)
-        running[:, k] = _grid_sum(f(u), w)
-        # u is spent: it takes R's increments, np.diff(r, prepend=0.0) bit for bit
-        u[:, 0] = r[:, 0]
-        np.subtract(r[:, 1:], r[:, :-1], out=u[:, 1:])
-        control[:, k] = _grid_sum(u, disc)
+    running, control = np.empty((2, n_rows, len(pairs)))
+    tau = np.empty((n_rows, len(passages)), dtype=np.intp)
+    to_tau = np.empty((n_rows, len(passages)))
+    blocks = _row_blocks(n_rows, n_grid)
+    buffers = np.empty((3, blocks[0].stop if blocks else 0, n_grid))
+    for rows in blocks:
+        block = values[rows]
+        m, r, u = buffers[:, : len(block)]
+        np.minimum.accumulate(block, axis=-1, out=m)
+        for k, (o, b) in enumerate(pairs):
+            np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
+            np.add(np.add(block, o, out=u), r, out=u)
+            running[rows, k] = _grid_sum(f(u), w)
+            # u is spent: it takes R's increments, np.diff(r, prepend=0.0) bit for bit
+            u[:, 0] = r[:, 0]
+            np.subtract(r[:, 1:], r[:, :-1], out=u[:, 1:])
+            control[rows, k] = _grid_sum(u, disc)
+        for k, (o, level) in enumerate(passages):
+            tau[rows, k] = first_passage_index(np.add(m, o, out=r), level)
+            if f_prime is not None:
+                g = np.asarray(f_prime(np.add(block, o, out=u)), dtype=float)
+                to_tau[rows, k] = stopped_integral(g, w, tau[rows, k:k + 1])[:, 0]
     out = {"pp_running": running, "pp_control": control}
     if passages:
-        tau = np.stack([first_passage_index(m + o, level) for o, level in passages], axis=1)
         out["pp_tau_disc"] = np.append(disc, 0.0)[tau]
         if f_prime is not None:
-            out["pp_fprime_to_tau"] = np.stack([
-                stopped_integral(np.asarray(f_prime(values + o), dtype=float), w, tau[:, [k]])[:, 0]
-                for k, (o, _) in enumerate(passages)
-            ], axis=1)
+            out["pp_fprime_to_tau"] = to_tau
     return out
 
 

@@ -160,6 +160,87 @@ def test_value_kernel_matches_reflection_per_pair(rows, offsets, barriers):
         assert np.allclose(out["pp_fprime_to_tau"][:, k], stopped, rtol=1e-12, atol=1e-12)
 
 
+def _block_split(monkeypatch, s: int, width: int) -> None:
+    """Patch BLOCK_FLOATS so that rows of ``width`` come s at a time; s = 1 with a row wider than a block."""
+    monkeypatch.setattr(path_engine, "BLOCK_FLOATS", s * width if s > 1 else width - 1)
+
+
+_SPLITS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 7), (1, 1), (1, 2), (1, 3)]  # (s, rows): 1, s-1, s, s+1, 2s+1
+
+
+@pytest.mark.parametrize("s, n_rows", _SPLITS)
+def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
+    # the property of test_value_kernel_matches_reflection_per_pair, with blocks cutting the chunk:
+    # every figure equals its unblocked formula bit for bit
+    width, q, dt = 9, 0.7, 0.1
+    _block_split(monkeypatch, s, width)
+    assert path_engine._row_blocks(n_rows, width) == [slice(lo, min(lo + s, n_rows)) for lo in range(0, n_rows, s)]
+    rng = np.random.default_rng(n_rows)
+    values = np.cumsum(rng.normal(size=(n_rows, width)), axis=1) + rng.uniform(-2.0, 2.0, (n_rows, 1))
+    if n_rows > 1:
+        values[-1] = 10.0  # never crosses
+    f = lambda u: u**2 + np.sin(u)
+    f_prime = lambda u: 2 * u + np.cos(u)
+    offsets, levels = (-0.5, 0.0, 0.7), (-1.0, 0.0, 1.5)
+    pairs = tuple((o, b) for o in offsets for b in levels)
+    out = value_chunk(values, pairs=pairs, f=f, q=q, dt=dt, passages=pairs, f_prime=f_prime)
+    w, disc = integral_weights(q, dt, width), discount_factors(q, dt, width)
+    for k, (o, b) in enumerate(pairs):
+        u, r, tau = reflect_arrays(values + o, b)
+        assert np.array_equal(out["pp_running"][:, k], discounted_integral(f(u), q, dt))
+        assert np.array_equal(out["pp_control"][:, k], discounted_stieltjes(r, q, dt))
+        assert np.array_equal(out["pp_tau_disc"][:, k], np.append(disc, 0.0)[tau])
+        stopped = stopped_integral(f_prime(values + o), w, tau[:, None])[:, 0]
+        assert np.array_equal(out["pp_fprime_to_tau"][:, k], stopped)
+    b_values = (-1.0, 0.25, 2.0)
+    rho = estimators._rho_chunk(values, b_values=b_values, f_prime=f_prime, w=w)["pp_y"]
+    z = reflect_arrays(values, 0.0)[0]
+    assert np.array_equal(rho, np.stack([_grid_sum(f_prime(z + b), w) for b in b_values], axis=1))
+
+
+@pytest.mark.parametrize("method", ["time_integral", "exp_clock"])
+@pytest.mark.parametrize("s, n_paths", _SPLITS)
+def test_skeleton_rho_bit_identical_across_row_blocks(monkeypatch, s, n_paths, method):
+    cp = LevyTriplet(0.1, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0, 0.5), (0.5, 0.5)))
+    problem = ProblemSpec(builtin_cost("quadratic"), 0.5, 0.5)
+    cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=n_paths, master_seed=29, tail_tol=1e-2)
+    k = path_engine._clock_segments(cp.jumps.rate, problem.q, cfg.tail_tol)
+    _block_split(monkeypatch, s, k)
+    seen = []
+    rho_curve = estimators._rho_curve
+    monkeypatch.setattr(estimators, "_rho_curve", lambda y, *a, **kw: seen.append(y.copy()) or rho_curve(y, *a, **kw))
+    b_grid = (-1.0, 0.25, 2.0)
+    skeleton_rho_curve(cp, problem, b_grid, cfg, method)
+    _, moves, sizes = clock_skeleton(cp, cfg, problem.q)
+    z = clock_suprema(moves, sizes, cp.effective_drift, lows=method == "time_integral")
+    w = path_engine._clock_weights(cp.jumps.rate, problem.q, k) / problem.q
+    want = np.stack([_grid_sum(problem.cost.f_prime_plus(z + b), w) for b in b_grid], axis=1)
+    assert np.array_equal(seen[0], want)
+
+
+def test_grid_reducers_allocate_no_chunk_sized_temporaries():
+    # a kou_verify-sized chunk of 64 rows x 9,212 points: value_chunk with 19 pairs and one passage
+    # with f'_+, and a 41-barrier _rho_chunk, keep block-sized buffers beside their outputs
+    rng = np.random.default_rng(5)
+    values = np.cumsum(rng.normal(0.0, 0.035, (64, 9212)), axis=1)
+    cost, q, dt = builtin_cost("quadratic"), 0.5, 2e-3
+    pairs = tuple((o, -1.0 + 0.1 * j) for o in (-0.05, 0.0, 0.05) for j in range(6)) + ((0.0, -0.75),)
+    reducers = {
+        "value_chunk": functools.partial(value_chunk, pairs=pairs, f=cost.f, q=q, dt=dt,
+                                         passages=((0.0, -0.75),), f_prime=cost.f_prime_plus),
+        "_rho_chunk": functools.partial(estimators._rho_chunk, b_values=tuple(np.linspace(-2.0, 1.0, 41)),
+                                        f_prime=cost.f_prime_plus, w=integral_weights(q, dt, 9212)),
+    }
+    for name, reduce in reducers.items():
+        tracemalloc.start()
+        try:
+            out = reduce(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(v.nbytes for v in out.values()) < values.nbytes / 2, name
+
+
 def test_stopped_integral_is_a_prefix_sum():
     g = np.arange(12.0).reshape(2, 6)
     w = np.full(6, 0.5)
