@@ -37,7 +37,6 @@ from .barrier_solver import (
 from .levy_model import (
     JumpSpec,
     LevyTriplet,
-    characteristic_exponent,
     driftless_compound_poisson,
     exp_moment_check,
 )

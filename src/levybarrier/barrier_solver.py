@@ -16,7 +16,8 @@ per-batch rho-hat(b*) over sqrt(B), B = 64 batches (63 degrees of freedom).
 Driftless compound Poisson models are handled by re-solving under the
 drift-perturbed processes X_t - eps*t for a decreasing grid of eps and
 reporting the smallest-eps barrier.  Those paths are linear between jumps,
-so their supremum at the exponential clock is sampled exactly, with no grid.
+so their supremum at the exponential clock is sampled exactly, with no grid;
+there the batches are the R lattice replicates of the clock skeleton.
 """
 from __future__ import annotations
 
@@ -38,9 +39,9 @@ from .path_engine import (
     SimConfig,
     _antithetic_active,
     _batch_path_counts,
-    _chunk_plan,
     _grid_sum,
     _reflected_at_zero,
+    _replicate_rows,
     clock_skeleton,
     clock_suprema,
     integral_weights,
@@ -130,7 +131,8 @@ def _solver_chunk(values, *, bin_width, w):
 class _WeightedRho:
     """rho-hat(b) = sum_j w_j f'_+(x_j + b) / n, pooled and per batch (``batch_means``), over
     points shared by every batch row of ``weights`` (histogram bin centres, their weights
-    pooled once in batch order) or over one zero-weight-padded row of samples per batch."""
+    pooled once in batch order) or over one zero-weight-padded row of samples per batch
+    (lattice replicate, ``path_engine._replicate_rows``)."""
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, batch_paths: np.ndarray, f_prime):
         self.points = points
@@ -232,7 +234,8 @@ def _root_of(rho_hat: _WeightedRho, udisc, triplet, problem, cfg, bisect_tol, so
     ci = math.inf if flat else rho_est.stderr / slope
     # rho mean at the root as the bisection saw it (pooled batch mean)
     rho_est = replace(rho_est, mean=rho_hat(b_star), n=cfg.n_paths)
-    u0_est = _finish("discounted_u0", udisc, _antithetic_active(triplet, cfg), triplet, problem, cfg)
+    u0_est = _finish("discounted_u0", udisc, _antithetic_active(triplet, cfg), triplet, problem, cfg,
+                     replicates=solver == "clock_skeleton")
     return BarrierResult(
         b_star=b_star,
         bracket=(lo, hi),
@@ -281,13 +284,6 @@ def solve_barrier(
     return _root_of(rho_hat, out["pp_udisc"], triplet, problem, cfg, bisect_tol, "histogram")
 
 
-def _batch_rows(x: np.ndarray, plan) -> np.ndarray:
-    """The per-path rows of ``x`` as one zero-padded row per batch of ``plan``."""
-    rows = [np.concatenate([x[lo:hi].ravel() for lo, hi, h in plan if h == g]) for g in range(plan[-1][2] + 1)]
-    width = max(map(len, rows))
-    return np.stack([np.pad(r, (0, width - len(r))) for r in rows])
-
-
 def solve_barrier_perturbed(
     triplet: LevyTriplet,
     problem: ProblemSpec,
@@ -303,7 +299,8 @@ def solve_barrier_perturbed(
     No grid is simulated: each path draws its jumps up to the exponential clock
     once (``clock_skeleton``), and every level reads its exact suprema S_k off
     them (``clock_suprema``): the levels are coupled exactly, ``cfg.dt`` does not
-    enter, and rho-hat(b) = sum_k pi_k f'_+(S_k + b) / (q n).
+    enter, and rho-hat(b) = sum_k pi_k f'_+(S_k + b) / (q n), its stderr that of the
+    lattice replicate means.
     """
     if not triplet.is_driftless_cp():
         raise AssumptionViolated("solve_barrier_perturbed expects a driftless compound Poisson model")
@@ -317,14 +314,15 @@ def solve_barrier_perturbed(
     anti = _antithetic_active(triplet, cfg, warn=True)
     pi, gaps, sizes = clock_skeleton(triplet, cfg, problem.q, anti=anti)
     w = pi / problem.q
-    plan = _chunk_plan(cfg.n_paths, 1, anti, cfg.n_paths)
-    weights = _batch_rows(np.broadcast_to(w, gaps.shape), plan)
-    batch_paths = _batch_path_counts(cfg.n_paths, anti)
+    weights = _replicate_rows(np.broadcast_to(w, gaps.shape), anti)  # zero on the padding rows
+    weights = weights.reshape(len(weights), -1)
+    batch_paths = _replicate_rows(np.ones(cfg.n_paths), anti).sum(axis=1)
     levels = []
     for eps in eps_grid:
         level = triplet.with_drift_added(-eps)
         sup = clock_suprema(gaps, sizes, level.effective_drift)
-        rho_hat = _WeightedRho(_batch_rows(sup, plan), weights, batch_paths, problem.cost.f_prime_plus)
+        rho_hat = _WeightedRho(_replicate_rows(sup, anti).reshape(weights.shape), weights, batch_paths,
+                               problem.cost.f_prime_plus)
         levels.append((eps, _root_of(rho_hat, (sup * w).sum(axis=1), level, problem, cfg, bisect_tol,
                                      "clock_skeleton")))
     bs = [res.b_star for _, res in levels]

@@ -41,6 +41,7 @@ from .path_engine import (
     _clock_weights,
     _grid_sum,
     _reflected_at_zero,
+    _replicate_rows,
     _row_blocks,
     clock_skeleton,
     clock_suprema,
@@ -128,9 +129,14 @@ def _finite(kind: str, samples) -> np.ndarray:
     return samples
 
 
-def _finish(kind, samples, antithetic, triplet, problem, cfg, **extra):
+def _finish(kind, samples, antithetic, triplet, problem, cfg, replicates=False, **extra):
+    """The estimate of per-path ``samples``; with ``replicates`` (the skeleton's lattice rows) its stderr
+    is that of the replicate means (``path_engine._replicate_rows``) and its kurtosis a per-path one."""
     samples = _finite(kind, samples)
     mean, stderr, kurt = _moments(samples, antithetic)
+    if replicates:  # of the samples less the first: equal samples give equal means, whatever the counts
+        sums = _replicate_rows(samples - samples[0], antithetic).sum(axis=1)
+        stderr = _moments(sums / _replicate_rows(np.ones(len(samples)), antithetic).sum(axis=1), False)[1]
     reliable = True
     if kurt is not None and kurt > KURTOSIS_RELIABLE_MAX:
         reliable = False
@@ -195,10 +201,11 @@ def _rho_reducer(problem, cfg, b_grid: tuple):
                              w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
 
 
-def _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, **extra) -> list[tuple[float, EstimateWithError]]:
+def _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, replicates=False,
+               **extra) -> list[tuple[float, EstimateWithError]]:
     """(b, rho-hat(b)) from per-path samples ``y``, one column per barrier of ``b_grid``,
-    antithetic halves paired when ``anti``."""
-    return [(b, _finish(f"rho_{method}", y[:, k], anti, triplet, problem, cfg, b=b, **extra))
+    antithetic halves paired when ``anti``, the stderr over lattice replicates if ``replicates``."""
+    return [(b, _finish(f"rho_{method}", y[:, k], anti, triplet, problem, cfg, replicates, b=b, **extra))
             for k, b in enumerate(b_grid)]
 
 
@@ -279,8 +286,9 @@ def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: 
     Each path's sample is sum_k (pi_k / q) f'_+(Z_k + b) over the segments the
     Exponential(q) clock may end (``path_engine.clock_skeleton``), Z_k the supremum S_k
     (``exp_clock``) or U^0 (``time_integral``): exact up to the tail mass ``cfg.tail_tol``.
-    Chunks of at most ``SKELETON_FLOATS`` floats leave n_paths uncapped; the pairing is
-    decided once for all of them.
+    The mean is over all paths and the stderr over the lattice replicates.  Chunks of at
+    most ``SKELETON_FLOATS`` floats leave n_paths uncapped; the pairing is decided once for
+    all of them.
     """
     b_grid = _rho_grid(b_grid, method)
     anti = _antithetic_active(triplet, cfg, warn=True)
@@ -295,7 +303,7 @@ def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: 
         for block in _row_blocks(len(z), k):
             for j, b in enumerate(b_grid):
                 y[rows[block], j] = _grid_sum(problem.cost.f_prime_plus(z[block] + b), w)
-    return _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, solver="clock_skeleton")
+    return _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, True, solver="clock_skeleton")
 
 
 def estimate_record(kind: str, est: EstimateWithError, b=None, x=None) -> dict:

@@ -27,7 +27,6 @@ __all__ = [
     "JUMP_FAMILIES",
     "JumpSpec",
     "LevyTriplet",
-    "characteristic_exponent",
     "exp_moment_check",
     "driftless_compound_poisson",
 ]
@@ -420,19 +419,6 @@ def driftless_compound_poisson(jumps: JumpSpec, exp_moment_theta: float = 1.0) -
         raise InvalidModel("driftless compound Poisson needs a positive jump rate")
     gamma = jumps.rate * jumps.truncated_mean()
     return LevyTriplet(gamma=gamma, sigma=0.0, jumps=jumps, exp_moment_theta=exp_moment_theta)
-
-
-def characteristic_exponent(triplet: LevyTriplet, lam: float) -> complex:
-    """Exponent Psi with E[exp(i*lam*X_t)] = exp(-t*Psi(lam)).
-
-    Psi(lam) = -i*gamma*lam + sigma^2 lam^2 / 2
-               + rate * E[1 - exp(i*lam*J) + i*lam*J*1_{|J|<1}],
-    with the jump expectation in closed form per family.
-    """
-    jumps = triplet.jumps
-    val = -1j * triplet.gamma * lam + 0.5 * triplet.sigma**2 * lam**2
-    val += jumps.rate * (1.0 - jumps.mgf(1j * lam) + 1j * lam * jumps.truncated_mean())
-    return complex(val)
 
 
 def exp_moment_check(triplet: LevyTriplet) -> bool:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated, NoSignChange
 from levybarrier.estimators import _value_pass, estimate_rho, estimate_value
 from levybarrier.barrier_solver import barrier_sweep, solve_barrier, solve_barrier_perturbed
-from levybarrier.path_engine import horizon_for, integral_weights
+from levybarrier.path_engine import clock_skeleton, clock_suprema, horizon_for, integral_weights
 
 DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
 BM = LevyTriplet(gamma=0.0, sigma=1.0)
@@ -208,6 +209,21 @@ def test_perturbed_matches_spectrally_positive_closed_form():
         beta = brentq(lambda b: -eps * b + lam * b / (eta - b) - q, 1e-9, eta - 1e-9)
         exact = -q * C / 2.0 - (eta - beta) / (eta * beta)
         assert abs(r.b_star - exact) <= 3.0 * r.ci_halfwidth + tol
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_perturbed_replicate_stderr_beats_per_path_stderr(seed):
+    # the model, eps grid and benchmark size (1,200 paths) of configs/compound_poisson.json: the
+    # lattice replicates' stderr of the smallest-eps rho-hat(b*) is at most half the per-path
+    # stderr that independent blocks would report
+    q = 0.5
+    cp = lb.driftless_compound_poisson(JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5)))
+    cfg = make_cfg(q, dt=2e-3, n=1200, seed=seed)
+    res = solve_barrier_perturbed(cp, quad_problem(0.0, q), cfg, bisect_tol=1e-3)
+    eps, r = res.levels[-1]
+    pi, gaps, sizes = clock_skeleton(cp, cfg, q)
+    y = (2.0 * (clock_suprema(gaps, sizes, cp.with_drift_added(-eps).effective_drift) + r.b_star) * pi / q).sum(axis=1)
+    assert 0.0 < r.rho_at_b_star.stderr <= 0.5 * y.std(ddof=1) / math.sqrt(cfg.n_paths)
 
 
 def test_symmetric_cp_monotone_levels():

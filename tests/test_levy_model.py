@@ -7,11 +7,25 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, characteristic_exponent
+from levybarrier import JumpSpec, LevyTriplet
 from levybarrier.errors import InvalidModel, NotSpectrallyNegative
 from levybarrier.levy_model import JUMP_FAMILIES
 from levybarrier.oracles import phi_root
 from levybarrier.path_engine import SimConfig, simulate_batch
+
+
+def characteristic_exponent(triplet: LevyTriplet, lam: float) -> complex:
+    """Exponent Psi with E[exp(i*lam*X_t)] = exp(-t*Psi(lam)).
+
+    Psi(lam) = -i*gamma*lam + sigma^2 lam^2 / 2
+               + rate * E[1 - exp(i*lam*J) + i*lam*J*1_{|J|<1}],
+    with the jump expectation in closed form per family (the tests' reference, with no
+    caller in the library).
+    """
+    jumps = triplet.jumps
+    val = -1j * triplet.gamma * lam + 0.5 * triplet.sigma**2 * lam**2
+    val += jumps.rate * (1.0 - jumps.mgf(1j * lam) + 1j * lam * jumps.truncated_mean())
+    return complex(val)
 
 
 def kou(rate=1.0, p_up=0.5, eta_up=2.0, eta_down=2.0):

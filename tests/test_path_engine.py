@@ -24,10 +24,12 @@ from levybarrier.estimators import estimate_rho, skeleton_rho_curve
 from levybarrier.path_engine import (
     BATCHES,
     DOT_SLICE,
+    LATTICE_A,
     _batch_path_counts,
     _chunk_plan,
     _grid_sum,
     _path_rngs,
+    _radical_inverse,
     _simulate_chunk,
     clock_skeleton,
     clock_suprema,
@@ -445,6 +447,77 @@ def test_clock_skeleton_with_sigma_matches_per_path_seed_sequences(triplet, anti
             assert _same_bits(sizes[j], jumps)
             assert moves[0, j] == pytest.approx(e_dn / beta_dn, rel=1e-14)
             assert moves[1, j] == pytest.approx(e_up / beta_up, rel=1e-14)
+
+
+def _lattice_block(master_seed, row, k, c):
+    """Stream contract 7's block of lattice row = i 64 + r, built coordinate by coordinate: u = 1 -
+    frac(frac(phi_2(i) z_j) + U), z_j = a^j mod 2^20, U the shift stream r draws; coordinate j = s c + t
+    (the t-th uniform of segment s) sits at block position t k + s."""
+    i, r = divmod(row, BATCHES)
+    phi = sum((i >> bit & 1) * 2.0 ** -(bit + 1) for bit in range(32))
+    shift = _seed_sequence_rng(master_seed, r).random(k * c)
+    u = np.empty(k * c)
+    for s in range(k):
+        for t in range(c):
+            y = phi * pow(LATTICE_A, s * c + t, 2**20) % 1.0 + shift[t * k + s]
+            u[t * k + s] = 1.0 - (y - 1.0 if y >= 1.0 else y)
+    return u
+
+
+@pytest.mark.parametrize("triplet, antithetic, n, rows", [
+    (LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(2.0, 0.5, 2.0, 3.0)), False, 300, range(60, 300)),
+    (LevyTriplet(0.3, 0.5, jumps=JumpSpec.kou_mixture(2.0, 0.4, 2.0, 3.0)), False, 300, range(120, 140)),
+    (SYM_ATOMS, True, 400, range(150, 330)),
+    (BM, True, 400, range(180, 220)),
+], ids=["kou", "kou_sigma", "sym_atoms_antithetic", "bm_antithetic"])
+def test_clock_skeleton_rows_are_shifted_lattice_points(triplet, antithetic, n, rows):
+    # rows past 64 take lattice points i >= 1 (each range straddles replicates), mirrors their row
+    # less n / 2, and the transform of the contract-6 tests
+    q = 0.5
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=n, master_seed=611, antithetic=antithetic, tail_tol=1e-3)
+    mu, s2, lam = triplet.effective_drift, triplet.sigma**2, triplet.jumps.rate + q
+    _, moves, sizes = clock_skeleton(triplet, cfg, q, rows)
+    k, m = sizes.shape[1], triplet.jumps.uniforms_per_size
+    for j, path in enumerate(rows):
+        mirror = antithetic and path >= n // 2
+        u = _lattice_block(cfg.master_seed, path - n // 2 if mirror else path, k, 1 + m + (s2 > 0))
+        jumps = triplet.jumps.from_uniforms(u[k:k + m * k].reshape(m, k)) if m else np.zeros(k)
+        assert _same_bits(sizes[j], -jumps if mirror else jumps)
+        if s2 == 0:
+            assert _same_bits(moves[j], -np.log(u[:k]) / lam)
+            continue
+        e_dn, e_up = -np.log(u[:k]), -np.log(u[-k:])
+        if mirror:
+            e_dn, e_up = e_up, e_dn
+        root = math.sqrt(mu * mu + 2 * s2 * lam)  # 1 / beta_+- = (root +- mu) / (2 lambda)
+        assert moves[0, j] == pytest.approx(e_dn * (root - mu) / (2 * lam), rel=1e-14)
+        assert moves[1, j] == pytest.approx(e_up * (root + mu) / (2 * lam), rel=1e-14)
+
+
+def test_lattice_projections_are_exact_dyadic_grids():
+    # z_j = a^j mod 2^20 is odd, so over the first 2^m points frac(phi_2(i) z_j) runs through
+    # {k / 2^m} once per coordinate: each replicate's one-dimensional projections are stratified
+    assert LATTICE_A % 2 == 1
+    z = np.array([pow(LATTICE_A, j, 2**20) for j in range(200)], dtype=float)
+    for m in range(13):
+        x = np.fmod(np.multiply.outer(_radical_inverse(np.arange(2**m)), z), 1.0)
+        assert np.array_equal(np.sort(x, axis=0), np.broadcast_to(np.arange(2**m)[:, None] / 2**m, x.shape))
+    last = 2**32 - 1 - 2**7  # every bit but one: phi_2 is exact to the last of 32 bits
+    assert _radical_inverse([1, 6, last]).tolist() == [0.5, 0.375, 1.0 - 2.0**-32 - 2.0**-8]
+
+
+def test_lattice_read_loads_one_stream_state_per_replicate(monkeypatch):
+    loaded, real = [], path_engine._path_rngs
+
+    def counting(master_seed, streams):
+        for rng in real(master_seed, streams):
+            loaded.append(rng)
+            yield rng
+
+    monkeypatch.setattr(path_engine, "_path_rngs", counting)
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=3000, master_seed=5)
+    clock_skeleton(LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(2.0, 0.5, 2.0, 3.0)), cfg, 0.5)
+    assert len(loaded) == BATCHES
 
 
 def test_stream_set_up_builds_no_seed_sequence_per_path(monkeypatch):
