@@ -315,14 +315,12 @@ def solve_barrier_perturbed(
     pi, gaps, sizes = clock_skeleton(triplet, cfg, problem.q, anti=anti)
     w = pi / problem.q
     weights = _replicate_rows(np.broadcast_to(w, gaps.shape), anti)  # zero on the padding rows
-    weights = weights.reshape(len(weights), -1)
     batch_paths = _replicate_rows(np.ones(cfg.n_paths), anti).sum(axis=1)
     levels = []
     for eps in eps_grid:
         level = triplet.with_drift_added(-eps)
         sup = clock_suprema(gaps, sizes, level.effective_drift)
-        rho_hat = _WeightedRho(_replicate_rows(sup, anti).reshape(weights.shape), weights, batch_paths,
-                               problem.cost.f_prime_plus)
+        rho_hat = _WeightedRho(_replicate_rows(sup, anti), weights, batch_paths, problem.cost.f_prime_plus)
         levels.append((eps, _root_of(rho_hat, (sup * w).sum(axis=1), level, problem, cfg, bisect_tol,
                                      "clock_skeleton")))
     bs = [res.b_star for _, res in levels]

@@ -100,6 +100,7 @@ BLOCK_FLOATS = 2**15  # rows a grid reducer sweeps at a time: 256 KiB per buffer
 BATCH_FLOATS = 2**27  # largest (paths x grid) batch simulate_batch materializes
 SKELETON_FLOATS = 2**22  # largest (paths x K) clock skeleton: perturb peaks at ~10 such arrays
 SKELETON_SLAB = 2**13  # uniforms a clock skeleton draws and transforms at a time, beside its output
+SHIFT_TABLE_FLOATS = 2**15  # largest table of the R lattice shifts a skeleton read draws up front
 SEED_SLAB = 1024  # stream states converted to Python ints at a time
 LATTICE_A = 1485  # generator of the skeleton's lattice, z_j = LATTICE_A^j mod 2^20 (module docstring)
 HISTOGRAM_FLOATS = 2**26  # largest (BATCHES x bins) occupation histogram of the grid solve
@@ -310,32 +311,35 @@ def _radical_inverse(i) -> np.ndarray:
 
 def _lattice_blocks(master_seed: int, streams: np.ndarray, k: int, c: int):
     """(lo, u) per slab of ``SKELETON_SLAB`` uniforms, u the blocks of the lattice rows ``streams[lo:]``
-    of the module docstring; z_j of lattice coordinate j = s c + t is put at block position t k + s."""
+    of the module docstring; z_j of lattice coordinate j = s c + t is put at block position t k + s.  The
+    R shifts are drawn once, or, where R rows would exceed ``SHIFT_TABLE_FLOATS``, row by row."""
     z = np.array([pow(LATTICE_A, j, 2**20) for j in range(k * c)], dtype=float).reshape(k, c).T.ravel()
-    shifts = np.empty((min(BATCHES, int(streams.max(initial=-1)) + 1), k * c))
-    for row, rng in zip(shifts, _path_rngs(master_seed, range(len(shifts)))):
-        rng.random(out=row)
     slab = max(1, SKELETON_SLAB // (k * c))
     block = np.empty((min(slab, len(streams)), k * c))
+    table = BATCHES * k * c <= SHIFT_TABLE_FLOATS
+    shifts = np.empty((min(BATCHES, int(streams.max(initial=-1)) + 1) if table else len(block), k * c))
     for lo in range(0, len(streams), slab):
         u = block[:min(slab, len(streams) - lo)]
         point, shift = np.divmod(streams[lo:lo + len(u)], BATCHES)
+        if lo == 0 or not table:  # one stream state per shift row
+            for row, rng in zip(shifts, _path_rngs(master_seed, range(len(shifts)) if table else shift)):
+                rng.random(out=row)
         np.multiply.outer(_radical_inverse(point), z, out=u)  # exact: 32 + 20 bits
         u -= np.floor(u)
-        u += shifts[shift]
+        u += shifts[shift] if table else shifts[:len(u)]
         u -= u >= 1.0  # frac, as x_i + Delta_r < 2
         yield lo, np.subtract(1.0, u, out=u)
 
 
 def _replicate_rows(x: np.ndarray, anti: bool) -> np.ndarray:
-    """The per-path rows of ``x``, a skeleton read of all paths, as (R, rows, ...) zero-padded, lattice
-    row l in replicate l mod R (module docstring), R = min(BATCHES, lattice rows)."""
+    """The per-path rows of ``x``, a skeleton read of all paths, as one zero-padded row per replicate,
+    lattice row l in replicate l mod R (module docstring), R = min(BATCHES, lattice rows)."""
     h = 2 if anti else 1
     n = len(x) // h
     r = min(BATCHES, n)
     padded = np.zeros((h, -(-n // r) * r) + x.shape[1:])
     padded[:, :n] = x.reshape((h, n) + x.shape[1:])
-    return np.moveaxis(padded.reshape((h, -1, r) + x.shape[1:]), 2, 0).reshape((r, -1) + x.shape[1:])
+    return np.moveaxis(padded.reshape((h, -1, r) + x.shape[1:]), 2, 0).reshape(r, -1)
 
 
 def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range | None = None,

@@ -520,6 +520,51 @@ def test_lattice_read_loads_one_stream_state_per_replicate(monkeypatch):
     assert len(loaded) == BATCHES
 
 
+def test_lattice_rows_past_the_shift_table_draw_their_own_shifts(monkeypatch):
+    # K = 3,690 segments (rate 200 at q = 0.5): 64 shifts of d = 3 K uniforms exceed SHIFT_TABLE_FLOATS,
+    # so each row loads its own shift's stream state; the rows, straddling replicates and the
+    # mirrored half, are those a table of all 64 shifts gives
+    loaded, real = [], path_engine._path_rngs
+
+    def counting(master_seed, streams):
+        for rng in real(master_seed, streams):
+            loaded.append(rng)
+            yield rng
+
+    triplet = LevyTriplet(0.0, 0.5, jumps=JumpSpec.atom_sizes(200.0, (-1.0, 1.0), (0.5, 0.5)))
+    cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=200, master_seed=611, antithetic=True)
+    rows = range(50, 150)
+    monkeypatch.setattr(path_engine, "_path_rngs", counting)
+    per_row = clock_skeleton(triplet, cfg, 0.5, rows)
+    assert len(loaded) == len(rows)
+    monkeypatch.setattr(path_engine, "SHIFT_TABLE_FLOATS", math.inf)
+    table = clock_skeleton(triplet, cfg, 0.5, rows)
+    assert all(_same_bits(a, b) for a, b in zip(per_row, table))
+
+
+@pytest.mark.parametrize("read", ["clock_skeleton", "skeleton_rho_curve"])
+def test_skeleton_peak_memory_at_large_k(read):
+    # K = 3,690 segments and 8 rows (rows 640-647 in the skeleton read, so a table would hold all 64
+    # shifts): a table of 64 x 4 K floats outweighed the rows, a traced peak of 36.7 and 8.8 n K
+    # floats, where rows that draw their own shifts peak at 6.1 and 6.3
+    triplet = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(200.0, 0.5, 3.0, 3.0))
+    prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.5, q=0.5)
+    tracemalloc.start()
+    try:
+        if read == "clock_skeleton":
+            cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=1000, master_seed=7)
+            k = len(clock_skeleton(triplet, cfg, 0.5, range(640, 648))[0])
+        else:
+            cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=8, master_seed=7)
+            skeleton_rho_curve(triplet, prob, [-0.5, 0.0], cfg, "exp_clock")
+            k = path_engine._clock_segments(200.0, 0.5, cfg.tail_tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 3690
+    assert peak <= 7.0 * 8 * 8 * k
+
+
 def test_stream_set_up_builds_no_seed_sequence_per_path(monkeypatch):
     made, real = [], np.random.SeedSequence
 
