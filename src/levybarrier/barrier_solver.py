@@ -42,6 +42,7 @@ from .path_engine import (
     _grid_sum,
     _reflected_at_zero,
     _replicate_rows,
+    _row_blocks,
     clock_skeleton,
     clock_suprema,
     integral_weights,
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 BRACKET_LIMIT = 1e6
-ROW_SUM_FLOATS = 2**16  # largest block of rows x weights that rho-hat multiplies at once
 FLAT_SLOPE_EPS = 1e-12
 
 
@@ -151,11 +151,9 @@ class _WeightedRho:
     @staticmethod
     def _row_sums(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # fixed-order row sums (a BLAS dot is threaded); unlike a matvec, equal rows get equal means.
-        # Each row is one pairwise sum, as row.sum() takes it; blocks of rows bound the product's size
+        # Each row is one pairwise sum, as row.sum() takes it; ``_row_blocks`` bound the product's size
         vals = np.broadcast_to(vals, rows.shape)
-        step = max(1, ROW_SUM_FLOATS // rows.shape[1])
-        return np.concatenate([(rows[i:i + step] * vals[i:i + step]).sum(axis=1)
-                               for i in range(0, len(rows), step)])
+        return np.concatenate([(rows[s] * vals[s]).sum(axis=1) for s in _row_blocks(*rows.shape)])
 
     def __call__(self, b: float) -> float:
         return float(self._row_sums(self._f_prime_at(b), self.pooled).sum()) / self.n_paths

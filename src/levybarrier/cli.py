@@ -8,7 +8,7 @@ rho      rho-hat over a barrier grid, read exactly off the exponential-clock
          skeleton: no grid, so sim.dt does not enter (CSV: b,rho_mean,rho_stderr)
 sweep    v-hat_b(x) over a barrier grid (CSV: b,v_mean,v_stderr)
 verify   structural checks, all read off one shared pass after the solve
-         (CSV per check: x,residual,tolerance,passed)
+         (CSV per check: x,residual,tolerance,passed; t for x in martingale's)
 perturb  driftless compound Poisson barrier via vanishing drifts
 
 Config schema (defaults in brackets):
@@ -248,11 +248,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _check_to_csv(out_dir: Path, name: str, report) -> None:
-    rows = []
-    for row in report.details:
-        key = "x" if "x" in row else ("t" if "t" in row else "b")
-        rows.append([row.get(key), row.get("residual"), row.get("tolerance"), row.get("passed")])
-    _write_csv(out_dir / f"check_{name}.csv", ["x", "residual", "tolerance", "passed"], rows)
+    """check_<name>.csv, one row per detail keyed by its x (its t for the martingale check)."""
+    key = "x" if all("x" in row for row in report.details) else "t"
+    rows = [[row[key], row["residual"], row["tolerance"], row["passed"]] for row in report.details]
+    _write_csv(out_dir / f"check_{name}.csv", [key, "residual", "tolerance", "passed"], rows)
 
 
 def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict:

@@ -5,8 +5,8 @@ fingerprint.  Common random numbers come for free from the deterministic
 per-path streams: evaluating several barriers or starting points against
 the same (master_seed, n_paths) reuses identical paths, so differences of
 estimates are pathwise differences.  Every grid estimate is one
-``path_engine.map_reduce_paths`` pass of the paths from 0, read by a
-module-level chunk reducer bound to its parameters with
+``path_engine.map_reduce_paths`` pass of the paths from 0, read by
+``path_engine.value_chunk`` bound to its parameters with
 ``functools.partial``; a start x is an offset of that pass.
 
 rho(b) has two forms.  The grid estimators read the time integral
@@ -40,12 +40,10 @@ from .path_engine import (
     _clock_segments,
     _clock_weights,
     _grid_sum,
-    _reflected_at_zero,
     _replicate_rows,
     _row_blocks,
     clock_skeleton,
     clock_suprema,
-    integral_weights,
     map_reduce_paths,
     value_chunk,
 )
@@ -156,22 +154,8 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, replicates=False, 
 
 
 # ---------------------------------------------------------------------------
-# chunk reducers (module level so they cross process boundaries)
+# grid passes and rho-hat curves
 # ---------------------------------------------------------------------------
-
-
-def _rho_chunk(values, *, b_values, f_prime, w):
-    """Per-path rho-hat samples sum_i w_i f'_+(U^0_i + b), one column per barrier of ``b_values``,
-    U^0 the path reflected at 0: each row block reflected once, into reused block buffers."""
-    y = np.empty((values.shape[0], len(b_values)))
-    blocks = _row_blocks(*values.shape)
-    buffers = np.empty((2, blocks[0].stop if blocks else 0, values.shape[1]))
-    for rows in blocks:
-        z, zb = buffers[:, : rows.stop - rows.start]
-        _reflected_at_zero(values[rows], out=z)
-        for k, b in enumerate(b_values):
-            y[rows, k] = _grid_sum(f_prime(np.add(z, b, out=zb)), w)
-    return {"pp_y": y}
 
 
 def _value_pass(triplet, problem, cfg, pairs, n_workers=1):
@@ -192,13 +176,6 @@ def _rho_grid(b_grid, method="time_integral") -> tuple:
     if method not in ("time_integral", "exp_clock"):
         raise ValueError(f"unknown rho method {method!r}")
     return b_grid
-
-
-def _rho_reducer(problem, cfg, b_grid: tuple):
-    """The ``_rho_chunk`` reducer of time-integral rho-hat on a barrier grid checked by ``_rho_grid``."""
-    cfg.validate_for(problem.q)
-    return functools.partial(_rho_chunk, b_values=b_grid, f_prime=problem.cost.f_prime_plus,
-                             w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
 
 
 def _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, replicates=False,
@@ -274,7 +251,10 @@ def estimate_rho_curve(
     exactly, not just statistically.
     """
     b_grid = _rho_grid(b_grid)
-    [out] = map_reduce_paths(triplet, cfg, [_rho_reducer(problem, cfg, b_grid)], n_workers=n_workers)
+    cfg.validate_for(problem.q)
+    reducer = functools.partial(value_chunk, pairs=(), f=problem.cost.f, q=problem.q, dt=cfg.dt,
+                                f_prime=problem.cost.f_prime_plus, rho=b_grid)
+    [out] = map_reduce_paths(triplet, cfg, [reducer], n_workers=n_workers)
     anti = _antithetic_active(triplet, cfg)
     return _rho_curve(out["pp_y"], b_grid, "time_integral", anti, triplet, problem, cfg)
 

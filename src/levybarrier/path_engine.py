@@ -46,15 +46,16 @@ hands it to every reducer it is given, merging each reducer's partials in
 chunk order so results do not depend on the worker count; accumulators are
 summed per fixed batch of consecutive streams (``BATCHES``, mirrored pairs
 together), giving batch-means errors.  A path started at x is the path from
-0 plus x bit for bit, so a start is an offset that a reducer adds; every
-reflected functional of a chunk (value at any (start offset, barrier) pair,
-first passage) is read off one running minimum per chunk, since the minimum
-of a shifted path is the shifted minimum.  Sums along the grid take
-fixed-length dot products per path, so a path's sums depend neither on its
-chunk nor on the BLAS thread count.  The grid reducers sweep a chunk in row
-blocks of ``BLOCK_FLOATS`` (``_row_blocks``), in reused block-sized buffers
-that stay in cache; each row takes the same operations in the same order, so
-the bits do not depend on the block size.
+0 plus x bit for bit, so a start is an offset that a reducer adds; one
+reducer, ``value_chunk``, reads the value at any (start offset, barrier)
+pair, first passages and time-integral rho-hat off one running minimum per
+row block, since the minimum of a shifted path is the shifted minimum (the
+solver's histogram and the martingale check's walks take their own).  Sums
+along the grid take fixed-length dot products per path, so a path's sums
+depend neither on its chunk nor on the BLAS thread count.  The grid
+reducers sweep a chunk in row blocks of ``BLOCK_FLOATS`` (``_row_blocks``),
+in reused block-sized buffers that stay in cache; each row takes the same
+operations in the same order, so the bits do not depend on the block size.
 Grid paths serve every estimator, solver and check but two: the clock
 skeleton, with no grid and no dt, serves ``solve_barrier_perturbed`` and
 ``estimators.skeleton_rho_curve`` (the CLI's ``rho``).
@@ -412,9 +413,9 @@ def _row_blocks(n_rows: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
 
 
-def _reflected_at_zero(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _reflected_at_zero(values: np.ndarray) -> np.ndarray:
     """U^0 = values - min(running min, 0): ``reflect_arrays(values, 0.0)[0]`` bit for bit."""
-    u = np.minimum.accumulate(values, axis=-1, out=out)
+    u = np.minimum.accumulate(values, axis=-1)
     np.minimum(u, 0.0, out=u)
     return np.subtract(values, u, out=u)
 
@@ -486,7 +487,8 @@ def stopped_integral(g: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarra
     return np.where(idx > 0, np.take_along_axis(cum, np.maximum(idx - 1, 0), axis=-1), 0.0)
 
 
-def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(), f_prime=None) -> dict:
+def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(), f_prime=None,
+                rho=()) -> dict:
     """Running and control parts of the value at every (offset, barrier) pair.
 
     ``pp_running`` and ``pp_control`` have shape (n, pairs) and hold
@@ -501,11 +503,15 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     no figure depends on the block size.  Per (offset, level) of ``passages``,
     ``pp_tau_disc`` is e^{-q tau} (0 if the path values + o never pass below
     the level) and, with ``f_prime``, ``pp_fprime_to_tau`` the left-rule
-    integral of f'_+ along that unreflected path up to tau.
+    integral of f'_+ along that unreflected path up to tau.  Per barrier b of
+    ``rho`` (which needs ``f_prime``), ``pp_y`` is the time-integral rho-hat
+    sample sum_i w_i f'_+(U^0_i + b), U^0 = values - min(m, 0) the path
+    reflected at 0, ``reflect_arrays(values, 0.0)[0]`` bit for bit.
     """
     n_rows, n_grid = values.shape
     w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
     running, control = np.empty((2, n_rows, len(pairs)))
+    y = np.empty((n_rows, len(rho)))
     tau = np.empty((n_rows, len(passages)), dtype=np.intp)
     to_tau = np.empty((n_rows, len(passages)))
     blocks = _row_blocks(n_rows, n_grid)
@@ -527,7 +533,13 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
             if f_prime is not None:
                 g = np.asarray(f_prime(np.add(block, o, out=u)), dtype=float)
                 to_tau[rows, k] = stopped_integral(g, w, tau[rows, k:k + 1])[:, 0]
+        if rho:
+            np.subtract(block, np.minimum(m, 0.0, out=r), out=r)
+            for k, b in enumerate(rho):
+                y[rows, k] = _grid_sum(f_prime(np.add(r, b, out=u)), w)
     out = {"pp_running": running, "pp_control": control}
+    if rho:
+        out["pp_y"] = y
     if passages:
         out["pp_tau_disc"] = np.append(disc, 0.0)[tau]
         if f_prime is not None:

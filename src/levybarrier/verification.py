@@ -16,12 +16,13 @@ models are budgeted honestly too.
 ``run_checks`` reads several checks off ONE ``map_reduce_paths`` pass of
 the paths from 0: a path started at x is the path from 0 plus x bit for
 bit, so each start is an offset.  A check validates its arguments, yields
-an ``_Ask`` of what it reads off the pass, is sent the ``_Pass`` (what
-several checks ask is computed once, and every reducer reads the same
-chunks) and yields its report; each public ``check_*`` is ``run_checks``
-with that one check.  Only the martingale check's node values (an
-independent seed) run a pass of their own; the checks at the barrier take
-b_star as given and never solve for it.
+an ``_Ask`` of what it reads off the pass, is sent the ``_Pass`` and yields
+its report; each public ``check_*`` is ``run_checks`` with that one check.
+What several checks ask is computed once: ONE ``value_chunk`` reducer reads
+every value, first passage and rho-hat column, beside the martingale
+check's walk (a reducer of its own).  Only the martingale check's node
+values (an independent seed) run a pass of their own; the checks at the
+barrier take b_star as given and never solve for it.
 
 Checks are advisory: they return reports, they do not raise on failure.
 """
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .cost_model import ProblemSpec
-from .estimators import _finite, _moments, _rho_curve, _rho_grid, _rho_reducer, _value_pass
+from .estimators import _finite, _moments, _rho_curve, _rho_grid, _value_pass
 from .levy_model import LevyTriplet
 from .path_engine import (
     SimConfig,
@@ -151,18 +152,17 @@ class _Pass:
         self.passages = list(dict.fromkeys(p for a in asks for p in a.passages))
         self.walks = [a.martingale for a in asks if a.martingale is not None]
         rho_b = _rho_grid(sorted({b for a in asks for b in a.rho}))
-        f_prime = problem.cost.f_prime_plus if any(a.f_prime for a in asks) else None
-        reducers = [functools.partial(value_chunk, pairs=tuple(self.pairs), f=problem.cost.f, q=problem.q,
-                                      dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime)]
-        reducers += [_rho_reducer(problem, cfg, rho_b)] if rho_b else []
-        value, *rest = map_reduce_paths(triplet, cfg, reducers + self.walks, n_workers=n_workers)
+        f_prime = problem.cost.f_prime_plus if rho_b or any(a.f_prime for a in asks) else None
+        reducer = functools.partial(value_chunk, pairs=tuple(self.pairs), f=problem.cost.f, q=problem.q,
+                                    dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime, rho=rho_b)
+        value, *walks = map_reduce_paths(triplet, cfg, [reducer] + self.walks, n_workers=n_workers)
         self.antithetic = _antithetic_active(triplet, cfg)
         self.v = value["pp_running"] + problem.C * value["pp_control"]
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
-            self.rho = dict(_rho_curve(rest.pop(0)["pp_y"], rho_b, "time_integral", self.antithetic,
+            self.rho = dict(_rho_curve(value["pp_y"], rho_b, "time_integral", self.antithetic,
                                        triplet, problem, cfg))
-        self.m = [out["pp_m"] for out in rest]
+        self.m = [out["pp_m"] for out in walks]
 
     def stat(self, samples, kind: str) -> tuple[float, float]:
         """(mean, stderr) of per-path samples, refused if not finite, with
@@ -300,6 +300,7 @@ def check_convexity(
     """Second differences of x -> v_{b*}(x) on CRN-coupled starts are >= 0
     up to three propagated standard errors at every interior grid point."""
     problem.require_admissible()
+    cfg.validate_for(problem.q)
     x_grid = np.asarray([float(v) for v in x_grid])
     if x_grid.size < 5:
         raise ValueError("x_grid needs at least 5 points")

@@ -323,9 +323,9 @@ def test_antithetic_ignored_for_asymmetric_jumps_matches_unpaired_run():
     assert paired == _rho_sweep_solve(skew, prob, plain)
 
 
-@pytest.mark.parametrize("shape", [(64, 5), (64, 456), (64, 123_457), (1, 1), (3, 70_000)])
+@pytest.mark.parametrize("shape", [(64, 5), (64, 456), (64, 123_457), (1, 1), (3, 70_000), (64, 1_000)])
 def test_weighted_rho_row_sums_match_per_row_sums(shape):
-    # row blocks of at most 2**16 floats, each row one pairwise sum: the bits of row.sum() per row
+    # row blocks of at most BLOCK_FLOATS, each row one pairwise sum: the bits of row.sum() per row
     rng = np.random.default_rng(sum(shape))
     rows = rng.standard_normal(shape)
     for vals in (rng.standard_normal(shape[1]), rng.standard_normal(shape)):

@@ -402,6 +402,13 @@ def test_verify_command_on_drift_model(tmp_path):
     assert csv_text[0] == "x,residual,tolerance,passed"
 
 
+def test_martingale_csv_keys_rows_by_t(tmp_path):
+    out = tmp_path / "out"
+    assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05,
+                "--set", 'verify.checks=["martingale"]']) == 0
+    assert (out / "check_martingale.csv").read_text().splitlines()[0] == "t,residual,tolerance,passed"
+
+
 def test_verify_solves_at_the_configured_bisect_tol(tmp_path):
     # verify's b* is the b* that solve gives on the same config, solve.bisect_tol included
     args = ["--config", KOU, "--paths", 200, "--dt", 0.01, "--set", "solve.bisect_tol=0.05"]

@@ -185,7 +185,8 @@ def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
     f_prime = lambda u: 2 * u + np.cos(u)
     offsets, levels = (-0.5, 0.0, 0.7), (-1.0, 0.0, 1.5)
     pairs = tuple((o, b) for o in offsets for b in levels)
-    out = value_chunk(values, pairs=pairs, f=f, q=q, dt=dt, passages=pairs, f_prime=f_prime)
+    b_values = (-1.0, 0.25, 2.0)
+    out = value_chunk(values, pairs=pairs, f=f, q=q, dt=dt, passages=pairs, f_prime=f_prime, rho=b_values)
     w, disc = integral_weights(q, dt, width), discount_factors(q, dt, width)
     for k, (o, b) in enumerate(pairs):
         u, r, tau = reflect_arrays(values + o, b)
@@ -194,8 +195,7 @@ def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
         assert np.array_equal(out["pp_tau_disc"][:, k], np.append(disc, 0.0)[tau])
         stopped = stopped_integral(f_prime(values + o), w, tau[:, None])[:, 0]
         assert np.array_equal(out["pp_fprime_to_tau"][:, k], stopped)
-    b_values = (-1.0, 0.25, 2.0)
-    rho = estimators._rho_chunk(values, b_values=b_values, f_prime=f_prime, w=w)["pp_y"]
+    rho = out["pp_y"]
     z = reflect_arrays(values, 0.0)[0]
     assert np.array_equal(rho, np.stack([_grid_sum(f_prime(z + b), w) for b in b_values], axis=1))
 
@@ -222,7 +222,7 @@ def test_skeleton_rho_bit_identical_across_row_blocks(monkeypatch, s, n_paths, m
 
 def test_grid_reducers_allocate_no_chunk_sized_temporaries():
     # a kou_verify-sized chunk of 64 rows x 9,212 points: value_chunk with 19 pairs and one passage
-    # with f'_+, and a 41-barrier _rho_chunk, keep block-sized buffers beside their outputs
+    # with f'_+, and a 41-barrier rho-hat curve of it, keep block-sized buffers beside their outputs
     rng = np.random.default_rng(5)
     values = np.cumsum(rng.normal(0.0, 0.035, (64, 9212)), axis=1)
     cost, q, dt = builtin_cost("quadratic"), 0.5, 2e-3
@@ -230,8 +230,8 @@ def test_grid_reducers_allocate_no_chunk_sized_temporaries():
     reducers = {
         "value_chunk": functools.partial(value_chunk, pairs=pairs, f=cost.f, q=q, dt=dt,
                                          passages=((0.0, -0.75),), f_prime=cost.f_prime_plus),
-        "_rho_chunk": functools.partial(estimators._rho_chunk, b_values=tuple(np.linspace(-2.0, 1.0, 41)),
-                                        f_prime=cost.f_prime_plus, w=integral_weights(q, dt, 9212)),
+        "rho": functools.partial(value_chunk, pairs=(), f=cost.f, q=q, dt=dt, f_prime=cost.f_prime_plus,
+                                 rho=tuple(np.linspace(-2.0, 1.0, 41))),
     }
     for name, reduce in reducers.items():
         tracemalloc.start()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost
+from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost, verification
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated
 from levybarrier.estimators import _moments, _value_pass
@@ -130,6 +130,13 @@ def test_convexity_pure_drift():
     assert all(abs(row["second_difference"]) <= 1e-8 for row in rep2.details)
 
 
+def test_convexity_refuses_a_short_horizon():
+    # e^{-qT} = 0.607 at T = 1: the horizon cuts off most of the discounted mass
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=16, master_seed=3)
+    with pytest.raises(ValueError, match="horizon too short"):
+        check_convexity(BM, quad_problem(1.0, 0.5), cfg, np.linspace(-1, 1, 5), b_star=-1.0)
+
+
 def test_convexity_guard_for_linear_cost():
     prob = ProblemSpec(cost=builtin_cost("piecewise_linear", slopes=(1.0, 1.0), kinks=(0.0,)),
                        C=1.0, q=0.5)
@@ -225,6 +232,29 @@ def test_shared_pass_reports_match_standalone_checks(n_workers):
     shared = run_checks(KOU, prob, cfg, list(kwargs.items()), n_workers=n_workers)
     assert [r.name for r in shared] == list(kwargs)
     assert [r.to_record() for r in shared] == [r.to_record() for r in alone]
+
+
+@pytest.mark.parametrize("names, reducers", [(("barrier_derivative", "slope_identity", "convexity"), 1),
+                                              (("barrier_derivative", "slope_identity", "convexity",
+                                                "martingale", "hjb"), 2)], ids=["three_checks", "five_checks"])
+def test_shared_pass_hands_one_value_reducer(monkeypatch, names, reducers):
+    # values, passages and rho-hat are one value_chunk reducer; only the martingale walk adds one
+    seen = []
+    real = verification.map_reduce_paths
+    monkeypatch.setattr(verification, "map_reduce_paths",
+                        lambda triplet, cfg, reduce, **kw: seen.append(len(reduce)) or real(triplet, cfg, reduce, **kw))
+    q, b_star = 0.5, -0.75
+    x_grid = [b_star + (i - 3) * 0.5 for i in range(7)]
+    kwargs = {
+        "barrier_derivative": {"x": b_star + 1.0, "b": b_star},
+        "slope_identity": {"x": b_star + 1.0, "b": b_star},
+        "convexity": {"x_grid": x_grid, "b_star": b_star},
+        "martingale": {"x": b_star + 1.0, "t_grid": [0.5, 1.0], "b_star": b_star},
+        "hjb": {"x_grid": x_grid, "fd_h": 0.25, "b_star": b_star},
+    }
+    run_checks(KOU, quad_problem(0.5, q), make_cfg(q, dt=0.05, n=64, seed=21, tail=1e-4),
+               [(n, kwargs[n]) for n in names])
+    assert seen == [reducers]
 
 
 # ---------------------------------------------------------------------------
