@@ -130,14 +130,21 @@ def _solver_chunk(values, *, bin_width, w):
 
 class _WeightedRho:
     """rho-hat(b) = sum_j w_j f'_+(x_j + b) / n, pooled and per batch (``batch_means``), over
-    points shared by every batch row of ``weights`` (histogram bin centres, their weights
-    pooled once in batch order) or over one zero-weight-padded row of samples per batch
-    (lattice replicate, ``path_engine._replicate_rows``)."""
+    points shared by every batch row of ``weights`` (histogram bin centres, each merged row read
+    in place at its own width, missing tail bins +0.0, and pooled once in batch order) or over one
+    zero-weight-padded row of samples per batch (lattice replicate, ``path_engine._replicate_rows``)."""
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray, batch_paths: np.ndarray, f_prime):
+    def __init__(self, points: np.ndarray, weights, batch_paths: np.ndarray, f_prime):
         self.points = points
         self.weights = weights
-        self.pooled = weights if points.ndim == 2 else np.sum(weights, axis=0)[None]
+        if points.ndim == 2:
+            self.pooled = weights
+        elif len(points) == 1:  # equal rows, which np.sum stacks; it sums one column pairwise
+            self.pooled = np.sum(weights, axis=0)[None]
+        else:  # rows added in sequence, as np.sum(axis=0) adds stacked rows wider than one bin
+            self.pooled = np.zeros((1, len(points)))
+            for row in weights:
+                self.pooled[0, : len(row)] += row
         self.batch_paths = batch_paths
         self.n_paths = float(batch_paths.sum())
         self.f_prime = f_prime
@@ -149,11 +156,21 @@ class _WeightedRho:
         return vals
 
     @staticmethod
-    def _row_sums(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _row_sums(vals: np.ndarray, rows) -> np.ndarray:
         # fixed-order row sums (a BLAS dot is threaded); unlike a matvec, equal rows get equal means.
-        # Each row is one pairwise sum, as row.sum() takes it; ``_row_blocks`` bound the product's size
-        vals = np.broadcast_to(vals, rows.shape)
-        return np.concatenate([(rows[s] * vals[s]).sum(axis=1) for s in _row_blocks(*rows.shape)])
+        # Each row is one pairwise sum over the full width, as row.sum() takes it; ``_row_blocks``
+        # bound the product's size, and a list's narrower rows are zero-padded in one block buffer
+        vals = np.broadcast_to(vals, (len(rows), vals.shape[-1]))
+        blocks = _row_blocks(*vals.shape)
+        if isinstance(rows, np.ndarray):
+            return np.concatenate([(rows[s] * vals[s]).sum(axis=1) for s in blocks])
+        buf, sums = np.empty((blocks[0].stop, vals.shape[1])), []
+        for s in blocks:
+            block = buf[: s.stop - s.start]
+            for dst, row in zip(block, rows[s]):
+                dst[: len(row)], dst[len(row):] = row, 0.0
+            sums.append(np.multiply(block, vals[s], out=block).sum(axis=1))
+        return np.concatenate(sums)
 
     def __call__(self, b: float) -> float:
         return float(self._row_sums(self._f_prime_at(b), self.pooled).sum()) / self.n_paths
@@ -276,7 +293,7 @@ def solve_barrier(
     reducer = functools.partial(_solver_chunk, bin_width=bin_width,
                                 w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
     [out] = map_reduce_paths(triplet, cfg, [reducer], n_workers=n_workers)
-    rho_hat = _WeightedRho(np.arange(out["acc_hist"].shape[-1]) * bin_width, out["acc_hist"],
+    rho_hat = _WeightedRho(np.arange(max(map(len, out["acc_hist"]))) * bin_width, out["acc_hist"],
                            _batch_path_counts(cfg.n_paths, _antithetic_active(triplet, cfg)),
                            problem.cost.f_prime_plus)
     return _root_of(rho_hat, out["pp_udisc"], triplet, problem, cfg, bisect_tol, "histogram")

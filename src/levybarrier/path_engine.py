@@ -62,6 +62,7 @@ skeleton, with no grid and no dt, serves ``solve_barrier_perturbed`` and
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -582,9 +583,9 @@ def _process_chunk(triplet, cfg, lo, hi, anti, reducers) -> list[dict]:
 
 
 def _merge(plan: list, partials, n_reducers: int) -> list[dict]:
-    """Merge each reducer's chunk partials as they arrive, in chunk order (fixed float
-    summation order); each batch's ``acc_*`` row grows alone, and the rows are stacked
-    once at the end."""
+    """Merge each reducer's chunk partials as they arrive (each dropped once merged), in chunk
+    order (fixed float summation order); each batch's ``acc_*`` row grows alone and is returned
+    as it is, never stacked, so the accumulators are held once."""
     outs: list[dict] = [{} for _ in range(n_reducers)]
     for (_, _, g), parts in zip(plan, partials):
         for out, part in zip(outs, parts):
@@ -602,14 +603,7 @@ def _merge(plan: list, partials, n_reducers: int) -> list[dict]:
                     raise KeyError(f"chunk partial key {key!r} has no merge rule")
     for out in outs:
         for key, val in out.items():
-            if key.startswith("pp_"):
-                out[key] = np.concatenate(val, axis=0)
-            else:
-                width = max(row.shape[-1] for row in val.values())
-                stacked = out[key] = np.zeros((len(val),) + val[0].shape[:-1] + (width,))
-                for g in range(len(val)):  # every batch has a chunk; a row is freed once stacked
-                    row = val.pop(g)
-                    stacked[g, ..., : row.shape[-1]] = row
+            out[key] = np.concatenate(val, axis=0) if key.startswith("pp_") else [val[g] for g in sorted(val)]
     return outs
 
 
@@ -626,11 +620,11 @@ def map_reduce_paths(
     ``functools.partial`` of a module-level chunk function) that receives the
     (chunk_paths, n_grid) value matrix and returns a dict whose keys select
     the merge rule: ``pp_*`` per-path rows (concatenated in path order) and
-    ``acc_*`` accumulator arrays (summed per path batch in chunk order,
-    right-padded along the last axis to the longest, and stacked into one
-    leading row per batch).  One merged dict is returned per reducer, in
-    order.  The chunk plan depends only on (n_paths, n_grid, antithetic
-    pairing), so results are identical for any worker count.
+    ``acc_*`` accumulator arrays (summed per path batch in chunk order into
+    a list of one row per batch, in batch order, each right-padded along the
+    last axis to its batch's widest partial).  One merged dict is returned
+    per reducer, in order.  The chunk plan depends only on (n_paths, n_grid,
+    antithetic pairing), so results are identical for any worker count.
 
     Pure-drift models collapse to a single representative path whose partials
     are expanded law-exactly (identical rows, accumulators scaled by each
@@ -654,5 +648,6 @@ def map_reduce_paths(
         partials = (_process_chunk(triplet, cfg, lo, hi, anti, reducers) for lo, hi, _ in plan)
         return _merge(plan, partials, len(reducers))
     with ProcessPoolExecutor(max_workers=n_workers) as ex:
-        futures = [ex.submit(_process_chunk, triplet, cfg, lo, hi, anti, reducers) for lo, hi, _ in plan]
-        return _merge(plan, (f.result() for f in futures), len(reducers))
+        chunk = functools.partial(_process_chunk, triplet, cfg, anti=anti, reducers=reducers)
+        los, his, _ = zip(*plan)  # map yields in chunk order and holds no result it has yielded
+        return _merge(plan, ex.map(chunk, los, his), len(reducers))

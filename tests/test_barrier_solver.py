@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -11,7 +12,15 @@ from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated, NoSignChange
 from levybarrier.estimators import _value_pass, estimate_rho, estimate_value
 from levybarrier.barrier_solver import barrier_sweep, solve_barrier, solve_barrier_perturbed
-from levybarrier.path_engine import clock_skeleton, clock_suprema, horizon_for, integral_weights
+from levybarrier.path_engine import (
+    BATCHES,
+    CHUNK_TARGET_FLOATS,
+    _chunk_plan,
+    clock_skeleton,
+    clock_suprema,
+    horizon_for,
+    integral_weights,
+)
 
 DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
 BM = LevyTriplet(gamma=0.0, sigma=1.0)
@@ -331,3 +340,69 @@ def test_weighted_rho_row_sums_match_per_row_sums(shape):
     for vals in (rng.standard_normal(shape[1]), rng.standard_normal(shape)):
         want = np.array([(row * v).sum() for row, v in zip(rows, np.broadcast_to(vals, shape))])
         assert np.array_equal(barrier_solver._WeightedRho._row_sums(vals, rows), want)
+
+
+def test_solve_holds_one_copy_of_the_histogram(monkeypatch, traced_peak):
+    # 2,000 Brownian paths at dt = 0.01: 64 histogram rows (23 MB) beside 31-path chunks (0.47 MB).
+    # Stacking the rows into one array beside them peaked at 2.4 times the two
+    merged = []
+    real = barrier_solver.map_reduce_paths
+
+    def kept(*args, **kwargs):
+        merged.extend(real(*args, **kwargs))
+        return merged
+
+    monkeypatch.setattr(barrier_solver, "map_reduce_paths", kept)
+    cfg = make_cfg(0.5, dt=0.01, n=2000, seed=3)
+    _, peak = traced_peak(lambda: solve_barrier(BM, quad_problem(1.0, 0.5), cfg, bisect_tol=1e-3))
+    rows = sum(row.nbytes for row in merged[0]["acc_hist"])
+    chunk = max(hi - lo for lo, hi, _ in _chunk_plan(cfg.n_paths, cfg.n_steps + 1, False, CHUNK_TARGET_FLOATS))
+    assert peak <= 1.25 * (rows + chunk * (cfg.n_steps + 1) * 8)
+
+
+def _padded(rows):
+    stacked = np.zeros((len(rows), max(map(len, rows))))
+    for dst, row in zip(stacked, rows):
+        dst[: len(row)] = row
+    return stacked
+
+
+def _same_rows(a, b):
+    return len(a) == len(b) and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def _histogram_rows(cfg, n_workers):
+    reducer = functools.partial(barrier_solver._solver_chunk, bin_width=2.5e-4,
+                                w=integral_weights(0.5, cfg.dt, cfg.n_steps + 1))
+    [out] = barrier_solver.map_reduce_paths(BM, cfg, [reducer], n_workers=n_workers)
+    return out["acc_hist"]
+
+
+def _random_rows(n, width, seed):
+    # nonnegative weights over many magnitudes, one row at the full width
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, width + 1, n)
+    widths[n // 2] = width
+    return [rng.random(w) * rng.choice([1e-3, 1.0, 1e3], w) for w in widths]
+
+
+@pytest.mark.parametrize("rows", ["histogram", "one_bin", "blocks_of_32", "wide"])
+def test_weighted_rho_reads_ragged_rows_as_padded_rows(rows):
+    # the merged rows keep their own widths; pooled curve and batch means equal those of the rows
+    # right-padded and stacked, bit for bit (np.sum(axis=0) pooled the stacked rows)
+    if rows == "histogram":  # 130 Brownian paths: 64 batches of 2-3 paths, each as high as it reaches
+        cfg = make_cfg(0.5, dt=0.05, n=130, seed=21)
+        rows = _histogram_rows(cfg, 1)
+        assert isinstance(rows, list) and len(rows) == BATCHES and len(set(map(len, rows))) > 1
+        assert _same_rows(rows, _histogram_rows(cfg, 2))
+    else:  # one bin (pooled pairwise), 32 rows per block of BLOCK_FLOATS, one row per block
+        rows = _random_rows(BATCHES, {"one_bin": 1, "blocks_of_32": 1000, "wide": 70_001}[rows], len(rows))
+    padded = _padded(rows)
+    points = np.arange(padded.shape[1]) * 2.5e-4
+    paths = np.arange(1.0, len(rows) + 1.0)
+    f_prime = builtin_cost("quadratic").f_prime_plus
+    ragged, stacked = (barrier_solver._WeightedRho(points, w, paths, f_prime) for w in (rows, padded))
+    assert ragged.pooled.tobytes() == np.sum(padded, axis=0).tobytes()
+    for b in (-2.0, -0.5, 0.0, 0.7):
+        assert ragged(b) == stacked(b)
+        assert ragged.batch_means(b).tobytes() == stacked.batch_means(b).tobytes()

@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -220,7 +219,7 @@ def test_skeleton_rho_bit_identical_across_row_blocks(monkeypatch, s, n_paths, m
     assert np.array_equal(seen[0], want)
 
 
-def test_grid_reducers_allocate_no_chunk_sized_temporaries():
+def test_grid_reducers_allocate_no_chunk_sized_temporaries(traced_peak):
     # a kou_verify-sized chunk of 64 rows x 9,212 points: value_chunk with 19 pairs and one passage
     # with f'_+, and a 41-barrier rho-hat curve of it, keep block-sized buffers beside their outputs
     rng = np.random.default_rng(5)
@@ -234,12 +233,7 @@ def test_grid_reducers_allocate_no_chunk_sized_temporaries():
                                  rho=tuple(np.linspace(-2.0, 1.0, 41))),
     }
     for name, reduce in reducers.items():
-        tracemalloc.start()
-        try:
-            out = reduce(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: reduce(values))
         assert peak - sum(v.nbytes for v in out.values()) < values.nbytes / 2, name
 
 
@@ -543,24 +537,22 @@ def test_lattice_rows_past_the_shift_table_draw_their_own_shifts(monkeypatch):
 
 
 @pytest.mark.parametrize("read", ["clock_skeleton", "skeleton_rho_curve"])
-def test_skeleton_peak_memory_at_large_k(read):
+def test_skeleton_peak_memory_at_large_k(read, traced_peak):
     # K = 3,690 segments and 8 rows (rows 640-647 in the skeleton read, so a table would hold all 64
     # shifts): a table of 64 x 4 K floats outweighed the rows, a traced peak of 36.7 and 8.8 n K
     # floats, where rows that draw their own shifts peak at 6.1 and 6.3
     triplet = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(200.0, 0.5, 3.0, 3.0))
     prob = ProblemSpec(cost=builtin_cost("quadratic"), C=0.5, q=0.5)
-    tracemalloc.start()
-    try:
+
+    def read_k():
         if read == "clock_skeleton":
             cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=1000, master_seed=7)
-            k = len(clock_skeleton(triplet, cfg, 0.5, range(640, 648))[0])
-        else:
-            cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=8, master_seed=7)
-            skeleton_rho_curve(triplet, prob, [-0.5, 0.0], cfg, "exp_clock")
-            k = path_engine._clock_segments(200.0, 0.5, cfg.tail_tol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            return len(clock_skeleton(triplet, cfg, 0.5, range(640, 648))[0])
+        cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=8, master_seed=7)
+        skeleton_rho_curve(triplet, prob, [-0.5, 0.0], cfg, "exp_clock")
+        return path_engine._clock_segments(200.0, 0.5, cfg.tail_tol)
+
+    k, peak = traced_peak(read_k)
     assert k == 3690
     assert peak <= 7.0 * 8 * 8 * k
 
@@ -641,18 +633,17 @@ def test_clock_skeleton_over_budget_raises_before_allocating():
 
 
 @pytest.mark.parametrize("q", [1e-9, 1e-300])
-def test_skeleton_rho_refuses_a_long_clock_before_allocating(q):
+def test_skeleton_rho_refuses_a_long_clock_before_allocating(q, traced_peak):
     # q = 1e-9: K = 9,210,339,607 segments, whose weights alone would take 69 GiB; at q = 1e-300,
     # p = rate / (rate + q) rounds to 1 and K is infinite
     cp = LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5)))
     cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=10, master_seed=1)
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(ValueError, match=r"1 paths x K = (9210339607|inf) jumps .* larger q \(problem.q\)"):
             skeleton_rho_curve(cp, ProblemSpec(builtin_cost("quadratic"), 0.0, q), [0.0], cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 2**20
 
 
@@ -660,18 +651,13 @@ def test_skeleton_rho_refuses_a_long_clock_before_allocating(q):
     (LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 3.0, 3.0)), 4.77),
     (LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5))), 3.77),
 ], ids=["kou_config", "compound_poisson_config"])
-def test_clock_skeleton_peak_memory(triplet, bound):
+def test_clock_skeleton_peak_memory(triplet, bound, traced_peak):
     # the models of the shipped configs at q = 0.5 (K = 24).  Uniforms are drawn and transformed a
     # slab at a time, straight into the returned arrays, so at n K = 2**20 the traced peak stays
     # within what drawing each path's Exp(1) and sizes by separate calls took (4.77 and 3.77 n K
     # floats)
     cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=2**20 // 24, master_seed=7)
-    tracemalloc.start()
-    try:
-        pi, _, _ = clock_skeleton(triplet, cfg, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (pi, _, _), peak = traced_peak(lambda: clock_skeleton(triplet, cfg, 0.5))
     assert len(pi) == 24
     assert peak <= bound * 8 * cfg.n_paths * len(pi)
 
@@ -691,8 +677,15 @@ def _sum_chunk(values):
     return {"pp_sum": values.sum(axis=1), "acc_total": np.array([values.sum()])}
 
 
+def _same_rows(a, b):
+    """Bit-equal arrays, or bit-equal lists of batch rows (a merged ``acc_*``)."""
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same_bits, a, b))
+    return _same_bits(a, b)
+
+
 def _same_dicts(a, b):
-    return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    return a.keys() == b.keys() and all(_same_rows(a[k], b[k]) for k in a)
 
 
 def test_map_reduce_worker_and_chunk_invariance():
@@ -711,6 +704,22 @@ def test_map_reduce_worker_and_chunk_invariance():
     for n_workers in (1, 2):
         both = map_reduce_paths(kou, cfg, [_sum_chunk, value], n_workers=n_workers)
         assert _same_dicts(both[0], base) and _same_dicts(both[1], alone)
+
+
+def _wide_chunk(values):
+    # a 256 KiB accumulator per chunk, whatever its path count
+    return {"acc_wide": np.ones(2**15)}
+
+
+def test_pool_merge_drops_each_partial_once_merged(traced_peak):
+    # 64 one-path chunks on two workers: the parent holds the 64 merged rows and only the partials
+    # it has not merged yet.  Holding every chunk's partial until the merge returned peaked at 2x
+    # the rows, and 3x beside a stacked copy of them
+    cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=64, master_seed=3, tail_tol=0.999)
+    [out], peak = traced_peak(lambda: map_reduce_paths(BM, cfg, [_wide_chunk], n_workers=2))
+    rows = out["acc_wide"]
+    assert len(rows) == BATCHES and all(np.array_equal(row, np.ones(2**15)) for row in rows)
+    assert peak <= 1.5 * sum(row.nbytes for row in rows)
 
 
 def test_value_sums_independent_of_chunk_rows():
@@ -740,14 +749,15 @@ def test_accumulators_are_summed_per_batch():
     # 3- and 4-path batches cut into 2-path chunks: rows are right-padded
     # along the last axis only, then summed within the batch
     [out] = map_reduce_paths(kou, cfg, [_width_chunk], chunk_target=2 * 101)
+    grid = np.stack(out["acc_grid"])  # one row per batch, in batch order
     sizes = np.diff([g * 200 // BATCHES for g in range(BATCHES + 1)])
     want = np.stack([np.full((2, 2), [2.0, n - 2.0]) for n in sizes])
-    assert out["acc_grid"].shape == (BATCHES, 2, 2)
-    assert np.array_equal(out["acc_grid"], want)
+    assert grid.shape == (BATCHES, 2, 2)
+    assert np.array_equal(grid, want)
     # pure drift: each batch row is the representative path's scaled by its size
     [drift] = map_reduce_paths(DRIFT_UP, cfg, [_sum_chunk])
     [one] = map_reduce_paths(DRIFT_UP, replace(cfg, n_paths=1), [_sum_chunk])
-    assert np.array_equal(drift["acc_total"][:, 0], one["acc_total"][0, 0] * sizes)
+    assert np.array_equal(np.stack(drift["acc_total"])[:, 0], np.stack(one["acc_total"])[0, 0] * sizes)
 
 
 @settings(max_examples=200, deadline=None)
