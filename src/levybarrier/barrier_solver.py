@@ -1,17 +1,18 @@
 """Optimal barrier computation by sample-average bisection on rho(b) + C.
 
 The solver fixes ONE common-random-number batch of paths reflected at 0 and,
-in one streamed pass, compresses its discounted occupation of U^0 into a
-fine histogram per fixed path batch: since rho-hat(b) only reads the batch
-through f'_+(U + b) integrated against fixed weights, binning U to width h
-shifts the fitted root by at most h/2 (the nondecreasing rho-hat curves for
-the binned and unbinned batches sandwich each other within a horizontal h/2
-shift).  The bin width is kept at a quarter of the bisection tolerance, so
-the bisection runs on the pooled histogram, a deterministic, exactly
-nondecreasing g(b) = rho-hat(b) + C at negligible cost per evaluation.
-Statistical error enters only through the confidence half-width, from the
-batch-means stderr of rho-hat(b*): the sample standard deviation of the
-per-batch rho-hat(b*) over sqrt(B), B = 64 batches (63 degrees of freedom).
+in one streamed pass (``path_engine.value_chunk``), compresses its
+discounted occupation of U^0 into a fine histogram per fixed path batch:
+since rho-hat(b) only reads the batch through f'_+(U + b) integrated against
+fixed weights, binning U to width h shifts the fitted root by at most h/2
+(the nondecreasing rho-hat curves for the binned and unbinned batches
+sandwich each other within a horizontal h/2 shift).  The bin width is kept
+at a quarter of the bisection tolerance, so the bisection runs on the pooled
+histogram, a deterministic, exactly nondecreasing g(b) = rho-hat(b) + C at
+negligible cost per evaluation.  Statistical error enters only through the
+confidence half-width, from the batch-means stderr of rho-hat(b*): the sample
+standard deviation of the per-batch rho-hat(b*) over sqrt(B), B = 64 batches
+(63 degrees of freedom).
 
 Driftless compound Poisson models are handled by re-solving under the
 drift-perturbed processes X_t - eps*t for a decreasing grid of eps and
@@ -34,19 +35,15 @@ from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
 from .estimators import EstimateWithError, _finish, _outside_stacklevel, _rho_grid, _value_pass
 from .levy_model import LevyTriplet, exp_moment_check
 from .path_engine import (
-    BATCHES,
-    HISTOGRAM_FLOATS,
     SimConfig,
     _antithetic_active,
     _batch_path_counts,
-    _grid_sum,
-    _reflected_at_zero,
     _replicate_rows,
     _row_blocks,
     clock_skeleton,
     clock_suprema,
-    integral_weights,
     map_reduce_paths,
+    value_chunk,
 )
 
 __all__ = [
@@ -107,25 +104,6 @@ class PerturbedBarrierResult:
             "monotone_trend": self.monotone_trend,
             "eps_sequence": [[eps, res.to_record()] for eps, res in self.levels],
         }
-
-
-# ---------------------------------------------------------------------------
-# chunk reducer: occupation histogram + per-path statistics
-# ---------------------------------------------------------------------------
-
-
-def _solver_chunk(values, *, bin_width, w):
-    u = _reflected_at_zero(values)
-    udisc = _grid_sum(u, w)
-    if u.max() / bin_width * BATCHES > HISTOGRAM_FLOATS:
-        raise ValueError(f"bisect_tol too small: {u.max() / bin_width:.3g} bins per batch exceed the "
-                         f"{HISTOGRAM_FLOATS}-float histogram budget over {BATCHES} batches")
-    bins = np.rint(np.divide(u, bin_width, out=u), out=u).astype(np.int64)
-    u[:] = w  # the spent buffer holds the bin weights: no chunk-sized copy
-    return {
-        "acc_hist": np.bincount(bins.ravel(), weights=u.ravel()),
-        "pp_udisc": udisc,
-    }
 
 
 class _WeightedRho:
@@ -290,9 +268,8 @@ def solve_barrier(
     cfg.validate_for(problem.q)
     bin_width = min(1e-3, _tol(bisect_tol, 0.0)) / 4.0  # at b = 0 the relative rule is its floor
 
-    reducer = functools.partial(_solver_chunk, bin_width=bin_width,
-                                w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1))
-    [out] = map_reduce_paths(triplet, cfg, [reducer], n_workers=n_workers)
+    reducer = functools.partial(value_chunk, pairs=(), f=problem.cost.f, q=problem.q, dt=cfg.dt, hist=bin_width)
+    out = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
     rho_hat = _WeightedRho(np.arange(max(map(len, out["acc_hist"]))) * bin_width, out["acc_hist"],
                            _batch_path_counts(cfg.n_paths, _antithetic_active(triplet, cfg)),
                            problem.cost.f_prime_plus)

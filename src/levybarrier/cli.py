@@ -67,6 +67,7 @@ from .path_engine import CHUNK_TARGET_FLOATS, ENGINE_VERSION, SimConfig, horizon
 from .verification import run_checks
 
 COMMANDS = ("solve", "value", "rho", "sweep", "verify", "perturb")
+CHECKS = ("barrier_derivative", "slope_identity", "convexity", "martingale", "hjb")
 
 _SCHEMA = {
     "model": {"gamma", "sigma", "theta_bar", "jumps"},
@@ -307,10 +308,12 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         return {"sweep": [estimate_record("sweep_value", est, b=b, x=x) for b, est in curve]}
 
     if command == "verify":
-        names = _need(cfg, "verify.checks", default=["barrier_derivative", "slope_identity", "convexity",
-                                                     "martingale", "hjb"])
+        names = _need(cfg, "verify.checks", default=list(CHECKS))
         if not isinstance(names, list):
             raise ConfigError(f"config.verify.checks: expected a list of check names, got {names!r}")
+        for name in names:  # before the solve, which the checks wait for
+            if not isinstance(name, str) or name not in CHECKS:
+                raise ConfigError(f"config.verify.checks: unknown check {name!r}")
         res = solve_barrier(model, problem, sim, bisect_tol=_need(cfg, "solve.bisect_tol", float, None),
                             n_workers=n_workers)
         b = _need(cfg, "verify.b", float, res.b_star)
@@ -327,9 +330,6 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
             "martingale": {"x": x, "t_grid": t_grid, "b_star": res.b_star},
             "hjb": {"x_grid": x_grid, "fd_h": fd_h, "b_star": res.b_star},
         }
-        for name in names:
-            if name not in check_args:
-                raise ConfigError(f"config.verify.checks: unknown check {name!r}")
         reports = run_checks(model, problem, sim, [(n, check_args[n]) for n in names], n_workers=n_workers)
         for name, rep in zip(names, reports):
             _check_to_csv(out_dir, name, rep)

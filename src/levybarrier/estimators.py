@@ -163,7 +163,7 @@ def _value_pass(triplet, problem, cfg, pairs, n_workers=1):
     returns (running + C * control, partials)."""
     reducer = functools.partial(value_chunk, pairs=tuple((float(o), float(b)) for o, b in pairs),
                                 f=problem.cost.f, q=problem.q, dt=cfg.dt)
-    [out] = map_reduce_paths(triplet, cfg, [reducer], n_workers=n_workers)
+    out = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
     return out["pp_running"] + problem.C * out["pp_control"], out
 
 
@@ -254,7 +254,7 @@ def estimate_rho_curve(
     cfg.validate_for(problem.q)
     reducer = functools.partial(value_chunk, pairs=(), f=problem.cost.f, q=problem.q, dt=cfg.dt,
                                 f_prime=problem.cost.f_prime_plus, rho=b_grid)
-    [out] = map_reduce_paths(triplet, cfg, [reducer], n_workers=n_workers)
+    out = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
     anti = _antithetic_active(triplet, cfg)
     return _rho_curve(out["pp_y"], b_grid, "time_integral", anti, triplet, problem, cfg)
 

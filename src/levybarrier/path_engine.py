@@ -42,20 +42,20 @@ a = 1 and 3.6e-3 with independent blocks: a poor generator loses the gain.
 
 Large runs never materialize the full (paths x grid) matrix: the one grid
 pass, ``map_reduce_paths``, simulates each chunk of paths from 0 once and
-hands it to every reducer it is given, merging each reducer's partials in
-chunk order so results do not depend on the worker count; accumulators are
-summed per fixed batch of consecutive streams (``BATCHES``, mirrored pairs
-together), giving batch-means errors.  A path started at x is the path from
-0 plus x bit for bit, so a start is an offset that a reducer adds; one
-reducer, ``value_chunk``, reads the value at any (start offset, barrier)
-pair, first passages and time-integral rho-hat off one running minimum per
-row block, since the minimum of a shifted path is the shifted minimum (the
-solver's histogram and the martingale check's walks take their own).  Sums
-along the grid take fixed-length dot products per path, so a path's sums
-depend neither on its chunk nor on the BLAS thread count.  The grid
-reducers sweep a chunk in row blocks of ``BLOCK_FLOATS`` (``_row_blocks``),
-in reused block-sized buffers that stay in cache; each row takes the same
-operations in the same order, so the bits do not depend on the block size.
+hands it to its one reducer, merging the chunk partials in chunk order so
+results do not depend on the worker count; accumulators are summed per fixed
+batch of consecutive streams (``BATCHES``, mirrored pairs together), giving
+batch-means errors.  A path started at x is the path from 0 plus x bit for
+bit, so a start is an offset that the reducer adds.  Every grid pass has the
+one reducer ``value_chunk``: it reads the value at any (start offset,
+barrier) pair, first passages, stopped values, time-integral rho-hat and the
+solver's occupation histogram off one running minimum per row block, since
+the minimum of a shifted path is the shifted minimum.  Sums along the grid
+take fixed-length dot products per path, so a path's sums depend neither on
+its chunk nor on the BLAS thread count.  The grid reducer sweeps a chunk in
+row blocks of ``BLOCK_FLOATS`` (``_row_blocks``), in reused block-sized
+buffers that stay in cache; each row takes the same operations in the same
+order, so the bits do not depend on the block size.
 Grid paths serve every estimator, solver and check but two: the clock
 skeleton, with no grid and no dt, serves ``solve_barrier_perturbed`` and
 ``estimators.skeleton_rho_curve`` (the CLI's ``rho``).
@@ -414,13 +414,6 @@ def _row_blocks(n_rows: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
 
 
-def _reflected_at_zero(values: np.ndarray) -> np.ndarray:
-    """U^0 = values - min(running min, 0): ``reflect_arrays(values, 0.0)[0]`` bit for bit."""
-    u = np.minimum.accumulate(values, axis=-1)
-    np.minimum(u, 0.0, out=u)
-    return np.subtract(values, u, out=u)
-
-
 def reflect_arrays(values: np.ndarray, b: float):
     """(u, r, tau_idx) for the lower-barrier reflection of each row.
 
@@ -489,8 +482,8 @@ def stopped_integral(g: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarra
 
 
 def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(), f_prime=None,
-                rho=()) -> dict:
-    """Running and control parts of the value at every (offset, barrier) pair.
+                rho=(), stops=(), hist=None) -> dict:
+    """The grid reducer: every figure a pass reads off a chunk of paths from 0.
 
     ``pp_running`` and ``pp_control`` have shape (n, pairs) and hold
     ``discounted_integral(f(U))`` and ``discounted_stieltjes(R)`` for the
@@ -504,10 +497,19 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     no figure depends on the block size.  Per (offset, level) of ``passages``,
     ``pp_tau_disc`` is e^{-q tau} (0 if the path values + o never pass below
     the level) and, with ``f_prime``, ``pp_fprime_to_tau`` the left-rule
-    integral of f'_+ along that unreflected path up to tau.  Per barrier b of
+    integral of f'_+ along that unreflected path up to tau.  Per (offset,
+    level, grid indices t_k) of ``stops``, the path values + o stop at
+    j = min(tau, t_k): ``pp_stop_at`` holds j, ``pp_stop_value`` the value
+    there and ``pp_stop_integral`` the left-rule integral of f up to j, one
+    column per t_k, the stops' columns side by side.  Per barrier b of
     ``rho`` (which needs ``f_prime``), ``pp_y`` is the time-integral rho-hat
     sample sum_i w_i f'_+(U^0_i + b), U^0 = values - min(m, 0) the path
-    reflected at 0, ``reflect_arrays(values, 0.0)[0]`` bit for bit.
+    reflected at 0, ``reflect_arrays(values, 0.0)[0]`` bit for bit.  With a
+    bin width ``hist``, ``pp_udisc`` is sum_i w_i U^0_i and ``acc_hist`` the
+    chunk's occupation histogram: weight w_i in bin rint(U^0_i / hist), added
+    in ravel order, so its bits are those of one ``np.bincount`` over the
+    chunk; a block whose bins would pass ``HISTOGRAM_FLOATS`` over
+    ``BATCHES`` rows raises ValueError before it is binned.
     """
     n_rows, n_grid = values.shape
     w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
@@ -515,6 +517,10 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     y = np.empty((n_rows, len(rho)))
     tau = np.empty((n_rows, len(passages)), dtype=np.intp)
     to_tau = np.empty((n_rows, len(passages)))
+    cols = np.cumsum([0] + [len(t) for _, _, t in stops])
+    stop_at = np.empty((n_rows, cols[-1]), dtype=np.intp)
+    stop_value, stop_integral = np.empty((2, n_rows, cols[-1]))
+    udisc, occupation, n_bins = np.empty(n_rows), np.zeros(0), 0
     blocks = _row_blocks(n_rows, n_grid)
     buffers = np.empty((3, blocks[0].stop if blocks else 0, n_grid))
     for rows in blocks:
@@ -534,10 +540,28 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
             if f_prime is not None:
                 g = np.asarray(f_prime(np.add(block, o, out=u)), dtype=float)
                 to_tau[rows, k] = stopped_integral(g, w, tau[rows, k:k + 1])[:, 0]
-        if rho:
+        for (o, level, times), lo, hi in zip(stops, cols, cols[1:]):
+            j = np.minimum(first_passage_index(np.add(m, o, out=r), level)[:, None], times)
+            stop_at[rows, lo:hi] = j
+            stop_value[rows, lo:hi] = np.take_along_axis(np.add(block, o, out=u), j, axis=1)
+            end = max(times) + 1  # no path stops later
+            stop_integral[rows, lo:hi] = stopped_integral(np.asarray(f(u[:, :end]), dtype=float), w[:end], j)
+        if rho or hist:
             np.subtract(block, np.minimum(m, 0.0, out=r), out=r)
             for k, b in enumerate(rho):
                 y[rows, k] = _grid_sum(f_prime(np.add(r, b, out=u)), w)
+        if hist:
+            udisc[rows] = _grid_sum(r, w)
+            top = r.max() / hist
+            if top * BATCHES > HISTOGRAM_FLOATS:
+                raise ValueError(f"bisect_tol too small: {top:.3g} bins per batch exceed the "
+                                 f"{HISTOGRAM_FLOATS}-float histogram budget over {BATCHES} batches")
+            n_bins = max(n_bins, int(np.rint(top)) + 1)  # rounding is monotone: the block's top bin
+            if n_bins > len(occupation):  # room for twice the bins, cut to n_bins on return
+                occupation = np.concatenate((occupation, np.zeros(2 * n_bins - len(occupation))))
+            bins = np.rint(np.divide(r, hist, out=r), out=r).astype(np.intp)
+            u[:] = w
+            np.add.at(occupation, bins.ravel(), u.ravel())  # 1-D operands: numpy's fast path
     out = {"pp_running": running, "pp_control": control}
     if rho:
         out["pp_y"] = y
@@ -545,6 +569,10 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
         out["pp_tau_disc"] = np.append(disc, 0.0)[tau]
         if f_prime is not None:
             out["pp_fprime_to_tau"] = to_tau
+    if stops:
+        out.update(pp_stop_at=stop_at, pp_stop_value=stop_value, pp_stop_integral=stop_integral)
+    if hist:
+        out.update(pp_udisc=udisc, acc_hist=occupation[:n_bins])
     return out
 
 
@@ -577,77 +605,77 @@ def _batch_path_counts(n_paths: int, antithetic: bool) -> np.ndarray:
     return np.bincount([g for _, _, g in plan], weights=[hi - lo for lo, hi, _ in plan])
 
 
-def _process_chunk(triplet, cfg, lo, hi, anti, reducers) -> list[dict]:
-    values = _simulate_chunk(triplet, cfg, lo, hi, anti)
-    return [reduce(values) for reduce in reducers]
+def _process_chunk(triplet, cfg, lo, hi, anti, reducer) -> dict:
+    return reducer(_simulate_chunk(triplet, cfg, lo, hi, anti))
 
 
-def _merge(plan: list, partials, n_reducers: int) -> list[dict]:
-    """Merge each reducer's chunk partials as they arrive (each dropped once merged), in chunk
-    order (fixed float summation order); each batch's ``acc_*`` row grows alone and is returned
-    as it is, never stacked, so the accumulators are held once."""
-    outs: list[dict] = [{} for _ in range(n_reducers)]
-    for (_, _, g), parts in zip(plan, partials):
-        for out, part in zip(outs, parts):
-            for key, val in part.items():
-                if key.startswith("pp_"):
-                    out.setdefault(key, []).append(val)
-                elif key.startswith("acc_"):
-                    val = np.asarray(val, dtype=float)
-                    row = out.setdefault(key, {}).get(g, np.zeros(val.shape[:-1] + (0,)))
-                    if val.shape[-1] > row.shape[-1]:
-                        row = np.pad(row, [(0, 0)] * (row.ndim - 1) + [(0, val.shape[-1] - row.shape[-1])])
-                    row[..., : val.shape[-1]] += val
-                    out[key][g] = row
-                else:
-                    raise KeyError(f"chunk partial key {key!r} has no merge rule")
-    for out in outs:
-        for key, val in out.items():
-            out[key] = np.concatenate(val, axis=0) if key.startswith("pp_") else [val[g] for g in sorted(val)]
-    return outs
+def _merge(plan: list, partials) -> dict:
+    """Merge the chunk partials as they arrive (each dropped once merged), in chunk order (fixed
+    float summation order); each batch's ``acc_*`` row grows alone and is returned as it is, never
+    stacked, so the accumulators are held once."""
+    out: dict = {}
+    for (_, _, g), part in zip(plan, partials):
+        for key, val in part.items():
+            if key.startswith("pp_"):
+                out.setdefault(key, []).append(val)
+            elif key.startswith("acc_"):
+                val = np.asarray(val, dtype=float)
+                row = out.setdefault(key, {}).get(g, np.zeros(val.shape[:-1] + (0,)))
+                if val.shape[-1] > row.shape[-1]:
+                    row = np.pad(row, [(0, 0)] * (row.ndim - 1) + [(0, val.shape[-1] - row.shape[-1])])
+                row[..., : val.shape[-1]] += val
+                out[key][g] = row
+            else:
+                raise KeyError(f"chunk partial key {key!r} has no merge rule")
+    for key, val in out.items():
+        out[key] = np.concatenate(val, axis=0) if key.startswith("pp_") else [val[g] for g in sorted(val)]
+    return out
 
 
-def map_reduce_paths(
-    triplet: LevyTriplet,
-    cfg: SimConfig,
-    reducers,
-    n_workers: int = 1,
-    chunk_target: int = CHUNK_TARGET_FLOATS,
-) -> list[dict]:
-    """Simulate each chunk of paths from 0 once, pass it to every reducer, and merge.
+def _copies(plan: list, part: dict) -> dict:
+    """The merge of ``plan`` with every path a copy of the one-path partial ``part``: rows repeated,
+    accumulators scaled by each chunk's path count.  Batches with the same chunk sizes (at most two
+    kinds, as batch sizes differ by at most one) share one merged row by reference."""
+    sizes: dict = {}
+    for lo, hi, g in plan:
+        sizes[g] = sizes.get(g, ()) + (hi - lo,)
+    acc = {k: v for k, v in part.items() if not k.startswith("pp_")}  # _merge refuses unknown keys
+    rows = {n: _merge([(0, 0, 0)] * len(n), ({k: np.multiply(v, c) for k, v in acc.items()} for c in n))
+            for n in set(sizes.values())}
+    out = {k: np.repeat(v, plan[-1][1], axis=0) for k, v in part.items() if k.startswith("pp_")}
+    return out | {k: [rows[sizes[g]][k][0] for g in sorted(sizes)] for k in acc}
 
-    Each of ``reducers`` is a one-argument callable (picklable for a pool: a
-    ``functools.partial`` of a module-level chunk function) that receives the
-    (chunk_paths, n_grid) value matrix and returns a dict whose keys select
-    the merge rule: ``pp_*`` per-path rows (concatenated in path order) and
-    ``acc_*`` accumulator arrays (summed per path batch in chunk order into
-    a list of one row per batch, in batch order, each right-padded along the
-    last axis to its batch's widest partial).  One merged dict is returned
-    per reducer, in order.  The chunk plan depends only on (n_paths, n_grid,
-    antithetic pairing), so results are identical for any worker count.
+
+def map_reduce_paths(triplet: LevyTriplet, cfg: SimConfig, reducer, n_workers: int = 1) -> dict:
+    """Simulate each chunk of paths from 0 once, pass it to ``reducer``, and merge.
+
+    ``reducer`` is a one-argument callable (picklable for a pool: a
+    ``functools.partial`` of a module-level chunk function, ``value_chunk``
+    for every pass in the package) that receives the (chunk_paths, n_grid)
+    value matrix and returns a dict whose keys select the merge rule:
+    ``pp_*`` per-path rows (concatenated in path order) and ``acc_*``
+    accumulator arrays (summed per path batch in chunk order into a list of
+    one row per batch, in batch order, each right-padded along the last axis
+    to its batch's widest partial).  Chunks hold at most
+    ``CHUNK_TARGET_FLOATS`` floats, read when the pass starts.  The chunk
+    plan depends only on (n_paths, n_grid, antithetic pairing), so results
+    are identical for any worker count.
 
     Pure-drift models collapse to a single representative path whose partials
     are expanded law-exactly (identical rows, accumulators scaled by each
-    batch's path count); stderr over paths is exactly zero there, as it
-    should be.  Scaling and then dividing by a batch size rounds, so a
+    batch's path count, ``_copies``); stderr over paths is exactly zero there,
+    as it should be.  Scaling and then dividing by a batch size rounds, so a
     caller wanting per-batch means of such a model takes them equal.
     """
     anti = _antithetic_active(triplet, cfg, warn=True)
     if triplet.is_deterministic:
         plan = _chunk_plan(cfg.n_paths, 1, anti, cfg.n_paths)  # whole batches (halves if paired)
-        parts = _process_chunk(triplet, cfg, 0, 1, anti, reducers)
-        partials = (
-            [{k: np.repeat(v, hi - lo, axis=0) if k.startswith("pp_") else np.multiply(v, hi - lo)
-              for k, v in part.items()} for part in parts]
-            for lo, hi, _ in plan
-        )
-        return _merge(plan, partials, len(reducers))
+        return _copies(plan, _process_chunk(triplet, cfg, 0, 1, anti, reducer))
 
-    plan = _chunk_plan(cfg.n_paths, cfg.n_steps + 1, anti, chunk_target)
+    plan = _chunk_plan(cfg.n_paths, cfg.n_steps + 1, anti, CHUNK_TARGET_FLOATS)
     if n_workers <= 1 or len(plan) == 1:
-        partials = (_process_chunk(triplet, cfg, lo, hi, anti, reducers) for lo, hi, _ in plan)
-        return _merge(plan, partials, len(reducers))
+        return _merge(plan, (_process_chunk(triplet, cfg, lo, hi, anti, reducer) for lo, hi, _ in plan))
     with ProcessPoolExecutor(max_workers=n_workers) as ex:
-        chunk = functools.partial(_process_chunk, triplet, cfg, anti=anti, reducers=reducers)
+        chunk = functools.partial(_process_chunk, triplet, cfg, anti=anti, reducer=reducer)
         los, his, _ = zip(*plan)  # map yields in chunk order and holds no result it has yielded
-        return _merge(plan, ex.map(chunk, los, his), len(reducers))
+        return _merge(plan, ex.map(chunk, los, his))

@@ -19,10 +19,11 @@ bit, so each start is an offset.  A check validates its arguments, yields
 an ``_Ask`` of what it reads off the pass, is sent the ``_Pass`` and yields
 its report; each public ``check_*`` is ``run_checks`` with that one check.
 What several checks ask is computed once: ONE ``value_chunk`` reducer reads
-every value, first passage and rho-hat column, beside the martingale
-check's walk (a reducer of its own).  Only the martingale check's node
-values (an independent seed) run a pass of their own; the checks at the
-barrier take b_star as given and never solve for it.
+every value, first passage, stopped value and rho-hat column, and the
+martingale check evaluates its interpolant at the stopped values after the
+pass.  Only the martingale check's node values (an independent seed) run a
+pass of their own; the checks at the barrier take b_star as given and never
+solve for it.
 
 Checks are advisory: they return reports, they do not raise on failure.
 """
@@ -32,7 +33,6 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -43,10 +43,7 @@ from .path_engine import (
     SimConfig,
     _antithetic_active,
     discount_factors,
-    first_passage_index,
-    integral_weights,
     map_reduce_paths,
-    stopped_integral,
     value_chunk,
 )
 
@@ -120,19 +117,6 @@ def _hat_weights(y, nodes, C):
     return W, const
 
 
-def _martingale_chunk(values, *, x, b_star, t_indices, nodes, node_means, C, f, w, disc):
-    values = values + x  # the paths started at x, bit for bit
-    tau = first_passage_index(np.minimum.accumulate(values, axis=-1), b_star)
-    # stop each path at tau and t: j = min(tau, t_k) per (path, t_k)
-    j = np.minimum(tau[:, None], np.asarray(t_indices)[None, :])
-    idx, t, const = _hat(np.take_along_axis(values, j, axis=1), nodes, C)
-    v = node_means
-    out = disc[j] * ((1.0 - t) * v[idx] + t * v[idx + 1] + const) + stopped_integral(
-        np.asarray(f(values), dtype=float), w, j
-    )
-    return {"pp_m": out}
-
-
 @dataclass(frozen=True)
 class _Ask:
     """What one check reads off the shared pass of the paths from 0."""
@@ -141,7 +125,7 @@ class _Ask:
     passages: tuple = ()    # (start offset, level) first passages
     f_prime: bool = False   # with the integrals of f'_+ up to them
     rho: tuple = ()         # barriers of time-integral rho-hat
-    martingale: Callable | None = None  # a ``_martingale_chunk`` reducer
+    stops: tuple = ()       # (start offset, level, grid indices) stopped values
 
 
 class _Pass:
@@ -150,19 +134,20 @@ class _Pass:
     def __init__(self, triplet, problem, cfg, asks, n_workers):
         self.pairs = list(dict.fromkeys(p for a in asks for p in a.pairs))
         self.passages = list(dict.fromkeys(p for a in asks for p in a.passages))
-        self.walks = [a.martingale for a in asks if a.martingale is not None]
+        self.stops = list(dict.fromkeys(s for a in asks for s in a.stops))
         rho_b = _rho_grid(sorted({b for a in asks for b in a.rho}))
         f_prime = problem.cost.f_prime_plus if rho_b or any(a.f_prime for a in asks) else None
         reducer = functools.partial(value_chunk, pairs=tuple(self.pairs), f=problem.cost.f, q=problem.q,
-                                    dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime, rho=rho_b)
-        value, *walks = map_reduce_paths(triplet, cfg, [reducer] + self.walks, n_workers=n_workers)
+                                    dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime, rho=rho_b,
+                                    stops=tuple(self.stops))
+        value = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
         self.antithetic = _antithetic_active(triplet, cfg)
         self.v = value["pp_running"] + problem.C * value["pp_control"]
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
             self.rho = dict(_rho_curve(value["pp_y"], rho_b, "time_integral", self.antithetic,
                                        triplet, problem, cfg))
-        self.m = [out["pp_m"] for out in walks]
+        self.stopped_columns = [value.get(f"pp_stop_{k}") for k in ("at", "value", "integral")]
 
     def stat(self, samples, kind: str) -> tuple[float, float]:
         """(mean, stderr) of per-path samples, refused if not finite, with
@@ -177,6 +162,12 @@ class _Pass:
     def passage(self, o, level, f_prime=False) -> np.ndarray:
         """e^{-q tau} per path, or with ``f_prime`` the integral of f'_+ up to tau."""
         return (self.fprime_to_tau if f_prime else self.tau_disc)[:, self.passages.index((o, level))]
+
+    def stopped(self, stop):
+        """(j, value at j, left-rule integral of f up to j) per path and grid index t_k of
+        ``stop`` = (o, level, t indices): the path values + o stopped at j = min(tau, t_k)."""
+        lo = sum(len(times) for *_, times in self.stops[: self.stops.index(stop)])
+        return [col[:, lo:lo + len(stop[2])] for col in self.stopped_columns]
 
 
 _PLANS: dict = {}
@@ -350,25 +341,18 @@ def check_martingale(
     node_v, _ = _value_pass(triplet, problem, node_cfg, [(o, b_star) for o in node_grid], n_workers=n_workers)
     node_means = node_v.mean(axis=0)
 
-    t_indices = sorted({0} | {int(round(t / cfg.dt)) for t in t_grid})
+    t_indices = tuple(sorted({0} | {int(round(t / cfg.dt)) for t in t_grid}))
     if max(t_indices) > cfg.n_steps:
         raise ValueError("t_grid exceeds the simulation horizon")
-    walk = functools.partial(
-        _martingale_chunk,
-        x=x,
-        b_star=b_star,
-        t_indices=tuple(t_indices),
-        nodes=node_grid,
-        node_means=node_means,
-        C=problem.C,
-        f=problem.cost.f,
-        w=integral_weights(problem.q, cfg.dt, cfg.n_steps + 1),
-        disc=discount_factors(problem.q, cfg.dt, cfg.n_steps + 1),
-    )
-    p = yield _Ask(martingale=walk)
+    stop = (x, b_star, t_indices)
+    p = yield _Ask(stops=[stop])
+    # e^{-q j} v(X_j) + int_0^j e^{-qs} f(X_s) ds at j = min(tau, t_k), per path and t_k
+    j, y, integral = p.stopped(stop)
+    idx, t, const = _hat(y, node_grid, problem.C)
+    disc = discount_factors(problem.q, cfg.dt, cfg.n_steps + 1)
+    m = disc[j] * ((1.0 - t) * node_means[idx] + t * node_means[idx + 1] + const) + integral
     node_se = max(p.stat(col, "martingale")[1] for col in node_v.T)
     interp_allow = 3.0 * node_se + float(np.max(np.abs(np.diff(node_means, 2))) / 8.0)
-    m = p.m[p.walks.index(walk)]
     m0 = float(m[:, 0].mean())
     details = []
     statistic = tolerance = 0.0

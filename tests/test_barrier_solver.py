@@ -20,6 +20,7 @@ from levybarrier.path_engine import (
     clock_suprema,
     horizon_for,
     integral_weights,
+    value_chunk,
 )
 
 DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
@@ -349,8 +350,8 @@ def test_solve_holds_one_copy_of_the_histogram(monkeypatch, traced_peak):
     real = barrier_solver.map_reduce_paths
 
     def kept(*args, **kwargs):
-        merged.extend(real(*args, **kwargs))
-        return merged
+        merged.append(real(*args, **kwargs))
+        return merged[0]
 
     monkeypatch.setattr(barrier_solver, "map_reduce_paths", kept)
     cfg = make_cfg(0.5, dt=0.01, n=2000, seed=3)
@@ -358,6 +359,17 @@ def test_solve_holds_one_copy_of_the_histogram(monkeypatch, traced_peak):
     rows = sum(row.nbytes for row in merged[0]["acc_hist"])
     chunk = max(hi - lo for lo, hi, _ in _chunk_plan(cfg.n_paths, cfg.n_steps + 1, False, CHUNK_TARGET_FLOATS))
     assert peak <= 1.25 * (rows + chunk * (cfg.n_steps + 1) * 8)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_pure_drift_solve_holds_one_row_per_batch_size(traced_peak, antithetic):
+    # one path stands for 1,000 in batches of 15 and 16 (pairs of 7 and 8): two scaled histogram rows
+    # of ~73,700 bins (0.59 MB), shared by the 64 batches.  A scaled copy per batch peaked at 68 rows
+    cfg = replace(make_cfg(0.5, dt=0.01, n=1000, seed=3), antithetic=antithetic)
+    res, peak = traced_peak(lambda: solve_barrier(DRIFT_UP, quad_problem(0.0, 0.5), cfg, bisect_tol=1e-3))
+    assert abs(res.b_star + 2.0) <= 1e-2  # -mu / q, up to the grid's left rule
+    n_bins = round(cfg.effective_horizon / 2.5e-4) + 1
+    assert peak <= 10 * 8 * n_bins
 
 
 def _padded(rows):
@@ -372,10 +384,8 @@ def _same_rows(a, b):
 
 
 def _histogram_rows(cfg, n_workers):
-    reducer = functools.partial(barrier_solver._solver_chunk, bin_width=2.5e-4,
-                                w=integral_weights(0.5, cfg.dt, cfg.n_steps + 1))
-    [out] = barrier_solver.map_reduce_paths(BM, cfg, [reducer], n_workers=n_workers)
-    return out["acc_hist"]
+    reducer = functools.partial(value_chunk, pairs=(), f=np.square, q=0.5, dt=cfg.dt, hist=2.5e-4)
+    return barrier_solver.map_reduce_paths(BM, cfg, reducer, n_workers=n_workers)["acc_hist"]
 
 
 def _random_rows(n, width, seed):

@@ -439,6 +439,18 @@ def test_verify_reads_its_checks_off_one_pass(tmp_path, monkeypatch, extra, pass
     assert len(reports) == (5 if extra else 3)
 
 
+@pytest.mark.parametrize("checks", ['[{"a":1}]', '["convexty"]'])
+def test_unknown_check_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, checks):
+    # the check names are read before the solve: a typo or an unhashable entry runs no grid pass
+    seen = []
+    for module in (estimators, barrier_solver, verification):
+        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05,
+                "--set", f"verify.checks={checks}"]) == 2
+    assert "config error: config.verify.checks: unknown check" in capsys.readouterr().err
+    assert seen == []
+
+
 @pytest.mark.parametrize("command", ["solve", "value", "sweep", "verify"])
 def test_mollified_problem_through_config(tmp_path, command):
     # every command finishes on a mollified cost: its values are closed forms

@@ -172,8 +172,9 @@ _SPLITS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 7), (1, 1), (1, 2), (1, 3)]  # (s
 @pytest.mark.parametrize("s, n_rows", _SPLITS)
 def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
     # the property of test_value_kernel_matches_reflection_per_pair, with blocks cutting the chunk:
-    # every figure equals its unblocked formula bit for bit
-    width, q, dt = 9, 0.7, 0.1
+    # every figure equals its unblocked formula bit for bit, the histogram one np.bincount over the
+    # chunk in ravel order
+    width, q, dt, h = 9, 0.7, 0.1, 0.01
     _block_split(monkeypatch, s, width)
     assert path_engine._row_blocks(n_rows, width) == [slice(lo, min(lo + s, n_rows)) for lo in range(0, n_rows, s)]
     rng = np.random.default_rng(n_rows)
@@ -185,7 +186,9 @@ def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
     offsets, levels = (-0.5, 0.0, 0.7), (-1.0, 0.0, 1.5)
     pairs = tuple((o, b) for o in offsets for b in levels)
     b_values = (-1.0, 0.25, 2.0)
-    out = value_chunk(values, pairs=pairs, f=f, q=q, dt=dt, passages=pairs, f_prime=f_prime, rho=b_values)
+    stops = ((0.0, -1.0, (0, 3, 8)), (0.7, 0.0, (2,)), (0.7, 1.5, (0, 8)))
+    out = value_chunk(values, pairs=pairs, f=f, q=q, dt=dt, passages=pairs, f_prime=f_prime, rho=b_values,
+                      stops=stops, hist=h)
     w, disc = integral_weights(q, dt, width), discount_factors(q, dt, width)
     for k, (o, b) in enumerate(pairs):
         u, r, tau = reflect_arrays(values + o, b)
@@ -197,6 +200,17 @@ def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
     rho = out["pp_y"]
     z = reflect_arrays(values, 0.0)[0]
     assert np.array_equal(rho, np.stack([_grid_sum(f_prime(z + b), w) for b in b_values], axis=1))
+    lo = 0
+    for o, level, times in stops:
+        cols = slice(lo, lo + len(times))
+        j = np.minimum(reflect_arrays(values + o, level)[2][:, None], times)
+        assert np.array_equal(out["pp_stop_at"][:, cols], j)
+        assert np.array_equal(out["pp_stop_value"][:, cols], np.take_along_axis(values + o, j, axis=1))
+        assert np.array_equal(out["pp_stop_integral"][:, cols], stopped_integral(f(values + o), w, j))
+        lo = cols.stop
+    assert np.array_equal(out["pp_udisc"], _grid_sum(z, w))
+    bins = np.rint(z / h).astype(np.int64).ravel()
+    assert out["acc_hist"].tobytes() == np.bincount(bins, weights=np.broadcast_to(w, z.shape).ravel()).tobytes()
 
 
 @pytest.mark.parametrize("method", ["time_integral", "exp_clock"])
@@ -221,7 +235,8 @@ def test_skeleton_rho_bit_identical_across_row_blocks(monkeypatch, s, n_paths, m
 
 def test_grid_reducers_allocate_no_chunk_sized_temporaries(traced_peak):
     # a kou_verify-sized chunk of 64 rows x 9,212 points: value_chunk with 19 pairs and one passage
-    # with f'_+, and a 41-barrier rho-hat curve of it, keep block-sized buffers beside their outputs
+    # with f'_+, a 41-barrier rho-hat curve, the martingale check's stopped values and the solver's
+    # histogram keep block-sized buffers beside their outputs
     rng = np.random.default_rng(5)
     values = np.cumsum(rng.normal(0.0, 0.035, (64, 9212)), axis=1)
     cost, q, dt = builtin_cost("quadratic"), 0.5, 2e-3
@@ -231,6 +246,9 @@ def test_grid_reducers_allocate_no_chunk_sized_temporaries(traced_peak):
                                          passages=((0.0, -0.75),), f_prime=cost.f_prime_plus),
         "rho": functools.partial(value_chunk, pairs=(), f=cost.f, q=q, dt=dt, f_prime=cost.f_prime_plus,
                                  rho=tuple(np.linspace(-2.0, 1.0, 41))),
+        "stops": functools.partial(value_chunk, pairs=(), f=cost.f, q=q, dt=dt,
+                                   stops=((0.25, -0.75, (0, 250, 500, 750, 1000, 1250)),)),
+        "histogram": functools.partial(value_chunk, pairs=(), f=cost.f, q=q, dt=dt, hist=2.5e-4),
     }
     for name, reduce in reducers.items():
         out, peak = traced_peak(lambda: reduce(values))
@@ -677,33 +695,17 @@ def _sum_chunk(values):
     return {"pp_sum": values.sum(axis=1), "acc_total": np.array([values.sum()])}
 
 
-def _same_rows(a, b):
-    """Bit-equal arrays, or bit-equal lists of batch rows (a merged ``acc_*``)."""
-    if isinstance(a, list):
-        return isinstance(b, list) and len(a) == len(b) and all(map(_same_bits, a, b))
-    return _same_bits(a, b)
-
-
-def _same_dicts(a, b):
-    return a.keys() == b.keys() and all(_same_rows(a[k], b[k]) for k in a)
-
-
-def test_map_reduce_worker_and_chunk_invariance():
+def test_map_reduce_worker_and_chunk_invariance(monkeypatch):
     cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=64, master_seed=13, tail_tol=0.999)
     kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
-    [base] = map_reduce_paths(kou, cfg, [_sum_chunk], n_workers=1)
-    [two] = map_reduce_paths(kou, cfg, [_sum_chunk], n_workers=2)
+    base = map_reduce_paths(kou, cfg, _sum_chunk, n_workers=1)
+    two = map_reduce_paths(kou, cfg, _sum_chunk, n_workers=2)
     assert np.array_equal(base["pp_sum"], two["pp_sum"])
     assert np.array_equal(base["acc_total"], two["acc_total"])
     # per-path outputs do not depend on the chunk plan either
-    [small] = map_reduce_paths(kou, cfg, [_sum_chunk], chunk_target=512)
+    monkeypatch.setattr(path_engine, "CHUNK_TARGET_FLOATS", 512)
+    small = map_reduce_paths(kou, cfg, _sum_chunk)
     assert np.array_equal(base["pp_sum"], small["pp_sum"])
-    # two reducers on one pass: each merged dict is its own single-reducer run
-    value = functools.partial(value_chunk, pairs=((0.0, -0.5), (0.3, 0.1)), f=np.square, q=0.5, dt=cfg.dt)
-    [alone] = map_reduce_paths(kou, cfg, [value])
-    for n_workers in (1, 2):
-        both = map_reduce_paths(kou, cfg, [_sum_chunk, value], n_workers=n_workers)
-        assert _same_dicts(both[0], base) and _same_dicts(both[1], alone)
 
 
 def _wide_chunk(values):
@@ -716,13 +718,13 @@ def test_pool_merge_drops_each_partial_once_merged(traced_peak):
     # it has not merged yet.  Holding every chunk's partial until the merge returned peaked at 2x
     # the rows, and 3x beside a stacked copy of them
     cfg = SimConfig(dt=0.1, horizon_T=1.0, n_paths=64, master_seed=3, tail_tol=0.999)
-    [out], peak = traced_peak(lambda: map_reduce_paths(BM, cfg, [_wide_chunk], n_workers=2))
+    out, peak = traced_peak(lambda: map_reduce_paths(BM, cfg, _wide_chunk, n_workers=2))
     rows = out["acc_wide"]
     assert len(rows) == BATCHES and all(np.array_equal(row, np.ones(2**15)) for row in rows)
     assert peak <= 1.5 * sum(row.nbytes for row in rows)
 
 
-def test_value_sums_independent_of_chunk_rows():
+def test_value_sums_independent_of_chunk_rows(monkeypatch):
     # 192 paths make 3-path batches; a path's discounted sums over more than
     # 8,192 grid points must not change with its chunk's row count
     cfg = SimConfig(dt=2e-3, horizon_T=horizon_for(0.5, 1e-4, 2e-3), n_paths=192,
@@ -732,8 +734,9 @@ def test_value_sums_independent_of_chunk_rows():
                               f=np.square, q=0.5, dt=cfg.dt)
     n_grid = cfg.n_steps + 1
     assert n_grid > 8192
-    [three] = map_reduce_paths(kou, cfg, [value])
-    [one] = map_reduce_paths(kou, cfg, [value], chunk_target=n_grid)
+    three = map_reduce_paths(kou, cfg, value)
+    monkeypatch.setattr(path_engine, "CHUNK_TARGET_FLOATS", n_grid)
+    one = map_reduce_paths(kou, cfg, value)
     for key in ("pp_running", "pp_control"):
         assert np.array_equal(three[key], one[key])
 
@@ -743,20 +746,21 @@ def _width_chunk(values):
     return {"acc_grid": np.ones((2, values.shape[0]))}
 
 
-def test_accumulators_are_summed_per_batch():
+def test_accumulators_are_summed_per_batch(monkeypatch):
     cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=200, master_seed=13, tail_tol=0.999)
     kou = LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 2.0))
     # 3- and 4-path batches cut into 2-path chunks: rows are right-padded
     # along the last axis only, then summed within the batch
-    [out] = map_reduce_paths(kou, cfg, [_width_chunk], chunk_target=2 * 101)
+    monkeypatch.setattr(path_engine, "CHUNK_TARGET_FLOATS", 2 * 101)
+    out = map_reduce_paths(kou, cfg, _width_chunk)
     grid = np.stack(out["acc_grid"])  # one row per batch, in batch order
     sizes = np.diff([g * 200 // BATCHES for g in range(BATCHES + 1)])
     want = np.stack([np.full((2, 2), [2.0, n - 2.0]) for n in sizes])
     assert grid.shape == (BATCHES, 2, 2)
     assert np.array_equal(grid, want)
     # pure drift: each batch row is the representative path's scaled by its size
-    [drift] = map_reduce_paths(DRIFT_UP, cfg, [_sum_chunk])
-    [one] = map_reduce_paths(DRIFT_UP, replace(cfg, n_paths=1), [_sum_chunk])
+    drift = map_reduce_paths(DRIFT_UP, cfg, _sum_chunk)
+    one = map_reduce_paths(DRIFT_UP, replace(cfg, n_paths=1), _sum_chunk)
     assert np.array_equal(np.stack(drift["acc_total"])[:, 0], np.stack(one["acc_total"])[0, 0] * sizes)
 
 
@@ -790,9 +794,10 @@ def test_antithetic_ignored_warns_once_per_call(monkeypatch):
     cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=10, master_seed=9, antithetic=True, tail_tol=0.999)
     prob = ProblemSpec(builtin_cost("quadratic"), 0.0, 0.5)
     monkeypatch.setattr(estimators, "SKELETON_FLOATS", 6)  # K = 2: skeleton reads of 3 paths, 4 chunks
+    monkeypatch.setattr(path_engine, "CHUNK_TARGET_FLOATS", 21)  # grid chunks of one path
     calls = (
         lambda: simulate_batch(skew, 0.0, cfg),
-        lambda: map_reduce_paths(skew, cfg, [_sum_chunk], chunk_target=21),  # 10 chunks
+        lambda: map_reduce_paths(skew, cfg, _sum_chunk),  # 10 chunks
         lambda: estimate_rho(skew, prob, 0.0, cfg, method="exp_clock"),
         lambda: skeleton_rho_curve(skew, prob, [-1.0, 0.0], cfg, "time_integral"),
         lambda: solve_barrier_perturbed(driftless_compound_poisson(skew.jumps), prob, cfg),

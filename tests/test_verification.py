@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost, verification
+from levybarrier import JumpSpec, LevyTriplet, SimConfig, builtin_cost, path_engine, verification
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated
 from levybarrier.estimators import _moments, _value_pass
-from levybarrier.path_engine import horizon_for
+from levybarrier.path_engine import horizon_for, value_chunk
 from levybarrier.verification import (
     _hat,
     _hat_weights,
@@ -236,13 +236,17 @@ def test_shared_pass_reports_match_standalone_checks(n_workers):
 
 @pytest.mark.parametrize("names, reducers", [(("barrier_derivative", "slope_identity", "convexity"), 1),
                                               (("barrier_derivative", "slope_identity", "convexity",
-                                                "martingale", "hjb"), 2)], ids=["three_checks", "five_checks"])
+                                                "martingale", "hjb"), 1)], ids=["three_checks", "five_checks"])
 def test_shared_pass_hands_one_value_reducer(monkeypatch, names, reducers):
-    # values, passages and rho-hat are one value_chunk reducer; only the martingale walk adds one
+    # values, passages, stopped values and rho-hat are one value_chunk reducer
     seen = []
     real = verification.map_reduce_paths
-    monkeypatch.setattr(verification, "map_reduce_paths",
-                        lambda triplet, cfg, reduce, **kw: seen.append(len(reduce)) or real(triplet, cfg, reduce, **kw))
+
+    def counted(triplet, cfg, reduce, **kw):
+        seen.append(int(reduce.func is value_chunk))  # the value_chunk reducers handed to the pass
+        return real(triplet, cfg, reduce, **kw)
+
+    monkeypatch.setattr(verification, "map_reduce_paths", counted)
     q, b_star = 0.5, -0.75
     x_grid = [b_star + (i - 3) * 0.5 for i in range(7)]
     kwargs = {
@@ -255,6 +259,45 @@ def test_shared_pass_hands_one_value_reducer(monkeypatch, names, reducers):
     run_checks(KOU, quad_problem(0.5, q), make_cfg(q, dt=0.05, n=64, seed=21, tail=1e-4),
                [(n, kwargs[n]) for n in names])
     assert seen == [reducers]
+
+
+def test_running_minimum_covers_each_grid_point_once(monkeypatch):
+    # a solve and a five-check verify pass take the running minimum of every path's grid points once,
+    # a row block at a time: the solver's histogram and the martingale check's stopped values read
+    # value_chunk's minimum.  Blocks of one row cut the 4-path chunks
+    q, b_star = 0.5, -0.75
+    cfg = make_cfg(q, dt=0.05, n=256, seed=21, tail=1e-4)
+    n_grid = cfg.n_steps + 1
+    monkeypatch.setattr(path_engine, "BLOCK_FLOATS", n_grid)
+    minimum, passes = np.minimum, []
+
+    class _Counted:
+        def __call__(self, *args, **kwargs):
+            return minimum(*args, **kwargs)
+
+        def accumulate(self, a, *args, **kwargs):
+            passes[-1].append(np.shape(a))
+            return minimum.accumulate(a, *args, **kwargs)
+
+    def counted(real):
+        return lambda *args, **kwargs: passes.append([]) or real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "minimum", _Counted())
+    for module in (lb.barrier_solver, lb.estimators, verification):
+        monkeypatch.setattr(module, "map_reduce_paths", counted(module.map_reduce_paths))
+    lb.solve_barrier(KOU, quad_problem(0.5, q), cfg)
+    x_grid = [b_star + (i - 3) * 0.5 for i in range(7)]
+    kwargs = {
+        "barrier_derivative": {"x": b_star + 1.0, "b": b_star},
+        "slope_identity": {"x": b_star + 1.0, "b": b_star},
+        "convexity": {"x_grid": x_grid, "b_star": b_star},
+        "martingale": {"x": b_star + 1.0, "t_grid": [0.5, 1.0], "b_star": b_star},
+        "hjb": {"x_grid": x_grid, "fd_h": 0.25, "b_star": b_star},
+    }
+    run_checks(KOU, quad_problem(0.5, q), cfg, list(kwargs.items()))
+    # the solve, the martingale check's node values (a seed of their own) and the shared pass
+    assert [sum(math.prod(shape) for shape in shapes) for shapes in passes] == [cfg.n_paths * n_grid] * 3
+    assert all(shape == (1, n_grid) for shapes in passes for shape in shapes)
 
 
 # ---------------------------------------------------------------------------
