@@ -234,6 +234,18 @@ def test_shared_pass_reports_match_standalone_checks(n_workers):
     assert [r.to_record() for r in shared] == [r.to_record() for r in alone]
 
 
+def _five_checks(b_star):
+    """Arguments of every check at b* = ``b_star``, started one unit above it."""
+    x_grid = [b_star + (i - 3) * 0.5 for i in range(7)]
+    return {
+        "barrier_derivative": {"x": b_star + 1.0, "b": b_star},
+        "slope_identity": {"x": b_star + 1.0, "b": b_star},
+        "convexity": {"x_grid": x_grid, "b_star": b_star},
+        "martingale": {"x": b_star + 1.0, "t_grid": [0.5, 1.0], "b_star": b_star},
+        "hjb": {"x_grid": x_grid, "fd_h": 0.25, "b_star": b_star},
+    }
+
+
 @pytest.mark.parametrize("names, reducers", [(("barrier_derivative", "slope_identity", "convexity"), 1),
                                               (("barrier_derivative", "slope_identity", "convexity",
                                                 "martingale", "hjb"), 1)], ids=["three_checks", "five_checks"])
@@ -247,15 +259,7 @@ def test_shared_pass_hands_one_value_reducer(monkeypatch, names, reducers):
         return real(triplet, cfg, reduce, **kw)
 
     monkeypatch.setattr(verification, "map_reduce_paths", counted)
-    q, b_star = 0.5, -0.75
-    x_grid = [b_star + (i - 3) * 0.5 for i in range(7)]
-    kwargs = {
-        "barrier_derivative": {"x": b_star + 1.0, "b": b_star},
-        "slope_identity": {"x": b_star + 1.0, "b": b_star},
-        "convexity": {"x_grid": x_grid, "b_star": b_star},
-        "martingale": {"x": b_star + 1.0, "t_grid": [0.5, 1.0], "b_star": b_star},
-        "hjb": {"x_grid": x_grid, "fd_h": 0.25, "b_star": b_star},
-    }
+    q, kwargs = 0.5, _five_checks(-0.75)
     run_checks(KOU, quad_problem(0.5, q), make_cfg(q, dt=0.05, n=64, seed=21, tail=1e-4),
                [(n, kwargs[n]) for n in names])
     assert seen == [reducers]
@@ -265,7 +269,7 @@ def test_running_minimum_covers_each_grid_point_once(monkeypatch):
     # a solve and a five-check verify pass take the running minimum of every path's grid points once,
     # a row block at a time: the solver's histogram and the martingale check's stopped values read
     # value_chunk's minimum.  Blocks of one row cut the 4-path chunks
-    q, b_star = 0.5, -0.75
+    q = 0.5
     cfg = make_cfg(q, dt=0.05, n=256, seed=21, tail=1e-4)
     n_grid = cfg.n_steps + 1
     monkeypatch.setattr(path_engine, "BLOCK_FLOATS", n_grid)
@@ -286,15 +290,7 @@ def test_running_minimum_covers_each_grid_point_once(monkeypatch):
     for module in (lb.barrier_solver, lb.estimators, verification):
         monkeypatch.setattr(module, "map_reduce_paths", counted(module.map_reduce_paths))
     lb.solve_barrier(KOU, quad_problem(0.5, q), cfg)
-    x_grid = [b_star + (i - 3) * 0.5 for i in range(7)]
-    kwargs = {
-        "barrier_derivative": {"x": b_star + 1.0, "b": b_star},
-        "slope_identity": {"x": b_star + 1.0, "b": b_star},
-        "convexity": {"x_grid": x_grid, "b_star": b_star},
-        "martingale": {"x": b_star + 1.0, "t_grid": [0.5, 1.0], "b_star": b_star},
-        "hjb": {"x_grid": x_grid, "fd_h": 0.25, "b_star": b_star},
-    }
-    run_checks(KOU, quad_problem(0.5, q), cfg, list(kwargs.items()))
+    run_checks(KOU, quad_problem(0.5, q), cfg, list(_five_checks(-0.75).items()))
     # the solve, the martingale check's node values (a seed of their own) and the shared pass
     assert [sum(math.prod(shape) for shape in shapes) for shapes in passes] == [cfg.n_paths * n_grid] * 3
     assert all(shape == (1, n_grid) for shapes in passes for shape in shapes)
