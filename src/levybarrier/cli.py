@@ -24,13 +24,14 @@ Config schema (defaults in brackets):
     value:   x, b
     rho:     b_grid, method [time_integral]
     sweep:   x, b_grid
-    verify:  checks [all], x, b, h [0.05], fd_h [0.25], x_grid, t_grid
+    verify:  checks [all], x, b, h [0.05], fd_h [0.25], x_grid,
+             t_grid [0.5, 1, ..., 2.5] (times in [0, horizon])
     perturb: eps_grid [0.2, 0.1, 0.05, 0.025], bisect_tol
 
 Unknown keys (a dist or cost parameter included that its kind does not
 take), wrongly typed values (a dist parameter is typed by its family),
-empty or unsorted grids and an unknown rho method are rejected with the
-offending dotted path.
+empty or unsorted grids, an unknown rho method and a martingale time
+outside [0, horizon] are rejected with the offending dotted path.
 result.json is byte-identical across runs with the same config and seed
 (worker count and timestamps never enter it; volatile metadata goes to
 meta.json).
@@ -314,13 +315,16 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         for name in names:  # before the solve, which the checks wait for
             if not isinstance(name, str) or name not in CHECKS:
                 raise ConfigError(f"config.verify.checks: unknown check {name!r}")
+        t_grid = _need(cfg, "verify.t_grid", list, None) or [0.5 * k for k in range(1, 6)]
+        if "martingale" in names and not all(0 <= t <= sim.effective_horizon for t in t_grid):
+            raise ConfigError(f"config.verify.t_grid: expected times in [0, {sim.effective_horizon:g}], "
+                              f"the simulation horizon, got {t_grid}")
         res = solve_barrier(model, problem, sim, bisect_tol=_need(cfg, "solve.bisect_tol", float, None),
                             n_workers=n_workers)
         b = _need(cfg, "verify.b", float, res.b_star)
         x = _need(cfg, "verify.x", float, b + 1.0)
         fd_h = _need(cfg, "verify.fd_h", float, 0.25)
         x_grid = _need(cfg, "verify.x_grid", list, None) or [b + (i - 7) * fd_h * 2 for i in range(15)]
-        t_grid = _need(cfg, "verify.t_grid", list, None) or [0.5 * k for k in range(1, 6)]
         h = _need(cfg, "verify.h", float, None)
         at_b = {"x": x, "b": b, **({} if h is None else {"h": h})}
         check_args = {

@@ -21,9 +21,11 @@ its report; each public ``check_*`` is ``run_checks`` with that one check.
 What several checks ask is computed once: ONE ``value_chunk`` reducer reads
 every value, first passage, stopped value and rho-hat column, and the
 martingale check evaluates its interpolant at the stopped values after the
-pass.  Only the martingale check's node values (an independent seed) run a
-pass of their own; the checks at the barrier take b_star as given and never
-solve for it.
+pass.  A start x below its barrier b is pushed to b at once (R_0 = b - x),
+so the pass reflects only pairs at or above their barrier and reads (x, b)
+off (b, b) (``_Pass``).  Only the martingale check's node values (an
+independent seed) run a pass of their own; the checks at the barrier take
+b_star as given and never solve for it.
 
 Checks are advisory: they return reports, they do not raise on failure.
 """
@@ -129,20 +131,34 @@ class _Ask:
 
 
 class _Pass:
-    """The one streamed pass from 0 answering every ``_Ask``."""
+    """The one streamed pass from 0 answering every ``_Ask``.
+
+    Each asked pair (o, b) with o < b is read off the at-barrier pair (b, b),
+    so ``value_chunk`` reflects only the distinct pairs with o >= b.  Its
+    value is running(b, b) + C (control(b, b) + b - o), a few ulp from a
+    reflection of (o, b) itself (``estimate_value`` still reflects it); every
+    other pair's value is running + C * control as reflected.
+    """
 
     def __init__(self, triplet, problem, cfg, asks, n_workers):
         self.pairs = list(dict.fromkeys(p for a in asks for p in a.pairs))
+        at = [(max(o, b), b) for o, b in self.pairs]
+        reflected = list(dict.fromkeys(at))
         self.passages = list(dict.fromkeys(p for a in asks for p in a.passages))
         self.stops = list(dict.fromkeys(s for a in asks for s in a.stops))
         rho_b = _rho_grid(sorted({b for a in asks for b in a.rho}))
         f_prime = problem.cost.f_prime_plus if rho_b or any(a.f_prime for a in asks) else None
-        reducer = functools.partial(value_chunk, pairs=tuple(self.pairs), f=problem.cost.f, q=problem.q,
+        reducer = functools.partial(value_chunk, pairs=tuple(reflected), f=problem.cost.f, q=problem.q,
                                     dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime, rho=rho_b,
                                     stops=tuple(self.stops))
         value = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
         self.antithetic = _antithetic_active(triplet, cfg)
-        self.v = value["pp_running"] + problem.C * value["pp_control"]
+        cols = [reflected.index(p) for p in at]
+        control = value["pp_control"][:, cols]
+        for k, (o, b) in enumerate(self.pairs):
+            if o < b:  # R_0 = b - o on every path
+                control[:, k] += b - o
+        self.v = value["pp_running"][:, cols] + problem.C * control
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
             self.rho = dict(_rho_curve(value["pp_y"], rho_b, "time_integral", self.antithetic,
@@ -335,15 +351,17 @@ def check_martingale(
     cfg.validate_for(problem.q)
     if x <= b_star:
         raise ValueError("martingale check needs a start strictly above the barrier")
+    if any(t < 0 for t in t_grid):  # a negative grid index would wrap to the end of the grid
+        raise ValueError("t_grid holds a negative time")
+    t_indices = tuple(sorted({0} | {int(round(t / cfg.dt)) for t in t_grid}))
+    if max(t_indices) > cfg.n_steps:
+        raise ValueError("t_grid exceeds the simulation horizon")
     span = 3.0 * _drift_scale(triplet) / problem.q + 3.0 * triplet.sigma / math.sqrt(problem.q)
     node_grid = np.linspace(b_star - 2.0, x + span, 41)
     node_cfg = replace(cfg, master_seed=cfg.master_seed + 1)
     node_v, _ = _value_pass(triplet, problem, node_cfg, [(o, b_star) for o in node_grid], n_workers=n_workers)
     node_means = node_v.mean(axis=0)
 
-    t_indices = tuple(sorted({0} | {int(round(t / cfg.dt)) for t in t_grid}))
-    if max(t_indices) > cfg.n_steps:
-        raise ValueError("t_grid exceeds the simulation horizon")
     stop = (x, b_star, t_indices)
     p = yield _Ask(stops=[stop])
     # e^{-q j} v(X_j) + int_0^j e^{-qs} f(X_s) ds at j = min(tau, t_k), per path and t_k

@@ -451,6 +451,34 @@ def test_unknown_check_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, che
     assert seen == []
 
 
+@pytest.mark.parametrize("t_grid", ["[-1.0, 1.0]", "[1.0, 1e9]", "[1.0, NaN]"])
+def test_t_grid_off_the_horizon_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, t_grid):
+    # every time lies in [0, horizon]; a negative one would wrap to the end of the grid
+    seen = []
+    for module in (estimators, barrier_solver, verification):
+        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05,
+                "--set", 'verify.checks=["martingale"]', "--set", f"verify.t_grid={t_grid}"]) == 2
+    assert "config error: config.verify.t_grid: expected" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_verify_hands_no_pair_below_its_barrier(tmp_path, monkeypatch):
+    # a start below its barrier reads the at-barrier pair: of the 19 pairs the three default checks
+    # ask, the convexity grid's 7 starts below b* read (b*, b*), so 12 are reflected
+    handed = []
+    real = verification.map_reduce_paths
+
+    def wrapped(triplet, cfg, reduce, **kwargs):
+        handed.append(reduce.keywords["pairs"])
+        return real(triplet, cfg, reduce, **kwargs)
+
+    monkeypatch.setattr(verification, "map_reduce_paths", wrapped)
+    assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05]) == 0
+    [pairs] = handed
+    assert len(pairs) == 12 and all(o >= b for o, b in pairs)
+
+
 @pytest.mark.parametrize("command", ["solve", "value", "sweep", "verify"])
 def test_mollified_problem_through_config(tmp_path, command):
     # every command finishes on a mollified cost: its values are closed forms

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ def test_martingale_drift_down_deterministic():
     assert rep.details[0]["t"] == 0.0 and rep.details[0]["residual"] == 0.0
 
 
+@pytest.mark.parametrize("t_grid, message", [([-1.0, 1.0], "negative"), ([-1e-12], "negative"),
+                                             ([1.0, 1e9], "horizon")])
+def test_martingale_refuses_times_off_the_grid_before_any_pass(monkeypatch, t_grid, message):
+    # a negative t would take a negative grid index, which wraps to the end of the grid
+    seen = []
+    for module in (lb.estimators, verification):
+        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    q = 0.5
+    with pytest.raises(ValueError, match=message):
+        check_martingale(DRIFT_DOWN, quad_problem(1.0, q), make_cfg(q, n=16), x=1.0, t_grid=t_grid, b_star=-0.25)
+    assert seen == []
+
+
 def test_martingale_requires_start_above_barrier():
     q = 0.5
     prob = quad_problem(1.0, q)
@@ -205,23 +219,27 @@ def test_hjb_negative_subordinator_with_jumps():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_shared_pass_reports_match_standalone_checks(n_workers):
-    # 130 paths make 64 batches; b != b* and x on the convexity grid, so the
-    # shared pass holds both distinct and repeated (offset, barrier) pairs
+def _kou_130():
+    """(problem, config, check arguments) of 130 Kou paths, 64 batches: b != b* and x on the
+    convexity grid, so the shared pass holds both distinct and repeated (offset, barrier) pairs."""
     q = 0.5
     prob = quad_problem(0.5, q)
     cfg = make_cfg(q, dt=0.05, n=130, seed=21, tail=1e-4)
     b_star = lb.solve_barrier(KOU, prob, cfg).b_star
     b, x = b_star + 0.3, b_star + 1.0
     x_grid = [b_star + (i - 7) * 0.5 for i in range(15)]
-    kwargs = {
+    return prob, cfg, {
         "barrier_derivative": {"x": x, "b": b, "h": 0.05},
         "slope_identity": {"x": x, "b": b, "h": 0.05},
         "convexity": {"x_grid": x_grid, "b_star": b_star},
         "martingale": {"x": x, "t_grid": [0.5, 1.0, 2.5], "b_star": b_star},
         "hjb": {"x_grid": x_grid, "fd_h": 0.25, "b_star": b_star},
     }
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_shared_pass_reports_match_standalone_checks(n_workers):
+    prob, cfg, kwargs = _kou_130()
     alone = [
         check_barrier_derivative(KOU, prob, cfg=cfg, n_workers=n_workers, **kwargs["barrier_derivative"]),
         check_slope_identity(KOU, prob, cfg=cfg, n_workers=n_workers, **kwargs["slope_identity"]),
@@ -263,6 +281,31 @@ def test_shared_pass_hands_one_value_reducer(monkeypatch, names, reducers):
     run_checks(KOU, quad_problem(0.5, q), make_cfg(q, dt=0.05, n=64, seed=21, tail=1e-4),
                [(n, kwargs[n]) for n in names])
     assert seen == [reducers]
+
+
+@pytest.mark.parametrize("case", ["kou", "bm_antithetic"])
+def test_start_below_barrier_reads_the_at_barrier_pair(case):
+    # R_0 = b - x on every path: below its barrier a start's values are the (b, b) column plus
+    # C (b - x), as reflecting (x, b) itself gives them on the same paths
+    if case == "kou":
+        triplet, (prob, cfg, kwargs) = KOU, _kou_130()
+    else:
+        q = 0.5
+        triplet, prob, kwargs = BM, quad_problem(0.5, q), _five_checks(-1.0)
+        cfg = replace(make_cfg(q, dt=0.05, n=130, seed=21, tail=1e-4), antithetic=True)
+    values = []
+    for n_workers in (1, 2):
+        plans = [verification._PLANS[name](triplet, prob, cfg=cfg, n_workers=n_workers, **kw)
+                 for name, kw in kwargs.items()]
+        p = verification._Pass(triplet, prob, cfg, [next(plan) for plan in plans], n_workers)
+        below = [(x, b) for x, b in p.pairs if x < b]
+        assert below  # the convexity grid's and hjb's nodes below b*
+        got = p.values(below)
+        push = prob.C * np.array([b - x for x, b in below])
+        np.testing.assert_allclose(got, p.values([(b, b) for _, b in below]) + push, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, _value_pass(triplet, prob, cfg, below, n_workers)[0], rtol=1e-12, atol=0)
+        values.append(p.v)
+    assert values[0].tobytes() == values[1].tobytes()
 
 
 def test_running_minimum_covers_each_grid_point_once(monkeypatch):
