@@ -25,7 +25,8 @@ Config schema (defaults in brackets):
     rho:     b_grid, method [time_integral]
     sweep:   x, b_grid
     verify:  checks [all], x, b, h [0.05], fd_h [0.25], x_grid,
-             t_grid [0.5, 1, ..., 2.5] (times in [0, horizon])
+             t_grid [0.5, 1, ..., 2.5, or five times spread evenly up to a
+             shorter horizon] (times in [0, horizon])
     perturb: eps_grid [0.2, 0.1, 0.05, 0.025], bisect_tol
 
 Unknown keys (a dist or cost parameter included that its kind does not
@@ -36,8 +37,8 @@ result.json is byte-identical across runs with the same config and seed
 (worker count and timestamps never enter it; volatile metadata goes to
 meta.json).
 
-Exit codes: 0 success, 2 config validation, 3 solver preconditions
-(assumption violated / no sign change), 4 numeric failure.
+Exit codes: 0 success, 2 config validation (or --workers below 1), 3 solver
+preconditions (assumption violated / no sign change), 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -315,7 +316,8 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         for name in names:  # before the solve, which the checks wait for
             if not isinstance(name, str) or name not in CHECKS:
                 raise ConfigError(f"config.verify.checks: unknown check {name!r}")
-        t_grid = _need(cfg, "verify.t_grid", list, None) or [0.5 * k for k in range(1, 6)]
+        top = min(2.5, sim.effective_horizon)  # k / 5 <= 1, so no default time passes the horizon
+        t_grid = _need(cfg, "verify.t_grid", list, None) or [top * (k / 5) for k in range(1, 6)]
         if "martingale" in names and not all(0 <= t <= sim.effective_horizon for t in t_grid):
             raise ConfigError(f"config.verify.t_grid: expected times in [0, {sim.effective_horizon:g}], "
                               f"the simulation horizon, got {t_grid}")
@@ -382,11 +384,13 @@ def main(argv=None) -> int:
             val = getattr(args, flag)
             if val is not None:
                 overrides.append(f"{key}={val}")
+        if args.workers < 1:
+            raise ConfigError(f"--workers: expected a positive process count, got {args.workers}")
         applied = _apply_overrides(cfg, overrides)
         _reject_unknown(cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = _run_command(args.command, cfg, out_dir, max(1, args.workers))
+        result = _run_command(args.command, cfg, out_dir, args.workers)
     except (ConfigError, ValueError) as exc:
         # every input reaches the library through the config, so a rejected
         # value is a config problem, not a numeric one

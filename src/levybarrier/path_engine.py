@@ -236,7 +236,9 @@ def _simulate_chunk(triplet, cfg, lo, hi, anti):
     """Values (hi-lo, n_steps+1) from 0 for paths lo..hi-1; ``anti`` (mirror the second half) is decided
     once per pass by the caller.  The draws go straight into each row; scaling, drift, jumps (at
     their cell's right end) and the running sum then act chunk-wide, each element rounding as
-    it would path by path."""
+    it would path by path.  A drift step of exactly 0 is not added: the skipped ``+ 0.0`` only
+    keeps a -0.0 that it would have made +0.0, and no output tells the two apart
+    (``value_chunk``)."""
     n_steps, rate, half = cfg.n_steps, triplet.jumps.rate, cfg.n_paths // 2
     paths = np.arange(lo, hi)
     mirror = anti & (paths >= half)
@@ -251,11 +253,14 @@ def _simulate_chunk(triplet, cfg, lo, hi, anti):
             sizes = triplet.jumps.sample(rng, total)
             jumps.append((j, cells, -sizes if mirror[j] else sizes))
     incr = values[:, 1:]
+    drift = triplet.effective_drift * cfg.dt
     if triplet.sigma > 0:
-        incr *= np.where(mirror, -1.0, 1.0)[:, None] * triplet.sigma * math.sqrt(cfg.dt)  # (-z) s is z (-s)
-        incr += triplet.effective_drift * cfg.dt
+        scale = triplet.sigma * math.sqrt(cfg.dt)
+        incr *= np.where(mirror, -scale, scale)[:, None]  # (-z) s is z (-s)
+        if drift != 0.0:
+            incr += drift
     else:
-        incr[:] = triplet.effective_drift * cfg.dt
+        incr[:] = drift
     for j, cells, sizes in jumps:
         incr[j] += np.bincount(cells, weights=sizes, minlength=n_steps)
     np.cumsum(incr, axis=1, out=incr)
@@ -492,7 +497,8 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     R = max(b - (m + o), 0) and U = (values + o) + R match
     ``reflect_arrays(values + o, b)`` bit for bit.  The chunk is read one
     ``_row_blocks`` block at a time, m, R and U written into three block
-    buffers reused across all blocks and pairs; ``f`` (the running cost) and
+    buffers reused across all blocks and pairs (with ``hist``, a fourth holds
+    the weight rows); ``f`` (the running cost) and
     ``f_prime`` act elementwise, as every builtin and mollified cost does, so
     no figure depends on the block size.  Per (offset, level) of ``passages``,
     ``pp_tau_disc`` is e^{-q tau} (0 if the path values + o never pass below
@@ -510,6 +516,18 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     in ravel order, so its bits are those of one ``np.bincount`` over the
     chunk; a block whose bins would pass ``HISTOGRAM_FLOATS`` over
     ``BATCHES`` rows raises ValueError before it is binned.
+
+    No full-row pass runs that moves no output bit: m is ``np.fmin``'s
+    running minimum (``np.minimum``'s values on finite paths), a passage's
+    f'_+ and its prefix sum stop at the block's last passage, and the weight
+    rows are written once per call, into a fourth block buffer.  The
+    sign of a zero reaches no output: fmin may pick the other zero at a tie,
+    and ``_simulate_chunk`` may leave a -0.0 where a ``+ 0.0`` would have made
+    it +0.0, but a path value or minimum reaches an output only through a
+    comparison, an add of its offset or barrier (+0.0 unless both are -0.0),
+    a rounded bin, or a sum that starts at +0.0.  U^0 keeps
+    ``np.minimum(m, 0.0)``: rows need not start at 0, and where m > 0 U^0 is
+    the values themselves, not values - m.
     """
     n_rows, n_grid = values.shape
     w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
@@ -523,10 +541,11 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     udisc, occupation, n_bins = np.empty(n_rows), np.zeros(0), 0
     blocks = _row_blocks(n_rows, n_grid)
     buffers = np.empty((3, blocks[0].stop if blocks else 0, n_grid))
+    weights = np.tile(w, (len(buffers[0]), 1)) if hist else None  # the histogram's weight rows
     for rows in blocks:
         block = values[rows]
         m, r, u = buffers[:, : len(block)]
-        np.minimum.accumulate(block, axis=-1, out=m)
+        np.fmin.accumulate(block, axis=-1, out=m)
         for k, (o, b) in enumerate(pairs):
             np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
             np.add(np.add(block, o, out=u), r, out=u)
@@ -538,8 +557,9 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
         for k, (o, level) in enumerate(passages):
             tau[rows, k] = first_passage_index(np.add(m, o, out=r), level)
             if f_prime is not None:
-                g = np.asarray(f_prime(np.add(block, o, out=u)), dtype=float)
-                to_tau[rows, k] = stopped_integral(g, w, tau[rows, k:k + 1])[:, 0]
+                end = max(1, tau[rows, k].max())  # the block's last passage: no later f'_+ is summed
+                g = np.asarray(f_prime(np.add(block[:, :end], o, out=u[:, :end])), dtype=float)
+                to_tau[rows, k] = stopped_integral(g, w[:end], tau[rows, k:k + 1])[:, 0]
         for (o, level, times), lo, hi in zip(stops, cols, cols[1:]):
             j = np.minimum(first_passage_index(np.add(m, o, out=r), level)[:, None], times)
             stop_at[rows, lo:hi] = j
@@ -560,8 +580,7 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
             if n_bins > len(occupation):  # room for twice the bins, cut to n_bins on return
                 occupation = np.concatenate((occupation, np.zeros(2 * n_bins - len(occupation))))
             bins = np.rint(np.divide(r, hist, out=r), out=r).astype(np.intp)
-            u[:] = w
-            np.add.at(occupation, bins.ravel(), u.ravel())  # 1-D operands: numpy's fast path
+            np.add.at(occupation, bins.ravel(), weights[: len(block)].ravel())  # 1-D operands: numpy's fast path
     out = {"pp_running": running, "pp_control": control}
     if rho:
         out["pp_y"] = y

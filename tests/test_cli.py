@@ -463,6 +463,27 @@ def test_t_grid_off_the_horizon_exit_2_before_any_pass(tmp_path, capsys, monkeyp
     assert seen == []
 
 
+def test_default_t_grid_fits_a_short_horizon(tmp_path):
+    # q = 5 leaves a horizon of 1.85 < 2.5: the five default times spread over it instead of being refused
+    out = tmp_path / "out"
+    assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05, "--set", "problem.q=5",
+                "--set", 'verify.checks=["martingale"]']) == 0
+    times = [row["t"] for row in json.loads((out / "result.json").read_text())["result"]["verify"][0]["details"]]
+    assert times[0] == 0.0 and times[-1] == pytest.approx(1.85) and len(times) == 6
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, workers):
+    # a process count below 1 is refused before any pass, not run on one worker and recorded as given
+    seen = []
+    for module in (estimators, barrier_solver, verification):
+        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    out = tmp_path / "o"
+    assert run(["solve", "--config", KOU, "--out", out, "--paths", 64, "--workers", workers]) == 2
+    assert f"config error: --workers: expected a positive process count, got {workers}" in capsys.readouterr().err
+    assert seen == [] and not (out / "meta.json").exists()
+
+
 def test_verify_hands_no_pair_below_its_barrier(tmp_path, monkeypatch):
     # a start below its barrier reads the at-barrier pair: of the 19 pairs the three default checks
     # ask, the convexity grid's 7 starts below b* read (b*, b*), so 12 are reflected

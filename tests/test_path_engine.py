@@ -213,6 +213,37 @@ def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
     assert out["acc_hist"].tobytes() == np.bincount(bins, weights=np.broadcast_to(w, z.shape).ravel()).tobytes()
 
 
+@pytest.mark.parametrize("s", [1, 2, 5])
+def test_grid_reducers_ignore_the_sign_of_a_zero(monkeypatch, s):
+    # -0.0 path values, with running minima tied between +0.0 and -0.0, give every output of
+    # value_chunk byte-equal to the same block with +0.0 there: each value meets an offset or a
+    # barrier (not -0.0) by an add, a bin by rounding, and every sum starts at +0.0
+    width, q, dt, h = 9, 0.7, 0.1, 0.01
+    _block_split(monkeypatch, s, width)
+    signed = np.array([[0.0, -0.0, 0.5, -0.0, 0.0, 1.0, -0.0, 2.0, 0.3],
+                       [-0.0, 0.7, -0.0, 0.0, -0.0, -1.0, -0.0, 0.0, 0.2],
+                       [0.0, 1.2, 0.0, -0.0, 3.0, -0.0, 0.0, 0.5, -0.0],
+                       [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+                       [0.0, -0.4, -0.0, 0.0, 0.0, -0.0, 0.6, -0.0, 1.0]])
+    unsigned, zero = signed + 0.0, signed == 0.0
+    assert np.signbit(signed[zero]).sum() == 22 and not np.signbit(unsigned[zero]).any()
+    m = np.fmin.accumulate(signed, axis=1)  # +0.0 and -0.0 both in the minimum's zero stretches
+    assert np.signbit(m[m == 0.0]).any() and not np.signbit(m[m == 0.0]).all()
+    cost = builtin_cost("quadratic")
+    f, f_prime = (lambda u: u**2 + np.sin(u)), (lambda u: 2 * u + np.cos(u))
+    offsets, levels = (-0.5, 0.0, 0.7), (-1.0, 0.0, 1.5)
+    pairs = tuple((o, b) for o in offsets for b in levels)
+    stops = ((0.0, 0.0, (0, 3, 8)), (0.7, 0.0, (2,)), (0.0, -1.0, (0, 8)))
+    for fs in ((f, f_prime), (cost.f, cost.f_prime_plus)):
+        kwargs = dict(pairs=pairs, f=fs[0], q=q, dt=dt, passages=pairs, f_prime=fs[1], rho=(-1.0, 0.0, 2.0),
+                      stops=stops, hist=h)
+        for keep in ({}, dict(pairs=(), passages=(), rho=(), stops=())):  # the histogram alone too
+            got, want = value_chunk(signed, **kwargs | keep), value_chunk(unsigned, **kwargs | keep)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert _same_bits(got[key], want[key]), key
+
+
 @pytest.mark.parametrize("method", ["time_integral", "exp_clock"])
 @pytest.mark.parametrize("s, n_paths", _SPLITS)
 def test_skeleton_rho_bit_identical_across_row_blocks(monkeypatch, s, n_paths, method):
@@ -412,6 +443,58 @@ def test_chunk_matches_per_path_seed_sequences(triplet, antithetic):
         for x in (0.0, -0.7):
             expect = _reference_chunk(triplet, x, cfg, lo, hi, antithetic)
             assert _same_bits(_simulate_chunk(triplet, cfg, lo, hi, antithetic) + x, expect)
+
+
+def _parent_chunk(triplet, cfg, lo, hi, anti):
+    """``_simulate_chunk`` as full-row passes: a per-row sign times the scale, the drift step added
+    even when 0, each path's jumps added as a full-row ``np.bincount``; and, per path with jumps,
+    whether two of them share a cell."""
+    n_steps, rate, half = cfg.n_steps, triplet.jumps.rate, cfg.n_paths // 2
+    paths = np.arange(lo, hi)
+    mirror = anti & (paths >= half)
+    values, jumps = np.empty((hi - lo, n_steps + 1)), []
+    for j, rng in enumerate(_path_rngs(cfg.master_seed, paths - mirror * half)):
+        if triplet.sigma > 0:
+            rng.standard_normal(out=values[j, 1:])
+        total = int(rng.poisson(rate * n_steps * cfg.dt)) if rate > 0 else 0
+        if total:
+            cells = np.minimum((rng.random(total) * n_steps).astype(np.int64), n_steps - 1)
+            sizes = triplet.jumps.sample(rng, total)
+            jumps.append((j, cells, -sizes if mirror[j] else sizes))
+    incr = values[:, 1:]
+    if triplet.sigma > 0:
+        incr *= np.where(mirror, -1.0, 1.0)[:, None] * triplet.sigma * math.sqrt(cfg.dt)
+        incr += triplet.effective_drift * cfg.dt
+    else:
+        incr[:] = triplet.effective_drift * cfg.dt
+    for j, cells, sizes in jumps:
+        incr[j] += np.bincount(cells, weights=sizes, minlength=n_steps)
+    np.cumsum(incr, axis=1, out=incr)
+    values[:, 0] = 0.0
+    return values, [len(np.unique(cells)) < len(cells) for _, cells, _ in jumps]
+
+
+KOU_SYM = LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(6.0, 0.5, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("triplet, antithetic", [
+    (KOU_SYM, True),
+    (KOU_SYM, False),
+    (LevyTriplet(0.2, 0.5, jumps=JumpSpec.kou_mixture(6.0, 0.4, 2.0, 3.0)), False),
+    (SYM_ATOMS, True),
+    (LevyTriplet(0.3, 0.0, jumps=JumpSpec.atom_sizes(6.0, (-1.0, 0.5), (0.3, 0.7))), False),
+    (BM, True),
+])
+def test_chunk_equals_full_row_passes(triplet, antithetic):
+    # the skipped zero drift moves no bit of the chunk; KOU_SYM has zero drift, mirrored and
+    # unmirrored rows, and paths with two jumps in one cell
+    assert KOU_SYM.effective_drift == 0.0 and KOU_SYM.jumps.is_symmetric
+    cfg = SimConfig(dt=0.01, horizon_T=2.0, n_paths=40, master_seed=611, antithetic=antithetic, tail_tol=0.999)
+    for lo, hi in ((0, 40), (13, 31), (0, 20), (25, 40)):  # both halves, each alone
+        want, shared = _parent_chunk(triplet, cfg, lo, hi, antithetic)
+        if triplet.jumps.rate > 0:  # paths with two jumps in one cell, and paths without
+            assert any(shared) and not all(shared)
+        assert _same_bits(_simulate_chunk(triplet, cfg, lo, hi, antithetic), want)
 
 
 def test_clock_skeleton_matches_per_path_seed_sequences():

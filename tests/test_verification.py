@@ -316,20 +316,24 @@ def test_running_minimum_covers_each_grid_point_once(monkeypatch):
     cfg = make_cfg(q, dt=0.05, n=256, seed=21, tail=1e-4)
     n_grid = cfg.n_steps + 1
     monkeypatch.setattr(path_engine, "BLOCK_FLOATS", n_grid)
-    minimum, passes = np.minimum, []
+    passes = []
 
-    class _Counted:
+    class _Counted:  # a running-minimum pass through either ufunc is counted
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
         def __call__(self, *args, **kwargs):
-            return minimum(*args, **kwargs)
+            return self.ufunc(*args, **kwargs)
 
         def accumulate(self, a, *args, **kwargs):
             passes[-1].append(np.shape(a))
-            return minimum.accumulate(a, *args, **kwargs)
+            return self.ufunc.accumulate(a, *args, **kwargs)
 
     def counted(real):
         return lambda *args, **kwargs: passes.append([]) or real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "minimum", _Counted())
+    for name in ("fmin", "minimum"):
+        monkeypatch.setattr(np, name, _Counted(getattr(np, name)))
     for module in (lb.barrier_solver, lb.estimators, verification):
         monkeypatch.setattr(module, "map_reduce_paths", counted(module.map_reduce_paths))
     lb.solve_barrier(KOU, quad_problem(0.5, q), cfg)
