@@ -41,7 +41,6 @@ from .path_engine import (
     _replicate_rows,
     _row_blocks,
     clock_skeleton,
-    clock_suprema,
     map_reduce_paths,
     value_chunk,
 )
@@ -289,8 +288,8 @@ def solve_barrier_perturbed(
     smallest-eps barrier; the sequence decreases toward the limit as eps
     shrinks, which is surfaced as a diagnostic rather than extrapolated.
     No grid is simulated: each path draws its jumps up to the exponential clock
-    once (``clock_skeleton``), and every level reads its exact suprema S_k off
-    them (``clock_suprema``): the levels are coupled exactly, ``cfg.dt`` does not
+    once (``clock_skeleton``), and every level reads its exact suprema S_k at its
+    own drift off that one read: the levels are coupled exactly, ``cfg.dt`` does not
     enter, and rho-hat(b) = sum_k pi_k f'_+(S_k + b) / (q n), its stderr that of the
     lattice replicate means.
     """
@@ -304,14 +303,14 @@ def solve_barrier_perturbed(
     problem.require_admissible()
     _require_moments_and_tol(triplet, bisect_tol)
     anti = _antithetic_active(triplet, cfg, warn=True)
-    pi, gaps, sizes = clock_skeleton(triplet, cfg, problem.q, anti=anti)
-    w = pi / problem.q
-    weights = _replicate_rows(np.broadcast_to(w, gaps.shape), anti)  # zero on the padding rows
+    read = clock_skeleton(triplet, cfg, problem.q, anti=anti)
+    w = read.pi / problem.q
+    weights = _replicate_rows(np.broadcast_to(w, read.sizes.shape), anti)  # zero on the padding rows
     batch_paths = _replicate_rows(np.ones(cfg.n_paths), anti).sum(axis=1)
     levels = []
     for eps in eps_grid:
         level = triplet.with_drift_added(-eps)
-        sup = clock_suprema(gaps, sizes, level.effective_drift)
+        sup = read.suprema(level.effective_drift)
         rho_hat = _WeightedRho(_replicate_rows(sup, anti), weights, batch_paths, problem.cost.f_prime_plus)
         levels.append((eps, _root_of(rho_hat, (sup * w).sum(axis=1), level, problem, cfg, bisect_tol,
                                      "clock_skeleton")))

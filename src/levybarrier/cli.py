@@ -31,8 +31,9 @@ Config schema (defaults in brackets):
 
 Unknown keys (a dist or cost parameter included that its kind does not
 take), wrongly typed values (a dist parameter is typed by its family),
-empty or unsorted grids, an unknown rho method and a martingale time
-outside [0, horizon] are rejected with the offending dotted path.
+empty lists (verify.checks too), unsorted grids, an unknown rho method and
+a martingale time outside [0, horizon] are rejected with the offending
+dotted path.
 result.json is byte-identical across runs with the same config and seed
 (worker count and timestamps never enter it; volatile metadata goes to
 meta.json).
@@ -66,7 +67,6 @@ from .errors import (
 from .estimators import estimate_record, estimate_value, skeleton_rho_curve
 from .levy_model import JUMP_FAMILIES, JumpSpec, LevyTriplet
 from .path_engine import CHUNK_TARGET_FLOATS, ENGINE_VERSION, SimConfig, horizon_for
-from .verification import run_checks
 
 COMMANDS = ("solve", "value", "rho", "sweep", "verify", "perturb")
 CHECKS = ("barrier_derivative", "slope_identity", "convexity", "martingale", "hjb")
@@ -150,6 +150,14 @@ def _grid(cfg: dict, path: str) -> list:
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ConfigError(f"config.{path}: expected a nonempty list sorted strictly increasing, got {grid}")
     return grid
+
+
+def _given_list(cfg: dict, path: str) -> list | None:
+    """``config.<path>``, a nonempty list of numbers, or None when absent."""
+    values = _need(cfg, path, list, None)
+    if values == []:
+        raise ConfigError(f"config.{path}: expected a nonempty list of numbers, got []")
+    return values
 
 
 def _build_jumps(cfg: dict) -> JumpSpec:
@@ -310,14 +318,18 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         return {"sweep": [estimate_record("sweep_value", est, b=b, x=x) for b, est in curve]}
 
     if command == "verify":
+        from .verification import run_checks  # here: no other command pays for loading the checks
         names = _need(cfg, "verify.checks", default=list(CHECKS))
         if not isinstance(names, list):
             raise ConfigError(f"config.verify.checks: expected a list of check names, got {names!r}")
+        if not names:  # no check would run the whole solve for nothing
+            raise ConfigError("config.verify.checks: expected a nonempty list of check names, got []")
         for name in names:  # before the solve, which the checks wait for
             if not isinstance(name, str) or name not in CHECKS:
                 raise ConfigError(f"config.verify.checks: unknown check {name!r}")
         top = min(2.5, sim.effective_horizon)  # k / 5 <= 1, so no default time passes the horizon
-        t_grid = _need(cfg, "verify.t_grid", list, None) or [top * (k / 5) for k in range(1, 6)]
+        t_grid = _given_list(cfg, "verify.t_grid") or [top * (k / 5) for k in range(1, 6)]
+        x_grid = _given_list(cfg, "verify.x_grid")
         if "martingale" in names and not all(0 <= t <= sim.effective_horizon for t in t_grid):
             raise ConfigError(f"config.verify.t_grid: expected times in [0, {sim.effective_horizon:g}], "
                               f"the simulation horizon, got {t_grid}")
@@ -326,7 +338,7 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         b = _need(cfg, "verify.b", float, res.b_star)
         x = _need(cfg, "verify.x", float, b + 1.0)
         fd_h = _need(cfg, "verify.fd_h", float, 0.25)
-        x_grid = _need(cfg, "verify.x_grid", list, None) or [b + (i - 7) * fd_h * 2 for i in range(15)]
+        x_grid = x_grid or [b + (i - 7) * fd_h * 2 for i in range(15)]
         h = _need(cfg, "verify.h", float, None)
         at_b = {"x": x, "b": b, **({} if h is None else {"h": h})}
         check_args = {

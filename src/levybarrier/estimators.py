@@ -38,12 +38,10 @@ from .path_engine import (
     SimConfig,
     _antithetic_active,
     _clock_segments,
-    _clock_weights,
     _grid_sum,
     _replicate_rows,
     _row_blocks,
     clock_skeleton,
-    clock_suprema,
     map_reduce_paths,
     value_chunk,
 )
@@ -136,7 +134,9 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, replicates=False, 
         sums = _replicate_rows(samples - samples[0], antithetic).sum(axis=1)
         stderr = _moments(sums / _replicate_rows(np.ones(len(samples)), antithetic).sum(axis=1), False)[1]
     reliable = True
-    if kurt is not None and kurt > KURTOSIS_RELIABLE_MAX:
+    if (len(samples) // 2 if antithetic else len(samples)) < 2 and not triplet.is_deterministic:
+        stderr, reliable = np.inf, False  # one path, pair, batch or replicate: the error is unknown
+    elif kurt is not None and kurt > KURTOSIS_RELIABLE_MAX:
         reliable = False
         warnings.warn(
             f"{kind}: sample kurtosis {kurt:.1f} exceeds {KURTOSIS_RELIABLE_MAX:.0f}; "
@@ -263,24 +263,23 @@ def skeleton_rho_curve(triplet: LevyTriplet, problem: ProblemSpec, b_grid, cfg: 
                        method: str = "time_integral") -> list[tuple[float, EstimateWithError]]:
     """rho-hat on a sorted barrier grid read off the clock skeleton: no grid, so ``cfg.dt`` does not enter.
 
-    Each path's sample is sum_k (pi_k / q) f'_+(Z_k + b) over the segments the
-    Exponential(q) clock may end (``path_engine.clock_skeleton``), Z_k the supremum S_k
-    (``exp_clock``) or U^0 (``time_integral``): exact up to the tail mass ``cfg.tail_tol``.
+    Each path's sample is sum_k (pi_k / q) f'_+(Z_k + b) over the segments the Exponential(q)
+    clock may end, pi and Z_k read off ``path_engine.clock_skeleton``: the suprema S_k
+    (``exp_clock``) or U^0 (``time_integral``), exact up to the tail mass ``cfg.tail_tol``.
     The mean is over all paths and the stderr over the lattice replicates.  Chunks of at
     most ``SKELETON_FLOATS`` floats leave n_paths uncapped; the pairing is decided once for
     all of them.
     """
     b_grid = _rho_grid(b_grid, method)
     anti = _antithetic_active(triplet, cfg, warn=True)
-    k = _clock_segments(triplet.jumps.rate, problem.q, cfg.tail_tol)  # refuses a K beyond the budget
-    w = _clock_weights(triplet.jumps.rate, problem.q, k) / problem.q
-    size = SKELETON_FLOATS // k
+    size = SKELETON_FLOATS // _clock_segments(triplet.jumps.rate, problem.q, cfg.tail_tol)  # refuses a long clock
     y = np.empty((cfg.n_paths, len(b_grid)))
     for lo in range(0, cfg.n_paths, size):
         rows = range(lo, min(lo + size, cfg.n_paths))
-        _, moves, sizes = clock_skeleton(triplet, cfg, problem.q, rows, anti)
-        z = clock_suprema(moves, sizes, triplet.effective_drift, lows=method == "time_integral")
-        for block in _row_blocks(len(z), k):
+        read = clock_skeleton(triplet, cfg, problem.q, rows, anti)
+        z = (read.u0 if method == "time_integral" else read.suprema)(triplet.effective_drift)
+        w = read.pi / problem.q
+        for block in _row_blocks(*z.shape):
             for j, b in enumerate(b_grid):
                 y[rows[block], j] = _grid_sum(problem.cost.f_prime_plus(z[block] + b), w)
     return _rho_curve(y, b_grid, method, anti, triplet, problem, cfg, True, solver="clock_skeleton")

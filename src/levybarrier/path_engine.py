@@ -56,9 +56,9 @@ its chunk nor on the BLAS thread count.  The grid reducer sweeps a chunk in
 row blocks of ``BLOCK_FLOATS`` (``_row_blocks``), in reused block-sized
 buffers that stay in cache; each row takes the same operations in the same
 order, so the bits do not depend on the block size.
-Grid paths serve every estimator, solver and check but two: the clock
-skeleton, with no grid and no dt, serves ``solve_barrier_perturbed`` and
-``estimators.skeleton_rho_curve`` (the CLI's ``rho``).
+Grid paths serve every estimator, solver and check but two, which read the
+suprema S_k or U^0 off the clock skeleton (``ClockSkeleton``), with no grid
+and no dt: ``solve_barrier_perturbed`` and ``skeleton_rho_curve`` (``rho``).
 """
 from __future__ import annotations
 
@@ -67,8 +67,8 @@ import itertools
 import math
 import operator
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
@@ -87,7 +87,6 @@ __all__ = [
     "discounted_stieltjes",
     "map_reduce_paths",
     "clock_skeleton",
-    "clock_suprema",
     "horizon_for",
     "integral_weights",
     "discount_factors",
@@ -302,12 +301,6 @@ def _clock_segments(rate: float, q: float, tail_tol: float, n_paths: int = 1) ->
     return k
 
 
-def _clock_weights(rate: float, q: float, k: int) -> np.ndarray:
-    """pi_k = p^(k-1) (1 - p), p = rate / (rate + q); the last of K takes the tail p^(K-1) <= tail_tol."""
-    p = rate / (rate + q)
-    return p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
-
-
 def _radical_inverse(i) -> np.ndarray:
     """phi_2(i) for i < 2**32: the 32 bits of i reversed, over 2**32."""
     v = np.asarray(i, dtype=np.uint64)
@@ -349,9 +342,34 @@ def _replicate_rows(x: np.ndarray, anti: bool) -> np.ndarray:
     return np.moveaxis(padded.reshape((h, -1, r) + x.shape[1:]), 2, 0).reshape(r, -1)
 
 
+class ClockSkeleton(NamedTuple):
+    """``clock_skeleton``'s (pi, moves, sizes) and its two reads per path and segment k at ``drift``, the slope
+    of sigma = 0 segments, whose moves are lengths (each perturb level its own); sigma > 0 moves carry theirs."""
+    pi: np.ndarray
+    moves: np.ndarray
+    sizes: np.ndarray
+
+    def _walk(self, drift: float):  # (starts, falls, rises); segment k + 1 starts where k ends, plus its jump
+        flat = self.moves.ndim == 2
+        fall, rise = (max(-drift, 0.0) * self.moves, max(drift, 0.0) * self.moves) if flat else self.moves
+        starts = np.zeros_like(self.sizes)  # segment 1 starts at 0
+        np.cumsum((rise - fall)[:, :-1] + self.sizes[:, :-1], axis=1, out=starts[:, 1:])
+        return starts, fall, rise
+
+    def suprema(self, drift: float) -> np.ndarray:
+        """S_k = max(highs of segments 1..k), >= 0."""
+        starts, _, rise = self._walk(drift)
+        return np.maximum.accumulate(starts + rise, axis=1)
+
+    def u0(self, drift: float) -> np.ndarray:
+        """U^0 at the end of segment k (start + rise - fall, before its jump) less I_k, the least low of 1..k."""
+        starts, fall, rise = self._walk(drift)
+        return starts + rise - fall - np.minimum.accumulate(starts - fall, axis=1)
+
+
 def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range | None = None,
-                   anti: bool | None = None):
-    """(pi, moves, sizes) of the segments of ``paths`` (default all) up to an Exponential(q) clock.
+                   anti: bool | None = None) -> ClockSkeleton:
+    """The ``ClockSkeleton`` (pi, moves, sizes) of ``paths`` (default all) up to an Exponential(q) clock.
 
     Segments last Exp(lambda), lambda = rate + q; the clock ends segment k with probability pi_k
     and the jump ``sizes`` (n, K) end the others.  ``moves`` are the segment lengths (n, K) when
@@ -366,7 +384,8 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range 
     rate, sigma, mu, lam = triplet.jumps.rate, triplet.sigma, triplet.effective_drift, triplet.jumps.rate + q
     paths = np.arange(cfg.n_paths) if paths is None else np.asarray(paths)
     n, k = len(paths), _clock_segments(rate, q, cfg.tail_tol, len(paths))
-    pi = _clock_weights(rate, q, k)
+    p = rate / lam  # pi_k = p^(k-1) (1 - p); the last of K takes the tail p^(K-1) <= tail_tol
+    pi = p ** np.arange(k) * np.append(np.full(k - 1, 1.0 - p), 1.0)
     if anti is None:
         anti = _antithetic_active(triplet, cfg, warn=True)
     mirror = anti & (paths >= cfg.n_paths // 2)
@@ -381,7 +400,7 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range 
             np.log(u[:, k + m * k:], out=moves[1, rows])  # -E_up
     sizes[mirror] *= -1.0
     if sigma == 0:
-        return pi, np.divide(moves[0], -lam, out=moves[0]), sizes
+        return ClockSkeleton(pi, np.divide(moves[0], -lam, out=moves[0]), sizes)
     moves[:, mirror] = moves[::-1, mirror]
     # 1 / beta_+- = (root +- mu) / (2 lambda) = sigma^2 / (root -+ mu), each form taken where it
     # does not cancel; at mu = 0 both are root / (2 lambda), so a mirror is then -X exactly.  The
@@ -389,23 +408,7 @@ def clock_skeleton(triplet: LevyTriplet, cfg: SimConfig, q: float, paths: range 
     root = math.sqrt(mu * mu + 2.0 * sigma * sigma * lam)
     moves[0] *= -((root - mu) / (2.0 * lam) if mu <= 0 else sigma * sigma / (root + mu))
     moves[1] *= -((root + mu) / (2.0 * lam) if mu >= 0 else sigma * sigma / (root - mu))
-    return pi, moves, sizes
-
-
-def clock_suprema(moves: np.ndarray, sizes: np.ndarray, drift: float, lows: bool = False) -> np.ndarray:
-    """S_k = max(highs of segments 1..k) per path of a ``clock_skeleton``; with ``lows``, U^0 there:
-    the end of segment k (start + rise - fall, before its jump) less min(lows of 1..k).  Segment 1
-    starts at 0, so S_k >= 0 >= that minimum.  ``moves`` holds each segment's (fall, rise) or,
-    with sigma = 0, its length at ``drift``."""
-    if moves.ndim == 2:
-        fall, rise = max(-drift, 0.0) * moves, max(drift, 0.0) * moves
-    else:
-        fall, rise = moves
-    starts = np.zeros_like(sizes)
-    np.cumsum((rise - fall)[:, :-1] + sizes[:, :-1], axis=1, out=starts[:, 1:])
-    if lows:
-        return starts + rise - fall - np.minimum.accumulate(starts - fall, axis=1)
-    return np.maximum.accumulate(starts + rise, axis=1)
+    return ClockSkeleton(pi, moves, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +697,7 @@ def map_reduce_paths(triplet: LevyTriplet, cfg: SimConfig, reducer, n_workers: i
     plan = _chunk_plan(cfg.n_paths, cfg.n_steps + 1, anti, CHUNK_TARGET_FLOATS)
     if n_workers <= 1 or len(plan) == 1:
         return _merge(plan, (_process_chunk(triplet, cfg, lo, hi, anti, reducer) for lo, hi, _ in plan))
+    from concurrent.futures import ProcessPoolExecutor  # here: a one-worker run never pays for loading it
     with ProcessPoolExecutor(max_workers=n_workers) as ex:
         chunk = functools.partial(_process_chunk, triplet, cfg, anti=anti, reducer=reducer)
         los, his, _ = zip(*plan)  # map yields in chunk order and holds no result it has yielded

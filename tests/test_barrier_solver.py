@@ -17,7 +17,6 @@ from levybarrier.path_engine import (
     CHUNK_TARGET_FLOATS,
     _chunk_plan,
     clock_skeleton,
-    clock_suprema,
     horizon_for,
     integral_weights,
     value_chunk,
@@ -231,8 +230,8 @@ def test_perturbed_replicate_stderr_beats_per_path_stderr(seed):
     cfg = make_cfg(q, dt=2e-3, n=1200, seed=seed)
     res = solve_barrier_perturbed(cp, quad_problem(0.0, q), cfg, bisect_tol=1e-3)
     eps, r = res.levels[-1]
-    pi, gaps, sizes = clock_skeleton(cp, cfg, q)
-    y = (2.0 * (clock_suprema(gaps, sizes, cp.with_drift_added(-eps).effective_drift) + r.b_star) * pi / q).sum(axis=1)
+    read = clock_skeleton(cp, cfg, q)
+    y = (2.0 * (read.suprema(cp.with_drift_added(-eps).effective_drift) + r.b_star) * read.pi / q).sum(axis=1)
     assert 0.0 < r.rho_at_b_star.stderr <= 0.5 * y.std(ddof=1) / math.sqrt(cfg.n_paths)
 
 

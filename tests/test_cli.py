@@ -545,3 +545,58 @@ def test_cli_imports_no_scipy():
     probe = "import levybarrier.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_worker_solve_loads_no_process_pool_nor_checks(tmp_path):
+    # a fresh interpreter: one worker never starts a pool, and only verify reads the checks
+    src = Path(path_engine.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["solve", "--config", str(KOU), "--out", str(tmp_path / "o"), "--paths", "8", "--dt", "0.05"]
+    probe = (f"import sys; from levybarrier.cli import main; assert main({argv!r}) == 0; "
+             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "
+             "'levybarrier.verification') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("key", ["checks", "x_grid", "t_grid"])
+def test_empty_verify_list_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, key):
+    # an empty list is refused with its dotted path, not read as its default nor run as no check
+    seen = []
+    for module in (estimators, barrier_solver, verification):
+        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    out = tmp_path / "o"
+    assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05,
+                "--set", f"verify.{key}=[]"]) == 2
+    assert f"config error: config.verify.{key}: expected a nonempty list" in capsys.readouterr().err
+    assert seen == [] and not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("command, config, size", [
+    ("solve", KOU, ["--dt", "0.05"]),
+    ("rho", KOU, []),
+    ("perturb", CP, []),
+    ("value", KOU, ["--dt", "0.05"]),
+], ids=["grid_solve", "skeleton_rho", "perturb", "value"])
+def test_one_path_reports_no_error_bound(tmp_path, command, config, size):
+    # one path is one sample (one grid batch, one lattice replicate): its stderr is unknown, not 0
+    out = tmp_path / "o"
+    assert run([command, "--config", config, "--out", out, "--paths", 1] + size) == 0
+    result = json.loads((out / "result.json").read_text())["result"][command]
+    if command in ("solve", "perturb"):
+        record = result["eps_sequence"][-1][1] if command == "perturb" else result
+        assert record["ci_halfwidth"] == np.inf and record["discounted_u0"]["stderr"] == np.inf
+        estimates = [record["rho_at_b_star"]]
+    else:
+        estimates = result if command == "rho" else list(result.values())
+    assert all(est["stderr"] == np.inf and est["stderr_reliable"] is False for est in estimates)
+
+
+def test_one_path_pure_drift_solve_keeps_ci_zero(tmp_path):
+    # a deterministic model's one path is the exact answer
+    out = tmp_path / "o"
+    assert run(["solve", "--config", write_config(tmp_path, solve={"bisect_tol": 2e-3}), "--out", out,
+                "--paths", 1]) == 0
+    record = json.loads((out / "result.json").read_text())["result"]["solve"]
+    assert record["ci_halfwidth"] == 0.0 and record["rho_at_b_star"]["stderr"] == 0.0
+    assert record["rho_at_b_star"]["stderr_reliable"] is True

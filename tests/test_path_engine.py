@@ -31,7 +31,6 @@ from levybarrier.path_engine import (
     _radical_inverse,
     _simulate_chunk,
     clock_skeleton,
-    clock_suprema,
     discount_factors,
     discounted_integral,
     discounted_stieltjes,
@@ -257,9 +256,9 @@ def test_skeleton_rho_bit_identical_across_row_blocks(monkeypatch, s, n_paths, m
     monkeypatch.setattr(estimators, "_rho_curve", lambda y, *a, **kw: seen.append(y.copy()) or rho_curve(y, *a, **kw))
     b_grid = (-1.0, 0.25, 2.0)
     skeleton_rho_curve(cp, problem, b_grid, cfg, method)
-    _, moves, sizes = clock_skeleton(cp, cfg, problem.q)
-    z = clock_suprema(moves, sizes, cp.effective_drift, lows=method == "time_integral")
-    w = path_engine._clock_weights(cp.jumps.rate, problem.q, k) / problem.q
+    read = clock_skeleton(cp, cfg, problem.q)
+    z = (read.u0 if method == "time_integral" else read.suprema)(cp.effective_drift)
+    w = read.pi / problem.q
     want = np.stack([_grid_sum(problem.cost.f_prime_plus(z + b), w) for b in b_grid], axis=1)
     assert np.array_equal(seen[0], want)
 
@@ -766,12 +765,44 @@ def test_clock_skeleton_peak_memory(triplet, bound, traced_peak):
 def test_clock_suprema_nonincreasing_in_eps():
     cfg = SimConfig(dt=0.02, horizon_T=1.0, n_paths=500, master_seed=12)
     kou = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.5, 2.0, 3.0))
-    _, gaps, sizes = clock_skeleton(kou, cfg, 0.5)
-    sups = [clock_suprema(gaps, sizes, kou.effective_drift - eps) for eps in (-0.1, 0.0, 0.025, 0.2, 1.0)]
+    read = clock_skeleton(kou, cfg, 0.5)
+    sups = [read.suprema(kou.effective_drift - eps) for eps in (-0.1, 0.0, 0.025, 0.2, 1.0)]
     assert all(np.all(s >= 0.0) and np.all(np.diff(s, axis=1) >= 0.0) for s in sups)
     for hi, lo in zip(sups, sups[1:]):
         assert np.all(hi >= lo)
     assert np.any(sups[0] > sups[-1])
+
+
+def _parent_suprema(moves, sizes, drift, lows=False):
+    """The running suprema S_k or, with ``lows``, U^0 at the segment ends, as the former
+    ``clock_suprema(moves, sizes, drift, lows)`` took them off a skeleton's moves and sizes."""
+    if moves.ndim == 2:
+        fall, rise = max(-drift, 0.0) * moves, max(drift, 0.0) * moves
+    else:
+        fall, rise = moves
+    starts = np.zeros_like(sizes)
+    np.cumsum((rise - fall)[:, :-1] + sizes[:, :-1], axis=1, out=starts[:, 1:])
+    if lows:
+        return starts + rise - fall - np.minimum.accumulate(starts - fall, axis=1)
+    return np.maximum.accumulate(starts + rise, axis=1)
+
+
+@pytest.mark.parametrize("triplet, antithetic, drifts", [
+    (LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(2.0, 0.4, 2.0, 3.0)), False, (-0.2, 0.0, 0.025, 0.3)),
+    (LevyTriplet(0.0, 0.0, jumps=JumpSpec.atom_sizes(1.0, (-1.0, 1.0), (0.5, 0.5))), True, (-0.1, -0.025, 0.1)),
+    (LevyTriplet(-0.4, 0.7, jumps=JumpSpec.kou_mixture(2.0, 0.4, 2.0, 3.0)), False, (None,)),
+    (SYM_ATOMS, True, (None,)),
+    (BM, True, (None,)),
+], ids=["kou_sigma0", "atoms_sigma0_antithetic", "kou_sigma", "sym_atoms_sigma_antithetic", "bm_antithetic"])
+def test_skeleton_reads_equal_the_former_suprema_bit_for_bit(triplet, antithetic, drifts):
+    # sigma = 0 reads each drift off one draw's segment lengths (as perturb's levels do); sigma > 0
+    # reads the draw's own (fall, rise) pairs; the antithetic reads take in the mirrored half
+    cfg = SimConfig(dt=0.01, horizon_T=1.0, n_paths=300, master_seed=611, antithetic=antithetic, tail_tol=1e-3)
+    read = clock_skeleton(triplet, cfg, 0.5)
+    for drift in drifts:
+        drift = triplet.effective_drift if drift is None else drift
+        assert _same_bits(read.suprema(drift), _parent_suprema(read.moves, read.sizes, drift))
+        assert _same_bits(read.u0(drift), _parent_suprema(read.moves, read.sizes, drift, lows=True))
 
 
 def _sum_chunk(values):
