@@ -1,7 +1,7 @@
 """Optimal barrier computation by sample-average bisection on rho(b) + C.
 
 The solver fixes ONE common-random-number batch of paths reflected at 0 and,
-in one streamed pass (``path_engine.value_chunk``), compresses its
+in one streamed grid pass (``estimators._grid_pass``), compresses its
 discounted occupation of U^0 into a fine histogram per fixed path batch:
 since rho-hat(b) only reads the batch through f'_+(U + b) integrated against
 fixed weights, binning U to width h shifts the fitted root by at most h/2
@@ -22,7 +22,6 @@ there the batches are the R lattice replicates of the clock skeleton.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -32,17 +31,16 @@ import numpy as np
 
 from .cost_model import ProblemSpec
 from .errors import AssumptionViolated, NoSignChange, NonFiniteSample
-from .estimators import EstimateWithError, _finish, _outside_stacklevel, _rho_grid, _value_pass
+from .estimators import EstimateWithError, _finish, _grid_pass, _rho_grid, _value_pass
 from .levy_model import LevyTriplet, exp_moment_check
 from .path_engine import (
     SimConfig,
     _antithetic_active,
     _batch_path_counts,
+    _outside_stacklevel,
     _replicate_rows,
     _row_blocks,
     clock_skeleton,
-    map_reduce_paths,
-    value_chunk,
 )
 
 __all__ = [
@@ -200,8 +198,9 @@ def _require_moments_and_tol(triplet: LevyTriplet, bisect_tol: float | None) -> 
         raise ValueError("bisect_tol must be positive")
 
 
-def _root_of(rho_hat: _WeightedRho, udisc, triplet, problem, cfg, bisect_tol, solver: str) -> BarrierResult:
-    """b* of rho-hat + C, its batch-means CI, and discounted_u0 from its per-path samples ``udisc``."""
+def _root_of(rho_hat: _WeightedRho, udisc, anti, triplet, problem, cfg, bisect_tol, solver: str) -> BarrierResult:
+    """b* of rho-hat + C, its batch-means CI, and discounted_u0 from its per-path samples ``udisc``
+    (antithetic halves paired when ``anti``, as the pass that drew them paired them)."""
     g = lambda b: rho_hat(b) + problem.C
     lo0, hi0 = _expand_bracket(g)
     b_star, lo, hi, iterations = _bisect(g, lo0, hi0, bisect_tol=bisect_tol)
@@ -226,8 +225,7 @@ def _root_of(rho_hat: _WeightedRho, udisc, triplet, problem, cfg, bisect_tol, so
     ci = math.inf if flat else rho_est.stderr / slope
     # rho mean at the root as the bisection saw it (pooled batch mean)
     rho_est = replace(rho_est, mean=rho_hat(b_star), n=cfg.n_paths)
-    u0_est = _finish("discounted_u0", udisc, _antithetic_active(triplet, cfg), triplet, problem, cfg,
-                     replicates=solver == "clock_skeleton")
+    u0_est = _finish("discounted_u0", udisc, anti, triplet, problem, cfg, replicates=solver == "clock_skeleton")
     return BarrierResult(
         b_star=b_star,
         bracket=(lo, hi),
@@ -264,15 +262,11 @@ def solve_barrier(
             "driftless compound Poisson model: use solve_barrier_perturbed"
         )
     _require_moments_and_tol(triplet, bisect_tol)
-    cfg.validate_for(problem.q)
     bin_width = min(1e-3, _tol(bisect_tol, 0.0)) / 4.0  # at b = 0 the relative rule is its floor
-
-    reducer = functools.partial(value_chunk, pairs=(), f=problem.cost.f, q=problem.q, dt=cfg.dt, hist=bin_width)
-    out = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
+    out, anti = _grid_pass(triplet, problem, cfg, n_workers, hist=bin_width)
     rho_hat = _WeightedRho(np.arange(max(map(len, out["acc_hist"]))) * bin_width, out["acc_hist"],
-                           _batch_path_counts(cfg.n_paths, _antithetic_active(triplet, cfg)),
-                           problem.cost.f_prime_plus)
-    return _root_of(rho_hat, out["pp_udisc"], triplet, problem, cfg, bisect_tol, "histogram")
+                           _batch_path_counts(cfg.n_paths, anti), problem.cost.f_prime_plus)
+    return _root_of(rho_hat, out["pp_udisc"], anti, triplet, problem, cfg, bisect_tol, "histogram")
 
 
 def solve_barrier_perturbed(
@@ -312,7 +306,7 @@ def solve_barrier_perturbed(
         level = triplet.with_drift_added(-eps)
         sup = read.suprema(level.effective_drift)
         rho_hat = _WeightedRho(_replicate_rows(sup, anti), weights, batch_paths, problem.cost.f_prime_plus)
-        levels.append((eps, _root_of(rho_hat, (sup * w).sum(axis=1), level, problem, cfg, bisect_tol,
+        levels.append((eps, _root_of(rho_hat, (sup * w).sum(axis=1), anti, level, problem, cfg, bisect_tol,
                                      "clock_skeleton")))
     bs = [res.b_star for _, res in levels]
     monotone = all(b1 >= b2 - 2 * _tol(bisect_tol, bs[-1]) for b1, b2 in zip(bs, bs[1:]))
@@ -337,9 +331,7 @@ def barrier_sweep(
     Returns a list of (b, EstimateWithError).
     """
     b_grid = _rho_grid(b_grid)
-    cfg.validate_for(problem.q)
-    anti = _antithetic_active(triplet, cfg)
-    v, _ = _value_pass(triplet, problem, cfg, [(x, b) for b in b_grid], n_workers=n_workers)
+    v, anti = _value_pass(triplet, problem, cfg, [(x, b) for b in b_grid], n_workers=n_workers)
     return [
         (b, _finish("sweep_value", v[:, k], anti, triplet, problem, cfg, b=b, x=x))
         for k, b in enumerate(b_grid)

@@ -61,8 +61,6 @@ from .errors import (
     LevyBarrierError,
     NoSignChange,
     NonConvexSpec,
-    NonFiniteSample,
-    NotSpectrallyNegative,
 )
 from .estimators import estimate_record, estimate_value, skeleton_rho_curve
 from .levy_model import JUMP_FAMILIES, JumpSpec, LevyTriplet
@@ -411,8 +409,7 @@ def main(argv=None) -> int:
     except (AssumptionViolated, NoSignChange) as exc:
         print(f"solver precondition failed: {exc}", file=sys.stderr)
         return 3
-    except (NonFiniteSample, NotSpectrallyNegative, InvalidModel, ArithmeticError,
-            LevyBarrierError) as exc:
+    except (ArithmeticError, LevyBarrierError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

@@ -4,10 +4,11 @@ Every estimate is reported with its standard error and a configuration
 fingerprint.  Common random numbers come for free from the deterministic
 per-path streams: evaluating several barriers or starting points against
 the same (master_seed, n_paths) reuses identical paths, so differences of
-estimates are pathwise differences.  Every grid estimate is one
-``path_engine.map_reduce_paths`` pass of the paths from 0, read by
-``path_engine.value_chunk`` bound to its parameters with
-``functools.partial``; a start x is an offset of that pass.
+estimates are pathwise differences.  Every grid estimate, solve and check
+is one ``_grid_pass``, the one place that checks the horizon against q and
+binds ``path_engine.value_chunk`` to what its caller asks: one
+``path_engine.map_reduce_paths`` pass of the paths from 0, returned with the
+antithetic pairing it took; a start x is an offset of that pass.
 
 rho(b) has two forms.  The grid estimators read the time integral
 E[ int_0^inf e^{-qt} f'_+(U^0_t + b) dt ] off paths started and reflected at
@@ -22,8 +23,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -39,6 +38,7 @@ from .path_engine import (
     _antithetic_active,
     _clock_segments,
     _grid_sum,
+    _outside_stacklevel,
     _replicate_rows,
     _row_blocks,
     clock_skeleton,
@@ -106,17 +106,6 @@ def _moments(samples: np.ndarray, antithetic: bool):
     return mean, stderr, kurt
 
 
-_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
-
-
-def _outside_stacklevel() -> int:
-    """Our caller's warning ``stacklevel`` naming the first frame outside the package."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 def _finite(kind: str, samples) -> np.ndarray:
     """``samples`` as floats, refused if any is not finite."""
     samples = np.asarray(samples, dtype=float)
@@ -158,13 +147,19 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, replicates=False, 
 # ---------------------------------------------------------------------------
 
 
+def _grid_pass(triplet, problem, cfg, n_workers=1, pairs=(), **ask):
+    """The one grid pass of every estimate, solve and check: the horizon checked against q, then one
+    ``map_reduce_paths`` pass of ``value_chunk`` reading the (start offset, barrier) ``pairs`` and
+    the rest of ``ask`` (its keywords); returns (partials, whether antithetic halves pair)."""
+    cfg.validate_for(problem.q)
+    reducer = functools.partial(value_chunk, pairs=pairs, f=problem.cost.f, q=problem.q, dt=cfg.dt, **ask)
+    return map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers), _antithetic_active(triplet, cfg)
+
+
 def _value_pass(triplet, problem, cfg, pairs, n_workers=1):
-    """One streamed ``value_chunk`` pass over (start offset, barrier) ``pairs``;
-    returns (running + C * control, partials)."""
-    reducer = functools.partial(value_chunk, pairs=tuple((float(o), float(b)) for o, b in pairs),
-                                f=problem.cost.f, q=problem.q, dt=cfg.dt)
-    out = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
-    return out["pp_running"] + problem.C * out["pp_control"], out
+    """(running + C * control per path and (start offset, barrier) pair of ``pairs``, pairing)."""
+    out, anti = _grid_pass(triplet, problem, cfg, n_workers, pairs=tuple((float(o), float(b)) for o, b in pairs))
+    return out["pp_running"] + problem.C * out["pp_control"], anti
 
 
 def _rho_grid(b_grid, method="time_integral") -> tuple:
@@ -226,9 +221,7 @@ def estimate_value(
     pathwise sum.  Calls with the same config share their paths (common
     random numbers), whatever their b and x.
     """
-    cfg.validate_for(problem.q)
-    _, out = _value_pass(triplet, problem, cfg, [(x, b)], n_workers=n_workers)
-    anti = _antithetic_active(triplet, cfg)
+    out, anti = _grid_pass(triplet, problem, cfg, n_workers, pairs=((float(x), float(b)),))
     y1 = out["pp_running"][:, 0]
     y2 = out["pp_control"][:, 0]
     v1 = _finish("value_running", y1, anti, triplet, problem, cfg, b=b, x=x)
@@ -251,11 +244,7 @@ def estimate_rho_curve(
     exactly, not just statistically.
     """
     b_grid = _rho_grid(b_grid)
-    cfg.validate_for(problem.q)
-    reducer = functools.partial(value_chunk, pairs=(), f=problem.cost.f, q=problem.q, dt=cfg.dt,
-                                f_prime=problem.cost.f_prime_plus, rho=b_grid)
-    out = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
-    anti = _antithetic_active(triplet, cfg)
+    out, anti = _grid_pass(triplet, problem, cfg, n_workers, f_prime=problem.cost.f_prime_plus, rho=b_grid)
     return _rho_curve(out["pp_y"], b_grid, "time_integral", anti, triplet, problem, cfg)
 
 

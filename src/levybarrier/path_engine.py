@@ -66,6 +66,8 @@ import functools
 import itertools
 import math
 import operator
+import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -211,6 +213,17 @@ def _path_rngs(master_seed: int, streams):
             yield rng
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """Our caller's warning ``stacklevel`` naming the first frame outside the package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False) -> bool:
     """Whether the second half of the paths mirrors the first.
 
@@ -223,7 +236,7 @@ def _antithetic_active(triplet: LevyTriplet, cfg: SimConfig, warn: bool = False)
         if warn:
             warnings.warn(
                 "antithetic ignored: jump law is not symmetric, mirroring would bias it",
-                stacklevel=3,
+                stacklevel=_outside_stacklevel(),
             )
         return False
     if cfg.n_paths % 2 != 0:

@@ -13,11 +13,14 @@ interpolation bounds for the jump integral, and (d) explicit time-step and
 horizon-truncation allowances so that zero-variance (deterministic-path)
 models are budgeted honestly too.
 
-``run_checks`` reads several checks off ONE ``map_reduce_paths`` pass of
-the paths from 0: a path started at x is the path from 0 plus x bit for
-bit, so each start is an offset.  A check validates its arguments, yields
-an ``_Ask`` of what it reads off the pass, is sent the ``_Pass`` and yields
-its report; each public ``check_*`` is ``run_checks`` with that one check.
+``run_checks`` reads several checks off ONE grid pass of the paths from 0
+(``estimators._grid_pass``, which checks the horizon): a path started at x
+is the path from 0 plus x bit for bit, so each start is an offset.  A
+stochastic model with fewer than two independent samples (paths, or
+antithetic pairs) is refused before any pass, since no check's stderr
+rests on one.  A check validates its arguments, yields an ``_Ask`` of what
+it reads off the pass, is sent the ``_Pass`` and yields its report; each
+public ``check_*`` is ``run_checks`` with that one check.
 What several checks ask is computed once: ONE ``value_chunk`` reducer reads
 every value, first passage, stopped value and rho-hat column, and the
 martingale check evaluates its interpolant at the stopped values after the
@@ -39,15 +42,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost_model import ProblemSpec
-from .estimators import _finite, _moments, _rho_curve, _rho_grid, _value_pass
+from .estimators import _finite, _grid_pass, _moments, _rho_curve, _rho_grid, _value_pass
 from .levy_model import LevyTriplet
-from .path_engine import (
-    SimConfig,
-    _antithetic_active,
-    discount_factors,
-    map_reduce_paths,
-    value_chunk,
-)
+from .path_engine import SimConfig, _antithetic_active, discount_factors
 
 __all__ = [
     "CheckReport",
@@ -148,11 +145,9 @@ class _Pass:
         self.stops = list(dict.fromkeys(s for a in asks for s in a.stops))
         rho_b = _rho_grid(sorted({b for a in asks for b in a.rho}))
         f_prime = problem.cost.f_prime_plus if rho_b or any(a.f_prime for a in asks) else None
-        reducer = functools.partial(value_chunk, pairs=tuple(reflected), f=problem.cost.f, q=problem.q,
-                                    dt=cfg.dt, passages=tuple(self.passages), f_prime=f_prime, rho=rho_b,
-                                    stops=tuple(self.stops))
-        value = map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers)
-        self.antithetic = _antithetic_active(triplet, cfg)
+        value, self.antithetic = _grid_pass(triplet, problem, cfg, n_workers, pairs=tuple(reflected),
+                                            passages=tuple(self.passages), f_prime=f_prime, rho=rho_b,
+                                            stops=tuple(self.stops))
         cols = [reflected.index(p) for p in at]
         control = value["pp_control"][:, cols]
         for k, (o, b) in enumerate(self.pairs):
@@ -207,6 +202,10 @@ def _check(plan):
 def _run(plans, triplet, problem, cfg, n_workers) -> list[CheckReport]:
     if not plans:
         return []
+    samples = cfg.n_paths // 2 if _antithetic_active(triplet, cfg) else cfg.n_paths
+    if samples < 2 and not triplet.is_deterministic:  # before any pass: a check's stderr needs two
+        raise ValueError(f"n_paths = {cfg.n_paths} gives {samples} independent sample (a path, or an "
+                         "antithetic pair); a check's standard error needs at least two")
     shared = _Pass(triplet, problem, cfg, [next(plan) for plan in plans], n_workers)
     return [plan.send(shared) for plan in plans]
 
@@ -246,7 +245,6 @@ def check_barrier_derivative(triplet: LevyTriplet, problem: ProblemSpec, x: floa
     """
     if x == b:
         raise ValueError("the derivative identity needs x != b")
-    cfg.validate_for(problem.q)
     bundle = [(x, b - h), (x, b), (x, b + h)]
     p = yield _Ask(pairs=bundle, passages=[(x, b)], rho=[b])
     v, allowance = _bundle(p, bundle, h)
@@ -277,7 +275,6 @@ def check_slope_identity(triplet: LevyTriplet, problem: ProblemSpec, x: float, b
     formed pathwise on CRN paths (the same increments drive both starting
     points and the passage functionals).
     """
-    cfg.validate_for(problem.q)
     bundle = [(x, b), (x + h, b), (x + 2 * h, b)]
     p = yield _Ask(pairs=bundle, passages=[(x, b)], f_prime=True)
     v, allowance = _bundle(p, bundle, h)
@@ -307,7 +304,6 @@ def check_convexity(
     """Second differences of x -> v_{b*}(x) on CRN-coupled starts are >= 0
     up to three propagated standard errors at every interior grid point."""
     problem.require_admissible()
-    cfg.validate_for(problem.q)
     x_grid = np.asarray([float(v) for v in x_grid])
     if x_grid.size < 5:
         raise ValueError("x_grid needs at least 5 points")
@@ -348,7 +344,6 @@ def check_martingale(
     pass of its own); below the node range the exact linear continuation
     with slope -C is used.
     """
-    cfg.validate_for(problem.q)
     if x <= b_star:
         raise ValueError("martingale check needs a start strictly above the barrier")
     if any(t < 0 for t in t_grid):  # a negative grid index would wrap to the end of the grid
@@ -411,7 +406,6 @@ def check_hjb(
     for x < b*, slope v' + C >= -tol everywhere and |v' + C| <= tol below
     the barrier.
     """
-    cfg.validate_for(problem.q)
     if fd_h <= 0:
         raise ValueError("fd_h must be positive")
     x_grid = np.asarray([float(v) for v in x_grid])

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import levybarrier as lb
-from levybarrier import JumpSpec, LevyTriplet, SimConfig, barrier_solver, builtin_cost
+from levybarrier import JumpSpec, LevyTriplet, SimConfig, barrier_solver, builtin_cost, estimators
 from levybarrier.cost_model import ProblemSpec
 from levybarrier.errors import AssumptionViolated, NoSignChange
 from levybarrier.estimators import _value_pass, estimate_rho, estimate_value
@@ -69,13 +69,13 @@ def test_theta_bar_enforced_by_solver():
 
 def test_solve_is_one_pass(monkeypatch):
     passes = []
-    real = barrier_solver.map_reduce_paths
+    real = estimators.map_reduce_paths
 
     def counted(triplet, cfg, *args, **kwargs):
         passes.append(cfg.n_paths)
         return real(triplet, cfg, *args, **kwargs)
 
-    monkeypatch.setattr(barrier_solver, "map_reduce_paths", counted)
+    monkeypatch.setattr(estimators, "map_reduce_paths", counted)
     solve_barrier(KOU, quad_problem(0.5, 0.5), make_cfg(0.5, dt=0.05, n=500))
     assert passes == [500]
 
@@ -346,13 +346,13 @@ def test_solve_holds_one_copy_of_the_histogram(monkeypatch, traced_peak):
     # 2,000 Brownian paths at dt = 0.01: 64 histogram rows (23 MB) beside 31-path chunks (0.47 MB).
     # Stacking the rows into one array beside them peaked at 2.4 times the two
     merged = []
-    real = barrier_solver.map_reduce_paths
+    real = estimators.map_reduce_paths
 
     def kept(*args, **kwargs):
         merged.append(real(*args, **kwargs))
         return merged[0]
 
-    monkeypatch.setattr(barrier_solver, "map_reduce_paths", kept)
+    monkeypatch.setattr(estimators, "map_reduce_paths", kept)
     cfg = make_cfg(0.5, dt=0.01, n=2000, seed=3)
     _, peak = traced_peak(lambda: solve_barrier(BM, quad_problem(1.0, 0.5), cfg, bisect_tol=1e-3))
     rows = sum(row.nbytes for row in merged[0]["acc_hist"])
@@ -384,7 +384,7 @@ def _same_rows(a, b):
 
 def _histogram_rows(cfg, n_workers):
     reducer = functools.partial(value_chunk, pairs=(), f=np.square, q=0.5, dt=cfg.dt, hist=2.5e-4)
-    return barrier_solver.map_reduce_paths(BM, cfg, reducer, n_workers=n_workers)["acc_hist"]
+    return estimators.map_reduce_paths(BM, cfg, reducer, n_workers=n_workers)["acc_hist"]
 
 
 def _random_rows(n, width, seed):

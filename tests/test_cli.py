@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levybarrier import barrier_solver, estimators, path_engine, verification
+from levybarrier import estimators, path_engine
 from levybarrier.cli import main
 
 KOU = Path(__file__).resolve().parent.parent / "configs" / "kou_two_sided.json"
@@ -430,8 +430,7 @@ def test_verify_reads_its_checks_off_one_pass(tmp_path, monkeypatch, extra, pass
         seen.append(cfg.n_paths)
         return real(triplet, cfg, *args, **kwargs)
 
-    for module in (estimators, barrier_solver, verification):
-        monkeypatch.setattr(module, "map_reduce_paths", counted)
+    monkeypatch.setattr(estimators, "map_reduce_paths", counted)
     out = tmp_path / "out"
     assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05, *extra]) == 0
     assert seen == passes
@@ -443,8 +442,7 @@ def test_verify_reads_its_checks_off_one_pass(tmp_path, monkeypatch, extra, pass
 def test_unknown_check_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, checks):
     # the check names are read before the solve: a typo or an unhashable entry runs no grid pass
     seen = []
-    for module in (estimators, barrier_solver, verification):
-        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
     assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05,
                 "--set", f"verify.checks={checks}"]) == 2
     assert "config error: config.verify.checks: unknown check" in capsys.readouterr().err
@@ -455,8 +453,7 @@ def test_unknown_check_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, che
 def test_t_grid_off_the_horizon_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, t_grid):
     # every time lies in [0, horizon]; a negative one would wrap to the end of the grid
     seen = []
-    for module in (estimators, barrier_solver, verification):
-        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
     assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05,
                 "--set", 'verify.checks=["martingale"]', "--set", f"verify.t_grid={t_grid}"]) == 2
     assert "config error: config.verify.t_grid: expected" in capsys.readouterr().err
@@ -476,8 +473,7 @@ def test_default_t_grid_fits_a_short_horizon(tmp_path):
 def test_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, workers):
     # a process count below 1 is refused before any pass, not run on one worker and recorded as given
     seen = []
-    for module in (estimators, barrier_solver, verification):
-        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
     out = tmp_path / "o"
     assert run(["solve", "--config", KOU, "--out", out, "--paths", 64, "--workers", workers]) == 2
     assert f"config error: --workers: expected a positive process count, got {workers}" in capsys.readouterr().err
@@ -488,13 +484,14 @@ def test_verify_hands_no_pair_below_its_barrier(tmp_path, monkeypatch):
     # a start below its barrier reads the at-barrier pair: of the 19 pairs the three default checks
     # ask, the convexity grid's 7 starts below b* read (b*, b*), so 12 are reflected
     handed = []
-    real = verification.map_reduce_paths
+    real = estimators.map_reduce_paths
 
     def wrapped(triplet, cfg, reduce, **kwargs):
-        handed.append(reduce.keywords["pairs"])
+        if reduce.keywords["pairs"]:  # the solve's reducer asks for no pair
+            handed.append(reduce.keywords["pairs"])
         return real(triplet, cfg, reduce, **kwargs)
 
-    monkeypatch.setattr(verification, "map_reduce_paths", wrapped)
+    monkeypatch.setattr(estimators, "map_reduce_paths", wrapped)
     assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05]) == 0
     [pairs] = handed
     assert len(pairs) == 12 and all(o >= b for o, b in pairs)
@@ -563,8 +560,7 @@ def test_one_worker_solve_loads_no_process_pool_nor_checks(tmp_path):
 def test_empty_verify_list_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, key):
     # an empty list is refused with its dotted path, not read as its default nor run as no check
     seen = []
-    for module in (estimators, barrier_solver, verification):
-        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
     out = tmp_path / "o"
     assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05,
                 "--set", f"verify.{key}=[]"]) == 2
@@ -590,6 +586,21 @@ def test_one_path_reports_no_error_bound(tmp_path, command, config, size):
     else:
         estimates = result if command == "rho" else list(result.values())
     assert all(est["stderr"] == np.inf and est["stderr_reliable"] is False for est in estimates)
+
+
+@pytest.mark.parametrize("config, extra, code", [
+    (KOU, ["--paths", 1], 2),
+    (KOU, ["--paths", 2, "--set", "sim.antithetic=true"], 2),
+    (None, ["--paths", 1], 0),
+], ids=["kou_one_path", "kou_one_pair", "pure_drift_one_path"])
+def test_verify_refuses_one_sample_of_a_stochastic_model(tmp_path, capsys, config, extra, code):
+    # a check's stderr from one path (or one antithetic pair) is no error bound; a deterministic path is exact
+    out = tmp_path / "o"
+    config = write_config(tmp_path) if config is None else config
+    assert run(["verify", "--config", config, "--out", out, "--dt", 0.05, *extra]) == code
+    if code:
+        assert "config error: n_paths = " in capsys.readouterr().err
+    assert (out / "result.json").exists() == (code == 0)
 
 
 def test_one_path_pure_drift_solve_keeps_ci_zero(tmp_path):

@@ -18,6 +18,7 @@ from levybarrier.estimators import (
     skeleton_rho_curve,
 )
 from levybarrier.path_engine import _replicate_rows, horizon_for, integral_weights, reflect_arrays, simulate_batch
+from levybarrier.verification import run_checks
 
 DRIFT_UP = LevyTriplet(gamma=1.0, sigma=0.0)
 BM = LevyTriplet(gamma=0.0, sigma=1.0)
@@ -410,3 +411,33 @@ def test_antithetic_pairing_runs():
                     master_seed=6, antithetic=True)
     est = estimate_rho(BM, prob, 0.0, cfg)
     assert est.n == 400 and est.stderr > 0.0
+
+
+_CHECK_ARGS = {  # b* = -0.5 below every start; the martingale times lie inside the horizon of 1
+    "barrier_derivative": {"x": 0.5, "b": -0.5},
+    "slope_identity": {"x": 0.5, "b": -0.5},
+    "convexity": {"x_grid": np.linspace(-1.0, 1.0, 5), "b_star": -0.5},
+    "martingale": {"x": 0.5, "t_grid": [0.5, 1.0], "b_star": -0.5},
+    "hjb": {"x_grid": [-0.5, 0.0, 0.5], "fd_h": 0.25, "b_star": -0.5},
+}
+_GRID_ENTRIES = {
+    "estimate_value": lambda prob, cfg: estimate_value(BM, prob, -0.5, 0.5, cfg),
+    "estimate_rho_curve": lambda prob, cfg: estimate_rho_curve(BM, prob, [-0.5, 0.0], cfg),
+    "estimate_rho": lambda prob, cfg: estimate_rho(BM, prob, -0.5, cfg),
+    "solve_barrier": lambda prob, cfg: lb.solve_barrier(BM, prob, cfg),
+    "barrier_sweep": lambda prob, cfg: lb.barrier_sweep(BM, prob, 0.5, [-0.5, 0.0], cfg),
+    **{f"check_{name}": lambda prob, cfg, name=name: run_checks(BM, prob, cfg, [(name, _CHECK_ARGS[name])])
+       for name in _CHECK_ARGS},
+}
+
+
+@pytest.mark.parametrize("entry", list(_GRID_ENTRIES))
+def test_every_grid_entry_refuses_a_short_horizon_before_any_pass(monkeypatch, entry):
+    # e^{-qT} = 0.61 at T = 1 is far above tail_tol: each grid estimate, solve and check refuses it
+    # before its pass (the martingale check's node pass included)
+    seen = []
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=16, master_seed=3)
+    with pytest.raises(ValueError, match="horizon too short"):
+        _GRID_ENTRIES[entry](ProblemSpec(cost=builtin_cost("quadratic"), C=1.0, q=0.5), cfg)
+    assert seen == []

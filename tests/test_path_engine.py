@@ -12,14 +12,17 @@ from levybarrier import (
     JumpSpec,
     LevyTriplet,
     SimConfig,
+    barrier_sweep,
     builtin_cost,
     driftless_compound_poisson,
     estimators,
     path_engine,
+    solve_barrier,
     solve_barrier_perturbed,
 )
 from levybarrier.cost_model import ProblemSpec
-from levybarrier.estimators import estimate_rho, skeleton_rho_curve
+from levybarrier.estimators import estimate_rho, estimate_value, skeleton_rho_curve
+from levybarrier.verification import run_checks
 from levybarrier.path_engine import (
     BATCHES,
     DOT_SLICE,
@@ -904,7 +907,9 @@ def test_chunk_plan_batches(n_paths, n_grid, antithetic, target):
 
 
 def test_antithetic_ignored_warns_once_per_call(monkeypatch):
+    # each call warns once, naming its own line: a grid pass decides the pairing once and warns there
     skew = LevyTriplet(0.0, 0.0, jumps=JumpSpec.kou_mixture(1.0, 0.7, 2.0, 3.0))
+    noisy = LevyTriplet(0.0, 0.5, jumps=skew.jumps)  # solve_barrier refuses a driftless compound Poisson
     cfg = SimConfig(dt=0.05, horizon_T=1.0, n_paths=10, master_seed=9, antithetic=True, tail_tol=0.999)
     prob = ProblemSpec(builtin_cost("quadratic"), 0.0, 0.5)
     monkeypatch.setattr(estimators, "SKELETON_FLOATS", 6)  # K = 2: skeleton reads of 3 paths, 4 chunks
@@ -915,12 +920,17 @@ def test_antithetic_ignored_warns_once_per_call(monkeypatch):
         lambda: estimate_rho(skew, prob, 0.0, cfg, method="exp_clock"),
         lambda: skeleton_rho_curve(skew, prob, [-1.0, 0.0], cfg, "time_integral"),
         lambda: solve_barrier_perturbed(driftless_compound_poisson(skew.jumps), prob, cfg),
+        lambda: estimate_value(skew, prob, 0.0, 0.5, cfg),
+        lambda: solve_barrier(noisy, prob, cfg),
+        lambda: barrier_sweep(skew, prob, 0.5, [-1.0, 0.0], cfg),
+        lambda: run_checks(skew, prob, cfg, [("convexity", {"x_grid": np.linspace(-1.0, 1.0, 5), "b_star": -0.5})]),
     )
     for call in calls:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             call()
         assert len(rec) == 1 and "antithetic ignored" in str(rec[0].message)
+        assert rec[0].filename == __file__
 
 
 def test_antithetic_mirrors_gaussian_increments():

@@ -166,8 +166,7 @@ def test_martingale_drift_down_deterministic():
 def test_martingale_refuses_times_off_the_grid_before_any_pass(monkeypatch, t_grid, message):
     # a negative t would take a negative grid index, which wraps to the end of the grid
     seen = []
-    for module in (lb.estimators, verification):
-        monkeypatch.setattr(module, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    monkeypatch.setattr(lb.estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
     q = 0.5
     with pytest.raises(ValueError, match=message):
         check_martingale(DRIFT_DOWN, quad_problem(1.0, q), make_cfg(q, n=16), x=1.0, t_grid=t_grid, b_star=-0.25)
@@ -270,13 +269,14 @@ def _five_checks(b_star):
 def test_shared_pass_hands_one_value_reducer(monkeypatch, names, reducers):
     # values, passages, stopped values and rho-hat are one value_chunk reducer
     seen = []
-    real = verification.map_reduce_paths
+    real = lb.estimators.map_reduce_paths
 
     def counted(triplet, cfg, reduce, **kw):
-        seen.append(int(reduce.func is value_chunk))  # the value_chunk reducers handed to the pass
+        if cfg.master_seed == 21:  # the shared pass; the martingale check's node values take seed 22
+            seen.append(int(reduce.func is value_chunk))  # the value_chunk reducers handed to the pass
         return real(triplet, cfg, reduce, **kw)
 
-    monkeypatch.setattr(verification, "map_reduce_paths", counted)
+    monkeypatch.setattr(lb.estimators, "map_reduce_paths", counted)
     q, kwargs = 0.5, _five_checks(-0.75)
     run_checks(KOU, quad_problem(0.5, q), make_cfg(q, dt=0.05, n=64, seed=21, tail=1e-4),
                [(n, kwargs[n]) for n in names])
@@ -334,8 +334,7 @@ def test_running_minimum_covers_each_grid_point_once(monkeypatch):
 
     for name in ("fmin", "minimum"):
         monkeypatch.setattr(np, name, _Counted(getattr(np, name)))
-    for module in (lb.barrier_solver, lb.estimators, verification):
-        monkeypatch.setattr(module, "map_reduce_paths", counted(module.map_reduce_paths))
+    monkeypatch.setattr(lb.estimators, "map_reduce_paths", counted(lb.estimators.map_reduce_paths))
     lb.solve_barrier(KOU, quad_problem(0.5, q), cfg)
     run_checks(KOU, quad_problem(0.5, q), cfg, list(_five_checks(-0.75).items()))
     # the solve, the martingale check's node values (a seed of their own) and the shared pass
