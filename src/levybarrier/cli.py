@@ -316,7 +316,8 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         return {"sweep": [estimate_record("sweep_value", est, b=b, x=x) for b, est in curve]}
 
     if command == "verify":
-        from .verification import run_checks  # here: no other command pays for loading the checks
+        # here: no other command pays for loading the checks
+        from .verification import _convexity_grid, _require_samples, run_checks
         names = _need(cfg, "verify.checks", default=list(CHECKS))
         if not isinstance(names, list):
             raise ConfigError(f"config.verify.checks: expected a list of check names, got {names!r}")
@@ -331,13 +332,21 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
         if "martingale" in names and not all(0 <= t <= sim.effective_horizon for t in t_grid):
             raise ConfigError(f"config.verify.t_grid: expected times in [0, {sim.effective_horizon:g}], "
                               f"the simulation horizon, got {t_grid}")
+        h, fd_h = _need(cfg, "verify.h", float, None), _need(cfg, "verify.fd_h", float, 0.25)
+        for key, step in (("h", h), ("fd_h", fd_h)):
+            if step is not None and not step > 0:
+                raise ConfigError(f"config.verify.{key}: expected a positive number, got {step!r}")
+        if "convexity" in names and x_grid is not None:
+            try:
+                _convexity_grid(x_grid)
+            except ValueError as exc:
+                raise ConfigError(f"config.verify.x_grid: {exc}, got {x_grid}")
+        _require_samples(model, sim)
         res = solve_barrier(model, problem, sim, bisect_tol=_need(cfg, "solve.bisect_tol", float, None),
                             n_workers=n_workers)
         b = _need(cfg, "verify.b", float, res.b_star)
         x = _need(cfg, "verify.x", float, b + 1.0)
-        fd_h = _need(cfg, "verify.fd_h", float, 0.25)
         x_grid = x_grid or [b + (i - 7) * fd_h * 2 for i in range(15)]
-        h = _need(cfg, "verify.h", float, None)
         at_b = {"x": x, "b": b, **({} if h is None else {"h": h})}
         check_args = {
             "barrier_derivative": at_b,

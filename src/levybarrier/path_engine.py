@@ -48,9 +48,10 @@ batch of consecutive streams (``BATCHES``, mirrored pairs together), giving
 batch-means errors.  A path started at x is the path from 0 plus x bit for
 bit, so a start is an offset that the reducer adds.  Every grid pass has the
 one reducer ``value_chunk``: it reads the value at any (start offset,
-barrier) pair, first passages, stopped values, time-integral rho-hat and the
-solver's occupation histogram off one running minimum per row block, since
-the minimum of a shifted path is the shifted minimum.  Sums along the grid
+barrier) pair, reflected or read off the at-barrier pair (b, b), first
+passages, stopped values, time-integral rho-hat and the solver's occupation
+histogram off one running minimum per row block, since the minimum of a
+shifted path is the shifted minimum.  Sums along the grid
 take fixed-length dot products per path, so a path's sums depend neither on
 its chunk nor on the BLAS thread count.  The grid reducer sweeps a chunk in
 row blocks of ``BLOCK_FLOATS`` (``_row_blocks``), in reused block-sized
@@ -67,6 +68,7 @@ import itertools
 import math
 import operator
 import os
+import struct
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -107,6 +109,7 @@ SHIFT_TABLE_FLOATS = 2**15  # largest table of the R lattice shifts a skeleton r
 SEED_SLAB = 1024  # stream states converted to Python ints at a time
 LATTICE_A = 1485  # generator of the skeleton's lattice, z_j = LATTICE_A^j mod 2^20 (module docstring)
 HISTOGRAM_FLOATS = 2**26  # largest (BATCHES x bins) occupation histogram of the grid solve
+PREFIX_ROW_MIN = 1024  # rows at least this long read a start by prefix sums, row by row; shorter ones block-wide
 
 
 def horizon_for(q: float, tail_tol: float = 1e-4, dt: float | None = None) -> float:
@@ -464,6 +467,11 @@ def _grid_sum(g: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     chunk's row count (a BLAS matvec blocks rows, ``einsum`` buffers rows
     beyond 8,192 points) nor by the BLAS threads (a longer dot is split)."""
     g = np.asarray(g, dtype=float)
+    if g.ndim == 1:  # np.dot takes the same ddot, with less overhead
+        total = np.dot(g[:DOT_SLICE], w[:DOT_SLICE])
+        for s in range(DOT_SLICE, len(g), DOT_SLICE):
+            total += np.dot(g[s:s + DOT_SLICE], w[s:s + DOT_SLICE])
+        return total
     rows = g.reshape(-1, g.shape[-1])
     sums = np.vecdot(rows[:, :DOT_SLICE], w[:DOT_SLICE])  # one ddot per row, as row @ w would
     for s in range(DOT_SLICE, rows.shape[-1], DOT_SLICE):
@@ -496,13 +504,36 @@ def first_passage_index(running_min: np.ndarray, level: float) -> np.ndarray:
     return (running_min >= level).sum(axis=-1)
 
 
+def _float_key(x: float) -> int:
+    """An integer key ordering the floats as their values (-0.0 just below +0.0)."""
+    (i,) = struct.unpack("<q", struct.pack("<d", x))
+    return i if i >= 0 else -1 - (i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key_float(k: int) -> float:
+    """The float of an ``_float_key``."""
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else (-1 - k) | -(2**63)))[0]
+
+
+@functools.lru_cache(maxsize=2**12)  # a pass asks the same cuts of every chunk
+def _passage_cut(o: float, level: float) -> float:
+    """The least float m with fl(m + o) >= level: rounding is monotone, so fl(m + o) < level exactly
+    when m is below it.  A bisection over the floats in order; a walk of ulps from level - o would
+    not end where ulp(level - o) << ulp(o)."""
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)  # fl(m + o) >= level is false at lo, true at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _key_float(mid) + o >= level else (mid, hi)
+    return _key_float(hi)
+
+
 def stopped_integral(g: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Left-rule integrals sum_{i < idx[p, k]} g[p, i] w[i]; ``idx`` has shape (n, k)."""
     cum = np.cumsum(g * w, axis=-1)
     return np.where(idx > 0, np.take_along_axis(cum, np.maximum(idx - 1, 0), axis=-1), 0.0)
 
 
-def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(), f_prime=None,
+def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), passages=(), f_prime=None,
                 rho=(), stops=(), hist=None) -> dict:
     """The grid reducer: every figure a pass reads off a chunk of paths from 0.
 
@@ -516,7 +547,31 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     buffers reused across all blocks and pairs (with ``hist``, a fourth holds
     the weight rows); ``f`` (the running cost) and
     ``f_prime`` act elementwise, as every builtin and mollified cost does, so
-    no figure depends on the block size.  Per (offset, level) of ``passages``,
+    no figure depends on the block size.
+
+    ``pp_read_running`` and ``pp_read_control`` (n, reads) hold the same
+    figures for each (offset, barrier) of ``reads``, read off the one
+    reflection of (b, b) per barrier b at the first passage tau of values + o
+    below b: before tau the path is unreflected, and from tau on both paths
+    are values - m + b while m <= 0 (the strong Markov split).  So running is
+    sum_{i<tau} w_i f(values_i + o) + [running(b, b) - sum_{i<tau} w_i
+    f(U^b_i)] and control is e^{-q tau} max(b - (m_tau + o), 0) +
+    [control(b, b) - sum_{i<=tau} e^{-q t_i} dR^b_i], the prefix sums
+    ``_grid_sum``s of the first tau points: O(tau) work per row, where a
+    reflection is O(n).  A start at or below b has tau = 0; a row that never
+    passes takes sum_i w_i f(values_i + o) and 0; a row whose m_tau is still
+    above 0 (it did not start at or below 0) is reflected as a pair.  Rows
+    shorter than ``PREFIX_ROW_MIN``, where a call per row costs more than a
+    pass over it, compose the read's path block-wide instead, f(values + o)
+    before tau and f(U^b) from tau on, and sum it whole.  Each figure is a
+    few ulp from the reflection of (o, b) and depends on its row, o, b and
+    the row length alone, never on which other reads share the barrier;
+    (b, b) is the reflection itself.
+
+    Every first passage (of the reads, ``passages`` and ``stops``) is one
+    ``np.searchsorted`` per row in -m, for the least float m* with fl(m* + o)
+    >= level (``_passage_cut``): ``first_passage_index(m + o, level)`` bit
+    for bit.  Per (offset, level) of ``passages``,
     ``pp_tau_disc`` is e^{-q tau} (0 if the path values + o never pass below
     the level) and, with ``f_prime``, ``pp_fprime_to_tau`` the left-rule
     integral of f'_+ along that unreflected path up to tau.  Per (offset,
@@ -548,19 +603,32 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
     n_rows, n_grid = values.shape
     w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
     running, control = np.empty((2, n_rows, len(pairs)))
+    read_running, read_control = np.empty((2, n_rows, len(reads)))
+    at_barrier = {}  # barrier -> the columns of reads read off it
+    for k, (_, b) in enumerate(reads):
+        at_barrier.setdefault(b, []).append(k)
+    starts, levels = np.array(reads, dtype=float).reshape(-1, 2).T
+    searched = [*reads, *passages, *((o, level) for o, level, _ in stops)]  # every first passage asked
+    cuts = -np.array([_passage_cut(o, level) for o, level in searched])  # negated: searched in -m
+    off = {b: [k for k in ks if starts[k] != b] for b, ks in at_barrier.items()}  # the reads but (b, b) itself
+    first = np.empty((n_rows, len(searched)), dtype=np.intp)
+    tau = first[:, len(reads):len(reads) + len(passages)]
+    m_first, pre, pre_b, pre_c = np.zeros((4, n_rows, len(reads)))  # m there; the prefix sums up to it
+    at_b = np.empty((3, n_rows, len(at_barrier)))  # running, control and R_0 of each (b, b)
+    done = np.zeros((n_rows, len(reads)), dtype=bool)  # the reads written whole, not as prefix sums
+    grid = np.arange(n_grid)
     y = np.empty((n_rows, len(rho)))
-    tau = np.empty((n_rows, len(passages)), dtype=np.intp)
     to_tau = np.empty((n_rows, len(passages)))
     cols = np.cumsum([0] + [len(t) for _, _, t in stops])
     stop_at = np.empty((n_rows, cols[-1]), dtype=np.intp)
     stop_value, stop_integral = np.empty((2, n_rows, cols[-1]))
     udisc, occupation, n_bins = np.empty(n_rows), np.zeros(0), 0
     blocks = _row_blocks(n_rows, n_grid)
-    buffers = np.empty((3, blocks[0].stop if blocks else 0, n_grid))
+    buffers = np.empty((3 + bool(reads), blocks[0].stop if blocks else 0, n_grid))
     weights = np.tile(w, (len(buffers[0]), 1)) if hist else None  # the histogram's weight rows
     for rows in blocks:
         block = values[rows]
-        m, r, u = buffers[:, : len(block)]
+        m, r, u, *d = buffers[:, : len(block)]  # d: R^b's increments of a read
         np.fmin.accumulate(block, axis=-1, out=m)
         for k, (o, b) in enumerate(pairs):
             np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
@@ -570,14 +638,52 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
             u[:, 0] = r[:, 0]
             np.subtract(r[:, 1:], r[:, :-1], out=u[:, 1:])
             control[rows, k] = _grid_sum(u, disc)
+        if searched:  # -m is nondecreasing: one search per row finds every first passage, bit for bit
+            np.negative(m, out=r)
+            first[rows] = [np.searchsorted(row, cuts, side="right") for row in r]
+        if reads:
+            [d] = d
+            m_first[rows] = np.take_along_axis(m, np.minimum(first[rows, :len(reads)], n_grid - 1), axis=1)
+        for c, (b, ks) in enumerate(off.items()):
+            np.maximum(np.subtract(b, np.add(m, b, out=r), out=r), 0.0, out=r)
+            np.add(np.add(block, b, out=u), r, out=u)
+            fu = np.asarray(f(u), dtype=float)
+            d[:, 0] = r[:, 0]  # R's increments, as for a pair; r is then free
+            np.subtract(r[:, 1:], r[:, :-1], out=d[:, 1:])
+            at_b[:, rows, c] = _grid_sum(fu, w), _grid_sum(d, disc), d[:, 0]
+            passage = first[rows][:, ks]
+            if n_grid < PREFIX_ROW_MIN:  # the read's path composed block-wide: O(n), but no call per row
+                for col in np.flatnonzero(passage.any(axis=0)):
+                    k, upto = ks[col], passage[:, col:col + 1]
+                    g = np.asarray(f(np.add(block, starts[k], out=r)), dtype=float)
+                    np.copyto(g, fu, where=grid >= upto)  # f(X + o) before tau, f(U^b) from tau on
+                    np.multiply(d, grid > upto, out=r)  # R's increments: none before tau, R^b's after it
+                    at_tau = np.flatnonzero(upto[:, 0] < n_grid)
+                    r[at_tau, upto[at_tau, 0]] = np.maximum(b - (m_first[rows.start + at_tau, k] + starts[k]), 0.0)
+                    read_running[rows, k], read_control[rows, k] = _grid_sum(g, w), _grid_sum(r, disc)
+                    done[rows, k] = True
+            else:  # prefix sums up to tau: O(tau) per row
+                ii, cc = np.nonzero(passage > 0)
+                for i, k, j in zip(ii.tolist(), np.take(ks, cc).tolist(), passage[ii, cc].tolist()):
+                    row = rows.start + i
+                    pre[row, k] = _grid_sum(f(np.add(block[i, :j], starts[k], out=r[i, :j])), w[:j])
+                    if j < n_grid:
+                        pre_b[row, k] = _grid_sum(fu[i, :j], w[:j])
+                        pre_c[row, k] = _grid_sum(d[i, :j + 1], disc[:j + 1])
+            late = (passage < n_grid) & (m_first[rows][:, ks] > 0.0)  # (b, b) still unreflected at tau
+            for i, col in zip(*np.nonzero(late)):  # only on a row starting above 0: reflected as a pair
+                k = ks[col]
+                late_r = np.maximum(b - (m[i] + starts[k]), 0.0)
+                read_running[rows.start + i, k] = _grid_sum(f(block[i] + starts[k] + late_r), w)
+                read_control[rows.start + i, k] = _grid_sum(np.diff(late_r, prepend=0.0), disc)
+                done[rows.start + i, k] = True
         for k, (o, level) in enumerate(passages):
-            tau[rows, k] = first_passage_index(np.add(m, o, out=r), level)
             if f_prime is not None:
                 end = max(1, tau[rows, k].max())  # the block's last passage: no later f'_+ is summed
                 g = np.asarray(f_prime(np.add(block[:, :end], o, out=u[:, :end])), dtype=float)
                 to_tau[rows, k] = stopped_integral(g, w[:end], tau[rows, k:k + 1])[:, 0]
-        for (o, level, times), lo, hi in zip(stops, cols, cols[1:]):
-            j = np.minimum(first_passage_index(np.add(m, o, out=r), level)[:, None], times)
+        for s, ((o, level, times), lo, hi) in enumerate(zip(stops, cols, cols[1:]), len(reads) + len(passages)):
+            j = np.minimum(first[rows, s:s + 1], times)
             stop_at[rows, lo:hi] = j
             stop_value[rows, lo:hi] = np.take_along_axis(np.add(block, o, out=u), j, axis=1)
             end = max(times) + 1  # no path stops later
@@ -598,6 +704,17 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, passages=(
             bins = np.rint(np.divide(r, hist, out=r), out=r).astype(np.intp)
             np.add.at(occupation, bins.ravel(), weights[: len(block)].ravel())  # 1-D operands: numpy's fast path
     out = {"pp_running": running, "pp_control": control}
+    if reads:
+        run_b, ctl_b, r0_b = at_b[:, :, [list(at_barrier).index(b) for b in levels]]
+        first = first[:, :len(reads)]
+        never = first == n_grid
+        pre_c = np.where(first == 0, disc[0] * r0_b, pre_c)
+        control = disc[np.minimum(first, n_grid - 1)] * np.maximum(levels - (m_first + starts), 0.0)
+        control += ctl_b - pre_c
+        at = starts == levels
+        out["pp_read_running"] = np.where(at, run_b, np.where(done, read_running, np.where(
+            never, pre, pre + (run_b - pre_b))))
+        out["pp_read_control"] = np.where(at, ctl_b, np.where(done, read_control, np.where(never, 0.0, control)))
     if rho:
         out["pp_y"] = y
     if passages:

@@ -18,17 +18,19 @@ models are budgeted honestly too.
 is the path from 0 plus x bit for bit, so each start is an offset.  A
 stochastic model with fewer than two independent samples (paths, or
 antithetic pairs) is refused before any pass, since no check's stderr
-rests on one.  A check validates its arguments, yields an ``_Ask`` of what
-it reads off the pass, is sent the ``_Pass`` and yields its report; each
-public ``check_*`` is ``run_checks`` with that one check.
+rests on one (``_require_samples``; the CLI asks it, and its own rules for
+the checks' arguments, before its solve).  A check
+validates its arguments, yields an ``_Ask`` of what it reads off the pass,
+is sent the ``_Pass`` and yields its report; each public ``check_*`` is
+``run_checks`` with that one check.
 What several checks ask is computed once: ONE ``value_chunk`` reducer reads
 every value, first passage, stopped value and rho-hat column, and the
 martingale check evaluates its interpolant at the stopped values after the
-pass.  A start x below its barrier b is pushed to b at once (R_0 = b - x),
-so the pass reflects only pairs at or above their barrier and reads (x, b)
-off (b, b) (``_Pass``).  Only the martingale check's node values (an
-independent seed) run a pass of their own; the checks at the barrier take
-b_star as given and never solve for it.
+pass.  The pass reflects each asked barrier b once, as (b, b), and reads
+every start x off it at the first passage of x + X below b (``_Pass``); a
+start below b is pushed to b at once (R_0 = b - x).  Only the martingale
+check's node values (an independent seed) run a pass of their own; the
+checks at the barrier take b_star as given and never solve for it.
 
 Checks are advisory: they return reports, they do not raise on failure.
 """
@@ -130,30 +132,26 @@ class _Ask:
 class _Pass:
     """The one streamed pass from 0 answering every ``_Ask``.
 
-    Each asked pair (o, b) with o < b is read off the at-barrier pair (b, b),
-    so ``value_chunk`` reflects only the distinct pairs with o >= b.  Its
-    value is running(b, b) + C (control(b, b) + b - o), a few ulp from a
-    reflection of (o, b) itself (``estimate_value`` still reflects it); every
-    other pair's value is running + C * control as reflected.
+    ``value_chunk`` reflects each asked barrier b once, as the pair (b, b),
+    and reads every asked start o off it at the first passage of o + X below
+    b (its ``reads``): the path is unreflected before then and the (b, b)
+    path from then on, so a start at or below b is the (b, b) path pushed up
+    by b - o at once.  Each value is running + C * control of that read, a
+    few ulp from a reflection of (o, b) itself (``estimate_value`` still
+    reflects it).
     """
 
     def __init__(self, triplet, problem, cfg, asks, n_workers):
         self.pairs = list(dict.fromkeys(p for a in asks for p in a.pairs))
-        at = [(max(o, b), b) for o, b in self.pairs]
-        reflected = list(dict.fromkeys(at))
         self.passages = list(dict.fromkeys(p for a in asks for p in a.passages))
         self.stops = list(dict.fromkeys(s for a in asks for s in a.stops))
         rho_b = _rho_grid(sorted({b for a in asks for b in a.rho}))
         f_prime = problem.cost.f_prime_plus if rho_b or any(a.f_prime for a in asks) else None
-        value, self.antithetic = _grid_pass(triplet, problem, cfg, n_workers, pairs=tuple(reflected),
+        value, self.antithetic = _grid_pass(triplet, problem, cfg, n_workers, reads=tuple(self.pairs),
                                             passages=tuple(self.passages), f_prime=f_prime, rho=rho_b,
                                             stops=tuple(self.stops))
-        cols = [reflected.index(p) for p in at]
-        control = value["pp_control"][:, cols]
-        for k, (o, b) in enumerate(self.pairs):
-            if o < b:  # R_0 = b - o on every path
-                control[:, k] += b - o
-        self.v = value["pp_running"][:, cols] + problem.C * control
+        if self.pairs:
+            self.v = value["pp_read_running"] + problem.C * value["pp_read_control"]
         self.tau_disc, self.fprime_to_tau = value.get("pp_tau_disc"), value.get("pp_fprime_to_tau")
         if rho_b:
             self.rho = dict(_rho_curve(value["pp_y"], rho_b, "time_integral", self.antithetic,
@@ -199,13 +197,30 @@ def _check(plan):
     return check
 
 
+def _require_samples(triplet: LevyTriplet, cfg: SimConfig) -> None:
+    """Refuse a stochastic model with fewer than two independent samples (paths, or antithetic
+    pairs): no check's standard error rests on one."""
+    samples = cfg.n_paths // 2 if _antithetic_active(triplet, cfg) else cfg.n_paths
+    if samples < 2 and not triplet.is_deterministic:
+        raise ValueError(f"n_paths = {cfg.n_paths} gives {samples} independent sample (a path, or an "
+                         "antithetic pair); a check's standard error needs at least two")
+
+
+def _convexity_grid(x_grid) -> np.ndarray:
+    """``x_grid`` as floats, refused unless it holds at least 5 points uniformly spaced increasing."""
+    x_grid = np.asarray([float(v) for v in x_grid])
+    if x_grid.size < 5:
+        raise ValueError("x_grid needs at least 5 points")
+    steps = np.diff(x_grid)
+    if np.any(steps <= 0) or np.any(np.abs(steps - steps[0]) > 1e-9 * (1 + steps[0])):
+        raise ValueError("x_grid must be uniformly spaced increasing")
+    return x_grid
+
+
 def _run(plans, triplet, problem, cfg, n_workers) -> list[CheckReport]:
     if not plans:
         return []
-    samples = cfg.n_paths // 2 if _antithetic_active(triplet, cfg) else cfg.n_paths
-    if samples < 2 and not triplet.is_deterministic:  # before any pass: a check's stderr needs two
-        raise ValueError(f"n_paths = {cfg.n_paths} gives {samples} independent sample (a path, or an "
-                         "antithetic pair); a check's standard error needs at least two")
+    _require_samples(triplet, cfg)  # before any pass
     shared = _Pass(triplet, problem, cfg, [next(plan) for plan in plans], n_workers)
     return [plan.send(shared) for plan in plans]
 
@@ -245,6 +260,8 @@ def check_barrier_derivative(triplet: LevyTriplet, problem: ProblemSpec, x: floa
     """
     if x == b:
         raise ValueError("the derivative identity needs x != b")
+    if not h > 0:  # a zero h divides by zero, a negative one makes the curvature allowance negative
+        raise ValueError("h must be positive")
     bundle = [(x, b - h), (x, b), (x, b + h)]
     p = yield _Ask(pairs=bundle, passages=[(x, b)], rho=[b])
     v, allowance = _bundle(p, bundle, h)
@@ -275,6 +292,8 @@ def check_slope_identity(triplet: LevyTriplet, problem: ProblemSpec, x: float, b
     formed pathwise on CRN paths (the same increments drive both starting
     points and the passage functionals).
     """
+    if not h > 0:
+        raise ValueError("h must be positive")
     bundle = [(x, b), (x + h, b), (x + 2 * h, b)]
     p = yield _Ask(pairs=bundle, passages=[(x, b)], f_prime=True)
     v, allowance = _bundle(p, bundle, h)
@@ -304,12 +323,7 @@ def check_convexity(
     """Second differences of x -> v_{b*}(x) on CRN-coupled starts are >= 0
     up to three propagated standard errors at every interior grid point."""
     problem.require_admissible()
-    x_grid = np.asarray([float(v) for v in x_grid])
-    if x_grid.size < 5:
-        raise ValueError("x_grid needs at least 5 points")
-    steps = np.diff(x_grid)
-    if np.any(steps <= 0) or np.any(np.abs(steps - steps[0]) > 1e-9 * (1 + steps[0])):
-        raise ValueError("x_grid must be uniformly spaced increasing")
+    x_grid = _convexity_grid(x_grid)
     bundle = [(x, b_star) for x in x_grid]
     p = yield _Ask(pairs=bundle)
     v = p.values(bundle)

@@ -481,20 +481,20 @@ def test_workers_below_one_exit_2(tmp_path, capsys, monkeypatch, workers):
 
 
 def test_verify_hands_no_pair_below_its_barrier(tmp_path, monkeypatch):
-    # a start below its barrier reads the at-barrier pair: of the 19 pairs the three default checks
-    # ask, the convexity grid's 7 starts below b* read (b*, b*), so 12 are reflected
+    # the check pass reflects each barrier once, as (b, b), and reads every start off it: the 19 pairs
+    # the three default checks ask sit on 3 barriers (b* - h, b*, b* + h), and no pair is reflected
     handed = []
     real = estimators.map_reduce_paths
 
     def wrapped(triplet, cfg, reduce, **kwargs):
-        if reduce.keywords["pairs"]:  # the solve's reducer asks for no pair
-            handed.append(reduce.keywords["pairs"])
+        if reduce.keywords.get("reads"):  # the solve's reducer reads no start
+            handed.append((reduce.keywords["pairs"], reduce.keywords["reads"]))
         return real(triplet, cfg, reduce, **kwargs)
 
     monkeypatch.setattr(estimators, "map_reduce_paths", wrapped)
     assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05]) == 0
-    [pairs] = handed
-    assert len(pairs) == 12 and all(o >= b for o, b in pairs)
+    [(pairs, reads)] = handed
+    assert pairs == () and len(reads) == 19 and len({b for _, b in reads}) == 3
 
 
 @pytest.mark.parametrize("command", ["solve", "value", "sweep", "verify"])
@@ -593,14 +593,33 @@ def test_one_path_reports_no_error_bound(tmp_path, command, config, size):
     (KOU, ["--paths", 2, "--set", "sim.antithetic=true"], 2),
     (None, ["--paths", 1], 0),
 ], ids=["kou_one_path", "kou_one_pair", "pure_drift_one_path"])
-def test_verify_refuses_one_sample_of_a_stochastic_model(tmp_path, capsys, config, extra, code):
-    # a check's stderr from one path (or one antithetic pair) is no error bound; a deterministic path is exact
+def test_verify_refuses_one_sample_of_a_stochastic_model(tmp_path, capsys, monkeypatch, config, extra, code):
+    # a check's stderr from one path (or one antithetic pair) is no error bound; a deterministic path is
+    # exact.  The refusal comes before any pass, the solve's included
+    seen = []
+    real = estimators.map_reduce_paths
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(1) or real(*args, **kwargs))
     out = tmp_path / "o"
     config = write_config(tmp_path) if config is None else config
     assert run(["verify", "--config", config, "--out", out, "--dt", 0.05, *extra]) == code
     if code:
         assert "config error: n_paths = " in capsys.readouterr().err
+    assert (seen == []) == (code != 0)
     assert (out / "result.json").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("key, value", [("h", "0"), ("h", "-0.05"), ("fd_h", "-1"), ("x_grid", "[0,1,2]")])
+def test_verify_arguments_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, key, value):
+    # verify's own arguments are refused with their dotted path before the solve: a zero h would
+    # divide by zero, a negative one pass with a negative curvature allowance, and a negative fd_h
+    # would be blamed on the x_grid it spreads
+    seen = []
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    out = tmp_path / "o"
+    assert run(["verify", "--config", KOU, "--out", out, "--paths", 64, "--dt", 0.05,
+                "--set", f"verify.{key}={value}"]) == 2
+    assert f"config error: config.verify.{key}: " in capsys.readouterr().err
+    assert seen == [] and not (out / "result.json").exists()
 
 
 def test_one_path_pure_drift_solve_keeps_ci_zero(tmp_path):

@@ -2,6 +2,7 @@ import functools
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,12 +164,114 @@ def test_value_kernel_matches_reflection_per_pair(rows, offsets, barriers):
         assert np.allclose(out["pp_fprime_to_tau"][:, k], stopped, rtol=1e-12, atol=1e-12)
 
 
+def test_reads_bit_identical_across_workers():
+    cfg = SimConfig(dt=0.05, horizon_T=4.0, n_paths=130, master_seed=21)
+    cost = builtin_cost("quadratic")
+    reads = tuple((o, b) for b in (-0.8, -0.75) for o in (-2.0, -0.75, 0.25, 1.5))
+    reducer = functools.partial(value_chunk, pairs=(), f=cost.f, q=0.5, dt=cfg.dt, reads=reads)
+    one, two = (map_reduce_paths(KOU_SYM, cfg, reducer, n_workers=n) for n in (1, 2))
+    assert all(_same_bits(one[key], two[key]) for key in ("pp_read_running", "pp_read_control"))
+
+
 def _block_split(monkeypatch, s: int, width: int) -> None:
     """Patch BLOCK_FLOATS so that rows of ``width`` come s at a time; s = 1 with a row wider than a block."""
     monkeypatch.setattr(path_engine, "BLOCK_FLOATS", s * width if s > 1 else width - 1)
 
 
 _SPLITS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 7), (1, 1), (1, 2), (1, 3)]  # (s, rows): 1, s-1, s, s+1, 2s+1
+
+
+def _assert_reads_match_reflection(values, reads, q=0.7, dt=0.1):
+    """Each read of ``value_chunk`` within rel 1e-12 of reflecting its (offset, barrier) pair, against the
+    absolute sums it is formed from (those of the pair and of its at-barrier pair (b, b)), whether its rows
+    are read by prefix sums, row by row, or block-wide."""
+    f = lambda u: u**2 + np.sin(u)
+    for row_min in (1, 10**9):
+        with mock.patch.object(path_engine, "PREFIX_ROW_MIN", row_min):
+            out = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=tuple(reads))
+        _check_reads(values, reads, out, f, q, dt)
+
+
+def _check_reads(values, reads, out, f, q, dt):
+    # the error bound: a few ulp of every sum a read is formed from, and of the operands each u and R
+    # rounds (f' = 2u + cos u is at most 2|u| + 1)
+    w, disc = integral_weights(q, dt, values.shape[1]), discount_factors(q, dt, values.shape[1])
+    for k, (o, b) in enumerate(reads):
+        u, r, _ = reflect_arrays(values + o, b)
+        u_b, r_b, _ = reflect_arrays(values + b, b)
+        running, control = discounted_integral(f(u), q, dt), discounted_stieltjes(r, q, dt)
+        operands = np.abs(values) + np.abs(np.minimum.accumulate(values, axis=1)) + abs(o) + abs(b)
+        scale = _grid_sum(np.abs(f(u)) + np.abs(f(u_b)) + np.abs(f(values + o)) + (2 * np.abs(u) + 1) * operands, w)
+        assert np.all(np.abs(out["pp_read_running"][:, k] - running) <= 1e-12 * scale)
+        scale = control + discounted_stieltjes(r_b, q, dt) + _grid_sum(operands, disc)
+        assert np.all(np.abs(out["pp_read_control"][:, k] - control) <= 1e-12 * scale)
+        if o == b:  # the at-barrier pair is the reflection itself
+            assert np.array_equal(out["pp_read_running"][:, k], running)
+            assert np.array_equal(out["pp_read_control"][:, k], control)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_path_rows, min_size=1, max_size=4),
+    st.lists(_levels, min_size=1, max_size=3),
+    st.lists(_levels, min_size=1, max_size=3),
+)
+def test_read_off_the_barrier_matches_reflection_per_pair(rows, offsets, barriers):
+    # rows as drawn (not starting at 0) and shifted to start at 0, a path that never crosses and one
+    # starting below, each with its antithetic mirror; every barrier with a start below it
+    width = min(len(r) for r in rows)
+    drawn = np.asarray([r[:width] for r in rows])
+    values = np.concatenate([drawn, drawn - drawn[:, :1], [[10.0] * width, [-10.0] * width]])
+    values = np.concatenate([values, -values])
+    reads = [(o, b) for b in barriers for o in offsets + [b, b - 1.0]]
+    _assert_reads_match_reflection(values, reads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=-1e6, max_value=1e6))
+def test_passage_cut_is_the_least_float_not_passing(o, level):
+    # fl(m + o) < level exactly when m < cut, found where ulp(level - o) << ulp(o) too
+    for level in (level, o + 1e-10, o):
+        cut = path_engine._passage_cut(o, level)
+        assert cut + o >= level and not np.nextafter(cut, -np.inf) + o >= level
+
+
+def test_read_at_an_exact_tie_and_past_a_dot_slice():
+    # fl(m_i + o) == b is no passage (the path is not strictly below b); rows longer than DOT_SLICE
+    # sum their prefixes in slices
+    rng = np.random.default_rng(3)
+    long = np.cumsum(rng.normal(scale=0.02, size=(3, DOT_SLICE + 700)), axis=1)
+    long[:, 0] = 0.0
+    _assert_reads_match_reflection(long, [(o, -0.5) for o in (-1.0, -0.5, 0.0, 0.4, 3.0)], dt=1e-3)
+    tie = np.array([[0.0, 0.3, -1.5, -1.5, 0.2, -1.5, -2.0, 1.0], [0.0, -0.1, -1.5, 0.5, -1.2, -1.5, 0.0, 2.0]])
+    o = 0.7
+    b = -1.5 + o  # fl(-1.5 + o): the minimum -1.5 ties, then -2.0 passes
+    assert -1.5 + o == b and first_passage_index(np.minimum.accumulate(tie, axis=1) + o, b).tolist() == [6, 8]
+    _assert_reads_match_reflection(tie, [(o, b), (o + 0.1, b), (b, b)])
+
+
+@pytest.mark.parametrize("row_min", [1, 10**9], ids=["prefix_sums", "block_wide"])
+@pytest.mark.parametrize("s, n_rows", _SPLITS)
+def test_reads_bit_identical_across_row_blocks_and_other_reads(monkeypatch, s, n_rows, row_min):
+    # a read depends on its row, offset and barrier alone: not on the block cutting the chunk,
+    # nor on the other reads of its barrier
+    width, q, dt = 9, 0.7, 0.1
+    rng = np.random.default_rng(n_rows)
+    values = np.cumsum(rng.normal(size=(n_rows, width)), axis=1)
+    values[:, 0] = 0.0
+    if n_rows > 1:
+        values[-1] = np.abs(values[-1])  # never below 0
+    f = lambda u: u**2 + np.sin(u)
+    reads = tuple((o, b) for b in (-1.0, 0.25) for o in (-2.0, -1.0, 0.25, 0.5, 1.7))
+    monkeypatch.setattr(path_engine, "PREFIX_ROW_MIN", row_min)
+    whole = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=reads)
+    _block_split(monkeypatch, s, width)
+    split = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=reads)
+    for key in ("pp_read_running", "pp_read_control"):
+        assert _same_bits(split[key], whole[key])
+        for k, read in enumerate(reads):
+            alone = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=(read,))
+            assert _same_bits(alone[key][:, 0], whole[key][:, k])
 
 
 @pytest.mark.parametrize("s, n_rows", _SPLITS)

@@ -173,6 +173,18 @@ def test_martingale_refuses_times_off_the_grid_before_any_pass(monkeypatch, t_gr
     assert seen == []
 
 
+@pytest.mark.parametrize("h", [0.0, -0.05])
+@pytest.mark.parametrize("check", [check_barrier_derivative, check_slope_identity])
+def test_difference_step_refused_before_any_pass(monkeypatch, check, h):
+    # a zero step divides by zero and a negative one turns the curvature allowance negative
+    seen = []
+    monkeypatch.setattr(lb.estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    q = 0.5
+    with pytest.raises(ValueError, match="h must be positive"):
+        check(KOU, quad_problem(0.5, q), x=0.5, b=-0.5, cfg=make_cfg(q, dt=0.05, n=16), h=h)
+    assert seen == []
+
+
 def test_martingale_requires_start_above_barrier():
     q = 0.5
     prob = quad_problem(1.0, q)
@@ -347,6 +359,11 @@ def test_running_minimum_covers_each_grid_point_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _shared_values(triplet, prob, cfg, pairs):
+    """Per-path values of ``pairs`` as a check reads them off the shared pass."""
+    return verification._Pass(triplet, prob, cfg, [verification._Ask(pairs=tuple(pairs))], 1).values(pairs)
+
+
 @pytest.mark.parametrize("triplet", [BM, LevyTriplet(0.0, 0.5, jumps=JumpSpec.kou_mixture(1.0, 0.5, 3.0, 3.0))])
 def test_check_stderr_pairs_antithetic_halves(triplet):
     # a symmetric model with antithetic pairs: a check's stderr is the one
@@ -357,12 +374,12 @@ def test_check_stderr_pairs_antithetic_halves(triplet):
                     tail_tol=1e-3, antithetic=True)
     x, b = 0.0, -1.0
     bundle = [(x, b - h), (x, b), (x, b + h)]
-    v, _ = _value_pass(triplet, prob, cfg, bundle)
+    v = _shared_values(triplet, prob, cfg, bundle)
     rep = check_barrier_derivative(triplet, prob, x=x, b=b, cfg=cfg, h=h)
     assert rep.details[0]["se_lhs"] == _moments((v[:, 2] - v[:, 1]) / h, True)[1]
 
     x_grid = np.linspace(-1.0, 1.0, 5)
-    v, _ = _value_pass(triplet, prob, cfg, [(o, b) for o in x_grid])
+    v = _shared_values(triplet, prob, cfg, [(o, b) for o in x_grid])
     rep = check_convexity(triplet, prob, cfg, x_grid, b_star=b)
     expect = [_moments(v[:, j + 1] - 2 * v[:, j] + v[:, j - 1], True)[1] for j in range(1, 4)]
     assert [row["se"] for row in rep.details] == expect
