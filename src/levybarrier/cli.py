@@ -333,9 +333,10 @@ def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict
             raise ConfigError(f"config.verify.t_grid: expected times in [0, {sim.effective_horizon:g}], "
                               f"the simulation horizon, got {t_grid}")
         h, fd_h = _need(cfg, "verify.h", float, None), _need(cfg, "verify.fd_h", float, 0.25)
-        for key, step in (("h", h), ("fd_h", fd_h)):
-            if step is not None and not step > 0:
-                raise ConfigError(f"config.verify.{key}: expected a positive number, got {step!r}")
+        if h is not None and not h > 0 and {"barrier_derivative", "slope_identity"} & set(names):
+            raise ConfigError(f"config.verify.h: expected a positive number, got {h!r}")
+        if not fd_h > 0 and ("hjb" in names or "convexity" in names and x_grid is None):  # fd_h spaces its x_grid
+            raise ConfigError(f"config.verify.fd_h: expected a positive number, got {fd_h!r}")
         if "convexity" in names and x_grid is not None:
             try:
                 _convexity_grid(x_grid)

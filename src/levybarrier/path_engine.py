@@ -109,7 +109,6 @@ SHIFT_TABLE_FLOATS = 2**15  # largest table of the R lattice shifts a skeleton r
 SEED_SLAB = 1024  # stream states converted to Python ints at a time
 LATTICE_A = 1485  # generator of the skeleton's lattice, z_j = LATTICE_A^j mod 2^20 (module docstring)
 HISTOGRAM_FLOATS = 2**26  # largest (BATCHES x bins) occupation histogram of the grid solve
-PREFIX_ROW_MIN = 1024  # rows at least this long read a start by prefix sums, row by row; shorter ones block-wide
 
 
 def horizon_for(q: float, tail_tol: float = 1e-4, dt: float | None = None) -> float:
@@ -468,6 +467,8 @@ def _grid_sum(g: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     beyond 8,192 points) nor by the BLAS threads (a longer dot is split)."""
     g = np.asarray(g, dtype=float)
     if g.ndim == 1:  # np.dot takes the same ddot, with less overhead
+        if len(g) <= DOT_SLICE:
+            return np.dot(g, w)
         total = np.dot(g[:DOT_SLICE], w[:DOT_SLICE])
         for s in range(DOT_SLICE, len(g), DOT_SLICE):
             total += np.dot(g[s:s + DOT_SLICE], w[s:s + DOT_SLICE])
@@ -558,15 +559,14 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
     f(U^b_i)] and control is e^{-q tau} max(b - (m_tau + o), 0) +
     [control(b, b) - sum_{i<=tau} e^{-q t_i} dR^b_i], the prefix sums
     ``_grid_sum``s of the first tau points: O(tau) work per row, where a
-    reflection is O(n).  A start at or below b has tau = 0; a row that never
-    passes takes sum_i w_i f(values_i + o) and 0; a row whose m_tau is still
-    above 0 (it did not start at or below 0) is reflected as a pair.  Rows
-    shorter than ``PREFIX_ROW_MIN``, where a call per row costs more than a
-    pass over it, compose the read's path block-wide instead, f(values + o)
-    before tau and f(U^b) from tau on, and sum it whole.  Each figure is a
-    few ulp from the reflection of (o, b) and depends on its row, o, b and
-    the row length alone, never on which other reads share the barrier;
-    (b, b) is the reflection itself.
+    reflection is O(n).  A start below b has tau = 0; a row that never
+    passes takes sum_i w_i f(values_i + o) and 0.  Reads need rows that start
+    at or below 0 (a pass's rows start at 0), so that m <= 0 from tau on; a
+    row starting above 0 raises ValueError.  Each figure is a few ulp from
+    the reflection of (o, b) and depends on its row, o and b alone, never on
+    the block or on which other reads share the barrier; (b, b) is the
+    reflection itself.  A call per row and start is the price: on short
+    rows it costs more than a reflection.
 
     Every first passage (of the reads, ``passages`` and ``stops``) is one
     ``np.searchsorted`` per row in -m, for the least float m* with fl(m* + o)
@@ -603,20 +603,18 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
     n_rows, n_grid = values.shape
     w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
     running, control = np.empty((2, n_rows, len(pairs)))
-    read_running, read_control = np.empty((2, n_rows, len(reads)))
+    if reads and (values[:, 0] > 0.0).any():
+        raise ValueError("reads need rows that start at or below 0, as a pass's rows start at 0")
     at_barrier = {}  # barrier -> the columns of reads read off it
     for k, (_, b) in enumerate(reads):
         at_barrier.setdefault(b, []).append(k)
     starts, levels = np.array(reads, dtype=float).reshape(-1, 2).T
     searched = [*reads, *passages, *((o, level) for o, level, _ in stops)]  # every first passage asked
     cuts = -np.array([_passage_cut(o, level) for o, level in searched])  # negated: searched in -m
-    off = {b: [k for k in ks if starts[k] != b] for b, ks in at_barrier.items()}  # the reads but (b, b) itself
     first = np.empty((n_rows, len(searched)), dtype=np.intp)
     tau = first[:, len(reads):len(reads) + len(passages)]
     m_first, pre, pre_b, pre_c = np.zeros((4, n_rows, len(reads)))  # m there; the prefix sums up to it
     at_b = np.empty((3, n_rows, len(at_barrier)))  # running, control and R_0 of each (b, b)
-    done = np.zeros((n_rows, len(reads)), dtype=bool)  # the reads written whole, not as prefix sums
-    grid = np.arange(n_grid)
     y = np.empty((n_rows, len(rho)))
     to_tau = np.empty((n_rows, len(passages)))
     cols = np.cumsum([0] + [len(t) for _, _, t in stops])
@@ -644,39 +642,20 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
         if reads:
             [d] = d
             m_first[rows] = np.take_along_axis(m, np.minimum(first[rows, :len(reads)], n_grid - 1), axis=1)
-        for c, (b, ks) in enumerate(off.items()):
+        for c, (b, ks) in enumerate(at_barrier.items()):
             np.maximum(np.subtract(b, np.add(m, b, out=r), out=r), 0.0, out=r)
             np.add(np.add(block, b, out=u), r, out=u)
             fu = np.asarray(f(u), dtype=float)
             d[:, 0] = r[:, 0]  # R's increments, as for a pair; r is then free
             np.subtract(r[:, 1:], r[:, :-1], out=d[:, 1:])
             at_b[:, rows, c] = _grid_sum(fu, w), _grid_sum(d, disc), d[:, 0]
-            passage = first[rows][:, ks]
-            if n_grid < PREFIX_ROW_MIN:  # the read's path composed block-wide: O(n), but no call per row
-                for col in np.flatnonzero(passage.any(axis=0)):
-                    k, upto = ks[col], passage[:, col:col + 1]
-                    g = np.asarray(f(np.add(block, starts[k], out=r)), dtype=float)
-                    np.copyto(g, fu, where=grid >= upto)  # f(X + o) before tau, f(U^b) from tau on
-                    np.multiply(d, grid > upto, out=r)  # R's increments: none before tau, R^b's after it
-                    at_tau = np.flatnonzero(upto[:, 0] < n_grid)
-                    r[at_tau, upto[at_tau, 0]] = np.maximum(b - (m_first[rows.start + at_tau, k] + starts[k]), 0.0)
-                    read_running[rows, k], read_control[rows, k] = _grid_sum(g, w), _grid_sum(r, disc)
-                    done[rows, k] = True
-            else:  # prefix sums up to tau: O(tau) per row
-                ii, cc = np.nonzero(passage > 0)
-                for i, k, j in zip(ii.tolist(), np.take(ks, cc).tolist(), passage[ii, cc].tolist()):
-                    row = rows.start + i
-                    pre[row, k] = _grid_sum(f(np.add(block[i, :j], starts[k], out=r[i, :j])), w[:j])
+            for k in (k for k in ks if starts[k] > b):  # prefix sums up to tau (0 for a start below b)
+                np.add(block, starts[k], out=r)
+                for i, j in enumerate(first[rows, k].tolist()):
+                    pre[rows.start + i, k] = _grid_sum(f(r[i, :j]), w[:j])
                     if j < n_grid:
-                        pre_b[row, k] = _grid_sum(fu[i, :j], w[:j])
-                        pre_c[row, k] = _grid_sum(d[i, :j + 1], disc[:j + 1])
-            late = (passage < n_grid) & (m_first[rows][:, ks] > 0.0)  # (b, b) still unreflected at tau
-            for i, col in zip(*np.nonzero(late)):  # only on a row starting above 0: reflected as a pair
-                k = ks[col]
-                late_r = np.maximum(b - (m[i] + starts[k]), 0.0)
-                read_running[rows.start + i, k] = _grid_sum(f(block[i] + starts[k] + late_r), w)
-                read_control[rows.start + i, k] = _grid_sum(np.diff(late_r, prepend=0.0), disc)
-                done[rows.start + i, k] = True
+                        pre_b[rows.start + i, k] = _grid_sum(fu[i, :j], w[:j])
+                        pre_c[rows.start + i, k] = _grid_sum(d[i, :j + 1], disc[:j + 1])
         for k, (o, level) in enumerate(passages):
             if f_prime is not None:
                 end = max(1, tau[rows, k].max())  # the block's last passage: no later f'_+ is summed
@@ -712,9 +691,8 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
         control = disc[np.minimum(first, n_grid - 1)] * np.maximum(levels - (m_first + starts), 0.0)
         control += ctl_b - pre_c
         at = starts == levels
-        out["pp_read_running"] = np.where(at, run_b, np.where(done, read_running, np.where(
-            never, pre, pre + (run_b - pre_b))))
-        out["pp_read_control"] = np.where(at, ctl_b, np.where(done, read_control, np.where(never, 0.0, control)))
+        out["pp_read_running"] = np.where(at, run_b, np.where(never, pre, pre + (run_b - pre_b)))
+        out["pp_read_control"] = np.where(at, ctl_b, np.where(never, 0.0, control))
     if rho:
         out["pp_y"] = y
     if passages:

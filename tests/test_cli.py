@@ -622,6 +622,18 @@ def test_verify_arguments_exit_2_before_any_pass(tmp_path, capsys, monkeypatch, 
     assert seen == [] and not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("sets", [
+    ['verify.checks=["barrier_derivative"]', "verify.fd_h=-1"],
+    ['verify.checks=["convexity"]', "verify.x_grid=[-2,-1.5,-1,-0.5,0]", "verify.fd_h=-1"],
+    ['verify.checks=["convexity"]', "verify.h=0"],
+], ids=["fd_h_without_hjb", "fd_h_with_a_given_x_grid", "h_without_a_difference_check"])
+def test_verify_ignores_a_step_no_asked_check_reads(tmp_path, sets):
+    # h is read by barrier_derivative and slope_identity alone, fd_h by hjb and by the default x_grid
+    # it spaces for convexity: neither is refused where no asked check reads it
+    extra = [arg for kv in sets for arg in ("--set", kv)]
+    assert run(["verify", "--config", KOU, "--out", tmp_path / "o", "--paths", 64, "--dt", 0.05, *extra]) == 0
+
+
 def test_one_path_pure_drift_solve_keeps_ci_zero(tmp_path):
     # a deterministic model's one path is the exact answer
     out = tmp_path / "o"

@@ -2,7 +2,6 @@ import functools
 import math
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,18 +182,10 @@ _SPLITS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 7), (1, 1), (1, 2), (1, 3)]  # (s
 
 def _assert_reads_match_reflection(values, reads, q=0.7, dt=0.1):
     """Each read of ``value_chunk`` within rel 1e-12 of reflecting its (offset, barrier) pair, against the
-    absolute sums it is formed from (those of the pair and of its at-barrier pair (b, b)), whether its rows
-    are read by prefix sums, row by row, or block-wide."""
+    absolute sums it is formed from (those of the pair and of its at-barrier pair (b, b)) and the operands
+    each u and R rounds (f' = 2u + cos u is at most 2|u| + 1)."""
     f = lambda u: u**2 + np.sin(u)
-    for row_min in (1, 10**9):
-        with mock.patch.object(path_engine, "PREFIX_ROW_MIN", row_min):
-            out = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=tuple(reads))
-        _check_reads(values, reads, out, f, q, dt)
-
-
-def _check_reads(values, reads, out, f, q, dt):
-    # the error bound: a few ulp of every sum a read is formed from, and of the operands each u and R
-    # rounds (f' = 2u + cos u is at most 2|u| + 1)
+    out = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=tuple(reads))
     w, disc = integral_weights(q, dt, values.shape[1]), discount_factors(q, dt, values.shape[1])
     for k, (o, b) in enumerate(reads):
         u, r, _ = reflect_arrays(values + o, b)
@@ -217,14 +208,23 @@ def _check_reads(values, reads, out, f, q, dt):
     st.lists(_levels, min_size=1, max_size=3),
 )
 def test_read_off_the_barrier_matches_reflection_per_pair(rows, offsets, barriers):
-    # rows as drawn (not starting at 0) and shifted to start at 0, a path that never crosses and one
-    # starting below, each with its antithetic mirror; every barrier with a start below it
+    # rows shifted to start at 0 and a path that never goes below 0, each with its antithetic mirror, and
+    # a row starting below 0; every barrier with a start below it (tau = 0)
     width = min(len(r) for r in rows)
     drawn = np.asarray([r[:width] for r in rows])
-    values = np.concatenate([drawn, drawn - drawn[:, :1], [[10.0] * width, [-10.0] * width]])
-    values = np.concatenate([values, -values])
+    values = np.concatenate([drawn - drawn[:, :1], [[0.0] + [10.0] * (width - 1)]])
+    values = np.concatenate([values, -values, [[-10.0] * width]])
     reads = [(o, b) for b in barriers for o in offsets + [b, b - 1.0]]
     _assert_reads_match_reflection(values, reads)
+
+
+def test_reads_refuse_a_row_starting_above_0():
+    # from tau on a read is the (b, b) path only while m <= 0, which a row starting above 0 may not be
+    values = np.array([[0.0, -1.0, 2.0], [0.5, -1.0, 2.0]])
+    out = value_chunk(values, pairs=((0.3, -0.5),), f=np.square, q=0.7, dt=0.1)  # a reflection takes any row
+    assert out["pp_running"].shape == (2, 1)
+    with pytest.raises(ValueError, match="start at or below 0"):
+        value_chunk(values, pairs=(), f=np.square, q=0.7, dt=0.1, reads=((0.3, -0.5),))
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,9 +250,8 @@ def test_read_at_an_exact_tie_and_past_a_dot_slice():
     _assert_reads_match_reflection(tie, [(o, b), (o + 0.1, b), (b, b)])
 
 
-@pytest.mark.parametrize("row_min", [1, 10**9], ids=["prefix_sums", "block_wide"])
 @pytest.mark.parametrize("s, n_rows", _SPLITS)
-def test_reads_bit_identical_across_row_blocks_and_other_reads(monkeypatch, s, n_rows, row_min):
+def test_reads_bit_identical_across_row_blocks_and_other_reads(monkeypatch, s, n_rows):
     # a read depends on its row, offset and barrier alone: not on the block cutting the chunk,
     # nor on the other reads of its barrier
     width, q, dt = 9, 0.7, 0.1
@@ -263,7 +262,6 @@ def test_reads_bit_identical_across_row_blocks_and_other_reads(monkeypatch, s, n
         values[-1] = np.abs(values[-1])  # never below 0
     f = lambda u: u**2 + np.sin(u)
     reads = tuple((o, b) for b in (-1.0, 0.25) for o in (-2.0, -1.0, 0.25, 0.5, 1.7))
-    monkeypatch.setattr(path_engine, "PREFIX_ROW_MIN", row_min)
     whole = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=reads)
     _block_split(monkeypatch, s, width)
     split = value_chunk(values, pairs=(), f=f, q=q, dt=dt, reads=reads)
