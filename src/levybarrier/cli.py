@@ -198,7 +198,7 @@ def _build_problem(cfg: dict) -> ProblemSpec:
         raise ConfigError(f"config.problem: {exc}")
 
 
-def _build_sim(cfg: dict, q: float) -> SimConfig:
+def _build_sim(cfg: dict, q: float, grid: bool = True) -> SimConfig:
     tail_tol = _need(cfg, "sim.tail_tol", float, 1e-4)
     dt = _need(cfg, "sim.dt", float)
     horizon = _need(cfg, "sim.horizon_T", float, None)
@@ -208,6 +208,9 @@ def _build_sim(cfg: dict, q: float) -> SimConfig:
         raise ConfigError(f"config.sim.tail_tol: expected a number in (0, 1), got {tail_tol!r}")
     if horizon is None:
         horizon = horizon_for(q, tail_tol)
+        if grid and horizon < dt:  # rounded up to one step, the grid would not resolve the discounting
+            raise ConfigError(f"config.sim.dt: the horizon log(1 / sim.tail_tol) / problem.q = {horizon:.3g} "
+                              f"is shorter than one step of {dt:g}; use a smaller sim.dt, problem.q or sim.tail_tol")
         if not horizon / dt < CHUNK_TARGET_FLOATS - 1:  # checked before the steps are counted
             raise ConfigError(f"config.sim.dt: the horizon log(1 / sim.tail_tol) / problem.q = {horizon:.3g} "
                               f"is {horizon / dt:.3g} steps of {dt:g}, beyond the budget of "
@@ -266,7 +269,7 @@ def _check_to_csv(out_dir: Path, name: str, report) -> None:
 def _run_command(command: str, cfg: dict, out_dir: Path, n_workers: int) -> dict:
     model = _build_model(cfg)
     problem = _build_problem(cfg)
-    sim = _build_sim(cfg, problem.q)
+    sim = _build_sim(cfg, problem.q, grid=command not in ("rho", "perturb"))
 
     if command == "solve":
         tol = _need(cfg, "solve.bisect_tol", float, None)
@@ -398,6 +401,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
+        if not isinstance(cfg, dict):
+            raise ConfigError("config: expected a JSON object")
         overrides = list(args.overrides)
         for flag, key in (("seed", "sim.master_seed"), ("paths", "sim.n_paths"),
                           ("dt", "sim.dt"), ("horizon", "sim.horizon_T")):

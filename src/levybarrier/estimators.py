@@ -147,12 +147,12 @@ def _finish(kind, samples, antithetic, triplet, problem, cfg, replicates=False, 
 # ---------------------------------------------------------------------------
 
 
-def _grid_pass(triplet, problem, cfg, n_workers=1, pairs=(), **ask):
+def _grid_pass(triplet, problem, cfg, n_workers=1, **ask):
     """The one grid pass of every estimate, solve and check: the horizon checked against q, then one
-    ``map_reduce_paths`` pass of ``value_chunk`` reading the (start offset, barrier) ``pairs`` and
-    the rest of ``ask`` (its keywords); returns (partials, whether antithetic halves pair)."""
+    ``map_reduce_paths`` pass of ``value_chunk`` reading what ``ask`` (its keywords) names; returns
+    (partials, whether antithetic halves pair)."""
     cfg.validate_for(problem.q)
-    reducer = functools.partial(value_chunk, pairs=pairs, f=problem.cost.f, q=problem.q, dt=cfg.dt, **ask)
+    reducer = functools.partial(value_chunk, f=problem.cost.f, q=problem.q, dt=cfg.dt, **ask)
     return map_reduce_paths(triplet, cfg, reducer, n_workers=n_workers), _antithetic_active(triplet, cfg)
 
 

@@ -105,17 +105,17 @@ class JumpSpec:
         """Supremum of the theta > 0 with E[exp(theta*|J|)] finite (inf for light tails)."""
         return math.inf
 
-    def quadrature(self, tail_prob=1e-3, points_per_side=2000):
+    def quadrature(self):
         """(z, mass, tail_mass) integrating the jump-size law: the trapezoid rule on its
-        density (``pdf``) over each side of 0 up to ``displacement_quantiles(tail_prob)``."""
-        lo, hi = self.displacement_quantiles(tail_prob)
+        density (``pdf``), 2000 cells over each side of 0 up to ``displacement_quantiles(1e-3)``."""
+        lo, hi = self.displacement_quantiles(1e-3)
         zs, masses = [], []
         for a, b in ((lo, 0.0), (0.0, hi)):
             if b - a <= 0:
                 continue
-            z = np.linspace(a, b, points_per_side + 1)
+            z = np.linspace(a, b, 2001)
             pdf = self.pdf(z)
-            w = np.full(z.shape, (b - a) / points_per_side)
+            w = np.full(z.shape, (b - a) / 2000)
             w[0] *= 0.5
             w[-1] *= 0.5
             zs.append(z)
@@ -330,7 +330,7 @@ class _Atoms(JumpSpec):
     def mean_abs_size(self) -> float:
         return float(np.sum(np.asarray(self.probs) * np.abs(self.values)))
 
-    def quadrature(self, tail_prob=1e-3, points_per_side=2000):
+    def quadrature(self):
         """The atoms themselves: exact."""
         return np.asarray(self.values, dtype=float), np.asarray(self.probs, dtype=float), 0.0
 

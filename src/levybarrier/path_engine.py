@@ -48,7 +48,7 @@ batch of consecutive streams (``BATCHES``, mirrored pairs together), giving
 batch-means errors.  A path started at x is the path from 0 plus x bit for
 bit, so a start is an offset that the reducer adds.  Every grid pass has the
 one reducer ``value_chunk``: it reads the value at any (start offset,
-barrier) pair, reflected or read off the at-barrier pair (b, b), first
+barrier) pair, reflected or read off the reflected pair (b, b), first
 passages, stopped values, time-integral rho-hat and the solver's occupation
 histogram off one running minimum per row block, since the minimum of a
 shifted path is the shifted minimum.  Sums along the grid
@@ -534,7 +534,7 @@ def stopped_integral(g: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarra
     return np.where(idx > 0, np.take_along_axis(cum, np.maximum(idx - 1, 0), axis=-1), 0.0)
 
 
-def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), passages=(), f_prime=None,
+def value_chunk(values: np.ndarray, *, f, q: float, dt: float, pairs=(), reads=(), passages=(), f_prime=None,
                 rho=(), stops=(), hist=None) -> dict:
     """The grid reducer: every figure a pass reads off a chunk of paths from 0.
 
@@ -545,28 +545,29 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
     R = max(b - (m + o), 0) and U = (values + o) + R match
     ``reflect_arrays(values + o, b)`` bit for bit.  The chunk is read one
     ``_row_blocks`` block at a time, m, R and U written into three block
-    buffers reused across all blocks and pairs (with ``hist``, a fourth holds
-    the weight rows); ``f`` (the running cost) and
-    ``f_prime`` act elementwise, as every builtin and mollified cost does, so
-    no figure depends on the block size.
+    buffers reused across all blocks and pairs, R's increments into U once
+    f(U) is summed; ``f`` (the running cost) and ``f_prime`` act elementwise,
+    as every builtin and mollified cost does, so no figure depends on the
+    block size.
 
     ``pp_read_running`` and ``pp_read_control`` (n, reads) hold the same
-    figures for each (offset, barrier) of ``reads``, read off the one
-    reflection of (b, b) per barrier b at the first passage tau of values + o
-    below b: before tau the path is unreflected, and from tau on both paths
-    are values - m + b while m <= 0 (the strong Markov split).  So running is
-    sum_{i<tau} w_i f(values_i + o) + [running(b, b) - sum_{i<tau} w_i
-    f(U^b_i)] and control is e^{-q tau} max(b - (m_tau + o), 0) +
-    [control(b, b) - sum_{i<=tau} e^{-q t_i} dR^b_i], the prefix sums
-    ``_grid_sum``s of the first tau points: O(tau) work per row, where a
-    reflection is O(n).  A start below b has tau = 0; a row that never
-    passes takes sum_i w_i f(values_i + o) and 0.  Reads need rows that start
-    at or below 0 (a pass's rows start at 0), so that m <= 0 from tau on; a
-    row starting above 0 raises ValueError.  Each figure is a few ulp from
-    the reflection of (o, b) and depends on its row, o and b alone, never on
-    the block or on which other reads share the barrier; (b, b) is the
-    reflection itself.  A call per row and start is the price: on short
-    rows it costs more than a reflection.
+    figures for each (offset, barrier) of ``reads``, read off its anchor, the
+    pair (b, b) reflected once per barrier after ``pairs``, at the first
+    passage tau of values + o below b: before tau the path is unreflected,
+    and from tau on both paths are values - m + b while m <= 0 (the strong
+    Markov split).  So running is sum_{i<tau} w_i f(values_i + o) +
+    [running(b, b) - sum_{i<tau} w_i f(U^b_i)] and control is e^{-q tau}
+    max(b - (m_tau + o), 0) + [control(b, b) - sum_{i<=tau} e^{-q t_i}
+    dR^b_i], with prefix sums (``_grid_sum``s) of the first tau points: O(tau)
+    work per row, where a reflection is O(n).  With reads, R's increments go
+    into a fourth block buffer, so an anchor keeps f(U) for its reads above b.
+    A start below b has tau = 0; a row that never passes takes sum_i w_i
+    f(values_i + o) and 0.  Reads need rows that start at or below 0, so that
+    m <= 0 from tau on; a row starting above 0 raises ValueError.  Each figure
+    is a few ulp from the reflection of (o, b) and depends on its row, o and
+    b alone, never on the block or on which other reads share the barrier.  A
+    call per row and start is the price: on short rows it costs more than a
+    reflection.
 
     Every first passage (of the reads, ``passages`` and ``stops``) is one
     ``np.searchsorted`` per row in -m, for the least float m* with fl(m* + o)
@@ -591,7 +592,7 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
     No full-row pass runs that moves no output bit: m is ``np.fmin``'s
     running minimum (``np.minimum``'s values on finite paths), a passage's
     f'_+ and its prefix sum stop at the block's last passage, and the weight
-    rows are written once per call, into a fourth block buffer.  The
+    rows are written once per call, into a block-sized array.  The
     sign of a zero reaches no output: fmin may pick the other zero at a tie,
     and ``_simulate_chunk`` may leave a -0.0 where a ``+ 0.0`` would have made
     it +0.0, but a path value or minimum reaches an output only through a
@@ -602,19 +603,18 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
     """
     n_rows, n_grid = values.shape
     w, disc = integral_weights(q, dt, n_grid), discount_factors(q, dt, n_grid)
-    running, control = np.empty((2, n_rows, len(pairs)))
     if reads and (values[:, 0] > 0.0).any():
         raise ValueError("reads need rows that start at or below 0, as a pass's rows start at 0")
-    at_barrier = {}  # barrier -> the columns of reads read off it
-    for k, (_, b) in enumerate(reads):
-        at_barrier.setdefault(b, []).append(k)
     starts, levels = np.array(reads, dtype=float).reshape(-1, 2).T
+    reflected = [*pairs, *dict.fromkeys((b, b) for _, b in reads)]  # the asked pairs, then each read's anchor
+    anchor = [reflected.index((b, b), len(pairs)) for _, b in reads]  # each read's column; split: its reads above b
+    split = [[i for i, c in enumerate(anchor) if c == k and starts[i] > b] for k, (_, b) in enumerate(reflected)]
+    running, control, r0 = np.empty((3, n_rows, len(reflected)))  # r0: R_0, which a read below b takes
     searched = [*reads, *passages, *((o, level) for o, level, _ in stops)]  # every first passage asked
     cuts = -np.array([_passage_cut(o, level) for o, level in searched])  # negated: searched in -m
     first = np.empty((n_rows, len(searched)), dtype=np.intp)
     tau = first[:, len(reads):len(reads) + len(passages)]
     m_first, pre, pre_b, pre_c = np.zeros((4, n_rows, len(reads)))  # m there; the prefix sums up to it
-    at_b = np.empty((3, n_rows, len(at_barrier)))  # running, control and R_0 of each (b, b)
     y = np.empty((n_rows, len(rho)))
     to_tau = np.empty((n_rows, len(passages)))
     cols = np.cumsum([0] + [len(t) for _, _, t in stops])
@@ -626,36 +626,28 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
     weights = np.tile(w, (len(buffers[0]), 1)) if hist else None  # the histogram's weight rows
     for rows in blocks:
         block = values[rows]
-        m, r, u, *d = buffers[:, : len(block)]  # d: R^b's increments of a read
+        m, r, u = buffers[:3, : len(block)]
+        d = buffers[-1, : len(block)]  # R's increments: into u once f(U) is summed, a fourth buffer with reads
         np.fmin.accumulate(block, axis=-1, out=m)
-        for k, (o, b) in enumerate(pairs):
-            np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
-            np.add(np.add(block, o, out=u), r, out=u)
-            running[rows, k] = _grid_sum(f(u), w)
-            # u is spent: it takes R's increments, np.diff(r, prepend=0.0) bit for bit
-            u[:, 0] = r[:, 0]
-            np.subtract(r[:, 1:], r[:, :-1], out=u[:, 1:])
-            control[rows, k] = _grid_sum(u, disc)
         if searched:  # -m is nondecreasing: one search per row finds every first passage, bit for bit
             np.negative(m, out=r)
             first[rows] = [np.searchsorted(row, cuts, side="right") for row in r]
-        if reads:
-            [d] = d
             m_first[rows] = np.take_along_axis(m, np.minimum(first[rows, :len(reads)], n_grid - 1), axis=1)
-        for c, (b, ks) in enumerate(at_barrier.items()):
-            np.maximum(np.subtract(b, np.add(m, b, out=r), out=r), 0.0, out=r)
-            np.add(np.add(block, b, out=u), r, out=u)
+        for k, ((o, b), ks) in enumerate(zip(reflected, split)):
+            np.maximum(np.subtract(b, np.add(m, o, out=r), out=r), 0.0, out=r)
+            np.add(np.add(block, o, out=u), r, out=u)
             fu = np.asarray(f(u), dtype=float)
-            d[:, 0] = r[:, 0]  # R's increments, as for a pair; r is then free
+            running[rows, k] = _grid_sum(fu, w)
+            d[:, 0] = r[:, 0]  # np.diff(r, prepend=0.0) bit for bit
             np.subtract(r[:, 1:], r[:, :-1], out=d[:, 1:])
-            at_b[:, rows, c] = _grid_sum(fu, w), _grid_sum(d, disc), d[:, 0]
-            for k in (k for k in ks if starts[k] > b):  # prefix sums up to tau (0 for a start below b)
-                np.add(block, starts[k], out=r)
-                for i, j in enumerate(first[rows, k].tolist()):
-                    pre[rows.start + i, k] = _grid_sum(f(r[i, :j]), w[:j])
+            control[rows, k], r0[rows, k] = _grid_sum(d, disc), d[:, 0]
+            for i in ks:  # prefix sums up to tau; r is free
+                np.add(block, starts[i], out=r)
+                for p, j in enumerate(first[rows, i].tolist()):
+                    pre[rows.start + p, i] = _grid_sum(f(r[p, :j]), w[:j])
                     if j < n_grid:
-                        pre_b[rows.start + i, k] = _grid_sum(fu[i, :j], w[:j])
-                        pre_c[rows.start + i, k] = _grid_sum(d[i, :j + 1], disc[:j + 1])
+                        pre_b[rows.start + p, i] = _grid_sum(fu[p, :j], w[:j])
+                        pre_c[rows.start + p, i] = _grid_sum(d[p, :j + 1], disc[:j + 1])
         for k, (o, level) in enumerate(passages):
             if f_prime is not None:
                 end = max(1, tau[rows, k].max())  # the block's last passage: no later f'_+ is summed
@@ -682,9 +674,10 @@ def value_chunk(values: np.ndarray, *, pairs, f, q: float, dt: float, reads=(), 
                 occupation = np.concatenate((occupation, np.zeros(2 * n_bins - len(occupation))))
             bins = np.rint(np.divide(r, hist, out=r), out=r).astype(np.intp)
             np.add.at(occupation, bins.ravel(), weights[: len(block)].ravel())  # 1-D operands: numpy's fast path
-    out = {"pp_running": running, "pp_control": control}
+    out = {"pp_running": np.ascontiguousarray(running[:, :len(pairs)]),
+           "pp_control": np.ascontiguousarray(control[:, :len(pairs)])}
     if reads:
-        run_b, ctl_b, r0_b = at_b[:, :, [list(at_barrier).index(b) for b in levels]]
+        run_b, ctl_b, r0_b = running[:, anchor], control[:, anchor], r0[:, anchor]
         first = first[:, :len(reads)]
         never = first == n_grid
         pre_c = np.where(first == 0, disc[0] * r0_b, pre_c)

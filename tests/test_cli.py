@@ -193,10 +193,38 @@ def test_clock_skeleton_beyond_budget_exit_2(tmp_path, capsys, command, config):
     assert "config error: clock skeleton of" in err and "K = 18420687 jumps" in err and "problem.q" in err
 
 
-def test_huge_discount_takes_one_grid_step(tmp_path):
-    # log(1 / tail_tol) / q rounds up to one step of dt, not to an empty grid
-    assert run(["solve", "--config", KOU, "--out", tmp_path / "o", "--paths", "10",
-                "--set", "problem.q=1e300"]) == 0
+def test_huge_discount_refused_on_the_grid(tmp_path, capsys, monkeypatch):
+    # a derived horizon log(1 / tail_tol) / q shorter than one step of dt would round up to one
+    # step, on which a solve prints b* = -C / (2 dt) with ci 0: every grid command refuses it
+    seen = []
+    monkeypatch.setattr(estimators, "map_reduce_paths", lambda *args, **kwargs: seen.append(args))
+    for command in ("solve", "value", "sweep", "verify"):
+        assert run([command, "--config", KOU, "--out", tmp_path / command, "--paths", "10",
+                    "--set", "problem.q=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: config.sim.dt: the horizon" in err
+        assert "problem.q" in err and "sim.tail_tol" in err
+    assert seen == [] and not any(tmp_path.rglob("result.json"))
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("solve", KOU, ["--horizon", "0.05", "--dt", "0.05"]),  # an explicit horizon is the user's choice
+    ("rho", KOU, []),  # read off the clock skeleton: no grid
+    ("perturb", CP, []),
+], ids=["solve_explicit_horizon", "rho", "perturb"])
+def test_huge_discount_runs_where_no_grid_is_derived(tmp_path, command, config, flags):
+    assert run([command, "--config", config, "--out", tmp_path / "o", "--paths", "10",
+                "--set", "problem.q=1e300", *flags]) == 0
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1]", '"x"'])
+def test_config_not_an_object_exit_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    for extra in ([], ["--paths", "10"]):  # refused before the overrides are applied
+        assert run(["solve", "--config", cfg_path, "--out", tmp_path / "o", *extra]) == 2
+        assert "config error: config: expected a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section", ["model.jumps", "problem.cost", "problem.mollify", "solve", "sim"])
@@ -488,7 +516,7 @@ def test_verify_hands_no_pair_below_its_barrier(tmp_path, monkeypatch):
 
     def wrapped(triplet, cfg, reduce, **kwargs):
         if reduce.keywords.get("reads"):  # the solve's reducer reads no start
-            handed.append((reduce.keywords["pairs"], reduce.keywords["reads"]))
+            handed.append((reduce.keywords.get("pairs", ()), reduce.keywords["reads"]))
         return real(triplet, cfg, reduce, **kwargs)
 
     monkeypatch.setattr(estimators, "map_reduce_paths", wrapped)

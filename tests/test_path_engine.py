@@ -272,6 +272,40 @@ def test_reads_bit_identical_across_row_blocks_and_other_reads(monkeypatch, s, n
             assert _same_bits(alone[key][:, 0], whole[key][:, k])
 
 
+@pytest.mark.parametrize("s, n_rows", [(3, 7), (1, 3)])
+def test_pairs_and_reads_in_one_call_match_each_alone(monkeypatch, s, n_rows):
+    # each read's at-barrier pair (b, b) is one more reflected column after the asked pairs: asking
+    # pairs on the reads' barriers, (b, b) among them, moves no figure of either
+    width, q, dt = 9, 0.7, 0.1
+    rng = np.random.default_rng(n_rows)
+    values = np.cumsum(rng.normal(size=(n_rows, width)), axis=1)
+    values[:, 0] = 0.0
+    values[-1] = np.abs(values[-1])  # never below 0
+    f = lambda u: u**2 + np.sin(u)
+    barriers = (-1.0, 0.25)
+    reads = tuple((o, b) for b in barriers for o in (-2.0, b, 0.5, 1.7))
+    pairs = tuple((o, b) for b in barriers[::-1] for o in (0.3, b, -1.5))
+    _block_split(monkeypatch, s, width)
+    both = value_chunk(values, f=f, q=q, dt=dt, pairs=pairs, reads=reads)
+    for alone in (value_chunk(values, f=f, q=q, dt=dt, pairs=pairs), value_chunk(values, f=f, q=q, dt=dt, reads=reads)):
+        assert alone.keys() <= both.keys()
+        assert all(_same_bits(both[key], alone[key]) for key in alone if alone[key].size)
+
+
+def test_pairs_only_pass_returns_c_contiguous_rows():
+    # a one-chunk merge keeps the kernel's layout, and a later mean over paths sums in layout order
+    cfg = SimConfig(dt=0.05, horizon_T=4.0, n_paths=40, master_seed=21)
+    f = builtin_cost("quadratic").f
+    pairs = tuple((o, b) for b in (-0.8, -0.75, 0.5) for o in (-1.0, 0.0, 0.7))
+    values = _simulate_chunk(KOU_SYM, cfg, 0, cfg.n_paths, False)
+    kernel = value_chunk(values, f=f, q=0.5, dt=cfg.dt, pairs=pairs)
+    merged = map_reduce_paths(KOU_SYM, cfg, functools.partial(value_chunk, f=f, q=0.5, dt=cfg.dt, pairs=pairs))
+    for out in (kernel, merged, value_chunk(values, f=f, q=0.5, dt=cfg.dt, pairs=pairs, reads=((0.0, -0.8),))):
+        for key in ("pp_running", "pp_control"):
+            assert out[key].shape == (cfg.n_paths, len(pairs)) and out[key].flags.c_contiguous
+    assert all(_same_bits(kernel[key], merged[key]) for key in ("pp_running", "pp_control"))
+
+
 @pytest.mark.parametrize("s, n_rows", _SPLITS)
 def test_grid_reducers_bit_identical_across_row_blocks(monkeypatch, s, n_rows):
     # the property of test_value_kernel_matches_reflection_per_pair, with blocks cutting the chunk:
